@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidSpecError
+from .errors import DataFormatError, InvalidSpecError
 
 __all__ = ["ComplexDataset", "TrueMaps"]
 
@@ -33,6 +33,10 @@ class ComplexDataset:
             raise InvalidSpecError(
                 f"data shape {self.data.shape} does not match dims {self.dims}"
             )
+        finite = np.isfinite(self.data)
+        if not finite.all():
+            voxel, t = divmod(int(np.argmin(finite)), self.n_time)
+            raise DataFormatError(f"non-finite sample at voxel {voxel}, time index {t}")
 
     @property
     def n_time(self) -> int:

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import ShapeMismatchError, UndefinedMetricError
 
@@ -83,6 +82,12 @@ def classification_metrics(truth, predicted) -> ClassificationReport:
     return ClassificationReport(tp, fp, fn, tn, accuracy, precision, recall, f1)
 
 
+def _average_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks with ties given the mean of the ranks they span."""
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
+
+
 def roc_auc(truth, scores) -> float:
     """Rank-based AUC: P(score+ > score-) + 0.5 P(score+ = score-)."""
     _check_shapes(truth, scores)
@@ -92,7 +97,7 @@ def roc_auc(truth, scores) -> float:
     n_neg = t.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise UndefinedMetricError("AUC needs both classes present in the truth")
-    ranks = rankdata(s)
+    ranks = _average_ranks(s)
     return float((ranks[t].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 

@@ -1,15 +1,15 @@
 """Image parcellation and per-parcel spatial machinery.
 
 The grid is split into G contiguous blocks of approximately equal geometric
-size; each block gets its own adjacency matrix, graph Laplacian, and a low-rank
-basis built from the principal adjacency eigenvectors. The basis carries the
-precomputed matrices the sampler needs, so it is built once and shared
-read-only afterwards.
+size. Each block gets its own adjacency matrix and a low-rank spatial basis:
+the q principal adjacency eigenvectors M and the prior variance scale nu2 of
+every voxel's probit latent. The basis holds only what the sampler reads, so
+it is built once and shared read-only afterwards.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cholesky, eigh, solve_triangular
@@ -24,7 +24,6 @@ __all__ = [
     "graph_laplacian",
     "principal_eigenvectors",
     "build_spatial_basis",
-    "dump_basis_csv",
     "EDGE",
     "EDGE_CORNER",
 ]
@@ -48,22 +47,16 @@ class Partition:
 
 @dataclass
 class SpatialBasis:
-    """Spatial machinery of one parcel.
+    """Spatial basis of one parcel.
 
     ``m`` holds the q principal adjacency eigenvectors (columns, orthonormal,
-    descending eigenvalue order, sign-fixed). ``qs = M'QM`` and
-    ``qhat_inv = (Qs + M'M)^-1`` are the precomputed kernels of the spatial
-    random-effect updates; ``nu2`` is the diagonal of I + M Qs^-1 M' and
-    ``qhat_inv_chol`` a lower Cholesky factor of ``qhat_inv`` for fast draws.
+    descending eigenvalue order, sign-fixed). ``nu2`` is the diagonal of
+    I + M (M'QM)^-1 M' with Q the graph Laplacian: the variance scale of each
+    voxel's probit latent once the spatial random effects are integrated out.
     """
 
-    adjacency: np.ndarray
-    laplacian: np.ndarray
     m: np.ndarray
-    qs: np.ndarray
-    qhat_inv: np.ndarray
     nu2: np.ndarray
-    qhat_inv_chol: np.ndarray = field(repr=False, default=None)
 
     @property
     def n_voxels(self) -> int:
@@ -207,48 +200,29 @@ def principal_eigenvectors(adjacency: np.ndarray, q: int):
 
 
 def build_spatial_basis(adjacency: np.ndarray, q: int) -> SpatialBasis:
-    """Assemble the full per-parcel spatial basis.
+    """Assemble the per-parcel spatial basis.
 
-    Raises :class:`SingularBasisError` when M'QM is numerically singular
-    (condition number above 1e12), which happens when a low-index adjacency
-    eigenvector is (numerically) constant on a connected component.
+    M'QM is formed as the sum over edges (i, j) of (m_i - m_j)(m_i - m_j)',
+    which equals M'QM and is positive semidefinite by construction. Raises
+    :class:`SingularBasisError` when M'QM is numerically singular (smallest
+    eigenvalue at most 1e-12 times the largest degree, or condition number
+    above 1e12), which happens when a low-index adjacency eigenvector is
+    (numerically) constant on a connected component.
     """
-    _, m = principal_eigenvectors(adjacency, q)
-    lap = graph_laplacian(adjacency)
-    qs = m.T @ lap @ m
-    qs = (qs + qs.T) / 2.0
+    a = np.asarray(adjacency)
+    if a.ndim != 2 or not np.array_equal(a, a.T):
+        raise InvalidSpecError("adjacency must be square and symmetric")
+    _, m = principal_eigenvectors(a, q)
+    i, j = np.nonzero(a)
+    upper = i < j
+    diff = m[i[upper]] - m[j[upper]]
+    qs = diff.T @ diff
     eigs = np.linalg.eigvalsh(qs)
-    if eigs[0] <= 0 or eigs[-1] / eigs[0] > 1e12:
+    max_degree = int(np.bincount(i, minlength=a.shape[0]).max())
+    if eigs[0] <= 1e-12 * max_degree or eigs[-1] / eigs[0] > 1e12:
         raise SingularBasisError(
             "M'QM is numerically singular; use a smaller q or a larger parcel"
         )
-    chol_qs = cholesky(qs, lower=True)
     # nu2 as 1 + a sum of squares, which keeps nu2 >= 1 exactly
-    y = solve_triangular(chol_qs, m.T, lower=True)
-    nu2 = 1.0 + np.sum(y * y, axis=0)
-    qhat = qs + m.T @ m
-    qhat = (qhat + qhat.T) / 2.0
-    chol_qhat = cholesky(qhat, lower=True)
-    inv_chol = solve_triangular(chol_qhat, np.eye(q), lower=True)
-    qhat_inv = inv_chol.T @ inv_chol
-    qhat_inv = (qhat_inv + qhat_inv.T) / 2.0
-    return SpatialBasis(
-        adjacency=np.asarray(adjacency, dtype=np.int8),
-        laplacian=lap,
-        m=m,
-        qs=qs,
-        qhat_inv=qhat_inv,
-        nu2=nu2,
-        qhat_inv_chol=cholesky(qhat_inv, lower=True),
-    )
-
-
-def dump_basis_csv(basis: SpatialBasis, directory):
-    """Debug dump of A, Q, M as CSV files."""
-    from pathlib import Path
-
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    np.savetxt(directory / "adjacency.csv", basis.adjacency, fmt="%d", delimiter=",")
-    np.savetxt(directory / "laplacian.csv", basis.laplacian, delimiter=",")
-    np.savetxt(directory / "eigenvectors.csv", basis.m, delimiter=",")
+    y = solve_triangular(cholesky(qs, lower=True), m.T, lower=True)
+    return SpatialBasis(m=m, nu2=1.0 + np.sum(y * y, axis=0))

@@ -19,10 +19,16 @@ a complex regressor satisfies X'X = ||x||^2 I_2, so the normal updates are
 scalar; the chain exploits this plus per-parcel cross-product statistics to run
 each sweep in O(V) after an O(V*T) precomputation.
 
+The spatial random effects delta are integrated out: eta is drawn from its
+delta-collapsed half-normal and kappa depends on eta alone, so the chain never
+draws delta.
+
 Within a sweep the voxel-level updates (gamma, beta, rho, sigma^2) are
 conditionally independent given the parcel-level state, so they are performed
 as vectorized stage updates; this realizes the same transition kernel as a
-fixed voxel-order scan.
+fixed voxel-order scan. Each conditional is written once, as a function of its
+sufficient statistics; the chain and the series-level ``sample_*`` functions
+both call it.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, log_ndtr, ndtr, ndtri
+from scipy.special import expit, log_ndtr, ndtri
 
 from .errors import (
     DegeneratePosteriorError,
@@ -60,10 +66,8 @@ __all__ = [
     "sample_sigma2",
     "sample_tau2",
     "sample_eta",
-    "sample_delta",
     "sample_kappa",
     "sample_eta_nonspatial",
-    "sample_truncated_normal",
     "run_parcel_chain",
     "mcse",
     "stitch_voxel_field",
@@ -76,9 +80,6 @@ NONSPATIAL = "nonspatial"
 _MASK64 = (1 << 64) - 1
 #: Threshold on |w_lag|^2 below which the AR update is declared degenerate.
 _DEGENERATE_NORM = 1e-300
-#: Standardized truncation bound beyond which inverse-CDF sampling switches to
-#: an exponential-proposal rejection step.
-_TAIL_BOUND = 8.0
 
 
 # --------------------------------------------------------------------------
@@ -159,8 +160,8 @@ class ChainState:
 
     Per voxel: inclusion indicator, complex activation coefficient, complex
     AR(1) coefficient, noise variance, probit latent. Parcel level: slab
-    variance, spatial random effects, smoothing parameter, and the shared
-    inclusion rate used by the nonspatial mode.
+    variance, smoothing parameter, and the shared inclusion rate used by the
+    nonspatial mode.
     """
 
     gamma: np.ndarray
@@ -169,7 +170,6 @@ class ChainState:
     sigma2: np.ndarray
     eta: np.ndarray
     tau2: float
-    delta: np.ndarray
     kappa: float
     eta_shared: float = 0.5
 
@@ -267,23 +267,101 @@ def _prior_logit_shared(eta_shared):
     return math.log(p) - math.log1p(-p)
 
 
+# --------------------------------------------------------------------------
+# full conditionals on sufficient statistics
+# --------------------------------------------------------------------------
+#
+# Each conditional's formula lives in exactly one function below. They take
+# the chain's layout (1-D per-voxel float/complex/bool arrays) and coerce
+# nothing, so the chain calls them directly; the public ``sample_*`` functions
+# reduce a batch of series to the same statistics and call the same function.
+
+def _inclusion_probability(xnorm2, c, sigma2, tau2, prior_logit):
+    log_ratio = log_null_slab_ratio(xnorm2, c.real**2 + c.imag**2, sigma2, tau2)
+    return expit(prior_logit - log_ratio)
+
+
+def _complex_normal(num, prec, sigma2, mask, rng):
+    """num/prec + sqrt(sigma2/prec) (z1 + i z2) where ``mask`` holds, 0 elsewhere."""
+    out = np.zeros(mask.shape, dtype=complex)
+    idx = np.flatnonzero(mask)
+    if idx.size:
+        z = rng.standard_normal((idx.size, 2))
+        p = prec[idx]
+        out[idx] = num[idx] / p + np.sqrt(sigma2[idx] / p) * (z[:, 0] + 1j * z[:, 1])
+    return out
+
+
+def _draw_beta(xnorm2, c, sigma2, tau2, gamma, rng):
+    return _complex_normal(c, xnorm2 + sigma2 / tau2, sigma2, gamma, rng)
+
+
+def _draw_rho(cw, wl2, sigma2, rng):
+    degenerate = wl2 < _DEGENERATE_NORM
+    return _complex_normal(cw, wl2, sigma2, ~degenerate, rng), degenerate
+
+
+def _draw_sigma2(ss, shape, rng):
+    bad = np.flatnonzero(ss <= 0.0)
+    if bad.size:
+        raise DegeneratePosteriorError(f"zero residual sum of squares at voxel {bad[0]}")
+    return (ss / 2.0) / rng.standard_gamma(shape, size=ss.shape)
+
+
+def _draw_tau2(gamma, beta, prev_tau2, rng):
+    k = int(gamma.sum())
+    if k == 0:
+        return prev_tau2
+    ssb = float(np.sum(beta.real**2 + beta.imag**2))
+    if ssb <= 0.0:
+        raise DegeneratePosteriorError(
+            "slab variance update saw active voxels with zero coefficients"
+        )
+    return (ssb / 2.0) / rng.standard_gamma(k)
+
+
+def _draw_eta(gamma, nu2, kappa, rng):
+    # standardized half-normal by inverse survival; the clamp keeps u == 0
+    # (probability 2^-53 per draw) finite at ~37 sd
+    u = rng.random(gamma.shape)
+    mag = -ndtri(np.maximum(u * 0.5, 1e-300)) * np.sqrt(nu2 / kappa)
+    return np.where(gamma, mag, -mag)
+
+
+def _draw_kappa(eta, nu2, a_kappa, b_kappa, rng):
+    rate = 0.5 * float(np.sum(eta * eta / nu2)) + 1.0 / b_kappa
+    return float(rng.standard_gamma(eta.size / 2.0 + a_kappa) / rate)
+
+
+def _draw_eta_shared(gamma, rng):
+    k = int(gamma.sum())
+    return float(rng.beta(1 + k, 1 + gamma.size - k))
+
+
+# --------------------------------------------------------------------------
+# full conditional draws on series
+# --------------------------------------------------------------------------
+
+def _cross_stats(target, regressor):
+    """(||regressor||^2, regressor^H target) along the last axis."""
+    norm2 = np.sum(regressor.real**2 + regressor.imag**2, axis=-1)
+    return norm2, np.sum(np.conj(regressor) * target, axis=-1)
+
+
+def _flatten(shape, *arrays):
+    """Broadcast per-series values to the batch ``shape``, as 1-D arrays."""
+    return [np.broadcast_to(a, shape).reshape(-1) for a in arrays]
+
+
 def inclusion_probability(ystar, xstar, sigma2, tau2, eta, psi) -> np.ndarray:
     """Posterior inclusion probability of the spike-and-slab indicator.
 
     Assembled fully in log space: expit(prior logit - log ratio), which agrees
     with the naive ratio formula wherever the latter does not overflow.
     """
-    ystar = np.asarray(ystar)
-    xstar = np.asarray(xstar)
-    xnorm2 = np.sum(xstar.real**2 + xstar.imag**2, axis=-1)
-    c = np.sum(np.conj(xstar) * ystar, axis=-1)
-    log_ratio = log_null_slab_ratio(xnorm2, c.real**2 + c.imag**2, sigma2, tau2)
-    return expit(_prior_logit_spatial(psi, eta) - log_ratio)
+    xnorm2, c = _cross_stats(np.asarray(ystar), np.asarray(xstar))
+    return _inclusion_probability(xnorm2, c, sigma2, tau2, _prior_logit_spatial(psi, eta))
 
-
-# --------------------------------------------------------------------------
-# full conditional draws
-# --------------------------------------------------------------------------
 
 def sample_gamma(ystar, xstar, sigma2, tau2, eta, psi, rng) -> np.ndarray:
     """Draw the inclusion indicator(s) from their Bernoulli full conditional."""
@@ -295,31 +373,10 @@ def sample_gamma(ystar, xstar, sigma2, tau2, eta, psi, rng) -> np.ndarray:
 def sample_beta(ystar, xstar, sigma2, tau2, gamma, rng):
     """Draw the activation coefficient(s): zero when excluded, else the
     conjugate ridge normal with scalar precision ||x*||^2 + sigma2/tau2."""
-    ystar = np.asarray(ystar)
-    xstar = np.asarray(xstar)
-    scalar = ystar.ndim == 1
-    if scalar:
-        if not gamma:
-            return 0j
-        xnorm2 = np.sum(xstar.real**2 + xstar.imag**2)
-        c = np.sum(np.conj(xstar) * ystar)
-        denom = xnorm2 + sigma2 / tau2
-        z = rng.standard_normal(2)
-        return c / denom + math.sqrt(sigma2 / denom) * complex(z[0], z[1])
-    gamma = np.asarray(gamma, dtype=bool)
-    xnorm2 = np.sum(xstar.real**2 + xstar.imag**2, axis=-1)
-    c = np.sum(np.conj(xstar) * ystar, axis=-1)
-    denom = xnorm2 + np.asarray(sigma2) / tau2
-    sig = np.broadcast_to(np.asarray(sigma2, dtype=float), denom.shape)
-    beta = np.zeros(ystar.shape[:-1], dtype=complex)
-    idx = np.flatnonzero(gamma)
-    if idx.size:
-        z = rng.standard_normal((idx.size, 2))
-        sd = np.sqrt(sig.reshape(-1)[idx] / denom.reshape(-1)[idx])
-        beta.reshape(-1)[idx] = c.reshape(-1)[idx] / denom.reshape(-1)[idx] + sd * (
-            z[:, 0] + 1j * z[:, 1]
-        )
-    return beta
+    xnorm2, c = _cross_stats(np.asarray(ystar), np.asarray(xstar))
+    shape = np.shape(c)
+    xnorm2, c, sigma2, gamma = _flatten(shape, xnorm2, c, sigma2, np.asarray(gamma, dtype=bool))
+    return _draw_beta(xnorm2, c, sigma2, tau2, gamma, rng).reshape(shape)[()]
 
 
 def sample_rho(y, x, beta, sigma2, rng):
@@ -328,28 +385,11 @@ def sample_rho(y, x, beta, sigma2, rng):
     Returns ``(rho, degenerate)``; a voxel whose lagged residual energy falls
     below 1e-300 is flagged and assigned rho = 0 without consuming draws.
     """
-    y = np.asarray(y)
-    w = y - np.multiply.outer(np.asarray(beta), np.asarray(x)) if np.ndim(beta) else y - beta * np.asarray(x)
-    w_now = w[..., 1:]
-    w_lag = w[..., :-1]
-    wl2 = np.sum(w_lag.real**2 + w_lag.imag**2, axis=-1)
-    cw = np.sum(np.conj(w_lag) * w_now, axis=-1)
-    if np.ndim(wl2) == 0:
-        if wl2 < _DEGENERATE_NORM:
-            return 0j, True
-        z = rng.standard_normal(2)
-        return cw / wl2 + math.sqrt(sigma2 / wl2) * complex(z[0], z[1]), False
-    degenerate = wl2 < _DEGENERATE_NORM
-    rho = np.zeros(wl2.shape, dtype=complex)
-    sig = np.broadcast_to(np.asarray(sigma2, dtype=float), wl2.shape)
-    good = np.flatnonzero(~degenerate)
-    if good.size:
-        z = rng.standard_normal((good.size, 2))
-        sd = np.sqrt(sig.reshape(-1)[good] / wl2.reshape(-1)[good])
-        rho.reshape(-1)[good] = cw.reshape(-1)[good] / wl2.reshape(-1)[good] + sd * (
-            z[:, 0] + 1j * z[:, 1]
-        )
-    return rho, degenerate
+    w = np.asarray(y) - np.multiply.outer(np.asarray(beta), np.asarray(x))
+    wl2, cw = _cross_stats(w[..., 1:], w[..., :-1])
+    shape = np.shape(wl2)
+    rho, degenerate = _draw_rho(*_flatten(shape, cw, wl2, sigma2), rng)
+    return rho.reshape(shape)[()], degenerate.reshape(shape)[()]
 
 
 def sample_sigma2(w_now, w_lag, rho, rng):
@@ -359,98 +399,35 @@ def sample_sigma2(w_now, w_lag, rho, rng):
     half the squared norm of the stacked real residual.
     """
     w_now = np.asarray(w_now)
-    w_lag = np.asarray(w_lag)
-    rho = np.asarray(rho)
-    resid = w_now - (rho[..., None] if rho.ndim else rho) * w_lag
+    resid = w_now - np.expand_dims(rho, -1) * np.asarray(w_lag)
     ss = np.sum(resid.real**2 + resid.imag**2, axis=-1)
-    shape = w_now.shape[-1]
-    if np.any(ss <= 0.0):
-        raise DegeneratePosteriorError("zero residual sum of squares in the noise update")
-    g = rng.standard_gamma(shape, size=None if np.ndim(ss) == 0 else ss.shape)
-    return (ss / 2.0) / g
+    return _draw_sigma2(ss, w_now.shape[-1], rng)
 
 
 def sample_tau2(gamma, beta, prev_tau2, rng):
     """Draw the slab variance, or keep the previous value when nothing is active."""
-    gamma = np.asarray(gamma, dtype=bool)
-    beta = np.asarray(beta)
-    k = int(gamma.sum())
-    if k == 0:
-        return float(prev_tau2)
-    ssb = float(np.sum(beta.real**2 + beta.imag**2))
-    if ssb <= 0.0:
-        raise DegeneratePosteriorError("slab variance update saw active voxels with zero coefficients")
-    return (ssb / 2.0) / rng.standard_gamma(k)
-
-
-def _halfnormal_std(u):
-    # standardized draw from N(0,1) truncated to (0, inf) by inverse survival;
-    # the clamp keeps u == 0 (probability 2^-53 per draw) finite at ~37 sd
-    return -ndtri(np.maximum(u * 0.5, 1e-300))
+    return _draw_tau2(np.asarray(gamma, dtype=bool), np.asarray(beta), float(prev_tau2), rng)
 
 
 def sample_eta(gamma, nu2, kappa, rng):
     """Draw the probit latent(s): half-normal magnitude sd = sqrt(nu2/kappa),
     positive when the voxel is included and negative otherwise."""
     gamma = np.asarray(gamma, dtype=bool)
-    sd = np.sqrt(np.asarray(nu2, dtype=float) / kappa)
-    u = rng.random(gamma.shape if gamma.ndim else None)
-    mag = _halfnormal_std(np.asarray(u)) * sd
-    out = np.where(gamma, mag, -mag)
+    out = _draw_eta(gamma, np.asarray(nu2, dtype=float), kappa, rng)
     return out if gamma.ndim else float(out)
-
-
-def sample_delta(eta, m, qhat_inv, kappa, rng, chol=None):
-    """Draw the spatial random effects N((1/k) Qhat^-1 M' eta, (1/k) Qhat^-1)."""
-    if kappa <= 0:
-        raise InvalidSpecError("kappa must be positive")
-    mean = qhat_inv @ (m.T @ np.asarray(eta)) / kappa
-    if chol is None:
-        chol = np.linalg.cholesky(qhat_inv)
-    z = rng.standard_normal(qhat_inv.shape[0])
-    return mean + (chol @ z) / math.sqrt(kappa)
 
 
 def sample_kappa(eta, nu2, a_kappa, b_kappa, rng):
     """Draw the smoothing parameter Gamma(V/2 + a, 1 / (sum eta^2/nu2 / 2 + 1/b))."""
-    eta = np.asarray(eta, dtype=float)
     nu2 = np.asarray(nu2, dtype=float)
     if np.any(nu2 < 1.0):
         raise InvalidSpecError("nu2 must be >= 1")
-    rate = 0.5 * float(np.sum(eta * eta / nu2)) + 1.0 / b_kappa
-    shape = eta.size / 2.0 + a_kappa
-    return float(rng.standard_gamma(shape) / rate)
+    return _draw_kappa(np.asarray(eta, dtype=float), nu2, a_kappa, b_kappa, rng)
 
 
 def sample_eta_nonspatial(gamma, rng):
     """Draw the shared inclusion rate Beta(1 + k, 1 + V - k)."""
-    gamma = np.asarray(gamma, dtype=bool)
-    k = int(gamma.sum())
-    return float(rng.beta(1 + k, 1 + gamma.size - k))
-
-
-def sample_truncated_normal(mean, sd, bound, rng, lower: bool = True):
-    """One-sided truncated normal draw by inverse CDF with a guarded tail.
-
-    ``lower=True`` truncates to (bound, inf), else to (-inf, bound). When the
-    standardized bound exceeds 8 on the improbable side, an exponential
-    proposal with rejection (asymptotically exact in the tail) replaces the
-    inverse CDF, whose argument would underflow.
-    """
-    if sd <= 0:
-        raise InvalidSpecError("truncated normal needs a positive sd")
-    alpha = (bound - mean) / sd if lower else (mean - bound) / sd
-    if alpha <= _TAIL_BOUND:
-        u = rng.random()
-        tail = ndtr(-alpha)
-        z = -ndtri(max(u * tail, 1e-300))
-    else:
-        lam = 0.5 * (alpha + math.sqrt(alpha * alpha + 4.0))
-        while True:
-            z = alpha + rng.exponential(1.0 / lam)
-            if rng.random() <= math.exp(-0.5 * (z - lam) ** 2):
-                break
-    return mean + sd * z if lower else mean - sd * z
+    return _draw_eta_shared(np.asarray(gamma, dtype=bool), rng)
 
 
 # --------------------------------------------------------------------------
@@ -493,7 +470,7 @@ class _ParcelStats:
         return cw, wl2, wn2
 
 
-def _initial_state(y: np.ndarray, stats: _ParcelStats, basis, cfg) -> ChainState:
+def _initial_state(y: np.ndarray, stats: _ParcelStats, cfg) -> ChainState:
     n_vox = y.shape[0]
     gamma = np.ones(n_vox, dtype=bool)
     # pooled per-component variance of the centered series, halved
@@ -502,7 +479,6 @@ def _initial_state(y: np.ndarray, stats: _ParcelStats, basis, cfg) -> ChainState
     tau2 = 1.0
     xnorm2, c = stats.design_norms(rho)
     beta = c / (xnorm2 + sigma2 / tau2)
-    q = basis.q if basis is not None else cfg.q
     return ChainState(
         gamma=gamma,
         beta=beta,
@@ -510,7 +486,6 @@ def _initial_state(y: np.ndarray, stats: _ParcelStats, basis, cfg) -> ChainState
         sigma2=sigma2,
         eta=np.zeros(n_vox),
         tau2=tau2,
-        delta=np.zeros(q),
         kappa=cfg.a_kappa * cfg.b_kappa,
         eta_shared=0.5,
     )
@@ -522,7 +497,6 @@ def run_parcel_chain(
     x: np.ndarray,
     cfg: SamplerConfig,
     parcel_seed: int,
-    parcel_index: int | None = None,
     trace_voxels=None,
     audit: bool = False,
 ) -> ChainSummary:
@@ -547,21 +521,15 @@ def run_parcel_chain(
         if basis.n_voxels != y.shape[0]:
             raise InvalidSpecError("basis size does not match parcel size")
 
-    where = f" (parcel {parcel_index})" if parcel_index is not None else ""
     n_vox, n_time = y.shape
     rng = np.random.default_rng(parcel_seed)
 
     yc = y - y.mean(axis=1, keepdims=True)
     xc = x - x.mean()
     stats = _ParcelStats(yc, xc)
-    state = _initial_state(yc, stats, basis, cfg)
-    psi = cfg.psi
+    state = _initial_state(yc, stats, cfg)
     spatial = cfg.mode == SPATIAL
-    if spatial:
-        nu2 = basis.nu2
-        chol = basis.qhat_inv_chol
-        if chol is None:
-            chol = np.linalg.cholesky(basis.qhat_inv)
+    nu2 = basis.nu2 if spatial else None
 
     kept_gamma = np.zeros((cfg.n_kept, n_vox), dtype=np.int8)
     beta_sum = np.zeros(n_vox, dtype=complex)
@@ -573,63 +541,26 @@ def run_parcel_chain(
     for it in range(cfg.n_iter):
         # voxel stage: gamma, beta, rho, sigma2 (vectorized across voxels)
         xnorm2, c = stats.design_norms(state.rho)
-        denom = xnorm2 + state.sigma2 / state.tau2
-        log_ratio = (
-            np.log(state.tau2)
-            - np.log(state.sigma2)
-            + np.log(denom)
-            - (c.real**2 + c.imag**2) / (2.0 * state.sigma2 * denom)
-        )
         if spatial:
-            prior_logit = _prior_logit_spatial(psi, state.eta)
+            prior_logit = _prior_logit_spatial(cfg.psi, state.eta)
         else:
             prior_logit = _prior_logit_shared(state.eta_shared)
-        p_incl = expit(prior_logit - log_ratio)
+        p_incl = _inclusion_probability(xnorm2, c, state.sigma2, state.tau2, prior_logit)
         state.gamma = rng.random(n_vox) < p_incl
-
-        state.beta = np.zeros(n_vox, dtype=complex)
-        active = np.flatnonzero(state.gamma)
-        if active.size:
-            z = rng.standard_normal((active.size, 2))
-            sd = np.sqrt(state.sigma2[active] / denom[active])
-            state.beta[active] = c[active] / denom[active] + sd * (z[:, 0] + 1j * z[:, 1])
-
+        state.beta = _draw_beta(xnorm2, c, state.sigma2, state.tau2, state.gamma, rng)
         cw, wl2, wn2 = stats.residual_norms(state.beta)
-        state.rho = np.zeros(n_vox, dtype=complex)
-        good = np.flatnonzero(wl2 >= _DEGENERATE_NORM)
-        if good.size:
-            z = rng.standard_normal((good.size, 2))
-            sd = np.sqrt(state.sigma2[good] / wl2[good])
-            state.rho[good] = cw[good] / wl2[good] + sd * (z[:, 0] + 1j * z[:, 1])
-
+        state.rho, _ = _draw_rho(cw, wl2, state.sigma2, rng)
         r2 = state.rho.real**2 + state.rho.imag**2
         ss = np.maximum(wn2 - 2.0 * (np.conj(state.rho) * cw).real + r2 * wl2, 0.0)
-        if np.any(ss <= 0.0):
-            voxel = int(np.flatnonzero(ss <= 0.0)[0])
-            raise DegeneratePosteriorError(
-                f"zero residual sum of squares at voxel {voxel}{where}"
-            )
-        state.sigma2 = (ss / 2.0) / rng.standard_gamma(shape_sigma, size=n_vox)
+        state.sigma2 = _draw_sigma2(ss, shape_sigma, rng)
 
         # parcel stage: tau2, then the inclusion-prior latents
-        k = int(state.gamma.sum())
-        if k:
-            ssb = float(np.sum(state.beta.real**2 + state.beta.imag**2))
-            if ssb <= 0.0:
-                raise DegeneratePosteriorError(f"degenerate slab update{where}")
-            state.tau2 = (ssb / 2.0) / rng.standard_gamma(k)
-
+        state.tau2 = _draw_tau2(state.gamma, state.beta, state.tau2, rng)
         if spatial:
-            sd_eta = np.sqrt(nu2 / state.kappa)
-            mag = _halfnormal_std(rng.random(n_vox)) * sd_eta
-            state.eta = np.where(state.gamma, mag, -mag)
-            state.delta = basis.qhat_inv @ (basis.m.T @ state.eta) / state.kappa + (
-                chol @ rng.standard_normal(basis.q)
-            ) / math.sqrt(state.kappa)
-            rate = 0.5 * float(np.sum(state.eta**2 / nu2)) + 1.0 / cfg.b_kappa
-            state.kappa = float(rng.standard_gamma(n_vox / 2.0 + cfg.a_kappa) / rate)
+            state.eta = _draw_eta(state.gamma, nu2, state.kappa, rng)
+            state.kappa = _draw_kappa(state.eta, nu2, cfg.a_kappa, cfg.b_kappa, rng)
         else:
-            state.eta_shared = float(rng.beta(1 + k, 1 + n_vox - k))
+            state.eta_shared = _draw_eta_shared(state.gamma, rng)
 
         if audit:
             state.validate()

@@ -13,7 +13,7 @@ captured output of a failing run). Criteria:
 5. Realistic seven-slice volume: slice 4 precision >= 0.95 and recall
    >= 0.5; slices 1 and 7 produce <= 5 false positives each.
 6. Conditional-sampler oracles: KS distance < 0.02 at 1e5 draws for all
-   eight conditionals; inclusion probability matches 2-D quadrature to 1e-4.
+   seven conditionals; inclusion probability matches 2-D quadrature to 1e-4.
 7. Noiseless recovery: magnitude map within 1e-4 of truth, phase within
    1e-4 of pi/4 on active voxels.
 8. Structural invariants: scalar-identity Gram matrices (1e-12, 1000 random
@@ -55,7 +55,6 @@ from cvfmri.sampler import (
     real_design_matrix,
     run_parcel_chain,
     sample_beta,
-    sample_delta,
     sample_eta,
     sample_gamma,
     sample_kappa,
@@ -298,23 +297,8 @@ class TestSamplerOracles:
             stats.halfnorm(scale=math.sqrt(nu2_v / kappa0)).rvs(N_KS, random_state=12),
         )
 
-        # delta
-        eta_field = np.array([0.4, -0.2, 0.9, 0.1])
-        qhat = basis.qs + basis.m.T @ basis.m
-        mu_d = np.linalg.inv(qhat) @ (basis.m.T @ eta_field) / kappa0
-        cov_d = np.linalg.inv(qhat) / kappa0
-        rng = np.random.default_rng(13)
-        delta_draws = np.array([
-            sample_delta(eta_field, basis.m, basis.qhat_inv, kappa0, rng,
-                         chol=basis.qhat_inv_chol)
-            for _ in range(N_KS)
-        ])
-        oracle = stats.multivariate_normal(mu_d, cov_d).rvs(N_KS, random_state=14)
-        dists["delta"] = max(
-            ks(delta_draws[:, 0], oracle[:, 0]), ks(delta_draws[:, 1], oracle[:, 1])
-        )
-
         # kappa
+        eta_field = np.array([0.4, -0.2, 0.9, 0.1])
         rate = 0.5 * float(np.sum(eta_field**2 / basis.nu2)) + 1 / 2000.0
         rng = np.random.default_rng(15)
         kappa_draws = np.array([

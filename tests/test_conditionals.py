@@ -24,7 +24,6 @@ from cvfmri.sampler import (
     log_null_slab_ratio,
     real_design_matrix,
     sample_beta,
-    sample_delta,
     sample_eta,
     sample_eta_nonspatial,
     sample_gamma,
@@ -32,7 +31,6 @@ from cvfmri.sampler import (
     sample_rho,
     sample_sigma2,
     sample_tau2,
-    sample_truncated_normal,
     splitmix64,
     stack_real,
 )
@@ -363,50 +361,6 @@ class TestEta:
         assert ks(draws, oracle) < KS_TOL
 
 
-class TestDelta:
-    def test_zero_field_centers_at_zero(self, path4_basis):
-        rng = np.random.default_rng(51)
-        draws = np.array([
-            sample_delta(np.zeros(4), path4_basis.m, path4_basis.qhat_inv, 2.0, rng,
-                         chol=path4_basis.qhat_inv_chol)
-            for _ in range(5000)
-        ])
-        assert np.allclose(draws.mean(axis=0), 0.0, atol=0.05)
-
-    def test_kappa_scaling_halves_covariance(self, path4_basis):
-        rng = np.random.default_rng(52)
-        d1 = np.array([
-            sample_delta(np.zeros(4), path4_basis.m, path4_basis.qhat_inv, 1.0, rng,
-                         chol=path4_basis.qhat_inv_chol)
-            for _ in range(20000)
-        ])
-        d2 = np.array([
-            sample_delta(np.zeros(4), path4_basis.m, path4_basis.qhat_inv, 2.0, rng,
-                         chol=path4_basis.qhat_inv_chol)
-            for _ in range(20000)
-        ])
-        c1 = np.cov(d1.T)
-        c2 = np.cov(d2.T)
-        assert np.allclose(c2 * 2.0, c1, rtol=0.08, atol=2e-3)
-
-    def test_draws_match_dense_normal_oracle(self, path4_basis):
-        eta = np.array([0.4, -0.2, 0.9, 0.1])
-        kappa = 1.7
-        m = path4_basis.m
-        qhat = path4_basis.qs + m.T @ m
-        cov = np.linalg.inv(qhat) / kappa
-        mu = np.linalg.inv(qhat) @ (m.T @ eta) / kappa
-        rng = np.random.default_rng(53)
-        draws = np.array([
-            sample_delta(eta, m, path4_basis.qhat_inv, kappa, rng,
-                         chol=path4_basis.qhat_inv_chol)
-            for _ in range(N_DRAWS // 2)
-        ])
-        oracle = stats.multivariate_normal(mu, cov).rvs(N_DRAWS // 2, random_state=54)
-        assert ks(draws[:, 0], oracle[:, 0]) < KS_TOL
-        assert ks(draws[:, 1], oracle[:, 1]) < KS_TOL
-
-
 class TestKappa:
     def test_flat_field_prior_scale(self):
         rng = np.random.default_rng(61)
@@ -461,36 +415,3 @@ class TestEtaNonspatial:
         gamma = np.array([True] * 5 + [False] * 5)
         draws = np.array([sample_eta_nonspatial(gamma, rng) for _ in range(20000)])
         assert draws.mean() == pytest.approx(0.5, abs=0.01)
-
-
-class TestTruncatedNormal:
-    def test_central_region_matches_scipy(self):
-        rng = np.random.default_rng(81)
-        draws = np.array([
-            sample_truncated_normal(1.0, 2.0, 0.0, rng, lower=True) for _ in range(50000)
-        ])
-        oracle = stats.truncnorm(a=-0.5, b=np.inf, loc=1.0, scale=2.0).rvs(
-            50000, random_state=82
-        )
-        assert ks(draws, oracle) < KS_TOL
-
-    def test_far_tail_uses_rejection(self):
-        # alpha = 10 forces the exponential-proposal branch
-        rng = np.random.default_rng(83)
-        draws = np.array([
-            sample_truncated_normal(0.0, 1.0, 10.0, rng, lower=True) for _ in range(50000)
-        ])
-        oracle = stats.truncnorm(a=10.0, b=np.inf).rvs(50000, random_state=84)
-        assert draws.min() >= 10.0
-        assert ks(draws, oracle) < KS_TOL
-
-    def test_upper_truncation_mirror(self):
-        rng = np.random.default_rng(85)
-        draws = np.array([
-            sample_truncated_normal(0.5, 1.5, 0.5, rng, lower=False) for _ in range(50000)
-        ])
-        oracle = stats.truncnorm(a=-np.inf, b=0.0, loc=0.5, scale=1.5).rvs(
-            50000, random_state=86
-        )
-        assert draws.max() <= 0.5
-        assert ks(draws, oracle) < KS_TOL

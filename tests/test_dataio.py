@@ -64,6 +64,12 @@ class TestDatasetFormat:
         with pytest.raises(DataFormatError, match="version"):
             read_dataset(path)
 
+    def test_non_finite_sample_rejected(self):
+        data = random_dataset(np.random.default_rng(4)).data.copy()
+        data[1, 2, 3] = complex(np.inf, 0.0)
+        with pytest.raises(DataFormatError, match="voxel 6, time index 3"):
+            ComplexDataset((3, 4), data)
+
 
 class TestMapFormat:
     def test_round_trip_2d(self, tmp_path):

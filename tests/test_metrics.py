@@ -1,7 +1,14 @@
 """Metric definitions against brute-force oracles."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.stats import rankdata
+
+import cvfmri
 
 from cvfmri.errors import ShapeMismatchError, UndefinedMetricError
 from cvfmri.metrics import (
@@ -104,6 +111,24 @@ class TestAuc:
     def test_single_class_rejected(self):
         with pytest.raises(UndefinedMetricError):
             roc_auc(np.ones(4), np.ones(4))
+
+    def test_matches_rankdata_oracle(self):
+        rng = np.random.default_rng(10)
+        for scores in (rng.random(50), np.round(rng.random(50), 1)):
+            truth = rng.integers(0, 2, 50)
+            truth[:2] = [0, 1]
+            n_pos = int(truth.sum())
+            ranks = rankdata(scores)
+            oracle = (ranks[truth == 1].sum() - n_pos * (n_pos + 1) / 2) / (n_pos * (50 - n_pos))
+            assert roc_auc(truth, scores) == pytest.approx(oracle, rel=1e-12)
+
+    def test_package_import_skips_scipy_stats(self):
+        src = str(Path(cvfmri.__file__).resolve().parents[1])
+        code = (f"import sys; sys.path.insert(0, {src!r}); import cvfmri; "
+                "print('scipy.stats' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     def test_roc_points_trapezoid_equals_auc(self):
         rng = np.random.default_rng(9)

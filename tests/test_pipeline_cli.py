@@ -163,6 +163,18 @@ class TestCli:
                         "--result", str(tmp_path / "e2"),
                         "--out", str(tmp_path / "m.csv")) == 2
 
+    def test_non_finite_sample_exit_code(self, tmp_path, capsys):
+        ds, _, _ = small_dataset()
+        path = tmp_path / "nan.cvf"
+        dataio.write_dataset(path, ds)
+        raw = bytearray(path.read_bytes())
+        # 2-D header is 24 bytes; overwrite Re of voxel 5, time 2
+        offset = 24 + (5 * ds.n_time + 2) * 16
+        raw[offset:offset + 8] = np.array([np.nan], dtype="<f8").tobytes()
+        path.write_bytes(bytes(raw))
+        assert self.run("fit", "--data", str(path), "--out", str(tmp_path / "o")) == 3
+        assert "non-finite sample at voxel 5, time index 2" in capsys.readouterr().err
+
     def test_console_script(self):
         proc = subprocess.run(
             [sys.executable, "-m", "cvfmri.cli", "--help"],

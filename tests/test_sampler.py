@@ -17,7 +17,6 @@ from cvfmri.sampler import (
     mcse,
     run_parcel_chain,
     sample_beta,
-    sample_delta,
     sample_eta,
     sample_eta_nonspatial,
     sample_gamma,
@@ -73,7 +72,6 @@ def reference_chain(y, basis, x, cfg, seed):
         tau2 = sample_tau2(gamma, beta, tau2, rng)
         for v in range(n_vox):
             eta[v] = sample_eta(gamma[v:v + 1], basis.nu2[v], kappa, rng)[0]
-        sample_delta(eta, basis.m, basis.qhat_inv, kappa, rng, chol=basis.qhat_inv_chol)
         kappa = sample_kappa(eta, basis.nu2, cfg.a_kappa, cfg.b_kappa, rng)
         history.append((gamma.copy(), beta.copy(), rho.copy(), sigma2.copy()))
         if it >= cfg.n_burn:

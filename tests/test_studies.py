@@ -7,7 +7,6 @@ import pytest
 
 from cvfmri.dataio import read_map
 from cvfmri.errors import InvalidSpecError
-from cvfmri.parcellation import EDGE_CORNER, build_adjacency, build_spatial_basis, dump_basis_csv
 from cvfmri.pipeline import FitConfig, fit_dataset, reproduce, write_fit_outputs
 from cvfmri.sampler import SamplerConfig
 from cvfmri.data import ComplexDataset
@@ -70,15 +69,3 @@ def test_sampler_config_validation():
 def test_unknown_study_rejected(tmp_path):
     with pytest.raises(InvalidSpecError):
         reproduce("bogus", 1, 0, tmp_path)
-
-
-def test_basis_debug_dump(tmp_path):
-    a = build_adjacency(np.arange(9), (3, 3), EDGE_CORNER)
-    basis = build_spatial_basis(a, 3)
-    dump_basis_csv(basis, tmp_path)
-    adj = np.loadtxt(tmp_path / "adjacency.csv", delimiter=",")
-    lap = np.loadtxt(tmp_path / "laplacian.csv", delimiter=",")
-    vecs = np.loadtxt(tmp_path / "eigenvectors.csv", delimiter=",")
-    assert np.array_equal(adj, basis.adjacency)
-    assert np.allclose(lap, basis.laplacian)
-    assert vecs.shape == (9, 3)
