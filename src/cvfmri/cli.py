@@ -1,19 +1,26 @@
 """Command-line interface.
 
-Subcommands: simulate, fit, evaluate, reproduce. Every flag of ``fit`` can
-also come from a flat "key = value" config file (# comments allowed); explicit
-flags override the file. Exit codes: 0 success, 2 invalid specification or
-config, 3 file/format problems, 4 numerical or degenerate failures, 1
-anything unexpected.
+Subcommands: simulate, fit, evaluate, reproduce. Every fit setting is both a
+flag and a key of a flat "key = value" config file (# comments allowed):
+``data``, ``G``, ``neighborhood``, ``workers``, ``psi``, ``q``, ``iters``,
+``burn``, ``threshold``, ``mode``, ``seed``, ``mcse_tol``, ``a_kappa``,
+``b_kappa``, ``stimulus_on``, ``stimulus_off``, ``stimulus_on_first`` and
+``stimulus_warmup``. A flag is the key with ``_`` written as ``-`` (``--mcse-tol``),
+and explicit flags override the file. Booleans are 1/true/yes/on or
+0/false/no/off, in any case. A setting given nowhere takes the default of
+:class:`~cvfmri.pipeline.FitConfig`, :class:`~cvfmri.sampler.SamplerConfig` or
+:func:`~cvfmri.design.design_for_length`. ``--trace-voxels`` is a flag only.
+
+Exit codes: 0 success, 2 invalid specification or config, 3 file/format
+problems, 4 numerical or degenerate failures, 1 anything unexpected.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 from pathlib import Path
-
-from scipy.special import ndtri
 
 from . import dataio, pipeline
 from .design import design_for_length
@@ -28,13 +35,12 @@ from .errors import (
     SingularBasisError,
     UndefinedMetricError,
 )
-from .parcellation import EDGE, EDGE_CORNER
-from .sampler import NONSPATIAL, SPATIAL, SamplerConfig
+from .sampler import SamplerConfig
 from .simulate import DEFAULT_MULTIPLIER
 
 _EXIT_CODES = (
     ((InvalidSpecError, ShapeMismatchError), 2),
-    ((DataFormatError, OSError), 3),
+    (DataFormatError, 3),
     (
         (
             DegenerateDesignError,
@@ -47,43 +53,40 @@ _EXIT_CODES = (
     ),
 )
 
-#: fit settings that may come from a config file, with their coercions.
-_FIT_KEYS = {
-    "data": str,
-    "G": int,
-    "psi": float,
-    "q": int,
-    "iters": int,
-    "burn": int,
-    "threshold": float,
-    "mode": str,
-    "neighborhood": str,
-    "workers": int,
-    "seed": int,
-    "mcse_tol": float,
-    "a_kappa": float,
-    "b_kappa": float,
-    "stimulus_on": int,
-    "stimulus_off": int,
-    "stimulus_on_first": lambda s: str(s).lower() in ("1", "true", "yes", "on"),
-    "stimulus_warmup": int,
-}
+_TRUE = ("1", "true", "yes", "on")
+_FALSE = ("0", "false", "no", "off")
 
-_FIT_DEFAULTS = {
-    "G": 9,
-    "psi": float(ndtri(0.47)),
-    "q": 5,
-    "iters": 1000,
-    "mode": SPATIAL,
-    "neighborhood": EDGE_CORNER,
-    "seed": 0,
-    "mcse_tol": 0.05,
-    "a_kappa": 0.5,
-    "b_kappa": 2000.0,
-    "stimulus_on": 20,
-    "stimulus_off": 20,
-    "stimulus_on_first": True,
-    "stimulus_warmup": 0,
+
+def boolean(text) -> bool:
+    """Parse 1/true/yes/on or 0/false/no/off, in any case."""
+    word = str(text).strip().lower()
+    if word not in _TRUE + _FALSE:
+        raise ValueError(f"expected {'/'.join(_TRUE)} or {'/'.join(_FALSE)}, got {text!r}")
+    return word in _TRUE
+
+
+#: Every fit setting, by flag and config-file name: the config class or
+#: function that takes it, the field or parameter it sets there, its coercion
+#: from text, and its help. ``data`` has no target; it names the file to fit.
+_FIT_SETTINGS = {
+    "data": (None, "data", str, "CVF1 dataset file"),
+    "G": (pipeline.FitConfig, "n_parcels", int, "number of parcels"),
+    "neighborhood": (pipeline.FitConfig, "neighborhood", str, "edge or edge+corner"),
+    "workers": (pipeline.FitConfig, "workers", int, None),
+    "psi": (SamplerConfig, "psi", float, "probit prior offset"),
+    "q": (SamplerConfig, "q", int, "spatial basis rank"),
+    "iters": (SamplerConfig, "n_iter", int, None),
+    "burn": (SamplerConfig, "n_burn", int, None),
+    "threshold": (SamplerConfig, "threshold", float, None),
+    "mode": (SamplerConfig, "mode", str, "spatial or nonspatial"),
+    "seed": (SamplerConfig, "seed", int, None),
+    "mcse_tol": (SamplerConfig, "mcse_tol", float, None),
+    "a_kappa": (SamplerConfig, "a_kappa", float, "shape of the kappa prior"),
+    "b_kappa": (SamplerConfig, "b_kappa", float, "scale of the kappa prior"),
+    "stimulus_on": (design_for_length, "on_len", int, None),
+    "stimulus_off": (design_for_length, "off_len", int, None),
+    "stimulus_on_first": (design_for_length, "on_first", boolean, "start with an on block"),
+    "stimulus_warmup": (design_for_length, "warmup", int, None),
 }
 
 
@@ -103,23 +106,10 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="peak magnitude of the true maps (iid/ar1 studies)")
 
     fit = sub.add_parser("fit", help="fit a dataset and write result maps")
-    fit.add_argument("--data", help="CVF1 dataset file")
     fit.add_argument("--config", help="flat key = value config file")
     fit.add_argument("--out", required=True)
-    fit.add_argument("--G", type=int, help="number of parcels")
-    fit.add_argument("--psi", type=float, help="probit prior offset")
-    fit.add_argument("--q", type=int, help="spatial basis rank")
-    fit.add_argument("--iters", type=int)
-    fit.add_argument("--burn", type=int)
-    fit.add_argument("--threshold", type=float)
-    fit.add_argument("--mode", choices=[SPATIAL, NONSPATIAL])
-    fit.add_argument("--neighborhood", choices=[EDGE, EDGE_CORNER])
-    fit.add_argument("--workers", type=int)
-    fit.add_argument("--seed", type=int)
-    fit.add_argument("--mcse-tol", dest="mcse_tol", type=float)
-    fit.add_argument("--stimulus-on", dest="stimulus_on", type=int)
-    fit.add_argument("--stimulus-off", dest="stimulus_off", type=int)
-    fit.add_argument("--stimulus-warmup", dest="stimulus_warmup", type=int)
+    for name, (_, _, coerce, text) in _FIT_SETTINGS.items():
+        fit.add_argument("--" + name.replace("_", "-"), dest=name, type=coerce, help=text)
     fit.add_argument("--trace-voxels", dest="trace_voxels",
                      help="comma-separated flat voxel indices to trace")
 
@@ -162,70 +152,59 @@ def _cmd_simulate(args) -> int:
 
 
 def _fit_settings(args) -> dict:
-    settings = dict(_FIT_DEFAULTS)
+    """The fit settings given in the config file or as flags; flags win."""
+    settings = {}
     if args.config:
         raw = dataio.read_keyvalues(args.config)
-        unknown = set(raw) - set(_FIT_KEYS)
+        unknown = set(raw) - set(_FIT_SETTINGS)
         if unknown:
             raise InvalidSpecError(f"unknown config keys: {sorted(unknown)}")
         for key, value in raw.items():
             try:
-                settings[key] = _FIT_KEYS[key](value)
+                settings[key] = _FIT_SETTINGS[key][2](value)
             except ValueError as exc:
                 raise InvalidSpecError(f"config key {key}: {exc}") from None
-    for key in _FIT_KEYS:
-        value = getattr(args, key, None)
+    for key in _FIT_SETTINGS:
+        value = getattr(args, key)
         if value is not None:
             settings[key] = value
-    if "data" not in settings or settings.get("data") in (None, ""):
+    if not settings.get("data"):
         raise InvalidSpecError("no dataset given (use --data or the config file)")
     return settings
 
 
+def _trace_voxels(text) -> tuple:
+    if not text:
+        return ()
+    try:
+        return tuple(int(t) for t in text.split(","))
+    except ValueError:
+        raise InvalidSpecError(
+            f"--trace-voxels: expected comma-separated integers, got {text!r}"
+        ) from None
+
+
 def _cmd_fit(args) -> int:
-    settings = _fit_settings(args)
-    dataset = dataio.read_dataset(settings["data"])
-    design = design_for_length(
-        dataset.n_time,
-        on_len=settings["stimulus_on"],
-        off_len=settings["stimulus_off"],
-        on_first=settings["stimulus_on_first"],
-        warmup=settings["stimulus_warmup"],
-    )
-    sampler = SamplerConfig(
-        psi=settings["psi"],
-        q=settings["q"],
-        a_kappa=settings["a_kappa"],
-        b_kappa=settings["b_kappa"],
-        n_iter=settings["iters"],
-        n_burn=settings.get("burn"),
-        threshold=settings.get("threshold"),
-        mode=settings["mode"],
-        mcse_tol=settings["mcse_tol"],
-        seed=settings["seed"],
-    )
-    trace = ()
-    if getattr(args, "trace_voxels", None):
-        trace = tuple(int(t) for t in args.trace_voxels.split(","))
+    kwargs = {target: {} for target, *_ in _FIT_SETTINGS.values()}
+    for name, value in _fit_settings(args).items():
+        target, param, *_ = _FIT_SETTINGS[name]
+        kwargs[target][param] = value
     cfg = pipeline.FitConfig(
-        n_parcels=settings["G"],
-        neighborhood=settings["neighborhood"],
-        workers=settings.get("workers"),
-        trace_voxels=trace,
-        sampler=sampler,
+        **kwargs[pipeline.FitConfig],
+        trace_voxels=_trace_voxels(args.trace_voxels),
+        sampler=SamplerConfig(**kwargs[SamplerConfig]),
     )
+    data = kwargs[None]["data"]
+    dataset = dataio.read_dataset(data)
+    stimulus = kwargs[design_for_length]
+    design = design_for_length(dataset.n_time, **stimulus)
     result = pipeline.fit_dataset(dataset, design, cfg)
-    pipeline.write_fit_outputs(
-        result,
-        args.out,
-        extra_manifest={
-            "data": settings["data"],
-            "stimulus_on": settings["stimulus_on"],
-            "stimulus_off": settings["stimulus_off"],
-            "stimulus_on_first": settings["stimulus_on_first"],
-            "stimulus_warmup": settings["stimulus_warmup"],
-        },
-    )
+    defaults = inspect.signature(design_for_length).parameters
+    manifest = {"data": data}
+    for name, (target, param, *_) in _FIT_SETTINGS.items():
+        if target is design_for_length:
+            manifest[name] = stimulus.get(param, defaults[param].default)
+    pipeline.write_fit_outputs(result, args.out, extra_manifest=manifest)
     status = "converged" if result.converged else "NOT converged (max MCSE above tolerance)"
     print(f"fit finished in {result.time_seconds:.2f}s, {status}; outputs in {args.out}")
     return 0

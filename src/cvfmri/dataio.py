@@ -18,6 +18,7 @@ byte-stable.
 
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 
@@ -47,42 +48,42 @@ def write_dataset(path, dataset: ComplexDataset) -> None:
     header = _MAGIC + struct.pack(
         f"<II{len(dims)}II", _VERSION, len(dims), *dims, dataset.n_time
     )
-    flat = dataset.voxel_view()
-    payload = np.empty((flat.shape[0], flat.shape[1], 2), dtype="<f8")
-    payload[..., 0] = flat.real
-    payload[..., 1] = flat.imag
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(payload.tobytes())
+        fh.write(dataset.data.astype("<c16", copy=False).tobytes())
 
 
 def read_dataset(path) -> ComplexDataset:
-    """Read a CVF1 file, validating magic, version, and payload size."""
+    """Read a CVF1 file, validating magic, version, and payload size.
+
+    The (re, im) float64 pairs are read as one little-endian complex128 array,
+    so every bit of each sample, the sign of a zero included, survives.
+    """
     path = Path(path)
-    raw = path.read_bytes()
-    if len(raw) < 12:
-        raise DataFormatError(f"{path}: truncated header ({len(raw)} bytes)")
-    if raw[:4] != _MAGIC:
-        raise DataFormatError(f"{path}: bad magic {raw[:4]!r}, expected {_MAGIC!r}")
-    version, ndim = struct.unpack_from("<II", raw, 4)
-    if version != _VERSION:
-        raise DataFormatError(f"{path}: unsupported version {version}, expected {_VERSION}")
-    if ndim not in (2, 3):
-        raise DataFormatError(f"{path}: ndim must be 2 or 3, got {ndim}")
-    header_len = 12 + 4 * ndim + 4
-    if len(raw) < header_len:
-        raise DataFormatError(f"{path}: truncated header ({len(raw)} bytes)")
-    *dims, n_time = struct.unpack_from(f"<{ndim}II", raw, 12)
-    n_vox = int(np.prod(dims))
-    expected = header_len + n_vox * n_time * 16
-    if len(raw) != expected:
-        raise DataFormatError(
-            f"{path}: payload length mismatch, expected {expected} bytes, got {len(raw)}"
-        )
-    payload = np.frombuffer(raw, dtype="<f8", offset=header_len)
-    payload = payload.reshape(n_vox, n_time, 2)
-    data = (payload[..., 0] + 1j * payload[..., 1]).reshape(*dims, n_time)
-    return ComplexDataset(tuple(dims), data)
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(12)
+        if len(head) < 12:
+            raise DataFormatError(f"{path}: truncated header ({size} bytes)")
+        if head[:4] != _MAGIC:
+            raise DataFormatError(f"{path}: bad magic {head[:4]!r}, expected {_MAGIC!r}")
+        version, ndim = struct.unpack_from("<II", head, 4)
+        if version != _VERSION:
+            raise DataFormatError(f"{path}: unsupported version {version}, expected {_VERSION}")
+        if ndim not in (2, 3):
+            raise DataFormatError(f"{path}: ndim must be 2 or 3, got {ndim}")
+        shape = fh.read(4 * ndim + 4)
+        if len(shape) < 4 * ndim + 4:
+            raise DataFormatError(f"{path}: truncated header ({size} bytes)")
+        *dims, n_time = struct.unpack(f"<{ndim}II", shape)
+        n_samples = int(np.prod(dims)) * n_time
+        expected = 12 + len(shape) + n_samples * 16
+        if size != expected:
+            raise DataFormatError(
+                f"{path}: payload length mismatch, expected {expected} bytes, got {size}"
+            )
+        data = np.fromfile(fh, dtype="<c16", count=n_samples)
+    return ComplexDataset(tuple(dims), data.reshape(*dims, n_time))
 
 
 def _format_cell(v, as_int: bool) -> str:

@@ -13,7 +13,7 @@ import csv
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +30,7 @@ from .metrics import (
     report_row,
     roc_auc,
 )
-from .parcellation import EDGE_CORNER, build_adjacency, build_spatial_basis, partition_grid
+from .parcellation import EDGE, EDGE_CORNER, build_adjacency, build_spatial_basis, partition_grid
 from .sampler import (
     NONSPATIAL,
     ChainSummary,
@@ -65,8 +65,7 @@ __all__ = [
     "REALISTIC_COLUMNS",
 ]
 
-#: Default per-study sampler settings for the 50x50 regimes.
-STUDY_PSI = ndtri(0.47)
+#: Sampler settings of the realistic study; the 50x50 studies use the defaults.
 REALISTIC_PSI = ndtri(0.11)
 REALISTIC_G = 49
 
@@ -82,6 +81,12 @@ class FitConfig:
     workers: int | None = None
     trace_voxels: tuple = ()
     sampler: SamplerConfig = field(default_factory=SamplerConfig)
+
+    def __post_init__(self):
+        if self.neighborhood not in (EDGE, EDGE_CORNER):
+            raise InvalidSpecError(
+                f"unknown neighborhood {self.neighborhood!r}; use {EDGE!r} or {EDGE_CORNER!r}"
+            )
 
     def resolved_workers(self) -> int:
         w = self.workers if self.workers is not None else (os.cpu_count() or 1)
@@ -144,6 +149,8 @@ def fit_dataset(dataset: ComplexDataset, design: DesignVector, cfg: FitConfig) -
     x = design.bold
     trace_by_parcel = {}
     for gv in cfg.trace_voxels:
+        if not 0 <= gv < dataset.n_voxels:
+            raise InvalidSpecError(f"trace voxel {gv} lies outside [0, {dataset.n_voxels})")
         pid = int(partition.assignment[gv])
         local = int(np.flatnonzero(partition.parcel_voxel_lists[pid] == gv)[0])
         trace_by_parcel.setdefault(pid, []).append((local, gv))
@@ -248,20 +255,13 @@ def write_fit_outputs(result: FitResult, out_dir, extra_manifest: dict | None = 
                 for it, row in enumerate(buf):
                     writer.writerow([it, int(row[0])] + [repr(float(v)) for v in row[1:]])
 
+    sampler = asdict(result.config.sampler)
+    sampler["psi"] = repr(float(sampler["psi"]))
     manifest = {
         "n_parcels": result.config.n_parcels,
         "neighborhood": result.config.neighborhood,
         "workers": result.config.resolved_workers(),
-        "psi": repr(float(result.config.sampler.psi)),
-        "q": result.config.sampler.q,
-        "a_kappa": result.config.sampler.a_kappa,
-        "b_kappa": result.config.sampler.b_kappa,
-        "n_iter": result.config.sampler.n_iter,
-        "n_burn": result.config.sampler.n_burn,
-        "threshold": result.config.sampler.threshold,
-        "mode": result.config.sampler.mode,
-        "mcse_tol": result.config.sampler.mcse_tol,
-        "seed": result.config.sampler.seed,
+        **sampler,
         "magnitude_pgm_scale": repr(float(mag_scale)),
         "time_seconds": repr(result.time_seconds),
         "converged": int(result.converged),
@@ -384,15 +384,6 @@ def simulate_study_dataset(study: str, seed: int, n_time: int = 200,
     return dataset, maps, design
 
 
-def _study_fit_config(seed, n_parcels=9, psi=STUDY_PSI, workers=None,
-                      n_iter=1000) -> FitConfig:
-    return FitConfig(
-        n_parcels=n_parcels,
-        workers=workers,
-        sampler=SamplerConfig(psi=psi, n_iter=n_iter, seed=seed),
-    )
-
-
 def _run_replicate(study, master_seed, rep, fit_cfg: FitConfig, n_time=200):
     rep_seed = derive_seed(master_seed, rep)
     dataset, maps, design = simulate_study_dataset(study, rep_seed, n_time=n_time)
@@ -412,7 +403,7 @@ def _run_replicate(study, master_seed, rep, fit_cfg: FitConfig, n_time=200):
 
 def _reproduce_simple(study, n_replicates, seed, workers):
     rows = []
-    cfg = _study_fit_config(0, workers=workers)
+    cfg = FitConfig(workers=workers)
     for rep in range(n_replicates):
         row, _ = _run_replicate(study, seed, rep, cfg)
         rows.append(row)
@@ -421,20 +412,14 @@ def _reproduce_simple(study, n_replicates, seed, workers):
 
 def _reproduce_params(n_replicates, seed, workers):
     """One-at-a-time sweeps over psi, parcel count, and series length."""
-    sections = []
-    for p in (0.02, 0.20, 0.35, 0.47):
-        sections.append((f"psi=ndtri({p})", dict(psi=ndtri(p))))
-    for g in (1, 4, 9, 16):
-        sections.append((f"G={g}", dict(n_parcels=g)))
-    for n_time in (80, 200, 500, 1000):
-        opts = dict(n_time=n_time)
-        if n_time == 1000:
-            opts["psi"] = ndtri(0.02)
-        sections.append((f"T={n_time}", opts))
+    base = FitConfig(workers=workers)
+    sections = [(f"psi=ndtri({p})", replace(base, sampler=SamplerConfig(psi=ndtri(p))), 200)
+                for p in (0.02, 0.20, 0.35, 0.47)]
+    sections += [(f"G={g}", replace(base, n_parcels=g), 200) for g in (1, 4, 9, 16)]
+    sections += [(f"T={n_time}", base, n_time) for n_time in (80, 200, 500)]
+    sections.append(("T=1000", replace(base, sampler=SamplerConfig(psi=ndtri(0.02))), 1000))
     rows = []
-    for section_idx, (label, opts) in enumerate(sections):
-        n_time = opts.pop("n_time", 200)
-        cfg = _study_fit_config(0, workers=workers, **opts)
+    for section_idx, (label, cfg, n_time) in enumerate(sections):
         section_rows = []
         for rep in range(n_replicates):
             row, _ = _run_replicate("ar1", derive_seed(seed, 1000 + section_idx), rep,

@@ -168,9 +168,24 @@ def _signal_mean(maps: TrueMaps, x: np.ndarray, sig: SignalSpec):
     return sig.beta0 + beta1 * x[None, :]
 
 
-def _check_design(maps: TrueMaps, design: DesignVector):
+def _simulate_constant_phase(kind: str, maps: TrueMaps, design: DesignVector,
+                             sig: SignalSpec, noise: NoiseSpec, seed) -> ComplexDataset:
+    if noise.kind != kind:
+        raise InvalidSpecError(f"simulate_{kind} requires noise kind {kind!r}")
+    if sig.theta1_max != 0.0:
+        raise InvalidSpecError(f"simulate_{kind} models constant phase (theta1_max must be 0)")
     if design.n_time < 2:
         raise InvalidSpecError("simulation needs at least two time points")
+    rng = np.random.default_rng(seed)
+    x = design.bold
+    mean = _signal_mean(maps, x, sig) * np.exp(1j * sig.theta0)
+    z = rng.standard_normal((maps.active.size, x.size, 2))
+    eps = noise.sigma * (z[..., 0] + 1j * z[..., 1])
+    if kind == "ar1":
+        rho = complex(noise.ar_coeff)
+        for t in range(1, x.size):  # column t still holds the innovation xi_t
+            eps[:, t] += rho * eps[:, t - 1]
+    return ComplexDataset(maps.dims, (mean + eps).reshape(*maps.dims, x.size))
 
 
 def simulate_iid(maps: TrueMaps, design: DesignVector, sig: SignalSpec,
@@ -181,17 +196,7 @@ def simulate_iid(maps: TrueMaps, design: DesignVector, sig: SignalSpec,
     (beta0 + beta1_v x_t) cos(theta0) + eps and the analogous sine term, with
     independent N(0, sigma^2) noise on each channel.
     """
-    if noise.kind != "iid":
-        raise InvalidSpecError("simulate_iid requires noise kind 'iid'")
-    if sig.theta1_max != 0.0:
-        raise InvalidSpecError("simulate_iid models constant phase (theta1_max must be 0)")
-    _check_design(maps, design)
-    rng = np.random.default_rng(seed)
-    x = design.bold
-    mean = _signal_mean(maps, x, sig) * np.exp(1j * sig.theta0)
-    z = rng.standard_normal((maps.active.size, x.size, 2))
-    eps = noise.sigma * (z[..., 0] + 1j * z[..., 1])
-    return ComplexDataset(maps.dims, (mean + eps).reshape(*maps.dims, x.size))
+    return _simulate_constant_phase("iid", maps, design, sig, noise, seed)
 
 
 def simulate_ar1(maps: TrueMaps, design: DesignVector, sig: SignalSpec,
@@ -202,23 +207,7 @@ def simulate_ar1(maps: TrueMaps, design: DesignVector, sig: SignalSpec,
     arithmetic, started at eps_0 = xi_0; innovations share the draw order of
     the iid generator so ar_coeff = 0 reproduces it bit for bit.
     """
-    if noise.kind != "ar1":
-        raise InvalidSpecError("simulate_ar1 requires noise kind 'ar1'")
-    if sig.theta1_max != 0.0:
-        raise InvalidSpecError("simulate_ar1 models constant phase (theta1_max must be 0)")
-    _check_design(maps, design)
-    rng = np.random.default_rng(seed)
-    x = design.bold
-    n_time = x.size
-    mean = _signal_mean(maps, x, sig) * np.exp(1j * sig.theta0)
-    z = rng.standard_normal((maps.active.size, n_time, 2))
-    xi = noise.sigma * (z[..., 0] + 1j * z[..., 1])
-    eps = np.empty_like(xi)
-    eps[:, 0] = xi[:, 0]
-    rho = complex(noise.ar_coeff)
-    for t in range(1, n_time):
-        eps[:, t] = rho * eps[:, t - 1] + xi[:, t]
-    return ComplexDataset(maps.dims, (mean + eps).reshape(*maps.dims, n_time))
+    return _simulate_constant_phase("ar1", maps, design, sig, noise, seed)
 
 
 def realistic_design(n_time: int = 490) -> DesignVector:

@@ -32,6 +32,18 @@ class TestDatasetFormat:
             assert back.dims == ds.dims
             assert np.array_equal(back.data, ds.data)
 
+    def test_round_trip_keeps_signed_zeros(self, tmp_path):
+        data = np.zeros((2, 2, 3), dtype=np.complex128)
+        data.real = [[[0.0, -0.0, 1.5]] * 2] * 2
+        data.imag = [[[-0.0, 0.0, -0.0], [0.0, -0.0, -2.5]]] * 2
+        path = tmp_path / "zeros.cvf"
+        write_dataset(path, ComplexDataset((2, 2), data))
+        back = read_dataset(path)
+        assert np.signbit(back.data.imag).tolist() == np.signbit(data.imag).tolist()
+        again = tmp_path / "again.cvf"
+        write_dataset(again, back)
+        assert again.read_bytes() == path.read_bytes()
+
     def test_file_size_formula(self, tmp_path):
         ds = ComplexDataset((1, 1), np.array([[[1 + 2j, 3 + 4j]]]))
         path = tmp_path / "tiny.cvf"

@@ -1,14 +1,17 @@
 """End-to-end pipeline and CLI behavior on small configurations."""
 
 import csv
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cvfmri import cli, dataio
 from cvfmri.design import design_for_length
+from cvfmri.errors import InvalidSpecError
 from cvfmri.pipeline import FitConfig, evaluate_dirs, fit_dataset, write_fit_outputs
 from cvfmri.sampler import SamplerConfig
 from cvfmri.simulate import NoiseSpec, RegionSpec, SignalSpec, generate_true_maps, simulate_iid
@@ -144,6 +147,63 @@ class TestCli:
         assert len(rows) == 41
         assert (out / "trace_voxel1300.csv").exists()
 
+    @pytest.mark.parametrize("voxels", ["2500", "-1", "3,x"])
+    def test_bad_trace_voxels_exit_code(self, tmp_path, capsys, voxels):
+        sim = tmp_path / "sim"
+        self.run("simulate", "--study", "iid", "--seed", "2", "--T", "80", "--out", str(sim))
+        assert self.run(
+            "fit", "--data", str(sim / "dataset.cvf"), "--out", str(tmp_path / "fit"),
+            "--G", "4", "--iters", "20", "--workers", "1", "--trace-voxels", voxels,
+        ) == 2
+        assert "trace" in capsys.readouterr().err
+
+    def test_flags_and_config_keys_agree(self, tmp_path):
+        sim = tmp_path / "sim"
+        self.run("simulate", "--study", "ar1", "--seed", "4", "--T", "60", "--out", str(sim))
+        settings = {
+            "data": str(sim / "dataset.cvf"), "G": "4", "neighborhood": "edge",
+            "workers": "1", "psi": "-0.3", "q": "3", "iters": "40", "burn": "10",
+            "threshold": "0.7", "mode": "spatial", "seed": "8", "mcse_tol": "0.2",
+            "a_kappa": "1.5", "b_kappa": "100", "stimulus_on": "12", "stimulus_off": "8",
+            "stimulus_on_first": "No", "stimulus_warmup": "3",
+        }
+        assert set(settings) == set(cli._FIT_SETTINGS)
+        cfg = tmp_path / "all.cfg"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in settings.items()))
+        flags = [arg for k, v in settings.items() for arg in ("--" + k.replace("_", "-"), v)]
+        outs = (tmp_path / "from_config", tmp_path / "from_flags")
+        assert self.run("fit", "--config", str(cfg), "--out", str(outs[0])) == 0
+        assert self.run("fit", *flags, "--out", str(outs[1])) == 0
+        manifests = [dataio.read_keyvalues(out / "manifest.txt") for out in outs]
+        for manifest in manifests:
+            del manifest["time_seconds"]
+        assert manifests[0] == manifests[1]
+        assert manifests[0]["stimulus_on_first"] == "False"
+        assert manifests[0]["a_kappa"] == "1.5" and manifests[0]["b_kappa"] == "100.0"
+        for name in DATA_FILES:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+    def test_booleans_parse_strictly(self, tmp_path, capsys):
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text(f"data = {tmp_path / 'none.cvf'}\nstimulus_on_first = ture\n")
+        assert self.run("fit", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
+        assert "stimulus_on_first" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            self.run("fit", "--data", "d.cvf", "--out", str(tmp_path / "o"),
+                     "--stimulus-on-first", "ture")
+        assert exc.value.code == 2
+        assert [cli.boolean(w) for w in ("1", "TRUE", "Yes", "on")] == [True] * 4
+        assert [cli.boolean(w) for w in ("0", "False", "NO", "off")] == [False] * 4
+
+    def test_unknown_neighborhood_rejected_before_read(self, tmp_path, capsys):
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text(f"data = {tmp_path / 'none.cvf'}\nmode = nonspatial\n"
+                       "neighborhood = edges\n")
+        assert self.run("fit", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
+        assert "neighborhood 'edges'" in capsys.readouterr().err
+        with pytest.raises(InvalidSpecError, match="neighborhood"):
+            FitConfig(neighborhood="corner")
+
     def test_exit_codes(self, tmp_path):
         # missing dataset file -> I/O category
         assert self.run("fit", "--data", str(tmp_path / "none.cvf"),
@@ -176,9 +236,13 @@ class TestCli:
         assert "non-finite sample at voxel 5, time index 2" in capsys.readouterr().err
 
     def test_console_script(self):
+        # the child finds the package where this process found it
+        src = str(Path(cli.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
         proc = subprocess.run(
             [sys.executable, "-m", "cvfmri.cli", "--help"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=env,
         )
         assert proc.returncode == 0
         assert "simulate" in proc.stdout
