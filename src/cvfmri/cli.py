@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Subcommands: simulate, fit, evaluate, reproduce. Every fit setting is both a
-flag and a key of a flat "key = value" config file (# comments allowed):
+flag and a key of a flat "key = value" config file (# comments allowed, each
+key at most once):
 ``data``, ``G``, ``neighborhood``, ``workers``, ``psi``, ``q``, ``iters``,
 ``burn``, ``threshold``, ``mode``, ``seed``, ``mcse_tol``, ``a_kappa``,
 ``b_kappa``, ``stimulus_on``, ``stimulus_off``, ``stimulus_on_first`` and

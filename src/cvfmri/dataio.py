@@ -151,7 +151,10 @@ def write_keyvalues(path, items: dict) -> None:
 
 
 def read_keyvalues(path) -> dict:
-    """Parse a flat 'key = value' file; '#' starts a comment, blanks ignored."""
+    """Parse a flat 'key = value' file; '#' starts a comment, blanks ignored.
+
+    A key given twice is an error, not a silent override.
+    """
     out = {}
     for raw in Path(path).read_text().splitlines():
         line = raw.strip()
@@ -160,5 +163,8 @@ def read_keyvalues(path) -> dict:
         if "=" not in line:
             raise DataFormatError(f"{path}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
-        out[key.strip()] = value.strip()
+        key = key.strip()
+        if key in out:
+            raise DataFormatError(f"{path}: key {key!r} is given more than once")
+        out[key] = value.strip()
     return out

@@ -1,10 +1,11 @@
 """End-to-end runs: fit a dataset, evaluate results against truth, reproduce
 the simulation studies.
 
-Parcels are independent units of work. Each parcel job builds its own
-adjacency and spatial basis and runs its chain with a seed derived from the
-master seed and the parcel index alone, so outputs do not depend on the number
-of workers or on scheduling order.
+Parcels are independent chains. Each worker takes one contiguous range of
+parcels, balanced by voxel count, builds each parcel's adjacency and spatial
+basis, and runs the whole range as one batch of the sampler's engine. Every
+parcel draws from a stream seeded by the master seed and its index alone, so
+outputs do not depend on the number of workers or on scheduling order.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .metrics import (
 from .parcellation import EDGE, EDGE_CORNER, build_adjacency, build_spatial_basis, partition_grid
 from .sampler import (
     NONSPATIAL,
-    ChainSummary,
     ResultMaps,
     SamplerConfig,
     derive_seed,
@@ -87,10 +87,12 @@ class FitConfig:
             raise InvalidSpecError(
                 f"unknown neighborhood {self.neighborhood!r}; use {EDGE!r} or {EDGE_CORNER!r}"
             )
+        if self.workers is not None and self.workers < 1:
+            raise InvalidSpecError(f"workers must be at least 1, got {self.workers}")
 
     def resolved_workers(self) -> int:
         w = self.workers if self.workers is not None else (os.cpu_count() or 1)
-        return max(1, min(w, self.n_parcels))
+        return min(w, self.n_parcels)
 
 
 @dataclass
@@ -104,25 +106,41 @@ class FitResult:
     traces: dict | None = None
 
 
-def _parcel_job(args):
-    (pid, voxels, y_parcel, x, sampler_cfg, neighborhood, dims, master_seed,
-     trace_local) = args
-    try:
-        basis = None
-        if sampler_cfg.mode != NONSPATIAL:
-            adjacency = build_adjacency(voxels, dims, neighborhood)
-            basis = build_spatial_basis(adjacency, sampler_cfg.q)
-        summary = run_parcel_chain(
-            y_parcel,
-            basis,
-            x,
-            sampler_cfg,
-            parcel_seed=derive_seed(master_seed, pid),
-            trace_voxels=trace_local or None,
-        )
-        return pid, summary
-    except CvfmriError as exc:
-        raise type(exc)(f"parcel {pid}: {exc}") from None
+def _parcel_ranges(sizes, workers: int) -> list:
+    """Cut parcels 0..G-1 (1 <= workers <= G) into ``workers`` contiguous,
+    non-empty ranges of about equal voxel counts: the ranges' bounds."""
+    ends = np.cumsum(sizes)
+    k = np.arange(1, workers)
+    # the parcel boundary nearest each k/workers share of the voxels, then
+    # pushed apart so that no range is empty
+    cuts = np.rint(np.interp(ends[-1] * k / workers, np.r_[0, ends], np.arange(len(sizes) + 1)))
+    cuts = np.maximum.accumulate(np.maximum(cuts.astype(int) - k, 0)) + k
+    return [0, *np.minimum(cuts, len(sizes) - workers + k).tolist(), len(sizes)]
+
+
+def _batch_job(args):
+    (first, voxel_lists, y_batch, x, sampler_cfg, neighborhood, dims, master_seed,
+     trace_rows) = args
+    ids = range(first, first + len(voxel_lists))
+    bases = None
+    if sampler_cfg.mode != NONSPATIAL:
+        bases = []
+        for pid, voxels in zip(ids, voxel_lists):
+            try:
+                adjacency = build_adjacency(voxels, dims, neighborhood)
+                bases.append(build_spatial_basis(adjacency, sampler_cfg.q))
+            except CvfmriError as exc:
+                raise type(exc)(f"parcel {pid}: {exc}") from None
+    return run_parcel_chain(
+        y_batch,
+        bases,
+        x,
+        sampler_cfg,
+        [derive_seed(master_seed, pid) for pid in ids],
+        trace_voxels=trace_rows or None,
+        sizes=[len(v) for v in voxel_lists],
+        parcel_ids=ids,
+    )
 
 
 def fit_dataset(dataset: ComplexDataset, design: DesignVector, cfg: FitConfig) -> FitResult:
@@ -144,52 +162,37 @@ def fit_dataset(dataset: ComplexDataset, design: DesignVector, cfg: FitConfig) -
                 f"q={cfg.sampler.q} exceeds the smallest parcel ({smallest} voxels); "
                 "reduce q or the parcel count"
             )
-
-    flat = dataset.voxel_view()
-    x = design.bold
-    trace_by_parcel = {}
     for gv in cfg.trace_voxels:
         if not 0 <= gv < dataset.n_voxels:
             raise InvalidSpecError(f"trace voxel {gv} lies outside [0, {dataset.n_voxels})")
-        pid = int(partition.assignment[gv])
-        local = int(np.flatnonzero(partition.parcel_voxel_lists[pid] == gv)[0])
-        trace_by_parcel.setdefault(pid, []).append((local, gv))
 
-    jobs = [
-        (
-            pid,
-            voxels,
-            flat[voxels],
-            x,
-            cfg.sampler,
-            cfg.neighborhood,
-            dataset.dims,
-            cfg.sampler.seed,
-            [loc for loc, _ in trace_by_parcel.get(pid, [])],
-        )
-        for pid, voxels in enumerate(partition.parcel_voxel_lists)
-    ]
-
+    flat = dataset.voxel_view()
     workers = cfg.resolved_workers()
-    results: list[ChainSummary | None] = [None] * len(jobs)
+    bounds = _parcel_ranges(partition.parcel_sizes(), workers)
+    jobs, trace_rows = [], []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        voxel_lists = partition.parcel_voxel_lists[lo:hi]
+        voxels = np.concatenate(voxel_lists)
+        # each traced voxel of the batch, by its row in the batch
+        rows = {int(gv): int(np.flatnonzero(voxels == gv)[0])
+                for gv in cfg.trace_voxels if lo <= partition.assignment[gv] < hi}
+        trace_rows.append(rows)
+        jobs.append((lo, voxel_lists, flat[voxels], design.bold, cfg.sampler,
+                     cfg.neighborhood, dataset.dims, cfg.sampler.seed, list(rows.values())))
+
     if workers == 1:
-        for job in jobs:
-            pid, summary = _parcel_job(job)
-            results[pid] = summary
+        results = [_batch_job(job) for job in jobs]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for pid, summary in pool.map(_parcel_job, jobs):
-                results[pid] = summary
+            results = list(pool.map(_batch_job, jobs))
 
     maps = summarize(results, partition, cfg.sampler.threshold)
     incl = stitch_voxel_field(partition, results, lambda s: s.incl_prob)
     errs = stitch_voxel_field(partition, results, lambda s: s.mcse)
     traces = None
-    if trace_by_parcel:
-        traces = {}
-        for pid, pairs in trace_by_parcel.items():
-            for local, gv in pairs:
-                traces[gv] = results[pid].trace[local]
+    if cfg.trace_voxels:
+        traces = {gv: summary.trace[row]
+                  for rows, summary in zip(trace_rows, results) for gv, row in rows.items()}
     return FitResult(
         maps=maps,
         incl_prob=incl,

@@ -26,9 +26,20 @@ draws delta.
 Within a sweep the voxel-level updates (gamma, beta, rho, sigma^2) are
 conditionally independent given the parcel-level state, so they are performed
 as vectorized stage updates; this realizes the same transition kernel as a
-fixed voxel-order scan. Each conditional is written once, as a function of its
-sufficient statistics; the chain and the series-level ``sample_*`` functions
-both call it.
+fixed voxel-order scan. One engine runs a batch of parcels stacked along the
+voxel axis: each voxel stage is one numpy call across every parcel of the
+batch, parcel-level sums are ``np.add.reduceat`` over the parcels' offsets
+(the sum of each parcel's own segment), and only the scalar tau^2 (and
+nonspatial rate) draws loop over parcels. A lone parcel is a batch of one.
+
+Each parcel has its own random stream, ``default_rng(derive_seed(master, g))``.
+Its voxel draws have fixed counts, for every voxel whether it uses them or
+not, and are pregenerated in blocks of ``BLOCK_SWEEPS`` sweeps (the layout is
+given there); tau^2 and the nonspatial rate are drawn per sweep from the same
+generator. So a parcel's draws, and its maps, do not depend on which batch or
+worker runs it. Each conditional is written once, as a function
+of its sufficient statistics and standard variates; the engine and the
+series-level ``sample_*`` functions both call it.
 """
 
 from __future__ import annotations
@@ -68,6 +79,7 @@ __all__ = [
     "sample_eta",
     "sample_kappa",
     "sample_eta_nonspatial",
+    "BLOCK_SWEEPS",
     "run_parcel_chain",
     "mcse",
     "stitch_voxel_field",
@@ -138,6 +150,10 @@ class SamplerConfig:
             self.n_burn = self.n_iter // 2
         if not 0 <= self.n_burn < self.n_iter:
             raise InvalidSpecError("n_burn must lie in [0, n_iter)")
+        if self.n_kept < 16:
+            raise InvalidSpecError(
+                f"n_iter - n_burn = {self.n_kept} kept draws; batch-means MCSE needs at least 16"
+            )
         if self.threshold is None:
             self.threshold = 0.8722 if self.mode == SPATIAL else 0.5
         if not 0.0 < self.threshold < 1.0:
@@ -156,10 +172,10 @@ class SamplerConfig:
 
 @dataclass
 class ChainState:
-    """Latent variables of one parcel chain (array-of-voxels layout).
+    """Latent variables of a batch of parcel chains (array-of-voxels layout).
 
-    Per voxel: inclusion indicator, complex activation coefficient, complex
-    AR(1) coefficient, noise variance, probit latent. Parcel level: slab
+    Per stacked voxel: inclusion indicator, complex activation coefficient,
+    complex AR(1) coefficient, noise variance, probit latent. Per parcel: slab
     variance, smoothing parameter, and the shared inclusion rate used by the
     nonspatial mode.
     """
@@ -169,22 +185,22 @@ class ChainState:
     rho: np.ndarray
     sigma2: np.ndarray
     eta: np.ndarray
-    tau2: float
-    kappa: float
-    eta_shared: float = 0.5
+    tau2: np.ndarray
+    kappa: np.ndarray
+    eta_shared: np.ndarray
 
     def validate(self):
         if np.any(self.beta[~self.gamma] != 0):
             raise AssertionError("state invariant violated: gamma=0 voxel with nonzero beta")
         if np.any(self.sigma2 <= 0):
             raise AssertionError("state invariant violated: nonpositive sigma2")
-        if not (self.tau2 > 0 and self.kappa > 0):
+        if not (np.all(self.tau2 > 0) and np.all(self.kappa > 0)):
             raise AssertionError("state invariant violated: nonpositive tau2/kappa")
 
 
 @dataclass
 class ChainSummary:
-    """Post burn-in summaries of one parcel chain."""
+    """Post burn-in summaries of a batch of parcel chains, per stacked voxel."""
 
     incl_prob: np.ndarray
     beta_mean: np.ndarray
@@ -263,8 +279,8 @@ def _prior_logit_spatial(psi, eta):
 
 
 def _prior_logit_shared(eta_shared):
-    p = min(max(float(eta_shared), 1e-15), 1.0 - 1e-15)
-    return math.log(p) - math.log1p(-p)
+    p = np.clip(eta_shared, 1e-15, 1.0 - 1e-15)
+    return np.log(p) - np.log1p(-p)
 
 
 # --------------------------------------------------------------------------
@@ -272,70 +288,82 @@ def _prior_logit_shared(eta_shared):
 # --------------------------------------------------------------------------
 #
 # Each conditional's formula lives in exactly one function below. They take
-# the chain's layout (1-D per-voxel float/complex/bool arrays) and coerce
-# nothing, so the chain calls them directly; the public ``sample_*`` functions
-# reduce a batch of series to the same statistics and call the same function.
+# the chain's layout (1-D per-voxel float/complex/bool arrays, or per-parcel
+# sums) together with the standard variates they transform, and coerce
+# nothing, so the engine calls them directly with its pregenerated draws; the
+# public ``sample_*`` functions reduce a batch of series to the same
+# statistics, draw their own variates and call the same function.
+
+def _lone(v):
+    """Name voxel ``v`` of a lone set of series: (message prefix, index)."""
+    return "", v
+
 
 def _inclusion_probability(xnorm2, c, sigma2, tau2, prior_logit):
     log_ratio = log_null_slab_ratio(xnorm2, c.real**2 + c.imag**2, sigma2, tau2)
     return expit(prior_logit - log_ratio)
 
 
-def _complex_normal(num, prec, sigma2, mask, rng):
-    """num/prec + sqrt(sigma2/prec) (z1 + i z2) where ``mask`` holds, 0 elsewhere."""
+def _standard_complex_normals(rng, shape):
+    """z1 + i z2 for each element of ``shape``, from standard normals drawn in pairs."""
+    return rng.standard_normal((*shape, 2)).view(complex)[..., 0]
+
+
+def _complex_normal(num, prec, sigma2, mask, z):
+    """num/prec + sqrt(sigma2/prec) z where ``mask`` holds, 0 elsewhere.
+
+    ``z`` holds one standard complex normal per element; masked-out ones go
+    unused.
+    """
     out = np.zeros(mask.shape, dtype=complex)
     idx = np.flatnonzero(mask)
-    if idx.size:
-        z = rng.standard_normal((idx.size, 2))
-        p = prec[idx]
-        out[idx] = num[idx] / p + np.sqrt(sigma2[idx] / p) * (z[:, 0] + 1j * z[:, 1])
+    p = prec[idx]
+    out[idx] = num[idx] / p + np.sqrt(sigma2[idx] / p) * z[idx]
     return out
 
 
-def _draw_beta(xnorm2, c, sigma2, tau2, gamma, rng):
-    return _complex_normal(c, xnorm2 + sigma2 / tau2, sigma2, gamma, rng)
+def _draw_beta(xnorm2, c, sigma2, tau2, gamma, z):
+    return _complex_normal(c, xnorm2 + sigma2 / tau2, sigma2, gamma, z)
 
 
-def _draw_rho(cw, wl2, sigma2, rng):
+def _draw_rho(cw, wl2, sigma2, z):
     degenerate = wl2 < _DEGENERATE_NORM
-    return _complex_normal(cw, wl2, sigma2, ~degenerate, rng), degenerate
+    return _complex_normal(cw, wl2, sigma2, ~degenerate, z), degenerate
 
 
-def _draw_sigma2(ss, shape, rng):
+def _draw_sigma2(ss, g, name=_lone):
+    """Inverse gamma from standard gammas ``g`` of shape T - 1."""
     bad = np.flatnonzero(ss <= 0.0)
     if bad.size:
-        raise DegeneratePosteriorError(f"zero residual sum of squares at voxel {bad[0]}")
-    return (ss / 2.0) / rng.standard_gamma(shape, size=ss.shape)
+        prefix, voxel = name(bad[0])
+        raise DegeneratePosteriorError(f"{prefix}zero residual sum of squares at voxel {voxel}")
+    return (ss / 2.0) / g
 
 
-def _draw_tau2(gamma, beta, prev_tau2, rng):
-    k = int(gamma.sum())
-    if k == 0:
+def _draw_tau2(n_active, ssb, prev_tau2, rng):
+    if n_active == 0:
         return prev_tau2
-    ssb = float(np.sum(beta.real**2 + beta.imag**2))
     if ssb <= 0.0:
         raise DegeneratePosteriorError(
             "slab variance update saw active voxels with zero coefficients"
         )
-    return (ssb / 2.0) / rng.standard_gamma(k)
+    return (ssb / 2.0) / rng.standard_gamma(n_active)
 
 
-def _draw_eta(gamma, nu2, kappa, rng):
+def _draw_eta(gamma, nu2, kappa, u):
     # standardized half-normal by inverse survival; the clamp keeps u == 0
     # (probability 2^-53 per draw) finite at ~37 sd
-    u = rng.random(gamma.shape)
     mag = -ndtri(np.maximum(u * 0.5, 1e-300)) * np.sqrt(nu2 / kappa)
     return np.where(gamma, mag, -mag)
 
 
-def _draw_kappa(eta, nu2, a_kappa, b_kappa, rng):
-    rate = 0.5 * float(np.sum(eta * eta / nu2)) + 1.0 / b_kappa
-    return float(rng.standard_gamma(eta.size / 2.0 + a_kappa) / rate)
+def _draw_kappa(sum_eta2_nu2, g, b_kappa):
+    """Gamma from standard gammas ``g`` of shape V/2 + a_kappa."""
+    return g / (0.5 * sum_eta2_nu2 + 1.0 / b_kappa)
 
 
-def _draw_eta_shared(gamma, rng):
-    k = int(gamma.sum())
-    return float(rng.beta(1 + k, 1 + gamma.size - k))
+def _draw_eta_shared(n_active, n_vox, rng):
+    return float(rng.beta(1 + n_active, 1 + n_vox - n_active))
 
 
 # --------------------------------------------------------------------------
@@ -372,23 +400,27 @@ def sample_gamma(ystar, xstar, sigma2, tau2, eta, psi, rng) -> np.ndarray:
 
 def sample_beta(ystar, xstar, sigma2, tau2, gamma, rng):
     """Draw the activation coefficient(s): zero when excluded, else the
-    conjugate ridge normal with scalar precision ||x*||^2 + sigma2/tau2."""
+    conjugate ridge normal with scalar precision ||x*||^2 + sigma2/tau2.
+    Two standard normals are drawn per series, whether it is included or not."""
     xnorm2, c = _cross_stats(np.asarray(ystar), np.asarray(xstar))
     shape = np.shape(c)
     xnorm2, c, sigma2, gamma = _flatten(shape, xnorm2, c, sigma2, np.asarray(gamma, dtype=bool))
-    return _draw_beta(xnorm2, c, sigma2, tau2, gamma, rng).reshape(shape)[()]
+    z = _standard_complex_normals(rng, c.shape)
+    return _draw_beta(xnorm2, c, sigma2, tau2, gamma, z).reshape(shape)[()]
 
 
 def sample_rho(y, x, beta, sigma2, rng):
     """Draw the AR(1) coefficient(s) from the conjugate normal on lagged residuals.
 
     Returns ``(rho, degenerate)``; a voxel whose lagged residual energy falls
-    below 1e-300 is flagged and assigned rho = 0 without consuming draws.
+    below 1e-300 is flagged and assigned rho = 0. Two standard normals are
+    drawn per series, whether it is degenerate or not.
     """
     w = np.asarray(y) - np.multiply.outer(np.asarray(beta), np.asarray(x))
     wl2, cw = _cross_stats(w[..., 1:], w[..., :-1])
     shape = np.shape(wl2)
-    rho, degenerate = _draw_rho(*_flatten(shape, cw, wl2, sigma2), rng)
+    cw, wl2, sigma2 = _flatten(shape, cw, wl2, sigma2)
+    rho, degenerate = _draw_rho(cw, wl2, sigma2, _standard_complex_normals(rng, cw.shape))
     return rho.reshape(shape)[()], degenerate.reshape(shape)[()]
 
 
@@ -401,45 +433,77 @@ def sample_sigma2(w_now, w_lag, rho, rng):
     w_now = np.asarray(w_now)
     resid = w_now - np.expand_dims(rho, -1) * np.asarray(w_lag)
     ss = np.sum(resid.real**2 + resid.imag**2, axis=-1)
-    return _draw_sigma2(ss, w_now.shape[-1], rng)
+    return _draw_sigma2(ss, rng.standard_gamma(w_now.shape[-1], size=ss.shape))
 
 
 def sample_tau2(gamma, beta, prev_tau2, rng):
     """Draw the slab variance, or keep the previous value when nothing is active."""
-    return _draw_tau2(np.asarray(gamma, dtype=bool), np.asarray(beta), float(prev_tau2), rng)
+    beta = np.asarray(beta)
+    n_active = int(np.sum(np.asarray(gamma, dtype=bool)))
+    ssb = float(np.sum(beta.real**2 + beta.imag**2))
+    return _draw_tau2(n_active, ssb, float(prev_tau2), rng)
 
 
 def sample_eta(gamma, nu2, kappa, rng):
     """Draw the probit latent(s): half-normal magnitude sd = sqrt(nu2/kappa),
     positive when the voxel is included and negative otherwise."""
     gamma = np.asarray(gamma, dtype=bool)
-    out = _draw_eta(gamma, np.asarray(nu2, dtype=float), kappa, rng)
+    out = _draw_eta(gamma, np.asarray(nu2, dtype=float), kappa, rng.random(gamma.shape))
     return out if gamma.ndim else float(out)
 
 
 def sample_kappa(eta, nu2, a_kappa, b_kappa, rng):
     """Draw the smoothing parameter Gamma(V/2 + a, 1 / (sum eta^2/nu2 / 2 + 1/b))."""
+    eta = np.asarray(eta, dtype=float)
     nu2 = np.asarray(nu2, dtype=float)
     if np.any(nu2 < 1.0):
         raise InvalidSpecError("nu2 must be >= 1")
-    return _draw_kappa(np.asarray(eta, dtype=float), nu2, a_kappa, b_kappa, rng)
+    g = rng.standard_gamma(eta.size / 2.0 + a_kappa)
+    return float(_draw_kappa(np.sum(eta * eta / nu2), g, b_kappa))
 
 
 def sample_eta_nonspatial(gamma, rng):
     """Draw the shared inclusion rate Beta(1 + k, 1 + V - k)."""
-    return _draw_eta_shared(np.asarray(gamma, dtype=bool), rng)
+    gamma = np.asarray(gamma, dtype=bool)
+    return _draw_eta_shared(int(gamma.sum()), gamma.size, rng)
 
 
 # --------------------------------------------------------------------------
-# the chain
+# the chain engine
 # --------------------------------------------------------------------------
+
+#: Sweeps per block of pregenerated voxel draws. For each block of
+#: k = min(BLOCK_SWEEPS, sweeps left) sweeps, a parcel's generator yields, in
+#: this order: k x V uniforms (gamma), k x V x 2 normals (beta), k x V x 2
+#: normals (rho), k x V standard gammas of shape T - 1 (sigma^2) and, in
+#: spatial mode, k x V uniforms (eta) and k standard gammas of shape
+#: V/2 + a_kappa (kappa). Within the block's sweeps the same generator then
+#: draws tau^2 (and the nonspatial rate) once per sweep. The value is part of
+#: the stream's definition: changing it changes every chain.
+BLOCK_SWEEPS = 32
+
+
+def _voxel_draws(rng, n_sweeps, n_vox, shape_sigma, shape_kappa):
+    """One parcel's block of voxel draws, in stream order (see BLOCK_SWEEPS)."""
+    draws = [
+        rng.random((n_sweeps, n_vox)),
+        _standard_complex_normals(rng, (n_sweeps, n_vox)),
+        _standard_complex_normals(rng, (n_sweeps, n_vox)),
+        rng.standard_gamma(shape_sigma, (n_sweeps, n_vox)),
+    ]
+    if shape_kappa is not None:
+        draws += [rng.random((n_sweeps, n_vox)), rng.standard_gamma(shape_kappa, (n_sweeps, 1))]
+    return draws
+
 
 class _ParcelStats:
-    """Per-parcel cross products that make each sweep O(V).
+    """Per-voxel cross products that make each sweep O(V).
 
     With x real and y complex, every quantity the conditionals need
     (||x*||^2, X*'y*, residual energies) is a fixed combination of these
     statistics and the current rho/beta, so no O(V*T) work recurs per sweep.
+    Each parcel's statistics are computed from its own rows, so their bits do
+    not depend on the batch; ``stack`` concatenates those of a batch.
     """
 
     def __init__(self, y: np.ndarray, x: np.ndarray):
@@ -456,6 +520,17 @@ class _ParcelStats:
         self.syl2 = np.sum(yl.real**2 + yl.imag**2, axis=1)
         self.syn2 = np.sum(yn.real**2 + yn.imag**2, axis=1)
 
+    @classmethod
+    def stack(cls, parts):
+        """The statistics of a batch: per-voxel arrays concatenated, the
+        regressor's sums (the same for every parcel) kept once."""
+        out = cls.__new__(cls)
+        for name, value in vars(parts[0]).items():
+            if np.ndim(value):
+                value = np.concatenate([getattr(p, name) for p in parts])
+            setattr(out, name, value)
+        return out
+
     def design_norms(self, rho):
         r2 = rho.real**2 + rho.imag**2
         xnorm2 = self.sxx_nn - 2.0 * rho.real * self.sxx_nl + r2 * self.sxx_ll
@@ -470,42 +545,49 @@ class _ParcelStats:
         return cw, wl2, wn2
 
 
-def _initial_state(y: np.ndarray, stats: _ParcelStats, cfg) -> ChainState:
-    n_vox = y.shape[0]
-    gamma = np.ones(n_vox, dtype=bool)
-    # pooled per-component variance of the centered series, halved
-    sigma2 = np.maximum(0.25 * np.mean(y.real**2 + y.imag**2, axis=1), 1e-30)
+def _initial_state(stats: _ParcelStats, sigma2: np.ndarray, n_parcels: int, cfg) -> ChainState:
+    n_vox = sigma2.size
     rho = np.zeros(n_vox, dtype=complex)
-    tau2 = 1.0
     xnorm2, c = stats.design_norms(rho)
-    beta = c / (xnorm2 + sigma2 / tau2)
     return ChainState(
-        gamma=gamma,
-        beta=beta,
+        gamma=np.ones(n_vox, dtype=bool),
+        beta=c / (xnorm2 + sigma2),  # the ridge mean at tau2 = 1
         rho=rho,
         sigma2=sigma2,
         eta=np.zeros(n_vox),
-        tau2=tau2,
-        kappa=cfg.a_kappa * cfg.b_kappa,
-        eta_shared=0.5,
+        tau2=np.ones(n_parcels),
+        kappa=np.full(n_parcels, cfg.a_kappa * cfg.b_kappa),
+        eta_shared=np.full(n_parcels, 0.5),
     )
 
 
 def run_parcel_chain(
     y: np.ndarray,
-    basis: SpatialBasis | None,
+    basis,
     x: np.ndarray,
     cfg: SamplerConfig,
-    parcel_seed: int,
+    parcel_seed,
     trace_voxels=None,
     audit: bool = False,
+    sizes=None,
+    parcel_ids=None,
 ) -> ChainSummary:
-    """Run one parcel's Gibbs chain and summarize the kept draws.
+    """Run the Gibbs chains of a batch of parcels and summarize the kept draws.
 
-    ``y`` is the (V, T) complex data of the parcel and ``x`` the shared
-    regressor; both are centered internally. ``basis`` may be None in
-    nonspatial mode. The chain is a deterministic function of its arguments
-    and ``parcel_seed``.
+    ``y`` is the (V, T) complex data of the batch, its parcels' rows stacked
+    in order, ``sizes`` rows each (default: one parcel of all V rows); ``x`` is
+    the shared regressor. Both are centered internally, parcel by parcel.
+    ``basis`` and ``parcel_seed`` give one SpatialBasis and one seed per
+    parcel, or a single one for a lone parcel; ``basis`` may be None in
+    nonspatial mode. ``parcel_ids`` name the parcels in error messages
+    (default 0, 1, ...).
+
+    Each voxel stage is one numpy call across the batch; only the tau^2 and
+    nonspatial-rate draws loop over parcels. Every parcel draws from its own
+    generator (see ``BLOCK_SWEEPS``) and its statistics come from its own rows,
+    so its part of the summary is a deterministic function of its rows, basis
+    and seed, whatever batch it runs in. The summary covers the stacked rows,
+    which ``trace_voxels`` index too.
     """
     y = np.ascontiguousarray(y, dtype=complex)
     x = np.asarray(x, dtype=float)
@@ -513,23 +595,42 @@ def run_parcel_chain(
         raise InvalidSpecError("parcel data must be (V, T) with T matching the regressor")
     if x.size < 3:
         raise InsufficientDataError("chains need at least 3 time points")
-    if cfg.n_kept < 16:
-        raise InsufficientDataError("need at least 16 kept draws for batch-means MCSE")
-    if cfg.mode == SPATIAL:
+    n_vox, n_time = y.shape
+    sizes = [n_vox] if sizes is None else [int(s) for s in sizes]
+    seeds = [parcel_seed] if np.ndim(parcel_seed) == 0 else list(parcel_seed)
+    ids = list(range(len(sizes))) if parcel_ids is None else list(parcel_ids)
+    n_parcels = len(sizes)
+    if sum(sizes) != n_vox or min(sizes) < 1 or len(seeds) != n_parcels or len(ids) != n_parcels:
+        raise InvalidSpecError("a batch needs one size, seed and id per parcel; sizes sum to V")
+    spatial = cfg.mode == SPATIAL
+    if spatial:
         if basis is None:
             raise InvalidSpecError("spatial mode requires a SpatialBasis")
-        if basis.n_voxels != y.shape[0]:
-            raise InvalidSpecError("basis size does not match parcel size")
+        bases = [basis] if isinstance(basis, SpatialBasis) else list(basis)
+        if len(bases) != n_parcels:
+            raise InvalidSpecError("a batch needs one SpatialBasis per parcel")
+        for pid, b, size in zip(ids, bases, sizes):
+            if b.n_voxels != size:
+                raise InvalidSpecError(f"parcel {pid}: basis size does not match parcel size")
+        nu2 = np.concatenate([b.nu2 for b in bases])
 
-    n_vox, n_time = y.shape
-    rng = np.random.default_rng(parcel_seed)
-
-    yc = y - y.mean(axis=1, keepdims=True)
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    starts = offsets[:-1]
     xc = x - x.mean()
-    stats = _ParcelStats(yc, xc)
-    state = _initial_state(yc, stats, cfg)
-    spatial = cfg.mode == SPATIAL
-    nu2 = basis.nu2 if spatial else None
+    parts, sigma2 = [], []
+    for lo, hi in zip(starts, offsets[1:]):
+        yc = y[lo:hi] - y[lo:hi].mean(axis=1, keepdims=True)
+        parts.append(_ParcelStats(yc, xc))
+        # pooled per-component variance of the centered series, halved
+        sigma2.append(np.maximum(0.25 * np.mean(yc.real**2 + yc.imag**2, axis=1), 1e-30))
+    stats = _ParcelStats.stack(parts)
+    state = _initial_state(stats, np.concatenate(sigma2), n_parcels, cfg)
+    rngs = [np.random.default_rng(s) for s in seeds]
+    kappa_shapes = [s / 2.0 + cfg.a_kappa if spatial else None for s in sizes]
+
+    def name(v):
+        g = int(np.searchsorted(offsets, v, side="right")) - 1
+        return f"parcel {ids[g]}: ", v - offsets[g]
 
     kept_gamma = np.zeros((cfg.n_kept, n_vox), dtype=np.int8)
     beta_sum = np.zeros(n_vox, dtype=complex)
@@ -537,30 +638,48 @@ def run_parcel_chain(
     if trace_voxels is not None:
         trace = {int(v): np.zeros((cfg.n_iter, 6)) for v in trace_voxels}
 
-    shape_sigma = n_time - 1
     for it in range(cfg.n_iter):
-        # voxel stage: gamma, beta, rho, sigma2 (vectorized across voxels)
+        j = it % BLOCK_SWEEPS
+        if j == 0:
+            n_sweeps = min(BLOCK_SWEEPS, cfg.n_iter - it)
+            per_parcel = [_voxel_draws(rng, n_sweeps, size, n_time - 1, shape)
+                          for rng, size, shape in zip(rngs, sizes, kappa_shapes)]
+            u_gamma, z_beta, z_rho, g_sigma, *spatial_draws = [
+                np.concatenate(stage, axis=1) for stage in zip(*per_parcel)
+            ]
+
+        # voxel stage: gamma, beta, rho, sigma2 (one call across the batch)
+        tau2 = np.repeat(state.tau2, sizes)
         xnorm2, c = stats.design_norms(state.rho)
         if spatial:
             prior_logit = _prior_logit_spatial(cfg.psi, state.eta)
         else:
-            prior_logit = _prior_logit_shared(state.eta_shared)
-        p_incl = _inclusion_probability(xnorm2, c, state.sigma2, state.tau2, prior_logit)
-        state.gamma = rng.random(n_vox) < p_incl
-        state.beta = _draw_beta(xnorm2, c, state.sigma2, state.tau2, state.gamma, rng)
+            prior_logit = np.repeat(_prior_logit_shared(state.eta_shared), sizes)
+        p_incl = _inclusion_probability(xnorm2, c, state.sigma2, tau2, prior_logit)
+        state.gamma = u_gamma[j] < p_incl
+        state.beta = _draw_beta(xnorm2, c, state.sigma2, tau2, state.gamma, z_beta[j])
         cw, wl2, wn2 = stats.residual_norms(state.beta)
-        state.rho, _ = _draw_rho(cw, wl2, state.sigma2, rng)
+        state.rho, _ = _draw_rho(cw, wl2, state.sigma2, z_rho[j])
         r2 = state.rho.real**2 + state.rho.imag**2
         ss = np.maximum(wn2 - 2.0 * (np.conj(state.rho) * cw).real + r2 * wl2, 0.0)
-        state.sigma2 = _draw_sigma2(ss, shape_sigma, rng)
+        state.sigma2 = _draw_sigma2(ss, g_sigma[j], name)
 
         # parcel stage: tau2, then the inclusion-prior latents
-        state.tau2 = _draw_tau2(state.gamma, state.beta, state.tau2, rng)
+        n_active = np.add.reduceat(state.gamma, starts, dtype=np.intp)
+        ssb = np.add.reduceat(state.beta.real**2 + state.beta.imag**2, starts)
+        for g, rng in enumerate(rngs):
+            try:
+                state.tau2[g] = _draw_tau2(int(n_active[g]), ssb[g], state.tau2[g], rng)
+            except DegeneratePosteriorError as exc:
+                raise DegeneratePosteriorError(f"parcel {ids[g]}: {exc}") from None
         if spatial:
-            state.eta = _draw_eta(state.gamma, nu2, state.kappa, rng)
-            state.kappa = _draw_kappa(state.eta, nu2, cfg.a_kappa, cfg.b_kappa, rng)
+            u_eta, g_kappa = spatial_draws
+            state.eta = _draw_eta(state.gamma, nu2, np.repeat(state.kappa, sizes), u_eta[j])
+            sum_eta2 = np.add.reduceat(state.eta * state.eta / nu2, starts)
+            state.kappa = _draw_kappa(sum_eta2, g_kappa[j], cfg.b_kappa)
         else:
-            state.eta_shared = _draw_eta_shared(state.gamma, rng)
+            for g, rng in enumerate(rngs):
+                state.eta_shared[g] = _draw_eta_shared(int(n_active[g]), sizes[g], rng)
 
         if audit:
             state.validate()
@@ -579,7 +698,9 @@ def run_parcel_chain(
             beta_sum += state.beta
 
     incl = kept_gamma.mean(axis=0)
-    errs = mcse(kept_gamma)
+    # parcel by parcel: the float copy stays parcel-sized, and each parcel's
+    # MCSE comes from the same array as when it runs alone
+    errs = np.concatenate([mcse(kept_gamma[:, lo:hi]) for lo, hi in zip(starts, offsets[1:])])
     return ChainSummary(
         incl_prob=incl,
         beta_mean=beta_sum / cfg.n_kept,
@@ -614,12 +735,18 @@ def mcse(draws: np.ndarray) -> np.ndarray:
 
 
 def stitch_voxel_field(partition: Partition, chains, extract, dtype=float) -> np.ndarray:
-    """Scatter per-parcel voxel vectors back onto the full grid."""
-    if len(chains) != len(partition.parcel_voxel_lists):
-        raise InvalidSpecError("one chain summary per parcel is required")
+    """Scatter chain summaries' voxel vectors back onto the full grid.
+
+    ``chains`` run over the parcels in order, one summary per parcel or per
+    batch of consecutive parcels, so their voxels, concatenated, are the
+    parcels' voxel lists concatenated.
+    """
+    voxels = np.concatenate(partition.parcel_voxel_lists)
+    values = np.concatenate([extract(summary) for summary in chains])
+    if values.shape != voxels.shape:
+        raise InvalidSpecError("the chain summaries must cover every parcel's voxels")
     flat = np.zeros(int(np.prod(partition.dims)), dtype=dtype)
-    for summary, voxels in zip(chains, partition.parcel_voxel_lists):
-        flat[voxels] = extract(summary)
+    flat[voxels] = values
     return flat.reshape(partition.dims)
 
 

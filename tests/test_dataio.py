@@ -152,3 +152,9 @@ class TestKeyValues:
         path.write_text("not a pair\n")
         with pytest.raises(DataFormatError):
             read_keyvalues(path)
+
+    def test_repeated_key_rejected(self, tmp_path):
+        path = tmp_path / "cfg.txt"
+        path.write_text("G = 4\nseed = 1\nG = 5\n")
+        with pytest.raises(DataFormatError, match="'G' is given more than once"):
+            read_keyvalues(path)

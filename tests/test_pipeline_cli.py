@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from cvfmri import cli, dataio
+from cvfmri.data import ComplexDataset
 from cvfmri.design import design_for_length
 from cvfmri.errors import InvalidSpecError
 from cvfmri.pipeline import FitConfig, evaluate_dirs, fit_dataset, write_fit_outputs
@@ -153,7 +154,7 @@ class TestCli:
         self.run("simulate", "--study", "iid", "--seed", "2", "--T", "80", "--out", str(sim))
         assert self.run(
             "fit", "--data", str(sim / "dataset.cvf"), "--out", str(tmp_path / "fit"),
-            "--G", "4", "--iters", "20", "--workers", "1", "--trace-voxels", voxels,
+            "--G", "4", "--iters", "40", "--workers", "1", "--trace-voxels", voxels,
         ) == 2
         assert "trace" in capsys.readouterr().err
 
@@ -203,6 +204,44 @@ class TestCli:
         assert "neighborhood 'edges'" in capsys.readouterr().err
         with pytest.raises(InvalidSpecError, match="neighborhood"):
             FitConfig(neighborhood="corner")
+
+    def test_too_few_kept_draws_rejected_before_read(self, tmp_path, capsys):
+        # 20 sweeps keep 10 draws; the batch-means MCSE needs 16. The dataset
+        # does not exist, so reaching the read would exit 3 instead.
+        assert self.run("fit", "--data", str(tmp_path / "none.cvf"),
+                        "--out", str(tmp_path / "o"), "--iters", "20") == 2
+        assert "kept draws" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_rejected(self, tmp_path, capsys, workers):
+        assert self.run("fit", "--data", str(tmp_path / "none.cvf"),
+                        "--out", str(tmp_path / "o"), "--workers", workers) == 2
+        assert f"workers must be at least 1, got {workers}" in capsys.readouterr().err
+        assert FitConfig(n_parcels=4, workers=8).resolved_workers() == 4
+
+    def test_repeated_config_key_rejected(self, tmp_path, capsys):
+        sim = tmp_path / "sim"
+        self.run("simulate", "--study", "iid", "--seed", "3", "--T", "80", "--out", str(sim))
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_text(f"data = {sim / 'dataset.cvf'}\nG = 4\niters = 40\nG = 5\n")
+        assert self.run("fit", "--config", str(cfg), "--out", str(tmp_path / "o")) == 3
+        assert "'G' is given more than once" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("workers", ["1", "3"])
+    def test_constant_voxel_names_parcel_and_local_voxel(self, tmp_path, capsys, workers):
+        # voxel (10, 10) of a 50x50 grid is voxel 180 of parcel 0 at G=9; the
+        # engine runs several parcels in one batch and must still say so
+        sim = tmp_path / "sim"
+        self.run("simulate", "--study", "ar1", "--seed", "100", "--out", str(sim))
+        ds = dataio.read_dataset(sim / "dataset.cvf")
+        data = ds.data.copy()
+        data[10, 10] = 0.0
+        dataio.write_dataset(sim / "dataset.cvf", ComplexDataset(ds.dims, data))
+        assert self.run("fit", "--data", str(sim / "dataset.cvf"), "--out", str(tmp_path / "o"),
+                        "--G", "9", "--iters", "200", "--workers", workers) == 4
+        err = capsys.readouterr().err
+        assert "parcel 0: zero residual sum of squares at voxel 180" in err
 
     def test_exit_codes(self, tmp_path):
         # missing dataset file -> I/O category

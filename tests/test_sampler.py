@@ -10,10 +10,12 @@ from cvfmri.design import design_for_length
 from cvfmri.errors import InsufficientDataError, InvalidSpecError
 from cvfmri.parcellation import EDGE, build_adjacency, build_spatial_basis, partition_grid
 from cvfmri.sampler import (
+    BLOCK_SWEEPS,
     NONSPATIAL,
     ChainSummary,
     SamplerConfig,
     backward_transform,
+    derive_seed,
     mcse,
     run_parcel_chain,
     sample_beta,
@@ -28,11 +30,53 @@ from cvfmri.sampler import (
 )
 
 
-def reference_chain(y, basis, x, cfg, seed):
-    """Op-level reference: stage-batched loops over the public conditionals.
+class Replay:
+    """Stands in for a Generator inside the public ``sample_*`` functions:
+    every draw returns the given variates in the shape asked for."""
 
-    Consumes the RNG stream exactly like run_parcel_chain, so the two must
-    agree draw for draw (up to roundoff in the sufficient-statistics algebra).
+    def __init__(self, values, gamma_shape=None):
+        self.values = np.asarray(values)
+        self.gamma_shape = gamma_shape
+
+    def _take(self, size):
+        return self.values.reshape(() if size is None else size)
+
+    def random(self, size=None):
+        return self._take(size)
+
+    def standard_normal(self, size=None):
+        return self._take(size)
+
+    def standard_gamma(self, shape, size=None):
+        assert shape == self.gamma_shape
+        return self._take(size)
+
+
+def voxel_block(rng, it, cfg, n_vox, n_time):
+    """The block of voxel draws that sweep ``it`` opens, written from the
+    documented stream layout: uniforms for gamma, normal pairs for beta and
+    rho, standard gammas for sigma2, then (spatial) uniforms for eta and
+    standard gammas for kappa."""
+    k = min(BLOCK_SWEEPS, cfg.n_iter - it)
+    block = {
+        "gamma": rng.random((k, n_vox)),
+        "beta": rng.standard_normal((k, n_vox, 2)),
+        "rho": rng.standard_normal((k, n_vox, 2)),
+        "sigma2": rng.standard_gamma(n_time - 1, (k, n_vox)),
+    }
+    if cfg.mode != NONSPATIAL:
+        block["eta"] = rng.random((k, n_vox))
+        block["kappa"] = rng.standard_gamma(n_vox / 2 + cfg.a_kappa, k)
+    return block
+
+
+def reference_chain(y, basis, x, cfg, seed):
+    """Op-level reference of one parcel: stage-batched loops over the public
+    conditionals, fed voxel by voxel from the parcel's pregenerated blocks.
+
+    Consumes the parcel's RNG stream exactly like run_parcel_chain, so the two
+    must agree draw for draw (up to roundoff in the sufficient-statistics
+    algebra).
     """
     rng = np.random.default_rng(seed)
     n_vox, n_time = y.shape
@@ -56,29 +100,50 @@ def reference_chain(y, basis, x, cfg, seed):
     kept_gamma = []
     beta_sum = np.zeros(n_vox, dtype=complex)
     for it in range(cfg.n_iter):
+        j = it % BLOCK_SWEEPS
+        if j == 0:
+            block = voxel_block(rng, it, cfg, n_vox, n_time)
         for v in range(n_vox):
             ys, xs = backward_transform(yc[v], xc, rho[v])
-            gamma[v] = sample_gamma(ys, xs, sigma2[v], tau2, eta[v], cfg.psi, rng)
+            gamma[v] = sample_gamma(ys, xs, sigma2[v], tau2, eta[v], cfg.psi,
+                                    Replay(block["gamma"][j, v]))
         new_beta = np.zeros(n_vox, dtype=complex)
         for v in range(n_vox):
             ys, xs = backward_transform(yc[v], xc, rho[v])
-            new_beta[v] = sample_beta(ys, xs, sigma2[v], tau2, gamma[v], rng)
+            new_beta[v] = sample_beta(ys, xs, sigma2[v], tau2, gamma[v],
+                                      Replay(block["beta"][j, v]))
         beta = new_beta
         for v in range(n_vox):
-            rho[v], _ = sample_rho(yc[v], xc, beta[v], sigma2[v], rng)
+            rho[v], _ = sample_rho(yc[v], xc, beta[v], sigma2[v], Replay(block["rho"][j, v]))
         for v in range(n_vox):
             w = yc[v] - beta[v] * xc
-            sigma2[v] = sample_sigma2(w[1:], w[:-1], rho[v], rng)
+            sigma2[v] = sample_sigma2(w[1:], w[:-1], rho[v],
+                                      Replay(block["sigma2"][j, v], n_time - 1))
         tau2 = sample_tau2(gamma, beta, tau2, rng)
         for v in range(n_vox):
-            eta[v] = sample_eta(gamma[v:v + 1], basis.nu2[v], kappa, rng)[0]
-        kappa = sample_kappa(eta, basis.nu2, cfg.a_kappa, cfg.b_kappa, rng)
+            eta[v] = sample_eta(gamma[v:v + 1], basis.nu2[v], kappa,
+                                Replay(block["eta"][j, v:v + 1]))[0]
+        kappa = sample_kappa(eta, basis.nu2, cfg.a_kappa, cfg.b_kappa,
+                             Replay(block["kappa"][j], n_vox / 2 + cfg.a_kappa))
         history.append((gamma.copy(), beta.copy(), rho.copy(), sigma2.copy()))
         if it >= cfg.n_burn:
             kept_gamma.append(gamma.copy())
             beta_sum += beta
     incl = np.mean(kept_gamma, axis=0)
     return history, incl, beta_sum / len(kept_gamma)
+
+
+def assert_trace_matches(trace, history, rows):
+    """Engine trace rows ``rows`` against the reference history, voxel by voxel."""
+    for it, (gamma, beta, rho, sigma2) in enumerate(history):
+        for v, r in enumerate(rows):
+            row = trace[r][it]
+            assert row[0] == gamma[v]
+            assert np.isclose(row[1], beta[v].real, rtol=1e-9, atol=1e-12)
+            assert np.isclose(row[2], beta[v].imag, rtol=1e-9, atol=1e-12)
+            assert np.isclose(row[3], rho[v].real, rtol=1e-9, atol=1e-12)
+            assert np.isclose(row[4], rho[v].imag, rtol=1e-9, atol=1e-12)
+            assert np.isclose(row[5], sigma2[v], rtol=1e-9)
 
 
 @pytest.fixture(scope="module")
@@ -94,6 +159,19 @@ def tiny_instance():
     return y, x, basis
 
 
+@pytest.fixture(scope="module")
+def batch_instance():
+    rng = np.random.default_rng(556)
+    sizes = (4, 3, 5)
+    n_time = 12
+    x = design_for_length(n_time, on_len=3, off_len=3).bold
+    beta_true = rng.choice([0.0, 0.5, 1.0], size=sum(sizes))
+    y = (1.0 + beta_true[:, None] * x[None, :]) * np.exp(1j * 0.6)
+    y = y + 0.3 * (rng.standard_normal(y.shape) + 1j * rng.standard_normal(y.shape))
+    bases = [build_spatial_basis(build_adjacency(np.arange(n), (1, n), EDGE), 2) for n in sizes]
+    return y, x, bases, sizes
+
+
 class TestChainEquivalence:
     def test_chain_matches_op_level_reference(self, tiny_instance):
         y, x, basis = tiny_instance
@@ -102,17 +180,26 @@ class TestChainEquivalence:
         summary = run_parcel_chain(y, basis, x, cfg, parcel_seed=seed,
                                    trace_voxels=[0, 1, 2, 3])
         history, incl, beta_mean = reference_chain(y, basis, x, cfg, seed)
-        for it, (gamma, beta, rho, sigma2) in enumerate(history):
-            for v in range(4):
-                row = summary.trace[v][it]
-                assert row[0] == gamma[v]
-                assert np.isclose(row[1], beta[v].real, rtol=1e-9, atol=1e-12)
-                assert np.isclose(row[2], beta[v].imag, rtol=1e-9, atol=1e-12)
-                assert np.isclose(row[3], rho[v].real, rtol=1e-9, atol=1e-12)
-                assert np.isclose(row[4], rho[v].imag, rtol=1e-9, atol=1e-12)
-                assert np.isclose(row[5], sigma2[v], rtol=1e-9)
+        assert_trace_matches(summary.trace, history, range(4))
         assert np.allclose(summary.incl_prob, incl, atol=1e-12)
         assert np.allclose(summary.beta_mean, beta_mean, rtol=1e-9, atol=1e-12)
+
+    def test_batch_matches_op_level_reference(self, batch_instance):
+        # three parcels in one batch, over a block boundary: each parcel must
+        # follow its own stream as if it ran alone
+        y, x, bases, sizes = batch_instance
+        cfg = SamplerConfig(n_iter=BLOCK_SWEEPS + 8, n_burn=8, seed=0)
+        seeds = [derive_seed(404, g) for g in range(3)]
+        summary = run_parcel_chain(y, bases, x, cfg, parcel_seed=seeds, sizes=sizes,
+                                   trace_voxels=range(y.shape[0]))
+        lo = 0
+        for basis, size, seed in zip(bases, sizes, seeds):
+            history, incl, beta_mean = reference_chain(y[lo:lo + size], basis, x, cfg, seed)
+            assert_trace_matches(summary.trace, history, range(lo, lo + size))
+            assert np.allclose(summary.incl_prob[lo:lo + size], incl, atol=1e-12)
+            assert np.allclose(summary.beta_mean[lo:lo + size], beta_mean,
+                               rtol=1e-9, atol=1e-12)
+            lo += size
 
 
 class TestChainBehavior:
@@ -190,12 +277,16 @@ class TestChainBehavior:
         rng = np.random.default_rng(seed)
         yc = y - y.mean(axis=1, keepdims=True)
         xc = x - x.mean()
+        n_time = y.shape[1]
         gamma = np.ones(4, dtype=bool)
         sigma2 = np.maximum(0.25 * np.mean(yc.real**2 + yc.imag**2, axis=1), 1e-30)
         rho = np.zeros(4, dtype=complex)
         tau2 = 1.0
         eta_shared = 0.5
         for it in range(cfg.n_iter):
+            j = it % BLOCK_SWEEPS
+            if j == 0:
+                block = voxel_block(rng, it, cfg, 4, n_time)
             probs = np.empty(4)
             for v in range(4):
                 ys, xs = backward_transform(yc[v], xc, rho[v])
@@ -206,16 +297,18 @@ class TestChainBehavior:
                     -abs(c) ** 2 / (2 * sigma2[v] * denom)
                 )
                 probs[v] = eta_shared / (eta_shared + ratio * (1 - eta_shared))
-            gamma = rng.random(4) < probs
+            gamma = block["gamma"][j] < probs
             beta = np.zeros(4, dtype=complex)
             for v in range(4):
                 ys, xs = backward_transform(yc[v], xc, rho[v])
-                beta[v] = sample_beta(ys, xs, sigma2[v], tau2, gamma[v], rng)
+                beta[v] = sample_beta(ys, xs, sigma2[v], tau2, gamma[v],
+                                      Replay(block["beta"][j, v]))
             for v in range(4):
-                rho[v], _ = sample_rho(yc[v], xc, beta[v], sigma2[v], rng)
+                rho[v], _ = sample_rho(yc[v], xc, beta[v], sigma2[v], Replay(block["rho"][j, v]))
             for v in range(4):
                 w = yc[v] - beta[v] * xc
-                sigma2[v] = sample_sigma2(w[1:], w[:-1], rho[v], rng)
+                sigma2[v] = sample_sigma2(w[1:], w[:-1], rho[v],
+                                          Replay(block["sigma2"][j, v], n_time - 1))
             tau2 = sample_tau2(gamma, beta, tau2, rng)
             eta_shared = sample_eta_nonspatial(gamma, rng)
             for v in range(4):
@@ -225,9 +318,56 @@ class TestChainBehavior:
         y, x, basis = tiny_instance
         with pytest.raises(InvalidSpecError):
             run_parcel_chain(y[:, :6], basis, x, SamplerConfig(seed=0), parcel_seed=1)
-        with pytest.raises(InsufficientDataError):
-            run_parcel_chain(y, basis, x, SamplerConfig(n_iter=20, n_burn=10, seed=0),
-                             parcel_seed=1)
+        # too few kept draws for the MCSE is a bad setting, caught before any chain
+        with pytest.raises(InvalidSpecError, match="kept draws"):
+            SamplerConfig(n_iter=20, n_burn=10, seed=0)
+
+
+class TestBatchInvariance:
+    @pytest.mark.parametrize("mode", ["spatial", NONSPATIAL])
+    def test_parcel_bits_do_not_depend_on_batch(self, mode):
+        # six parcels of 30, 24, 24, 25, 20 and 20 voxels; each split below
+        # runs every parcel once, alone or inside a ragged batch
+        dims = (11, 13)
+        part = partition_grid(dims, 6)
+        lists = part.parcel_voxel_lists
+        rng = np.random.default_rng(17)
+        n_vox, n_time = 11 * 13, 60
+        x = design_for_length(n_time).bold
+        beta_true = np.where(rng.random(n_vox) < 0.3, 0.15, 0.0)
+        y = (1.0 + beta_true[:, None] * x[None, :]) * np.exp(0.4j)
+        y = y + 0.05 * (rng.standard_normal(y.shape) + 1j * rng.standard_normal(y.shape))
+        bases = [build_spatial_basis(build_adjacency(v, dims), 3) for v in lists]
+        seeds = [derive_seed(9, g) for g in range(6)]
+        cfg = SamplerConfig(n_iter=2 * BLOCK_SWEEPS + 10, n_burn=30, mode=mode, seed=9)
+
+        def per_parcel(bounds):
+            out = []
+            for lo, hi in zip(bounds[:-1], bounds[1:]):
+                sizes = [len(v) for v in lists[lo:hi]]
+                s = run_parcel_chain(y[np.concatenate(lists[lo:hi])],
+                                     bases[lo:hi] if mode == "spatial" else None, x, cfg,
+                                     seeds[lo:hi], sizes=sizes, parcel_ids=range(lo, hi))
+                cuts = np.cumsum(sizes)[:-1]
+                out += [tuple(a.tobytes() for a in fields)
+                        for fields in zip(*(np.split(f, cuts)
+                                            for f in (s.incl_prob, s.beta_mean, s.mcse)))]
+            return out
+
+        alone = per_parcel(range(7))
+        for bounds in ([0, 3, 6], [0, 1, 4, 6], [0, 2, 5, 6], [0, 6]):
+            assert per_parcel(bounds) == alone, bounds
+
+    def test_batch_rejects_mismatched_parts(self, batch_instance):
+        y, x, bases, sizes = batch_instance
+        cfg = SamplerConfig(n_iter=40, n_burn=20, seed=0)
+        with pytest.raises(InvalidSpecError):
+            run_parcel_chain(y, bases, x, cfg, [1, 2, 3], sizes=(4, 3, 4))
+        with pytest.raises(InvalidSpecError):
+            run_parcel_chain(y, bases, x, cfg, [1, 2], sizes=sizes)
+        with pytest.raises(InvalidSpecError, match="parcel 7: basis size"):
+            run_parcel_chain(y, bases[::-1], x, cfg, [1, 2, 3], sizes=sizes,
+                             parcel_ids=[7, 8, 9])
 
 
 class TestMcse:
