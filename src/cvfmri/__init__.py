@@ -51,7 +51,6 @@ from .sampler import (
     ChainSummary,
     ResultMaps,
     SamplerConfig,
-    backward_transform,
     derive_seed,
     mcse,
     run_parcel_chain,

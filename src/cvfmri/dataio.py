@@ -116,7 +116,10 @@ def read_map(path) -> np.ndarray:
         if stripped.startswith("#"):
             body = stripped.lstrip("#").strip()
             if body.startswith("dims:"):
-                dims = tuple(int(t) for t in body[5:].split(","))
+                try:
+                    dims = tuple(int(t) for t in body[5:].split(","))
+                except ValueError as exc:
+                    raise DataFormatError(f"{path}: malformed '# dims:' header ({exc})") from None
             continue
         data_lines.append(stripped)
     if dims is None:

@@ -83,6 +83,8 @@ class FitConfig:
     sampler: SamplerConfig = field(default_factory=SamplerConfig)
 
     def __post_init__(self):
+        if self.n_parcels < 1:
+            raise InvalidSpecError("number of parcels must be positive")
         if self.neighborhood not in (EDGE, EDGE_CORNER):
             raise InvalidSpecError(
                 f"unknown neighborhood {self.neighborhood!r}; use {EDGE!r} or {EDGE_CORNER!r}"

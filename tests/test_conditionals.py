@@ -4,7 +4,8 @@ The fixed reference instance is a path-graph parcel of 4 voxels (1x4 grid,
 edge neighborhood, q=2) with T=4 time points. Oracles come from dense linear
 algebra on the stacked real representation and from scipy reference
 distributions; the inclusion probability is checked against 2-D numerical
-quadrature of the slab marginal likelihood.
+quadrature of the slab marginal likelihood. The conditionals under test are
+the public ``draw_*`` functions, fed with statistics from ``reference``.
 """
 
 import math
@@ -18,21 +19,22 @@ from scipy.special import ndtr
 from cvfmri.errors import DegeneratePosteriorError, InsufficientDataError
 from cvfmri.parcellation import EDGE, build_adjacency, build_spatial_basis
 from cvfmri.sampler import (
-    backward_transform,
     derive_seed,
-    inclusion_probability,
+    draw_eta,
+    draw_eta_shared,
     log_null_slab_ratio,
-    real_design_matrix,
-    sample_beta,
-    sample_eta,
-    sample_eta_nonspatial,
-    sample_gamma,
-    sample_kappa,
-    sample_rho,
-    sample_sigma2,
-    sample_tau2,
     splitmix64,
+)
+from reference import (
+    backward_transform,
+    beta_draws,
+    gamma_probability,
+    kappa_draw,
+    real_design_matrix,
+    rho_draws,
+    sigma2_draws,
     stack_real,
+    tau2_draw,
 )
 
 N_DRAWS = 100_000
@@ -47,10 +49,6 @@ T4_RHO = 0.15 + 0.25j
 def path4_basis():
     a = build_adjacency(np.arange(4), (1, 4), EDGE)
     return build_spatial_basis(a, 2)
-
-
-def tile(v, n=N_DRAWS):
-    return np.broadcast_to(v, (n, *np.shape(v)))
 
 
 def ks(sample_a, sample_b):
@@ -137,21 +135,19 @@ class TestGamma:
         null = math.exp(-0.5 * yr.size * math.log(2 * math.pi * sigma2) - yr @ yr / (2 * sigma2))
         prior = ndtr(psi + eta)
         expect = prior / (prior + (null / slab) * (1 - prior))
-        got = inclusion_probability(ystar, xstar, sigma2, tau2, eta, psi)
+        got = gamma_probability(ystar, xstar, sigma2, tau2, eta, psi)
         assert got == pytest.approx(expect, rel=1e-4)
 
     def test_prior_underflow_forces_exclusion(self):
         ystar, xstar = backward_transform(T4_Y, T4_X, T4_RHO)
-        p = inclusion_probability(ystar, xstar, 1.0, 1.0, eta=0.0, psi=-38.0)
+        p = gamma_probability(ystar, xstar, 1.0, 1.0, eta=0.0, psi=-38.0)
         assert p == 0.0
-        rng = np.random.default_rng(0)
-        assert sample_gamma(ystar, xstar, 1.0, 1.0, 0.0, -38.0, rng) is False
 
     def test_unit_ratio_balanced_prior(self):
         # ||x*||^2 = 1 and |X*'y*|^2 = 4 log 2 make the ratio exactly one
         xstar = np.array([1.0, 0.0, 0.0], dtype=complex)
         ystar = np.array([2.0 * math.sqrt(math.log(2.0)), 0.0, 0.0], dtype=complex)
-        p = inclusion_probability(ystar, xstar, 1.0, 1.0, eta=0.0, psi=0.0)
+        p = gamma_probability(ystar, xstar, 1.0, 1.0, eta=0.0, psi=0.0)
         assert p == pytest.approx(0.5, abs=1e-12)
 
     def test_log_space_agrees_with_naive(self):
@@ -167,7 +163,7 @@ class TestGamma:
             ratio = math.exp(log_null_slab_ratio(xnorm2, abs(c) ** 2, sigma2, tau2))
             prior = ndtr(psi + eta)
             naive = prior / (prior + ratio * (1 - prior))
-            got = inclusion_probability(ystar, xstar, sigma2, tau2, eta, psi)
+            got = gamma_probability(ystar, xstar, sigma2, tau2, eta, psi)
             assert got == pytest.approx(naive, abs=1e-10)
 
     def test_draws_match_quadrature_probability(self):
@@ -179,10 +175,7 @@ class TestGamma:
         prior = ndtr(psi + eta)
         p_true = prior / (prior + (null / slab) * (1 - prior))
         rng = np.random.default_rng(101)
-        draws = sample_gamma(
-            tile(ystar), tile(xstar), np.ones(N_DRAWS), tau2,
-            np.full(N_DRAWS, eta), psi, rng,
-        )
+        draws = rng.random(N_DRAWS) < gamma_probability(ystar, xstar, 1.0, tau2, eta, psi)
         oracle = stats.bernoulli(p_true).rvs(N_DRAWS, random_state=202)
         assert ks(draws.astype(float), oracle.astype(float)) < KS_TOL
 
@@ -191,14 +184,12 @@ class TestBeta:
     def test_excluded_is_zero(self):
         rng = np.random.default_rng(0)
         ystar, xstar = backward_transform(T4_Y, T4_X, T4_RHO)
-        assert sample_beta(ystar, xstar, 1.0, 1.0, False, rng) == 0j
+        assert beta_draws(ystar, xstar, 1.0, 1.0, False, 1, rng).tolist() == [0j]
 
     def test_flat_slab_recovers_least_squares(self):
         rng = np.random.default_rng(0)
         ystar, xstar = backward_transform(T4_Y, T4_X, T4_RHO)
-        draws = sample_beta(tile(ystar, 200_000), tile(xstar, 200_000),
-                            np.full(200_000, 1e-12), 1e30,
-                            np.ones(200_000, dtype=bool), rng)
+        draws = beta_draws(ystar, xstar, 1e-12, 1e30, True, 200_000, rng)
         xr = real_design_matrix(xstar)
         yr = stack_real(ystar)
         ols = np.linalg.solve(xr.T @ xr, xr.T @ yr)
@@ -214,8 +205,7 @@ class TestBeta:
         mu = np.linalg.solve(prec, xr.T @ yr)
         cov = sigma2 * np.linalg.inv(prec)
         rng = np.random.default_rng(5)
-        draws = sample_beta(tile(ystar), tile(xstar), np.full(N_DRAWS, sigma2), tau2,
-                            np.ones(N_DRAWS, dtype=bool), rng)
+        draws = beta_draws(ystar, xstar, sigma2, tau2, True, N_DRAWS, rng)
         oracle = stats.multivariate_normal(mu, cov).rvs(N_DRAWS, random_state=6)
         assert ks(draws.real, oracle[:, 0]) < KS_TOL
         assert ks(draws.imag, oracle[:, 1]) < KS_TOL
@@ -232,7 +222,7 @@ class TestRho:
         for t in range(1, 6):
             y[t] = rho0 * y[t - 1]
         rng = np.random.default_rng(3)
-        rho, degenerate = sample_rho(y, np.zeros(6), 0j, 1e-30, rng)
+        (rho,), (degenerate,) = rho_draws(y, np.zeros(6), 0j, 1e-30, 1, rng)
         assert not degenerate
         assert rho.real == pytest.approx(0.2, abs=1e-10)
         assert rho.imag == pytest.approx(0.9, abs=1e-10)
@@ -242,7 +232,7 @@ class TestRho:
         beta = 0.7 - 0.2j
         y = beta * x
         rng = np.random.default_rng(3)
-        rho, degenerate = sample_rho(y, x, beta, 1.0, rng)
+        (rho,), (degenerate,) = rho_draws(y, x, beta, 1.0, 1, rng)
         assert degenerate and rho == 0j
 
     def test_gram_off_diagonals_vanish(self):
@@ -262,8 +252,7 @@ class TestRho:
         mu = np.linalg.solve(wr.T @ wr, wr.T @ wn)
         cov = sigma2 * np.linalg.inv(wr.T @ wr)
         rng = np.random.default_rng(15)
-        draws, flags = sample_rho(tile(T4_Y), T4_X, np.full(N_DRAWS, beta),
-                                  np.full(N_DRAWS, sigma2), rng)
+        draws, flags = rho_draws(T4_Y, T4_X, beta, sigma2, N_DRAWS, rng)
         assert not flags.any()
         oracle = stats.multivariate_normal(mu, cov).rvs(N_DRAWS, random_state=16)
         assert ks(draws.real, oracle[:, 0]) < KS_TOL
@@ -276,7 +265,7 @@ class TestSigma2:
         w_now = np.array([1 + 1j, 1 + 1j])
         w_lag = np.zeros(2, dtype=complex)
         rng = np.random.default_rng(21)
-        draws = sample_sigma2(tile(w_now), tile(w_lag), np.zeros(N_DRAWS, dtype=complex), rng)
+        draws = sigma2_draws(w_now, w_lag, 0j, N_DRAWS, rng)
         oracle = stats.invgamma(a=2, scale=2.0).rvs(N_DRAWS, random_state=22)
         assert ks(draws, oracle) < KS_TOL
 
@@ -287,7 +276,7 @@ class TestSigma2:
         resid = w_now - rho * w_lag
         ss = float(np.sum(np.abs(resid) ** 2))
         rng = np.random.default_rng(23)
-        draws = sample_sigma2(tile(w_now), tile(w_lag), np.full(N_DRAWS, rho), rng)
+        draws = sigma2_draws(w_now, w_lag, rho, N_DRAWS, rng)
         oracle = stats.invgamma(a=3, scale=ss / 2).rvs(N_DRAWS, random_state=24)
         assert ks(draws, oracle) < KS_TOL
 
@@ -298,26 +287,26 @@ class TestSigma2:
         w_now[4] = math.sqrt(2.0)  # ss = 6, scale 3
         w_lag = np.zeros(5, dtype=complex)
         rng = np.random.default_rng(25)
-        draws = sample_sigma2(tile(w_now), tile(w_lag), np.zeros(N_DRAWS, dtype=complex), rng)
+        draws = sigma2_draws(w_now, w_lag, 0j, N_DRAWS, rng)
         se = math.sqrt(stats.invgamma(a=5, scale=3).var() / N_DRAWS)
         assert abs(draws.mean() - 0.75) < 3 * se
 
     def test_zero_rss_rejected(self):
         rng = np.random.default_rng(0)
         with pytest.raises(DegeneratePosteriorError):
-            sample_sigma2(np.zeros(3, dtype=complex), np.zeros(3, dtype=complex), 0j, rng)
+            sigma2_draws(np.zeros(3, dtype=complex), np.zeros(3, dtype=complex), 0j, 1, rng)
 
 
 class TestTau2:
     def test_keeps_previous_when_empty(self):
         rng = np.random.default_rng(1)
-        assert sample_tau2(np.zeros(4, dtype=bool), np.zeros(4, dtype=complex), 1.23, rng) == 1.23
+        assert tau2_draw(np.zeros(4, dtype=bool), np.zeros(4, dtype=complex), 1.23, rng) == 1.23
 
     def test_two_active_voxels(self):
         gamma = np.array([True, True, False])
         beta = np.array([1 + 1j, 1 + 1j, 0j])
         rng = np.random.default_rng(31)
-        draws = np.array([sample_tau2(gamma, beta, 1.0, rng) for _ in range(N_DRAWS // 5)])
+        draws = np.array([tau2_draw(gamma, beta, 1.0, rng) for _ in range(N_DRAWS // 5)])
         oracle = stats.invgamma(a=2, scale=2.0).rvs(N_DRAWS // 5, random_state=32)
         assert ks(draws, oracle) < 1.6 * KS_TOL
 
@@ -325,7 +314,7 @@ class TestTau2:
         gamma = np.array([True])
         beta = np.array([3 + 4j])
         rng = np.random.default_rng(33)
-        draws = np.array([sample_tau2(gamma, beta, 1.0, rng) for _ in range(N_DRAWS // 5)])
+        draws = np.array([tau2_draw(gamma, beta, 1.0, rng) for _ in range(N_DRAWS // 5)])
         oracle = stats.invgamma(a=1, scale=12.5).rvs(N_DRAWS // 5, random_state=34)
         assert ks(draws, oracle) < 1.6 * KS_TOL
 
@@ -333,22 +322,22 @@ class TestTau2:
 class TestEta:
     def test_signs_respect_indicator(self):
         rng = np.random.default_rng(41)
-        up = sample_eta(np.ones(1000, dtype=bool), np.full(1000, 1.3), 2.0, rng)
-        down = sample_eta(np.zeros(1000, dtype=bool), np.full(1000, 1.3), 2.0, rng)
+        up = draw_eta(np.ones(1000, dtype=bool), np.full(1000, 1.3), 2.0, rng.random(1000))
+        down = draw_eta(np.zeros(1000, dtype=bool), np.full(1000, 1.3), 2.0, rng.random(1000))
         assert np.all(up > 0) and np.all(down < 0)
 
     def test_isolated_voxel_unit_variance(self):
         # nu2 = 1: the latent is a half-normal with sd 1/sqrt(kappa)
         kappa = 2.5
         rng = np.random.default_rng(42)
-        draws = sample_eta(np.ones(N_DRAWS, dtype=bool), np.ones(N_DRAWS), kappa, rng)
+        draws = draw_eta(True, np.ones(N_DRAWS), kappa, rng.random(N_DRAWS))
         oracle = stats.halfnorm(scale=1 / math.sqrt(kappa)).rvs(N_DRAWS, random_state=43)
         assert ks(draws, oracle) < KS_TOL
 
     def test_halfnormal_moment(self):
         # gamma=1, nu2=2, kappa=4: mean sqrt(2/4) * sqrt(2/pi)
         rng = np.random.default_rng(44)
-        draws = sample_eta(np.ones(N_DRAWS, dtype=bool), np.full(N_DRAWS, 2.0), 4.0, rng)
+        draws = draw_eta(True, np.full(N_DRAWS, 2.0), 4.0, rng.random(N_DRAWS))
         sd = math.sqrt(0.5)
         expect = sd * math.sqrt(2 / math.pi)
         se = sd * math.sqrt((1 - 2 / math.pi) / N_DRAWS)
@@ -356,7 +345,7 @@ class TestEta:
 
     def test_negative_side_distribution(self):
         rng = np.random.default_rng(45)
-        draws = sample_eta(np.zeros(N_DRAWS, dtype=bool), np.full(N_DRAWS, 1.5), 3.0, rng)
+        draws = draw_eta(False, np.full(N_DRAWS, 1.5), 3.0, rng.random(N_DRAWS))
         oracle = -stats.halfnorm(scale=math.sqrt(1.5 / 3.0)).rvs(N_DRAWS, random_state=46)
         assert ks(draws, oracle) < KS_TOL
 
@@ -365,7 +354,7 @@ class TestKappa:
     def test_flat_field_prior_scale(self):
         rng = np.random.default_rng(61)
         draws = np.array([
-            sample_kappa(np.zeros(1), np.ones(1), 0.5, 2000.0, rng) for _ in range(N_DRAWS // 5)
+            kappa_draw(np.zeros(1), np.ones(1), 0.5, 2000.0, rng) for _ in range(N_DRAWS // 5)
         ])
         oracle = stats.gamma(a=1.0, scale=2000.0).rvs(N_DRAWS // 5, random_state=62)
         assert ks(draws, oracle) < 1.6 * KS_TOL
@@ -376,7 +365,7 @@ class TestKappa:
         nu2 = np.ones(3)
         rng = np.random.default_rng(63)
         draws = np.array([
-            sample_kappa(eta, nu2, 0.5, 2000.0, rng) for _ in range(N_DRAWS // 5)
+            kappa_draw(eta, nu2, 0.5, 2000.0, rng) for _ in range(N_DRAWS // 5)
         ])
         oracle = stats.gamma(a=2.0, scale=1.0 / 1.5005).rvs(N_DRAWS // 5, random_state=64)
         assert ks(draws, oracle) < 1.6 * KS_TOL
@@ -384,7 +373,7 @@ class TestKappa:
     def test_shape_depends_only_on_size(self, path4_basis):
         rng = np.random.default_rng(65)
         big = np.array([
-            sample_kappa(np.full(4, 100.0), path4_basis.nu2, 0.5, 2000.0, rng)
+            kappa_draw(np.full(4, 100.0), path4_basis.nu2, 0.5, 2000.0, rng)
             for _ in range(2000)
         ])
         # huge eta shrinks the scale but the shape stays (V+1)/2 = 2.5;
@@ -397,7 +386,7 @@ class TestEtaNonspatial:
     def test_all_active(self):
         rng = np.random.default_rng(71)
         draws = np.array([
-            sample_eta_nonspatial(np.ones(10, dtype=bool), rng) for _ in range(N_DRAWS // 5)
+            draw_eta_shared(10, 10, rng) for _ in range(N_DRAWS // 5)
         ])
         oracle = stats.beta(11, 1).rvs(N_DRAWS // 5, random_state=72)
         assert ks(draws, oracle) < 1.6 * KS_TOL
@@ -405,7 +394,7 @@ class TestEtaNonspatial:
     def test_none_active(self):
         rng = np.random.default_rng(73)
         draws = np.array([
-            sample_eta_nonspatial(np.zeros(10, dtype=bool), rng) for _ in range(N_DRAWS // 5)
+            draw_eta_shared(0, 10, rng) for _ in range(N_DRAWS // 5)
         ])
         oracle = stats.beta(1, 11).rvs(N_DRAWS // 5, random_state=74)
         assert ks(draws, oracle) < 1.6 * KS_TOL
@@ -413,5 +402,5 @@ class TestEtaNonspatial:
     def test_half_active_symmetric(self):
         rng = np.random.default_rng(75)
         gamma = np.array([True] * 5 + [False] * 5)
-        draws = np.array([sample_eta_nonspatial(gamma, rng) for _ in range(20000)])
+        draws = np.array([draw_eta_shared(int(gamma.sum()), gamma.size, rng) for _ in range(20000)])
         assert draws.mean() == pytest.approx(0.5, abs=0.01)

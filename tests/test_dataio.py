@@ -121,6 +121,12 @@ class TestMapFormat:
         with pytest.raises(DataFormatError, match="dims"):
             read_map(path)
 
+    def test_malformed_dims_header(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("# dims: 2,x\n1.0,2.0\n3.0,4.0\n")
+        with pytest.raises(DataFormatError, match="m.csv: malformed '# dims:' header"):
+            read_map(path)
+
     def test_cell_count_mismatch(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("# dims: 2,3\n1.0,2.0\n3.0,4.0\n")

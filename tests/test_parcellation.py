@@ -184,3 +184,19 @@ class TestSpatialBasis:
                 a = build_adjacency(vox, dims, EDGE_CORNER)
                 basis = build_spatial_basis(a, 3)
                 assert np.all(basis.nu2 >= 1.0)
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "known defect: at q=5 the 5th and 6th adjacency eigenvalues of a square "
+        "parcel tie, and column 5 of M is whichever unit vector of that 2-D "
+        "eigenspace LAPACK's rounding returns, so nu2 is not transpose-symmetric"))
+    def test_square_parcel_nu2_is_transpose_symmetric(self):
+        # a square grid graph is invariant under transposition, so any basis
+        # that depends on the graph alone gives a transpose-symmetric nu2
+        # (it is already symmetric under flips of either axis)
+        worst = 0.0
+        for k in (7, 8, 14):
+            for neighborhood in (EDGE, EDGE_CORNER):
+                a = build_adjacency(np.arange(k * k), (k, k), neighborhood)
+                nu2 = build_spatial_basis(a, 5).nu2.reshape(k, k)
+                worst = max(worst, float(np.max(np.abs(nu2 - nu2.T) / nu2)))
+        assert worst < 1e-9

@@ -262,6 +262,30 @@ class TestCli:
                         "--result", str(tmp_path / "e2"),
                         "--out", str(tmp_path / "m.csv")) == 2
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--psi", "nan", "psi must be finite"),
+        ("--psi", "inf", "psi must be finite"),
+        ("--a-kappa", "nan", "kappa prior parameters"),
+        ("--b-kappa", "nan", "kappa prior parameters"),
+        ("--b-kappa", "inf", "kappa prior parameters"),
+        ("--mcse-tol", "nan", "mcse_tol must be positive and finite"),
+        ("--G", "0", "number of parcels"),
+    ], ids=["psi=nan", "psi=inf", "a_kappa=nan", "b_kappa=nan", "b_kappa=inf", "mcse_tol=nan", "G=0"])
+    def test_bad_numeric_setting_rejected_before_read(self, tmp_path, capsys, flag, value,
+                                                      message):
+        # the dataset does not exist, so reaching the read would exit 3
+        assert self.run("fit", "--data", str(tmp_path / "none.cvf"),
+                        "--out", str(tmp_path / "o"), flag, value) == 2
+        assert message in capsys.readouterr().err
+
+    def test_malformed_map_header_exit_code(self, tmp_path, capsys):
+        (tmp_path / "truth").mkdir()
+        (tmp_path / "truth" / "true_activation.csv").write_text("# dims: 2,x\n1,0\n0,1\n")
+        assert self.run("evaluate", "--truth", str(tmp_path / "truth"),
+                        "--result", str(tmp_path / "truth"),
+                        "--out", str(tmp_path / "m.csv")) == 3
+        assert "true_activation.csv: malformed '# dims:' header" in capsys.readouterr().err
+
     def test_non_finite_sample_exit_code(self, tmp_path, capsys):
         ds, _, _ = small_dataset()
         path = tmp_path / "nan.cvf"

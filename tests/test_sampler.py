@@ -14,42 +14,21 @@ from cvfmri.sampler import (
     NONSPATIAL,
     ChainSummary,
     SamplerConfig,
-    backward_transform,
     derive_seed,
+    draw_beta,
+    draw_eta,
+    draw_eta_shared,
+    draw_kappa,
+    draw_rho,
+    draw_sigma2,
+    draw_tau2,
+    inclusion_probability,
     mcse,
+    prior_logit_spatial,
     run_parcel_chain,
-    sample_beta,
-    sample_eta,
-    sample_eta_nonspatial,
-    sample_gamma,
-    sample_kappa,
-    sample_rho,
-    sample_sigma2,
-    sample_tau2,
     summarize,
 )
-
-
-class Replay:
-    """Stands in for a Generator inside the public ``sample_*`` functions:
-    every draw returns the given variates in the shape asked for."""
-
-    def __init__(self, values, gamma_shape=None):
-        self.values = np.asarray(values)
-        self.gamma_shape = gamma_shape
-
-    def _take(self, size):
-        return self.values.reshape(() if size is None else size)
-
-    def random(self, size=None):
-        return self._take(size)
-
-    def standard_normal(self, size=None):
-        return self._take(size)
-
-    def standard_gamma(self, shape, size=None):
-        assert shape == self.gamma_shape
-        return self._take(size)
+from reference import design_stats, lag_stats, residual_ss
 
 
 def voxel_block(rng, it, cfg, n_vox, n_time):
@@ -71,8 +50,9 @@ def voxel_block(rng, it, cfg, n_vox, n_time):
 
 
 def reference_chain(y, basis, x, cfg, seed):
-    """Op-level reference of one parcel: stage-batched loops over the public
-    conditionals, fed voxel by voxel from the parcel's pregenerated blocks.
+    """Op-level reference of one parcel: the public conditionals, fed with
+    per-series statistics from ``reference`` and the parcel's pregenerated
+    blocks, in either mode (nonspatial inclusion from the naive formula).
 
     Consumes the parcel's RNG stream exactly like run_parcel_chain, so the two
     must agree draw for draw (up to roundoff in the sufficient-statistics
@@ -80,21 +60,12 @@ def reference_chain(y, basis, x, cfg, seed):
     """
     rng = np.random.default_rng(seed)
     n_vox, n_time = y.shape
+    spatial = cfg.mode != NONSPATIAL
     yc = y - y.mean(axis=1, keepdims=True)
     xc = x - x.mean()
-
-    gamma = np.ones(n_vox, dtype=bool)
     sigma2 = np.maximum(0.25 * np.mean(yc.real**2 + yc.imag**2, axis=1), 1e-30)
     rho = np.zeros(n_vox, dtype=complex)
-    tau2 = 1.0
-    eta = np.zeros(n_vox)
-    kappa = cfg.a_kappa * cfg.b_kappa
-    beta = np.empty(n_vox, dtype=complex)
-    for v in range(n_vox):
-        _, xs = backward_transform(yc[v], xc, rho[v])
-        ys = yc[v][1:]
-        c = np.sum(np.conj(xs) * ys)
-        beta[v] = c / (np.sum(np.abs(xs) ** 2) + sigma2[v] / tau2)
+    tau2, eta, kappa, eta_shared = 1.0, np.zeros(n_vox), cfg.a_kappa * cfg.b_kappa, 0.5
 
     history = []
     kept_gamma = []
@@ -103,28 +74,26 @@ def reference_chain(y, basis, x, cfg, seed):
         j = it % BLOCK_SWEEPS
         if j == 0:
             block = voxel_block(rng, it, cfg, n_vox, n_time)
-        for v in range(n_vox):
-            ys, xs = backward_transform(yc[v], xc, rho[v])
-            gamma[v] = sample_gamma(ys, xs, sigma2[v], tau2, eta[v], cfg.psi,
-                                    Replay(block["gamma"][j, v]))
-        new_beta = np.zeros(n_vox, dtype=complex)
-        for v in range(n_vox):
-            ys, xs = backward_transform(yc[v], xc, rho[v])
-            new_beta[v] = sample_beta(ys, xs, sigma2[v], tau2, gamma[v],
-                                      Replay(block["beta"][j, v]))
-        beta = new_beta
-        for v in range(n_vox):
-            rho[v], _ = sample_rho(yc[v], xc, beta[v], sigma2[v], Replay(block["rho"][j, v]))
-        for v in range(n_vox):
-            w = yc[v] - beta[v] * xc
-            sigma2[v] = sample_sigma2(w[1:], w[:-1], rho[v],
-                                      Replay(block["sigma2"][j, v], n_time - 1))
-        tau2 = sample_tau2(gamma, beta, tau2, rng)
-        for v in range(n_vox):
-            eta[v] = sample_eta(gamma[v:v + 1], basis.nu2[v], kappa,
-                                Replay(block["eta"][j, v:v + 1]))[0]
-        kappa = sample_kappa(eta, basis.nu2, cfg.a_kappa, cfg.b_kappa,
-                             Replay(block["kappa"][j], n_vox / 2 + cfg.a_kappa))
+        xnorm2, c = design_stats(yc, xc, rho)
+        if spatial:
+            p = inclusion_probability(xnorm2, c, sigma2, tau2, prior_logit_spatial(cfg.psi, eta))
+        else:
+            # the naive ratio formula, an oracle for the log-space shared-rate form
+            denom = xnorm2 + sigma2 / tau2
+            ratio = (tau2 / sigma2) * denom * np.exp(-np.abs(c) ** 2 / (2 * sigma2 * denom))
+            p = eta_shared / (eta_shared + ratio * (1 - eta_shared))
+        gamma = block["gamma"][j] < p
+        beta = draw_beta(xnorm2, c, sigma2, tau2, gamma, block["beta"][j].view(complex)[:, 0])
+        wl2, cw = lag_stats(yc, xc, beta)
+        rho, _ = draw_rho(cw, wl2, sigma2, block["rho"][j].view(complex)[:, 0])
+        w = yc - beta[:, None] * xc
+        sigma2 = draw_sigma2(residual_ss(w[:, 1:], w[:, :-1], rho), block["sigma2"][j])
+        tau2 = draw_tau2(int(gamma.sum()), float(np.sum(beta.real**2 + beta.imag**2)), tau2, rng)
+        if spatial:
+            eta = draw_eta(gamma, basis.nu2, kappa, block["eta"][j])
+            kappa = draw_kappa(np.sum(eta * eta / basis.nu2), block["kappa"][j], cfg.b_kappa)
+        else:
+            eta_shared = draw_eta_shared(int(gamma.sum()), n_vox, rng)
         history.append((gamma.copy(), beta.copy(), rho.copy(), sigma2.copy()))
         if it >= cfg.n_burn:
             kept_gamma.append(gamma.copy())
@@ -273,46 +242,8 @@ class TestChainBehavior:
         seed = 31
         summary = run_parcel_chain(y, None, x, cfg, parcel_seed=seed,
                                    trace_voxels=[0, 1, 2, 3])
-        # inline reference with the shared-rate updates
-        rng = np.random.default_rng(seed)
-        yc = y - y.mean(axis=1, keepdims=True)
-        xc = x - x.mean()
-        n_time = y.shape[1]
-        gamma = np.ones(4, dtype=bool)
-        sigma2 = np.maximum(0.25 * np.mean(yc.real**2 + yc.imag**2, axis=1), 1e-30)
-        rho = np.zeros(4, dtype=complex)
-        tau2 = 1.0
-        eta_shared = 0.5
-        for it in range(cfg.n_iter):
-            j = it % BLOCK_SWEEPS
-            if j == 0:
-                block = voxel_block(rng, it, cfg, 4, n_time)
-            probs = np.empty(4)
-            for v in range(4):
-                ys, xs = backward_transform(yc[v], xc, rho[v])
-                xn2 = np.sum(np.abs(xs) ** 2)
-                c = np.sum(np.conj(xs) * ys)
-                denom = xn2 + sigma2[v] / tau2
-                ratio = (tau2 / sigma2[v]) * denom * math.exp(
-                    -abs(c) ** 2 / (2 * sigma2[v] * denom)
-                )
-                probs[v] = eta_shared / (eta_shared + ratio * (1 - eta_shared))
-            gamma = block["gamma"][j] < probs
-            beta = np.zeros(4, dtype=complex)
-            for v in range(4):
-                ys, xs = backward_transform(yc[v], xc, rho[v])
-                beta[v] = sample_beta(ys, xs, sigma2[v], tau2, gamma[v],
-                                      Replay(block["beta"][j, v]))
-            for v in range(4):
-                rho[v], _ = sample_rho(yc[v], xc, beta[v], sigma2[v], Replay(block["rho"][j, v]))
-            for v in range(4):
-                w = yc[v] - beta[v] * xc
-                sigma2[v] = sample_sigma2(w[1:], w[:-1], rho[v],
-                                          Replay(block["sigma2"][j, v], n_time - 1))
-            tau2 = sample_tau2(gamma, beta, tau2, rng)
-            eta_shared = sample_eta_nonspatial(gamma, rng)
-            for v in range(4):
-                assert summary.trace[v][it][0] == gamma[v]
+        history, _, _ = reference_chain(y, None, x, cfg, seed)
+        assert_trace_matches(summary.trace, history, range(4))
 
     def test_rejects_mismatched_inputs(self, tiny_instance):
         y, x, basis = tiny_instance
