@@ -10,10 +10,8 @@ CLI (``cvfmri``) around simulate / fit / evaluate / reproduce.
 from .data import ComplexDataset, TrueMaps
 from .design import (
     DesignVector,
-    HrfParams,
     StimulusSpec,
     boxcar_stimulus,
-    center_series,
     design_for_length,
     double_gamma_hrf,
     expected_bold,
@@ -24,13 +22,11 @@ from .metrics import (
     classification_metrics,
     magnitude_fidelity,
     roc_auc,
-    roc_points,
 )
 from .parcellation import (
     EDGE,
     EDGE_CORNER,
     Partition,
-    SpatialBasis,
     build_adjacency,
     build_spatial_basis,
     graph_laplacian,

@@ -76,6 +76,10 @@ def read_dataset(path) -> ComplexDataset:
         if len(shape) < 4 * ndim + 4:
             raise DataFormatError(f"{path}: truncated header ({size} bytes)")
         *dims, n_time = struct.unpack(f"<{ndim}II", shape)
+        if min(dims) < 1:
+            raise DataFormatError(f"{path}: grid extents must be positive, got {tuple(dims)}")
+        if n_time < 1:
+            raise DataFormatError(f"{path}: series length T must be positive, got {n_time}")
         n_samples = int(np.prod(dims)) * n_time
         expected = 12 + len(shape) + n_samples * 16
         if size != expected:

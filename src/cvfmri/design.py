@@ -1,9 +1,11 @@
 """Experimental design: boxcar stimulus, double-gamma HRF, expected BOLD response.
 
 The regression model sees a single regressor: the expected BOLD response,
-obtained by convolving the on/off stimulus with a double-gamma hemodynamic
-response function and rescaling the result to a maximum of one (so the
-activation coefficient carries the full signal magnitude).
+obtained by convolving the on/off stimulus with the canonical double-gamma
+hemodynamic response function and rescaling the result to a maximum of one
+(so the activation coefficient carries the full signal magnitude). The HRF's
+shapes, rates and undershoot weight are fixed module constants; the sampler
+centers the regressor itself.
 """
 
 from __future__ import annotations
@@ -17,14 +19,20 @@ from .errors import DegenerateDesignError, InvalidSpecError
 
 __all__ = [
     "StimulusSpec",
-    "HrfParams",
     "DesignVector",
     "boxcar_stimulus",
     "double_gamma_hrf",
     "expected_bold",
-    "center_series",
     "design_for_length",
 ]
+
+#: Canonical double-gamma HRF: a peak gamma(6, 1) kernel minus an undershoot
+#: gamma(16, 1) kernel weighted by 1/6 (shapes a, rates b).
+HRF_PEAK_SHAPE = 6.0
+HRF_PEAK_RATE = 1.0
+HRF_UNDERSHOOT_SHAPE = 16.0
+HRF_UNDERSHOOT_RATE = 1.0
+HRF_UNDERSHOOT_RATIO = 1.0 / 6.0
 
 
 @dataclass(frozen=True)
@@ -55,50 +63,21 @@ class StimulusSpec:
 
 
 @dataclass(frozen=True)
-class HrfParams:
-    """Double-gamma HRF parameters (shapes a, rates b, undershoot weight c).
-
-    Defaults are the canonical double-gamma: peak gamma(6, 1), undershoot
-    gamma(16, 1) weighted by 1/6.
-    """
-
-    peak_shape: float = 6.0
-    undershoot_shape: float = 16.0
-    peak_rate: float = 1.0
-    undershoot_rate: float = 1.0
-    undershoot_ratio: float = 1.0 / 6.0
-
-    def __post_init__(self):
-        for name in ("peak_shape", "undershoot_shape", "peak_rate", "undershoot_rate"):
-            if getattr(self, name) <= 0:
-                raise InvalidSpecError(f"HRF parameter {name} must be strictly positive")
-        if self.undershoot_ratio < 0:
-            raise InvalidSpecError("HRF undershoot_ratio cannot be negative")
-
-
-@dataclass(frozen=True)
 class DesignVector:
     """Stimulus sequence and expected BOLD response of a run."""
 
     stimulus: np.ndarray
     bold: np.ndarray
-    centered: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "stimulus", np.asarray(self.stimulus, dtype=np.int8))
         object.__setattr__(self, "bold", np.asarray(self.bold, dtype=float))
         if self.stimulus.shape != self.bold.shape:
             raise InvalidSpecError("stimulus and BOLD response must share a length")
-        if self.centered and abs(self.bold.mean()) > 1e-12:
-            raise InvalidSpecError("design marked centered but BOLD mean is nonzero")
 
     @property
     def n_time(self) -> int:
         return self.bold.size
-
-    def center(self) -> "DesignVector":
-        """Return a copy whose BOLD response has zero mean."""
-        return DesignVector(self.stimulus, center_series(self.bold), centered=True)
 
 
 def boxcar_stimulus(spec: StimulusSpec) -> np.ndarray:
@@ -121,18 +100,17 @@ def _gamma_kernel(t: np.ndarray, shape: float, rate: float) -> np.ndarray:
     return np.exp(log_k)
 
 
-def double_gamma_hrf(t, params: HrfParams = HrfParams()) -> np.ndarray:
+def double_gamma_hrf(t) -> np.ndarray:
     """Evaluate the double-gamma HRF weight at nonnegative times ``t``."""
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise InvalidSpecError("HRF is defined for t >= 0 only")
-    return _gamma_kernel(t, params.peak_shape, params.peak_rate) - (
-        params.undershoot_ratio
-        * _gamma_kernel(t, params.undershoot_shape, params.undershoot_rate)
+    return _gamma_kernel(t, HRF_PEAK_SHAPE, HRF_PEAK_RATE) - (
+        HRF_UNDERSHOOT_RATIO * _gamma_kernel(t, HRF_UNDERSHOOT_SHAPE, HRF_UNDERSHOOT_RATE)
     )
 
 
-def expected_bold(stimulus: np.ndarray, params: HrfParams = HrfParams()) -> np.ndarray:
+def expected_bold(stimulus: np.ndarray) -> np.ndarray:
     """Convolve ``stimulus`` with the HRF and rescale the peak to one.
 
     The convolution is discrete and causal on the sampling grid:
@@ -141,7 +119,7 @@ def expected_bold(stimulus: np.ndarray, params: HrfParams = HrfParams()) -> np.n
     s = np.asarray(stimulus, dtype=float)
     if s.size == 0:
         raise InvalidSpecError("stimulus must be nonempty")
-    h = double_gamma_hrf(np.arange(s.size), params)
+    h = double_gamma_hrf(np.arange(s.size))
     x = np.convolve(s, h)[: s.size]
     peak = x.max() if x.size else 0.0
     if peak <= 0:
@@ -151,21 +129,12 @@ def expected_bold(stimulus: np.ndarray, params: HrfParams = HrfParams()) -> np.n
     return x / peak
 
 
-def center_series(values: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Remove the (complex) mean along ``axis``; idempotent up to rounding."""
-    v = np.asarray(values)
-    if v.shape[axis] < 1:
-        raise InvalidSpecError("cannot center an empty series")
-    return v - v.mean(axis=axis, keepdims=True)
-
-
 def design_for_length(
     n_time: int,
     on_len: int = 20,
     off_len: int = 20,
     on_first: bool = True,
     warmup: int = 0,
-    params: HrfParams = HrfParams(),
 ) -> DesignVector:
     """Build a design of exactly ``n_time`` points from a repeating epoch pattern.
 
@@ -180,4 +149,4 @@ def design_for_length(
     n_epochs = -(-(n_time - warmup) // max(on_len + off_len, 1)) or 1
     stim = boxcar_stimulus(StimulusSpec(n_epochs, on_len, off_len, on_first))
     stim = np.concatenate([np.zeros(warmup, dtype=np.int8), stim])[:n_time]
-    return DesignVector(stim, expected_bold(stim, params))
+    return DesignVector(stim, expected_bold(stim))

@@ -18,7 +18,6 @@ __all__ = [
     "FidelityReport",
     "classification_metrics",
     "roc_auc",
-    "roc_points",
     "magnitude_fidelity",
     "REPORT_COLUMNS",
     "report_row",
@@ -101,31 +100,11 @@ def roc_auc(truth, scores) -> float:
     return float((ranks[t].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 
-def roc_points(truth, scores):
-    """(FPR, TPR) points of the ROC curve, one per distinct score threshold."""
-    _check_shapes(truth, scores)
-    t = np.asarray(truth).astype(bool).ravel()
-    s = np.asarray(scores, dtype=float).ravel()
-    n_pos = int(t.sum())
-    n_neg = t.size - n_pos
-    if n_pos == 0 or n_neg == 0:
-        raise UndefinedMetricError("ROC needs both classes present in the truth")
-    order = np.argsort(-s, kind="stable")
-    sorted_scores = s[order]
-    tps = np.cumsum(t[order])
-    fps = np.cumsum(~t[order])
-    # keep the last index of each tied block
-    keep = np.r_[sorted_scores[1:] != sorted_scores[:-1], True]
-    pts = [(0.0, 0.0)]
-    pts.extend((fps[i] / n_neg, tps[i] / n_pos) for i in np.flatnonzero(keep))
-    return pts
-
-
-def magnitude_fidelity(true_mag, est_mag, through_origin: bool = True) -> FidelityReport:
+def magnitude_fidelity(true_mag, est_mag) -> FidelityReport:
     """Agreement between true and estimated magnitude fields.
 
-    slope: least squares of estimated on true, through the origin by default
-    (ideal = 1 since both fields vanish off the active set); ccc: concordance
+    slope: least squares of estimated on true, through the origin (ideal = 1
+    since both fields vanish off the active set); ccc: concordance
     correlation with population (1/n) moments; xy_mse: mean squared pairwise
     difference. AUC is not computed here (it needs scores, not magnitudes).
     """
@@ -133,14 +112,9 @@ def magnitude_fidelity(true_mag, est_mag, through_origin: bool = True) -> Fideli
     t = np.asarray(true_mag, dtype=float).ravel()
     e = np.asarray(est_mag, dtype=float).ravel()
     if np.array_equal(t, e):
-        slope = 1.0 if (through_origin and t.any()) or (not through_origin and np.var(t) > 0) else None
-        return FidelityReport(auc=None, slope=slope, ccc=1.0, xy_mse=0.0)
-    if through_origin:
-        denom = float(t @ t)
-        slope = float((t @ e) / denom) if denom > 0 else None
-    else:
-        var = float(np.var(t))
-        slope = float(np.cov(t, e, bias=True)[0, 1] / var) if var > 0 else None
+        return FidelityReport(auc=None, slope=1.0 if t.any() else None, ccc=1.0, xy_mse=0.0)
+    denom = float(t @ t)
+    slope = float((t @ e) / denom) if denom > 0 else None
     s_xy = float(np.mean(t * e) - t.mean() * e.mean())
     denom_ccc = float(np.var(t) + np.var(e) + (t.mean() - e.mean()) ** 2)
     ccc = 1.0 if denom_ccc == 0 else 2.0 * s_xy / denom_ccc

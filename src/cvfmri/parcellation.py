@@ -1,10 +1,10 @@
 """Image parcellation and per-parcel spatial machinery.
 
 The grid is split into G contiguous blocks of approximately equal geometric
-size. Each block gets its own adjacency matrix and a low-rank spatial basis:
-the q principal adjacency eigenvectors M and the prior variance scale nu2 of
-every voxel's probit latent. The basis holds only what the sampler reads, so
-it is built once and shared read-only afterwards.
+size. Each block gets its own adjacency matrix and, from the q principal
+adjacency eigenvectors M, its spatial basis: the prior variance scale nu2 of
+every voxel's probit latent, which is all the sampler reads of the spatial
+prior once the random effects are integrated out.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from .errors import InvalidSpecError, SingularBasisError
 
 __all__ = [
     "Partition",
-    "SpatialBasis",
     "partition_grid",
     "build_adjacency",
     "graph_laplacian",
@@ -43,28 +42,6 @@ class Partition:
 
     def parcel_sizes(self) -> np.ndarray:
         return np.array([len(v) for v in self.parcel_voxel_lists])
-
-
-@dataclass
-class SpatialBasis:
-    """Spatial basis of one parcel.
-
-    ``m`` holds the q principal adjacency eigenvectors (columns, orthonormal,
-    descending eigenvalue order, sign-fixed). ``nu2`` is the diagonal of
-    I + M (M'QM)^-1 M' with Q the graph Laplacian: the variance scale of each
-    voxel's probit latent once the spatial random effects are integrated out.
-    """
-
-    m: np.ndarray
-    nu2: np.ndarray
-
-    @property
-    def n_voxels(self) -> int:
-        return self.m.shape[0]
-
-    @property
-    def q(self) -> int:
-        return self.m.shape[1]
 
 
 def _split_axis(extent: int, pieces: int):
@@ -199,8 +176,13 @@ def principal_eigenvectors(adjacency: np.ndarray, q: int):
     return vals, np.ascontiguousarray(vecs)
 
 
-def build_spatial_basis(adjacency: np.ndarray, q: int) -> SpatialBasis:
-    """Assemble the per-parcel spatial basis.
+def build_spatial_basis(adjacency: np.ndarray, q: int) -> np.ndarray:
+    """The per-parcel spatial basis: nu2, one value per voxel.
+
+    nu2 is the diagonal of I + M (M'QM)^-1 M', with M the q principal
+    adjacency eigenvectors (see :func:`principal_eigenvectors`) and Q the graph
+    Laplacian: the variance scale of each voxel's probit latent once the
+    spatial random effects are integrated out.
 
     M'QM is formed as the sum over edges (i, j) of (m_i - m_j)(m_i - m_j)',
     which equals M'QM and is positive semidefinite by construction. Raises
@@ -225,4 +207,4 @@ def build_spatial_basis(adjacency: np.ndarray, q: int) -> SpatialBasis:
         )
     # nu2 as 1 + a sum of squares, which keeps nu2 >= 1 exactly
     y = solve_triangular(cholesky(qs, lower=True), m.T, lower=True)
-    return SpatialBasis(m=m, nu2=1.0 + np.sum(y * y, axis=0))
+    return 1.0 + np.sum(y * y, axis=0)

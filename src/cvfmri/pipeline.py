@@ -124,18 +124,18 @@ def _batch_job(args):
     (first, voxel_lists, y_batch, x, sampler_cfg, neighborhood, dims, master_seed,
      trace_rows) = args
     ids = range(first, first + len(voxel_lists))
-    bases = None
+    nu2 = None
     if sampler_cfg.mode != NONSPATIAL:
-        bases = []
+        nu2 = []
         for pid, voxels in zip(ids, voxel_lists):
             try:
                 adjacency = build_adjacency(voxels, dims, neighborhood)
-                bases.append(build_spatial_basis(adjacency, sampler_cfg.q))
+                nu2.append(build_spatial_basis(adjacency, sampler_cfg.q))
             except CvfmriError as exc:
                 raise type(exc)(f"parcel {pid}: {exc}") from None
     return run_parcel_chain(
         y_batch,
-        bases,
+        nu2,
         x,
         sampler_cfg,
         [derive_seed(master_seed, pid) for pid in ids],
@@ -323,21 +323,23 @@ def evaluate_pair(truth_dir, result_dir, label=None):
 def evaluate_dirs(truth_dir, result_dir):
     """Evaluate a single pair, or matching replicate subdirectories.
 
-    When both directories contain subdirectories with common names, each pair
-    contributes one row; otherwise the directories themselves form one pair.
+    When ``truth_dir`` holds truth maps, the two directories form one pair;
+    otherwise each of its subdirectories is a replicate and pairs with the
+    subdirectory of the same name in ``result_dir``, which must exist.
     """
     truth_dir = Path(truth_dir)
     result_dir = Path(result_dir)
     if (truth_dir / "true_activation.csv").exists():
         return [evaluate_pair(truth_dir, result_dir)]
-    names = sorted(
-        p.name
-        for p in truth_dir.iterdir()
-        if p.is_dir() and (result_dir / p.name).is_dir()
-    )
+    names = sorted(p.name for p in truth_dir.iterdir() if p.is_dir())
     if not names:
         raise InvalidSpecError(
             f"{truth_dir} has neither truth maps nor replicate subdirectories"
+        )
+    missing = [n for n in names if not (result_dir / n).is_dir()]
+    if missing:
+        raise InvalidSpecError(
+            f"{result_dir} has no result for truth replicate(s) {', '.join(missing)}"
         )
     return [evaluate_pair(truth_dir / n, result_dir / n, label=n) for n in names]
 

@@ -56,7 +56,7 @@ from .errors import (
     InsufficientDataError,
     InvalidSpecError,
 )
-from .parcellation import Partition, SpatialBasis
+from .parcellation import Partition
 
 __all__ = [
     "SamplerConfig",
@@ -178,7 +178,6 @@ class ChainSummary:
     beta_mean: np.ndarray
     mcse: np.ndarray
     converged: bool
-    n_kept: int
     trace: dict | None = None
 
 
@@ -395,9 +394,14 @@ def _audit(gamma, beta, sigma2, scales):
         raise AssertionError("state invariant violated: nonpositive tau2/kappa")
 
 
+def _center(values):
+    """Remove the mean along the last axis (the time axis of a series)."""
+    return values - values.mean(axis=-1, keepdims=True)
+
+
 def run_parcel_chain(
     y: np.ndarray,
-    basis,
+    nu2,
     x: np.ndarray,
     cfg: SamplerConfig,
     parcel_seed,
@@ -411,15 +415,15 @@ def run_parcel_chain(
     ``y`` is the (V, T) complex data of the batch, its parcels' rows stacked
     in order, ``sizes`` rows each (default: one parcel of all V rows); ``x`` is
     the shared regressor. Both are centered internally, parcel by parcel.
-    ``basis`` and ``parcel_seed`` give one SpatialBasis and one seed per
-    parcel, or a single one for a lone parcel; ``basis`` may be None in
-    nonspatial mode. ``parcel_ids`` name the parcels in error messages
-    (default 0, 1, ...).
+    ``nu2`` and ``parcel_seed`` give one spatial basis (the nu2 vector of
+    :func:`~cvfmri.parcellation.build_spatial_basis`) and one seed per parcel,
+    or a single one for a lone parcel; ``nu2`` may be None in nonspatial mode.
+    ``parcel_ids`` name the parcels in error messages (default 0, 1, ...).
 
     Each voxel stage is one numpy call across the batch; only the tau^2 and
     nonspatial-rate draws loop over parcels. Every parcel draws from its own
     generator (see ``BLOCK_SWEEPS``) and its statistics come from its own rows,
-    so its part of the summary is a deterministic function of its rows, basis
+    so its part of the summary is a deterministic function of its rows, nu2
     and seed, whatever batch it runs in. The summary covers the stacked rows,
     which ``trace_voxels`` index too.
     """
@@ -443,22 +447,22 @@ def run_parcel_chain(
 
     spatial = cfg.mode == SPATIAL
     if spatial:
-        if basis is None:
-            raise InvalidSpecError("spatial mode requires a SpatialBasis")
-        bases = [basis] if isinstance(basis, SpatialBasis) else list(basis)
+        if nu2 is None:
+            raise InvalidSpecError("spatial mode requires the parcels' nu2")
+        bases = [nu2] if len(nu2) and np.ndim(nu2[0]) == 0 else list(nu2)
         if len(bases) != n_parcels:
-            raise InvalidSpecError("a batch needs one SpatialBasis per parcel")
+            raise InvalidSpecError("a batch needs one nu2 vector per parcel")
         for g, (b, size) in enumerate(zip(bases, sizes)):
-            if b.n_voxels != size:
+            if np.shape(b) != (size,):
                 raise in_parcel(g, InvalidSpecError("basis size does not match parcel size"))
-        nu2 = np.concatenate([b.nu2 for b in bases])
+        nu2 = np.concatenate(bases)
 
     offsets = np.concatenate([[0], np.cumsum(sizes)])
     starts = offsets[:-1]
-    xc = x - x.mean()
+    xc = _center(x)
     parts, sigma2 = [], []
     for lo, hi in zip(starts, offsets[1:]):
-        yc = y[lo:hi] - y[lo:hi].mean(axis=1, keepdims=True)
+        yc = _center(y[lo:hi])
         parts.append(_ParcelStats(yc, xc))
         # pooled per-component variance of the centered series, halved
         sigma2.append(np.maximum(0.25 * np.mean(yc.real**2 + yc.imag**2, axis=1), 1e-30))
@@ -551,7 +555,6 @@ def run_parcel_chain(
         beta_mean=beta_sum / cfg.n_kept,
         mcse=errs,
         converged=bool(np.max(errs) < cfg.mcse_tol),
-        n_kept=cfg.n_kept,
         trace=trace,
     )
 

@@ -9,6 +9,9 @@ Three regimes are provided:
   two cubic active regions spanning the interior slices.
 
 All generators are deterministic functions of their arguments and the seed.
+The study regions (``STUDY_REGION_TABLE``) and the realistic volume's geometry
+and signal (the ``REALISTIC_*`` constants) are fixed module constants; only
+the realistic volume's slice count, series length and taper are arguments.
 """
 
 from __future__ import annotations
@@ -42,6 +45,22 @@ DEFAULT_MULTIPLIER = 0.04909
 #: documented ranges (radius 2..6, decay 0..0.3) while keeping rim voxels
 #: detectable; shapes and centers are randomized per map.
 STUDY_REGION_TABLE = ((6.0, 0.0), (4.0, 0.15), (2.0, 0.3))
+
+#: Placement attempts per region before :func:`random_regions` gives up.
+MAX_PLACEMENT_TRIES = 1000
+
+#: The realistic volume: 96x96 slices with baseline magnitude 25 and phase
+#: pi/4 under unit noise; two 5x5 active squares per interior slice whose
+#: magnitude and phase coefficients peak at 0.5 and pi/120 (scaled per slice by
+#: the taper), so the peak magnitude CNR is 0.5 and the phase CNR (pi/120)/25.
+REALISTIC_SLICE_SHAPE = (96, 96)
+REALISTIC_BETA0 = 25.0
+REALISTIC_SIGMA = 1.0
+REALISTIC_BETA1_MAX = 0.5
+REALISTIC_THETA0 = math.pi / 4
+REALISTIC_THETA1_MAX = math.pi / 120
+REALISTIC_SQUARE_CORNERS = ((30, 30), (60, 60))
+REALISTIC_SQUARE_SIZE = 5
 
 
 @dataclass(frozen=True)
@@ -85,11 +104,10 @@ class NoiseSpec:
 
 @dataclass(frozen=True)
 class SignalSpec:
-    """Baseline magnitude and phase of the simulated signal."""
+    """Baseline magnitude and (constant) phase of the simulated signal."""
 
     beta0: float = 0.4909
     theta0: float = math.pi / 4
-    theta1_max: float = 0.0
 
 
 def _region_field(dims, region: RegionSpec) -> np.ndarray:
@@ -114,8 +132,10 @@ def generate_true_maps(dims, regions=None, multiplier: float = DEFAULT_MULTIPLIE
     actual voxel footprints, not on bounding boxes).
     """
     dims = tuple(int(d) for d in dims)
-    if multiplier <= 0:
-        raise InvalidSpecError("magnitude multiplier must be positive")
+    if not 0 < multiplier < math.inf:
+        raise InvalidSpecError(
+            f"magnitude multiplier must be positive and finite, got {multiplier}"
+        )
     if regions is None:
         regions = random_regions(dims, np.random.default_rng(seed))
     magnitude = np.zeros(dims)
@@ -134,21 +154,20 @@ def generate_true_maps(dims, regions=None, multiplier: float = DEFAULT_MULTIPLIE
     return TrueMaps(dims, occupied.astype(np.int8), magnitude)
 
 
-def random_regions(dims, rng: np.random.Generator,
-                   table=STUDY_REGION_TABLE, max_tries: int = 1000):
+def random_regions(dims, rng: np.random.Generator):
     """Sample non-overlapping regions with random shapes and centers.
 
-    Radii and decay rates come from ``table``; placement is rejection-sampled
-    until footprints are disjoint.
+    Radii and decay rates come from ``STUDY_REGION_TABLE``; placement is
+    rejection-sampled until footprints are disjoint.
     """
     dims = tuple(int(d) for d in dims)
     regions = []
     occupied = np.zeros(dims, dtype=bool)
-    for radius, decay in table:
+    for radius, decay in STUDY_REGION_TABLE:
         margin = int(np.ceil(radius))
         if any(d <= 2 * margin for d in dims):
             raise InvalidSpecError("grid too small for the requested region radii")
-        for attempt in range(max_tries):
+        for attempt in range(MAX_PLACEMENT_TRIES):
             shape = "sphere" if rng.random() < 0.5 else "cube"
             center = tuple(int(rng.integers(margin, d - margin)) for d in dims)
             region = RegionSpec(center, radius, shape, decay)
@@ -172,8 +191,6 @@ def _simulate_constant_phase(kind: str, maps: TrueMaps, design: DesignVector,
                              sig: SignalSpec, noise: NoiseSpec, seed) -> ComplexDataset:
     if noise.kind != kind:
         raise InvalidSpecError(f"simulate_{kind} requires noise kind {kind!r}")
-    if sig.theta1_max != 0.0:
-        raise InvalidSpecError(f"simulate_{kind} models constant phase (theta1_max must be 0)")
     if design.n_time < 2:
         raise InvalidSpecError("simulation needs at least two time points")
     rng = np.random.default_rng(seed)
@@ -219,21 +236,13 @@ def simulate_realistic(
     seed,
     *,
     n_slices: int = 7,
-    slice_shape=(96, 96),
     n_time: int = 490,
-    beta0: float = 25.0,
-    sigma: float = 1.0,
-    beta1_max: float = 0.5,
-    theta0: float = math.pi / 4,
-    theta1_max: float = math.pi / 120,
     taper=(0.0, 0.5, 0.75, 1.0, 0.75, 0.5, 0.0),
-    square_corners=((30, 30), (60, 60)),
-    square_size: int = 5,
 ):
     """Seven-slice dynamic-phase volume with two cubic active regions.
 
     Slices are generated independently (one RNG consumed slice-major). Each
-    interior slice holds two ``square_size`` x ``square_size`` active squares
+    interior slice holds the two active squares of ``REALISTIC_SQUARE_CORNERS``,
     whose magnitude and phase coefficients scale with the per-slice ``taper``
     (peaking at the middle slice); the outermost slices carry no activation.
 
@@ -241,16 +250,16 @@ def simulate_realistic(
     """
     if len(taper) != n_slices:
         raise InvalidSpecError("taper must provide one factor per slice")
+    slice_shape = REALISTIC_SLICE_SHAPE
     dims = (n_slices, *slice_shape)
     design = realistic_design(n_time)
     x = design.bold
     rng = np.random.default_rng(seed)
 
     slice_active = np.zeros(slice_shape, dtype=np.int8)
-    for r0, c0 in square_corners:
-        if r0 + square_size > slice_shape[0] or c0 + square_size > slice_shape[1]:
-            raise InvalidSpecError("active square extends outside the slice")
-        slice_active[r0 : r0 + square_size, c0 : c0 + square_size] = 1
+    size = REALISTIC_SQUARE_SIZE
+    for r0, c0 in REALISTIC_SQUARE_CORNERS:
+        slice_active[r0 : r0 + size, c0 : c0 + size] = 1
 
     active = np.zeros(dims, dtype=np.int8)
     magnitude = np.zeros(dims)
@@ -260,12 +269,13 @@ def simulate_realistic(
         factor = float(taper[s])
         if factor > 0:
             active[s] = slice_active
-            magnitude[s] = slice_active * beta1_max * factor
+            magnitude[s] = slice_active * REALISTIC_BETA1_MAX * factor
         beta1 = magnitude[s].reshape(-1, 1)
-        theta1 = (slice_active.reshape(-1, 1) * theta1_max * factor) if factor > 0 else 0.0
-        amp = beta0 + beta1 * x[None, :]
-        phase = theta0 + theta1 * x[None, :]
+        theta1 = ((slice_active.reshape(-1, 1) * REALISTIC_THETA1_MAX * factor)
+                  if factor > 0 else 0.0)
+        amp = REALISTIC_BETA0 + beta1 * x[None, :]
+        phase = REALISTIC_THETA0 + theta1 * x[None, :]
         z = rng.standard_normal((n_vox, n_time, 2))
-        eps = sigma * (z[..., 0] + 1j * z[..., 1])
+        eps = REALISTIC_SIGMA * (z[..., 0] + 1j * z[..., 1])
         data[s] = (amp * np.exp(1j * phase) + eps).reshape(*slice_shape, n_time)
     return ComplexDataset(dims, data), TrueMaps(dims, active, magnitude)

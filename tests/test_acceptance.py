@@ -208,7 +208,7 @@ class TestSamplerOracles:
         x4 = np.array([0.1, 0.9, 0.4, -0.6])
         y4 = np.array([0.8 + 0.3j, -0.2 + 1.1j, 0.5 - 0.7j, 1.0 + 0.2j])
         rho0 = 0.15 + 0.25j
-        basis = build_spatial_basis(build_adjacency(np.arange(4), (1, 4), EDGE), 2)
+        nu2 = build_spatial_basis(build_adjacency(np.arange(4), (1, 4), EDGE), 2)
         ystar, xstar = backward_transform(y4, x4, rho0)
         ks = lambda a, b: stats.ks_2samp(a, b).statistic
         dists = {}
@@ -278,9 +278,9 @@ class TestSamplerOracles:
             tau_draws, stats.invgamma(a=3, scale=ssb / 2).rvs(N_KS, random_state=10)
         )
 
-        # eta (positive side, nu2 from the basis)
+        # eta (positive side, nu2 from the spatial basis)
         kappa0 = 3.0
-        nu2_v = float(basis.nu2[1])
+        nu2_v = float(nu2[1])
         eta_draws = draw_eta(True, np.full(N_KS, nu2_v), kappa0,
                              np.random.default_rng(11).random(N_KS))
         dists["eta"] = ks(
@@ -290,10 +290,10 @@ class TestSamplerOracles:
 
         # kappa
         eta_field = np.array([0.4, -0.2, 0.9, 0.1])
-        rate = 0.5 * float(np.sum(eta_field**2 / basis.nu2)) + 1 / 2000.0
+        rate = 0.5 * float(np.sum(eta_field**2 / nu2)) + 1 / 2000.0
         rng = np.random.default_rng(15)
         kappa_draws = np.array([
-            kappa_draw(eta_field, basis.nu2, 0.5, 2000.0, rng) for _ in range(N_KS)
+            kappa_draw(eta_field, nu2, 0.5, 2000.0, rng) for _ in range(N_KS)
         ])
         dists["kappa"] = ks(
             kappa_draws, stats.gamma(a=2.5, scale=1 / rate).rvs(N_KS, random_state=16)
@@ -360,17 +360,17 @@ class TestRecoveryCriteria:
                 a = build_adjacency(vox, dims, EDGE_CORNER)
                 q = graph_laplacian(a)
                 lap_ok &= bool(np.all(q.sum(axis=1) == 0.0))
-                nu2_min = min(nu2_min, float(build_spatial_basis(a, 5).nu2.min()))
+                nu2_min = min(nu2_min, float(build_spatial_basis(a, 5).min()))
 
         # 100-sweep audited run: gamma=0 => beta=(0,0) after every sweep
         rng2 = np.random.default_rng(1)
         x = design_for_length(100).bold
         y = 0.5 + 0.05 * (rng2.standard_normal((100, 100)) + 1j * rng2.standard_normal((100, 100)))
         part = partition_grid((10, 10), 1)
-        basis = build_spatial_basis(build_adjacency(part.parcel_voxel_lists[0], (10, 10)), 5)
+        nu2 = build_spatial_basis(build_adjacency(part.parcel_voxel_lists[0], (10, 10)), 5)
         audit_ok = True
         try:
-            run_parcel_chain(y, basis, x, SamplerConfig(n_iter=100, n_burn=50, seed=0),
+            run_parcel_chain(y, nu2, x, SamplerConfig(n_iter=100, n_burn=50, seed=0),
                              parcel_seed=4, audit=True)
         except AssertionError:
             audit_ok = False

@@ -46,7 +46,7 @@ T4_RHO = 0.15 + 0.25j
 
 
 @pytest.fixture(scope="module")
-def path4_basis():
+def path4_nu2():
     a = build_adjacency(np.arange(4), (1, 4), EDGE)
     return build_spatial_basis(a, 2)
 
@@ -370,10 +370,10 @@ class TestKappa:
         oracle = stats.gamma(a=2.0, scale=1.0 / 1.5005).rvs(N_DRAWS // 5, random_state=64)
         assert ks(draws, oracle) < 1.6 * KS_TOL
 
-    def test_shape_depends_only_on_size(self, path4_basis):
+    def test_shape_depends_only_on_size(self, path4_nu2):
         rng = np.random.default_rng(65)
         big = np.array([
-            kappa_draw(np.full(4, 100.0), path4_basis.nu2, 0.5, 2000.0, rng)
+            kappa_draw(np.full(4, 100.0), path4_nu2, 0.5, 2000.0, rng)
             for _ in range(2000)
         ])
         # huge eta shrinks the scale but the shape stays (V+1)/2 = 2.5;

@@ -1,5 +1,7 @@
 """File formats: CVF1 datasets, CSV maps, PGM, key = value files."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -74,6 +76,18 @@ class TestDatasetFormat:
         raw[4] = 9
         path.write_bytes(bytes(raw))
         with pytest.raises(DataFormatError, match="version"):
+            read_dataset(path)
+
+    @pytest.mark.parametrize("dims, n_time, message", [
+        ((0, 4), 5, "grid extents must be positive"),
+        ((3, 0), 5, "grid extents must be positive"),
+        ((3, 4), 0, "series length T must be positive"),
+    ], ids=["rows=0", "cols=0", "T=0"])
+    def test_empty_header_extent_rejected(self, tmp_path, dims, n_time, message):
+        # the payload of an empty grid or series is empty, so its size matches
+        path = tmp_path / "empty.cvf"
+        path.write_bytes(b"CVF1" + struct.pack("<II2II", 1, 2, *dims, n_time))
+        with pytest.raises(DataFormatError, match=f"empty.cvf: {message}"):
             read_dataset(path)
 
     def test_non_finite_sample_rejected(self):

@@ -153,22 +153,20 @@ class TestSpatialBasis:
 
     def test_grid_basis_against_dense_oracle(self):
         a = build_adjacency(np.arange(16), (4, 4), EDGE)
-        basis = build_spatial_basis(a, 3)
-        m = basis.m
+        nu2 = build_spatial_basis(a, 3)
+        _, m = principal_eigenvectors(a, 3)
         assert np.allclose(m.T @ m, np.eye(3), atol=1e-8)
         # dense linear-algebra oracle for nu2
         q = graph_laplacian(a)
         qs = m.T @ q @ m
         nu2_oracle = 1.0 + np.diag(m @ np.linalg.inv(qs) @ m.T)
-        assert np.allclose(basis.nu2, nu2_oracle, atol=1e-8)
-        assert np.all(basis.nu2 >= 1.0)
+        assert np.allclose(nu2, nu2_oracle, atol=1e-8)
+        assert np.all(nu2 >= 1.0)
 
     def test_deterministic(self):
         a = build_adjacency(np.arange(25), (5, 5), EDGE_CORNER)
-        b1 = build_spatial_basis(a, 5)
-        b2 = build_spatial_basis(a, 5)
-        assert np.array_equal(b1.m, b2.m)
-        assert np.array_equal(b1.nu2, b2.nu2)
+        assert np.array_equal(principal_eigenvectors(a, 5)[1], principal_eigenvectors(a, 5)[1])
+        assert np.array_equal(build_spatial_basis(a, 5), build_spatial_basis(a, 5))
 
     def test_q_bounds(self):
         a = build_adjacency(np.arange(4), (1, 4), EDGE)
@@ -182,8 +180,7 @@ class TestSpatialBasis:
             p = partition_grid(dims, g)
             for vox in p.parcel_voxel_lists:
                 a = build_adjacency(vox, dims, EDGE_CORNER)
-                basis = build_spatial_basis(a, 3)
-                assert np.all(basis.nu2 >= 1.0)
+                assert np.all(build_spatial_basis(a, 3) >= 1.0)
 
     @pytest.mark.xfail(strict=True, reason=(
         "known defect: at q=5 the 5th and 6th adjacency eigenvalues of a square "
@@ -197,6 +194,6 @@ class TestSpatialBasis:
         for k in (7, 8, 14):
             for neighborhood in (EDGE, EDGE_CORNER):
                 a = build_adjacency(np.arange(k * k), (k, k), neighborhood)
-                nu2 = build_spatial_basis(a, 5).nu2.reshape(k, k)
+                nu2 = build_spatial_basis(a, 5).reshape(k, k)
                 worst = max(worst, float(np.max(np.abs(nu2 - nu2.T) / nu2)))
         assert worst < 1e-9

@@ -2,8 +2,10 @@
 
 import csv
 import os
+import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -285,6 +287,39 @@ class TestCli:
                         "--result", str(tmp_path / "truth"),
                         "--out", str(tmp_path / "m.csv")) == 3
         assert "true_activation.csv: malformed '# dims:' header" in capsys.readouterr().err
+
+    def test_missing_result_replicates_rejected(self, tmp_path, capsys):
+        maps = generate_true_maps((10, 10), [RegionSpec((4, 4), 2.0)], 0.2)
+        for rep in ("rep0", "rep1", "rep2"):
+            root = tmp_path / "truth" / rep
+            root.mkdir(parents=True)
+            dataio.write_map(root / "true_activation.csv", maps.active, integer=True)
+            dataio.write_map(root / "true_magnitude.csv", maps.magnitude)
+        result = tmp_path / "result" / "rep1"
+        result.mkdir(parents=True)
+        dataio.write_map(result / "activation.csv", maps.active, integer=True)
+        dataio.write_map(result / "magnitude.csv", maps.magnitude)
+        dataio.write_map(result / "incl_prob.csv", maps.active.astype(float))
+        assert self.run("evaluate", "--truth", str(tmp_path / "truth"),
+                        "--result", str(tmp_path / "result"),
+                        "--out", str(tmp_path / "m.csv")) == 2
+        assert "no result for truth replicate(s) rep0, rep2" in capsys.readouterr().err
+        assert not (tmp_path / "m.csv").exists()
+
+    def test_empty_dataset_header_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "empty.cvf"
+        path.write_bytes(b"CVF1" + struct.pack("<II2II", 1, 2, 50, 50, 0))
+        assert self.run("fit", "--data", str(path), "--out", str(tmp_path / "o")) == 3
+        assert "empty.cvf: series length T must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_multiplier_rejected(self, tmp_path, capsys, value):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert self.run("simulate", "--study", "ar1", "--seed", "1", "--multiplier", value,
+                            "--out", str(tmp_path / "sim")) == 2
+        err = capsys.readouterr().err
+        assert f"magnitude multiplier must be positive and finite, got {value}" in err
 
     def test_non_finite_sample_exit_code(self, tmp_path, capsys):
         ds, _, _ = small_dataset()

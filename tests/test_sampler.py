@@ -49,7 +49,7 @@ def voxel_block(rng, it, cfg, n_vox, n_time):
     return block
 
 
-def reference_chain(y, basis, x, cfg, seed):
+def reference_chain(y, nu2, x, cfg, seed):
     """Op-level reference of one parcel: the public conditionals, fed with
     per-series statistics from ``reference`` and the parcel's pregenerated
     blocks, in either mode (nonspatial inclusion from the naive formula).
@@ -90,8 +90,8 @@ def reference_chain(y, basis, x, cfg, seed):
         sigma2 = draw_sigma2(residual_ss(w[:, 1:], w[:, :-1], rho), block["sigma2"][j])
         tau2 = draw_tau2(int(gamma.sum()), float(np.sum(beta.real**2 + beta.imag**2)), tau2, rng)
         if spatial:
-            eta = draw_eta(gamma, basis.nu2, kappa, block["eta"][j])
-            kappa = draw_kappa(np.sum(eta * eta / basis.nu2), block["kappa"][j], cfg.b_kappa)
+            eta = draw_eta(gamma, nu2, kappa, block["eta"][j])
+            kappa = draw_kappa(np.sum(eta * eta / nu2), block["kappa"][j], cfg.b_kappa)
         else:
             eta_shared = draw_eta_shared(int(gamma.sum()), n_vox, rng)
         history.append((gamma.copy(), beta.copy(), rho.copy(), sigma2.copy()))
@@ -124,8 +124,8 @@ def tiny_instance():
     y = (1.0 + beta_true[:, None] * x[None, :]) * np.exp(1j * 0.6)
     y = y + 0.3 * (rng.standard_normal((n_vox, n_time)) + 1j * rng.standard_normal((n_vox, n_time)))
     adjacency = build_adjacency(np.arange(4), (1, 4), EDGE)
-    basis = build_spatial_basis(adjacency, 2)
-    return y, x, basis
+    nu2 = build_spatial_basis(adjacency, 2)
+    return y, x, nu2
 
 
 @pytest.fixture(scope="module")
@@ -137,18 +137,18 @@ def batch_instance():
     beta_true = rng.choice([0.0, 0.5, 1.0], size=sum(sizes))
     y = (1.0 + beta_true[:, None] * x[None, :]) * np.exp(1j * 0.6)
     y = y + 0.3 * (rng.standard_normal(y.shape) + 1j * rng.standard_normal(y.shape))
-    bases = [build_spatial_basis(build_adjacency(np.arange(n), (1, n), EDGE), 2) for n in sizes]
-    return y, x, bases, sizes
+    nu2s = [build_spatial_basis(build_adjacency(np.arange(n), (1, n), EDGE), 2) for n in sizes]
+    return y, x, nu2s, sizes
 
 
 class TestChainEquivalence:
     def test_chain_matches_op_level_reference(self, tiny_instance):
-        y, x, basis = tiny_instance
+        y, x, nu2 = tiny_instance
         cfg = SamplerConfig(n_iter=20, n_burn=0, seed=0)
         seed = 77777
-        summary = run_parcel_chain(y, basis, x, cfg, parcel_seed=seed,
+        summary = run_parcel_chain(y, nu2, x, cfg, parcel_seed=seed,
                                    trace_voxels=[0, 1, 2, 3])
-        history, incl, beta_mean = reference_chain(y, basis, x, cfg, seed)
+        history, incl, beta_mean = reference_chain(y, nu2, x, cfg, seed)
         assert_trace_matches(summary.trace, history, range(4))
         assert np.allclose(summary.incl_prob, incl, atol=1e-12)
         assert np.allclose(summary.beta_mean, beta_mean, rtol=1e-9, atol=1e-12)
@@ -156,14 +156,14 @@ class TestChainEquivalence:
     def test_batch_matches_op_level_reference(self, batch_instance):
         # three parcels in one batch, over a block boundary: each parcel must
         # follow its own stream as if it ran alone
-        y, x, bases, sizes = batch_instance
+        y, x, nu2s, sizes = batch_instance
         cfg = SamplerConfig(n_iter=BLOCK_SWEEPS + 8, n_burn=8, seed=0)
         seeds = [derive_seed(404, g) for g in range(3)]
-        summary = run_parcel_chain(y, bases, x, cfg, parcel_seed=seeds, sizes=sizes,
+        summary = run_parcel_chain(y, nu2s, x, cfg, parcel_seed=seeds, sizes=sizes,
                                    trace_voxels=range(y.shape[0]))
         lo = 0
-        for basis, size, seed in zip(bases, sizes, seeds):
-            history, incl, beta_mean = reference_chain(y[lo:lo + size], basis, x, cfg, seed)
+        for nu2, size, seed in zip(nu2s, sizes, seeds):
+            history, incl, beta_mean = reference_chain(y[lo:lo + size], nu2, x, cfg, seed)
             assert_trace_matches(summary.trace, history, range(lo, lo + size))
             assert np.allclose(summary.incl_prob[lo:lo + size], incl, atol=1e-12)
             assert np.allclose(summary.beta_mean[lo:lo + size], beta_mean,
@@ -173,14 +173,17 @@ class TestChainEquivalence:
 
 class TestChainBehavior:
     def test_deterministic(self, tiny_instance):
-        y, x, basis = tiny_instance
+        y, x, nu2 = tiny_instance
         cfg = SamplerConfig(n_iter=60, n_burn=20, seed=0)
-        a = run_parcel_chain(y, basis, x, cfg, parcel_seed=42)
-        b = run_parcel_chain(y, basis, x, cfg, parcel_seed=42)
+        a = run_parcel_chain(y, nu2, x, cfg, parcel_seed=42)
+        b = run_parcel_chain(y, nu2, x, cfg, parcel_seed=42)
         assert np.array_equal(a.incl_prob, b.incl_prob)
         assert np.array_equal(a.beta_mean, b.beta_mean)
         assert np.array_equal(a.mcse, b.mcse)
-        assert a.n_kept == cfg.n_iter - cfg.n_burn
+        # a lone parcel's nu2 and seed, alone or as a batch of one
+        c = run_parcel_chain(y, [nu2], x, cfg, parcel_seed=[42])
+        assert np.array_equal(a.incl_prob, c.incl_prob)
+        assert np.array_equal(a.beta_mean, c.beta_mean)
 
     def test_pure_noise_parcel_stays_quiet(self):
         rng = np.random.default_rng(8)
@@ -188,9 +191,9 @@ class TestChainBehavior:
         x = design_for_length(n_time).bold
         y = 0.5 + 0.2 * (rng.standard_normal((n_vox, n_time)) + 1j * rng.standard_normal((n_vox, n_time)))
         part = partition_grid((10, 10), 1)
-        basis = build_spatial_basis(build_adjacency(part.parcel_voxel_lists[0], (10, 10)), 5)
+        nu2 = build_spatial_basis(build_adjacency(part.parcel_voxel_lists[0], (10, 10)), 5)
         cfg = SamplerConfig(n_iter=400, n_burn=200, seed=0)
-        summary = run_parcel_chain(y, basis, x, cfg, parcel_seed=3)
+        summary = run_parcel_chain(y, nu2, x, cfg, parcel_seed=3)
         below = np.mean(summary.incl_prob < cfg.threshold)
         assert below >= 0.99
 
@@ -202,9 +205,9 @@ class TestChainBehavior:
         beta_true = np.array([0.0, 5 * sigma, 0.0, 0.0])  # CNR 5
         y = (0.5 + beta_true[:, None] * x[None, :]) * np.exp(1j * np.pi / 4)
         y = y + sigma * (rng.standard_normal((4, n_time)) + 1j * rng.standard_normal((4, n_time)))
-        basis = build_spatial_basis(build_adjacency(np.arange(4), (1, 4), EDGE), 2)
+        nu2 = build_spatial_basis(build_adjacency(np.arange(4), (1, 4), EDGE), 2)
         cfg = SamplerConfig(n_iter=400, n_burn=200, seed=0)
-        summary = run_parcel_chain(y, basis, x, cfg, parcel_seed=5)
+        summary = run_parcel_chain(y, nu2, x, cfg, parcel_seed=5)
         assert summary.incl_prob[1] > 0.99
 
     def test_inclusion_monotone_in_signal_strength(self):
@@ -212,22 +215,22 @@ class TestChainBehavior:
         x = design_for_length(n_time).bold
         sigma = 0.05
         beta_true = np.array([0.5 * sigma, 2.0 * sigma, 0.0, 0.0])
-        basis = build_spatial_basis(build_adjacency(np.arange(4), (1, 4), EDGE), 2)
+        nu2 = build_spatial_basis(build_adjacency(np.arange(4), (1, 4), EDGE), 2)
         cfg = SamplerConfig(n_iter=200, n_burn=100, seed=0)
         weak, strong = [], []
         for seed in range(20):
             rng = np.random.default_rng(1000 + seed)
             y = (0.5 + beta_true[:, None] * x[None, :]) * np.exp(1j * np.pi / 4)
             y = y + sigma * (rng.standard_normal((4, n_time)) + 1j * rng.standard_normal((4, n_time)))
-            summary = run_parcel_chain(y, basis, x, cfg, parcel_seed=seed)
+            summary = run_parcel_chain(y, nu2, x, cfg, parcel_seed=seed)
             weak.append(summary.incl_prob[0])
             strong.append(summary.incl_prob[1])
         assert np.mean(strong) > np.mean(weak)
 
     def test_audit_invariants_hold(self, tiny_instance):
-        y, x, basis = tiny_instance
+        y, x, nu2 = tiny_instance
         cfg = SamplerConfig(n_iter=100, n_burn=50, seed=0)
-        run_parcel_chain(y, basis, x, cfg, parcel_seed=11, audit=True)
+        run_parcel_chain(y, nu2, x, cfg, parcel_seed=11, audit=True)
 
     def test_nonspatial_mode(self, tiny_instance):
         y, x, _ = tiny_instance
@@ -246,9 +249,9 @@ class TestChainBehavior:
         assert_trace_matches(summary.trace, history, range(4))
 
     def test_rejects_mismatched_inputs(self, tiny_instance):
-        y, x, basis = tiny_instance
+        y, x, nu2 = tiny_instance
         with pytest.raises(InvalidSpecError):
-            run_parcel_chain(y[:, :6], basis, x, SamplerConfig(seed=0), parcel_seed=1)
+            run_parcel_chain(y[:, :6], nu2, x, SamplerConfig(seed=0), parcel_seed=1)
         # too few kept draws for the MCSE is a bad setting, caught before any chain
         with pytest.raises(InvalidSpecError, match="kept draws"):
             SamplerConfig(n_iter=20, n_burn=10, seed=0)
@@ -268,7 +271,7 @@ class TestBatchInvariance:
         beta_true = np.where(rng.random(n_vox) < 0.3, 0.15, 0.0)
         y = (1.0 + beta_true[:, None] * x[None, :]) * np.exp(0.4j)
         y = y + 0.05 * (rng.standard_normal(y.shape) + 1j * rng.standard_normal(y.shape))
-        bases = [build_spatial_basis(build_adjacency(v, dims), 3) for v in lists]
+        nu2s = [build_spatial_basis(build_adjacency(v, dims), 3) for v in lists]
         seeds = [derive_seed(9, g) for g in range(6)]
         cfg = SamplerConfig(n_iter=2 * BLOCK_SWEEPS + 10, n_burn=30, mode=mode, seed=9)
 
@@ -277,7 +280,7 @@ class TestBatchInvariance:
             for lo, hi in zip(bounds[:-1], bounds[1:]):
                 sizes = [len(v) for v in lists[lo:hi]]
                 s = run_parcel_chain(y[np.concatenate(lists[lo:hi])],
-                                     bases[lo:hi] if mode == "spatial" else None, x, cfg,
+                                     nu2s[lo:hi] if mode == "spatial" else None, x, cfg,
                                      seeds[lo:hi], sizes=sizes, parcel_ids=range(lo, hi))
                 cuts = np.cumsum(sizes)[:-1]
                 out += [tuple(a.tobytes() for a in fields)
@@ -290,14 +293,14 @@ class TestBatchInvariance:
             assert per_parcel(bounds) == alone, bounds
 
     def test_batch_rejects_mismatched_parts(self, batch_instance):
-        y, x, bases, sizes = batch_instance
+        y, x, nu2s, sizes = batch_instance
         cfg = SamplerConfig(n_iter=40, n_burn=20, seed=0)
         with pytest.raises(InvalidSpecError):
-            run_parcel_chain(y, bases, x, cfg, [1, 2, 3], sizes=(4, 3, 4))
+            run_parcel_chain(y, nu2s, x, cfg, [1, 2, 3], sizes=(4, 3, 4))
         with pytest.raises(InvalidSpecError):
-            run_parcel_chain(y, bases, x, cfg, [1, 2], sizes=sizes)
+            run_parcel_chain(y, nu2s, x, cfg, [1, 2], sizes=sizes)
         with pytest.raises(InvalidSpecError, match="parcel 7: basis size"):
-            run_parcel_chain(y, bases[::-1], x, cfg, [1, 2, 3], sizes=sizes,
+            run_parcel_chain(y, nu2s[::-1], x, cfg, [1, 2, 3], sizes=sizes,
                              parcel_ids=[7, 8, 9])
 
 
@@ -339,7 +342,6 @@ class TestSummarize:
                 beta_mean=beta.reshape(-1)[voxels],
                 mcse=np.zeros(voxels.size),
                 converged=True,
-                n_kept=100,
             ))
         return out
 

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from cvfmri import simulate
 from cvfmri.data import TrueMaps
 from cvfmri.design import DesignVector, design_for_length
 from cvfmri.errors import InvalidSpecError
@@ -195,12 +196,9 @@ class TestRealistic:
 
     def test_cnr_configuration(self):
         # slice 4 maxima: magnitude CNR 0.5/1 and phase CNR (pi/120)/25
-        from inspect import signature
-
-        params = signature(simulate_realistic).parameters
-        assert params["beta1_max"].default / params["sigma"].default == pytest.approx(0.5)
-        assert params["theta1_max"].default == pytest.approx(math.pi / 120)
-        assert params["beta0"].default / params["sigma"].default == pytest.approx(25.0)
+        assert simulate.REALISTIC_BETA1_MAX / simulate.REALISTIC_SIGMA == pytest.approx(0.5)
+        assert simulate.REALISTIC_THETA1_MAX == pytest.approx(math.pi / 120)
+        assert simulate.REALISTIC_BETA0 / simulate.REALISTIC_SIGMA == pytest.approx(25.0)
 
     def test_deterministic(self):
         a, _ = simulate_realistic(8, n_time=40)
