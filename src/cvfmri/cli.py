@@ -75,7 +75,8 @@ _FIT_SETTINGS = {
     "neighborhood": (pipeline.FitConfig, "neighborhood", str, "edge or edge+corner"),
     "workers": (pipeline.FitConfig, "workers", int, None),
     "psi": (SamplerConfig, "psi", float, "probit prior offset"),
-    "q": (SamplerConfig, "q", int, "spatial basis rank"),
+    "q": (SamplerConfig, "q", int,
+          "minimum spatial basis rank; eigenvalues tied with the q-th add columns"),
     "iters": (SamplerConfig, "n_iter", int, None),
     "burn": (SamplerConfig, "n_burn", int, None),
     "threshold": (SamplerConfig, "threshold", float, None),
@@ -130,11 +131,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_simulate(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     dataset, maps, design = pipeline.simulate_study_dataset(
         args.study, args.seed, n_time=args.T, multiplier=args.multiplier
     )
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     dataio.write_dataset(out / "dataset.cvf", dataset)
     dataio.write_map(out / "true_activation.csv", maps.active, integer=True)
     dataio.write_map(out / "true_magnitude.csv", maps.magnitude)

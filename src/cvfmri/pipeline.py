@@ -376,6 +376,8 @@ def simulate_study_dataset(study: str, seed: int, n_time: int = 200,
     if study == "realistic":
         dataset, maps = simulate_realistic(derive_seed(seed, 2))
         return dataset, maps, realistic_design(dataset.n_time)
+    if n_time < 3:
+        raise InvalidSpecError(f"T must be at least 3 (the fewest a chain takes), got {n_time}")
     design = design_for_length(n_time)
     maps = generate_true_maps((50, 50), regions=None, multiplier=multiplier,
                               seed=derive_seed(seed, 0))
@@ -471,6 +473,10 @@ def reproduce(study: str, n_replicates: int, seed: int, out_dir, workers=None):
 
     ``study`` is one of iid, ar1, params, realistic. Returns the report rows.
     """
+    if study not in ("iid", "ar1", "params", "realistic"):
+        raise InvalidSpecError(f"unknown study {study!r}")
+    if n_replicates < 1:
+        raise InvalidSpecError(f"replicates must be at least 1, got {n_replicates}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if study in ("iid", "ar1"):
@@ -480,14 +486,12 @@ def reproduce(study: str, n_replicates: int, seed: int, out_dir, workers=None):
         rows = _reproduce_params(n_replicates, seed, workers)
         write_report_csv(out / "report.csv", rows,
                          columns=("setting",) + REPORT_COLUMNS, mean_row=False)
-    elif study == "realistic":
+    else:
         rows = _reproduce_realistic(seed, workers)
         with open(out / "report.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(("slice",) + REALISTIC_COLUMNS)
             writer.writerows(rows)
-    else:
-        raise InvalidSpecError(f"unknown study {study!r}")
     dataio.write_keyvalues(
         out / "manifest.txt",
         {"study": study, "replicates": n_replicates, "seed": seed},

@@ -1,8 +1,15 @@
 """Partitioning, adjacency, Laplacian, and the spatial basis."""
 
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from cvfmri import parcellation
 from cvfmri.errors import InvalidSpecError, SingularBasisError
 from cvfmri.parcellation import (
     EDGE,
@@ -83,13 +90,13 @@ class TestPartition:
 class TestAdjacency:
     def test_horizontal_pair(self):
         a = build_adjacency(np.array([0, 1]), (1, 2), EDGE)
-        assert a.tolist() == [[0, 1], [1, 0]]
+        assert a.toarray().tolist() == [[0, 1], [1, 0]]
 
     def test_diagonal_pair(self):
         # voxels (0,0) and (1,1) on a 2x2 grid
         vox = np.array([0, 3])
-        assert build_adjacency(vox, (2, 2), EDGE).tolist() == [[0, 0], [0, 0]]
-        assert build_adjacency(vox, (2, 2), EDGE_CORNER).tolist() == [[0, 1], [1, 0]]
+        assert build_adjacency(vox, (2, 2), EDGE).toarray().tolist() == [[0, 0], [0, 0]]
+        assert build_adjacency(vox, (2, 2), EDGE_CORNER).toarray().tolist() == [[0, 1], [1, 0]]
 
     def test_moore_center_degree(self):
         a = build_adjacency(np.arange(9), (3, 3), EDGE_CORNER)
@@ -182,10 +189,6 @@ class TestSpatialBasis:
                 a = build_adjacency(vox, dims, EDGE_CORNER)
                 assert np.all(build_spatial_basis(a, 3) >= 1.0)
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "known defect: at q=5 the 5th and 6th adjacency eigenvalues of a square "
-        "parcel tie, and column 5 of M is whichever unit vector of that 2-D "
-        "eigenspace LAPACK's rounding returns, so nu2 is not transpose-symmetric"))
     def test_square_parcel_nu2_is_transpose_symmetric(self):
         # a square grid graph is invariant under transposition, so any basis
         # that depends on the graph alone gives a transpose-symmetric nu2
@@ -197,3 +200,69 @@ class TestSpatialBasis:
                 nu2 = build_spatial_basis(a, 5).reshape(k, k)
                 worst = max(worst, float(np.max(np.abs(nu2 - nu2.T) / nu2)))
         assert worst < 1e-9
+
+
+def _basis_on(path, monkeypatch, a, q):
+    """Column count of M and nu2 with the eigensolver forced onto one path."""
+    limit = {"dense": 10**9, "sparse": 0}[path]
+    monkeypatch.setattr(parcellation, "DENSE_EIGH_MAX_VOXELS", limit)
+    return principal_eigenvectors(a, q)[1].shape[1], build_spatial_basis(a, q)
+
+
+class TestSolverPaths:
+    @pytest.mark.parametrize("neighborhood", [EDGE, EDGE_CORNER])
+    @pytest.mark.parametrize("dims, columns", [
+        ((7, 7), 6), ((14, 14), 6), ((30, 30), 6), ((50, 49), 5), ((12, 12, 12), 7),
+    ])
+    def test_dense_and_sparse_agree(self, monkeypatch, dims, columns, neighborhood):
+        # squares tie the 5th and 6th eigenvalues and cubes the 5th to 7th, so
+        # both paths must take the whole tied eigenspace; 50x49 has no tie at q=5
+        a = build_adjacency(np.arange(np.prod(dims)), dims, neighborhood)
+        cols_dense, nu2_dense = _basis_on("dense", monkeypatch, a, 5)
+        cols_sparse, nu2_sparse = _basis_on("sparse", monkeypatch, a, 5)
+        assert cols_dense == cols_sparse == columns
+        assert np.max(np.abs(nu2_sparse - nu2_dense) / nu2_dense) < 1e-10
+        if dims[0] == dims[1]:
+            square = nu2_sparse.reshape(dims[0], dims[1], -1)
+            assert np.max(np.abs(square - square.transpose(1, 0, 2)) / square) < 1e-9
+
+    def test_size_selects_the_solver(self):
+        # the constant, not an option, picks the path: 49-196 voxel parcels
+        # stay dense and a 2500-voxel parcel goes sparse
+        assert 196 < parcellation.DENSE_EIGH_MAX_VOXELS < 2500
+
+    def test_dense_adjacency_accepted(self):
+        a = build_adjacency(np.arange(100), (10, 10), EDGE_CORNER)
+        assert np.array_equal(build_spatial_basis(a.toarray(), 5), build_spatial_basis(a, 5))
+
+    def test_volume_parcel_memory_stays_bounded(self):
+        # one 7x50x50 parcel: a dense int8 adjacency alone would take 306 MB
+        dims = (7, 50, 50)
+        tracemalloc.start()
+        try:
+            a = build_adjacency(np.arange(np.prod(dims)), dims, EDGE_CORNER)
+            nu2 = build_spatial_basis(a, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert nu2.shape == (np.prod(dims),) and np.all(nu2 >= 1.0)
+        assert peak < 64 * 2**20
+
+    def test_nu2_does_not_depend_on_blas_threads(self):
+        # the 2500-voxel parcel of a G=1 fit on a 50x50 image (the sparse path)
+        src = str(Path(parcellation.__file__).parents[1])
+        code = (
+            "import numpy as np\n"
+            "from cvfmri.parcellation import build_adjacency, build_spatial_basis\n"
+            "a = build_adjacency(np.arange(2500), (50, 50))\n"
+            "print(build_spatial_basis(a, 5).tobytes().hex())\n"
+        )
+        outputs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+                   "MKL_NUM_THREADS": threads, "PYTHONPATH": os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")]))}
+            proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                                  text=True, env=env, check=True)
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]

@@ -320,6 +320,16 @@ class TestCli:
                             "--out", str(tmp_path / "sim")) == 2
         err = capsys.readouterr().err
         assert f"magnitude multiplier must be positive and finite, got {value}" in err
+        assert not (tmp_path / "sim").exists()
+
+    @pytest.mark.parametrize("n_time", ["2", "1"])
+    def test_simulate_rejects_short_series_before_creating_out(self, tmp_path, capsys, n_time):
+        out = tmp_path / "sim"
+        assert self.run("simulate", "--study", "ar1", "--seed", "1", "--T", n_time,
+                        "--out", str(out)) == 2
+        assert f"T must be at least 3 (the fewest a chain takes), got {n_time}" in \
+            capsys.readouterr().err
+        assert not out.exists()
 
     def test_non_finite_sample_exit_code(self, tmp_path, capsys):
         ds, _, _ = small_dataset()
@@ -416,3 +426,12 @@ class TestReproduceCli:
         assert table[-1][0] == "mean"
         acc = float(table[1][1])
         assert 0.8 < acc <= 1.0
+
+    @pytest.mark.parametrize("study", ["ar1", "params", "realistic"])
+    @pytest.mark.parametrize("replicates", ["0", "-3"])
+    def test_replicates_below_one_rejected(self, tmp_path, capsys, study, replicates):
+        out = tmp_path / "study"
+        assert cli.main(["reproduce", "--study", study, "--replicates", replicates,
+                         "--seed", "1", "--out", str(out)]) == 2
+        assert f"replicates must be at least 1, got {replicates}" in capsys.readouterr().err
+        assert not out.exists()
