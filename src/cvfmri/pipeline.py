@@ -6,14 +6,26 @@ parcels, balanced by voxel count, builds each parcel's adjacency and spatial
 basis, and runs the whole range as one batch of the sampler's engine. Every
 parcel draws from a stream seeded by the master seed and its index alone, so
 outputs do not depend on the number of workers or on scheduling order.
+
+The parcel stage runs under one BLAS thread: the fit sets every loaded
+OpenBLAS to one thread and gives the caller's count back afterwards, and pool
+workers pin it again when they start. The pool forks, and each worker reads
+its batch from the parent's memory; only a batch index and the summaries
+cross the pipe. The default worker count is the number of CPUs the process
+may run on. Without BLAS helper threads competing for those CPUs the pool
+pays off even on small data: on two vCPUs an ar1 50x50 fit at G=49 took
+0.89-0.94 s with two workers against 1.28-1.54 s with one, where with the
+libraries' own two threads each, two workers were slower than one.
 """
 
 from __future__ import annotations
 
 import csv
+import multiprocessing
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -93,7 +105,11 @@ class FitConfig:
             raise InvalidSpecError(f"workers must be at least 1, got {self.workers}")
 
     def resolved_workers(self) -> int:
-        w = self.workers if self.workers is not None else (os.cpu_count() or 1)
+        """The worker count, by default one per CPU this process may run on."""
+        w = self.workers
+        if w is None:
+            w = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                 else os.cpu_count() or 1)
         return min(w, self.n_parcels)
 
 
@@ -118,6 +134,69 @@ def _parcel_ranges(sizes, workers: int) -> list:
     cuts = np.rint(np.interp(ends[-1] * k / workers, np.r_[0, ends], np.arange(len(sizes) + 1)))
     cuts = np.maximum.accumulate(np.maximum(cuts.astype(int) - k, 0)) + k
     return [0, *np.minimum(cuts, len(sizes) - workers + k).tolist(), len(sizes)]
+
+
+def _openblas_thread_setters() -> list:
+    """``(get, set)`` thread-count functions of each OpenBLAS loaded into this
+    process: numpy's build (suffix ``64_``, 64-bit integers) and scipy's.
+    Empty where none is found."""
+    import ctypes
+
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split()[-1] for line in fh
+                            if "openblas" in line and ".so" in line})
+    except OSError:
+        return []
+    found = []
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for suffix in ("64_", ""):
+            get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
+            put = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                found.append((get, put))
+                break
+    return found
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the block with one BLAS thread, then restore each library's count.
+
+    Two processes on two CPUs, each with a BLAS helper thread, slow every
+    dense product and ``eigh``; one thread also makes the basis bits the same
+    whatever thread count the caller set."""
+    found = _openblas_thread_setters()
+    before = [get() for get, _ in found]
+    try:
+        for _, put in found:
+            put(1)
+        yield
+    finally:
+        for (_, put), n in zip(found, before):
+            put(n)
+
+
+#: A pool worker's job tuples; see ``_start_worker``.
+_worker_jobs: list = []
+
+
+def _start_worker(jobs):
+    """Pool initializer: keep the fit's job tuples and pin one BLAS thread.
+
+    The pool forks, so ``jobs`` reaches the worker as inherited memory, not
+    pickled, and each task names its job by index alone."""
+    global _worker_jobs
+    _worker_jobs = jobs
+    for _, put in _openblas_thread_setters():
+        put(1)
+
+
+def _worker_job(index: int):
+    return _batch_job(_worker_jobs[index])
 
 
 def _batch_job(args):
@@ -149,7 +228,11 @@ def fit_dataset(dataset: ComplexDataset, design: DesignVector, cfg: FitConfig) -
     """Partition, run all parcel chains, and stitch the result maps.
 
     The output is a pure function of (dataset, design, sampler config, seed);
-    worker count only affects wall-clock time.
+    worker count only affects wall-clock time. The basis builds and chains
+    run under one BLAS thread, in this process and in the pool alike, and the
+    caller's BLAS thread count is restored when the fit returns or raises.
+    With more than one worker the parcel ranges run in a forked process pool
+    whose workers inherit their rows instead of receiving them pickled.
     """
     if design.n_time != dataset.n_time:
         raise InvalidSpecError(
@@ -182,11 +265,14 @@ def fit_dataset(dataset: ComplexDataset, design: DesignVector, cfg: FitConfig) -
         jobs.append((lo, voxel_lists, flat[voxels], design.bold, cfg.sampler,
                      cfg.neighborhood, dataset.dims, cfg.sampler.seed, list(rows.values())))
 
-    if workers == 1:
-        results = [_batch_job(job) for job in jobs]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_batch_job, jobs))
+    with _one_blas_thread():
+        if workers == 1:
+            results = [_batch_job(job) for job in jobs]
+        else:
+            with ProcessPoolExecutor(max_workers=workers,
+                                     mp_context=multiprocessing.get_context("fork"),
+                                     initializer=_start_worker, initargs=(jobs,)) as pool:
+                results = list(pool.map(_worker_job, range(len(jobs))))
 
     maps = summarize(results, partition, cfg.sampler.threshold)
     incl = stitch_voxel_field(partition, results, lambda s: s.incl_prob)

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cvfmri import cli, dataio
+from cvfmri import cli, dataio, pipeline
 from cvfmri.data import ComplexDataset
 from cvfmri.design import design_for_length
 from cvfmri.errors import InvalidSpecError
@@ -92,6 +92,118 @@ class TestFitPipeline:
         result = fit_dataset(ds, design, cfg)
         assert result.maps.activation[maps.active == 1].mean() > 0.9
         assert result.maps.activation[maps.active == 0].mean() < 0.1
+
+    def test_default_workers_follow_cpu_affinity(self, monkeypatch):
+        # a fit pinned to one CPU of an eight-CPU host starts one worker
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert FitConfig(n_parcels=9).resolved_workers() == 1
+        assert FitConfig(n_parcels=9, workers=3).resolved_workers() == 3
+
+
+def openblas_thread_functions():
+    """``(get, set)`` of each OpenBLAS loaded here, found without cvfmri."""
+    import ctypes
+
+    with open("/proc/self/maps") as fh:
+        paths = sorted({line.split()[-1] for line in fh if "openblas" in line and ".so" in line})
+    found = []
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for suffix in ("64_", ""):
+            get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
+            put = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                found.append((get, put))
+                break
+    return found
+
+
+class TestBlasThreads:
+    @pytest.fixture
+    def two_caller_threads(self):
+        """Give every OpenBLAS two threads for the test, then the old count."""
+        libs = openblas_thread_functions() if sys.platform == "linux" else []
+        if not libs:
+            pytest.skip("no OpenBLAS with a thread-count interface is loaded")
+        before = [get() for get, _ in libs]
+        try:
+            for _, put in libs:
+                put(2)
+            if [get() for get, _ in libs] != [2] * len(libs):
+                pytest.skip("OpenBLAS does not take two threads here")
+            yield lambda: [get() for get, _ in libs]
+        finally:
+            for (_, put), n in zip(libs, before):
+                put(n)
+
+    @pytest.mark.parametrize("fails", [False, True])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_parcel_stage_runs_on_one_blas_thread(self, tmp_path, monkeypatch,
+                                                  two_caller_threads, workers, fails):
+        # each batch's chain records the thread counts it ran under, from
+        # whichever process runs it
+        chain = pipeline.run_parcel_chain
+
+        def recording(*args, **kwargs):
+            seen = tmp_path / f"batch{kwargs['parcel_ids'][0]}"
+            seen.write_text(" ".join(map(str, two_caller_threads())))
+            if fails:
+                raise InvalidSpecError("stop after recording")
+            return chain(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "run_parcel_chain", recording)
+        ds, _, design = small_dataset()
+        cfg = FitConfig(n_parcels=4, workers=workers,
+                        sampler=SamplerConfig(n_iter=40, n_burn=20, seed=5))
+        if fails:
+            with pytest.raises(InvalidSpecError, match="stop after recording"):
+                fit_dataset(ds, design, cfg)
+        else:
+            fit_dataset(ds, design, cfg)
+        counts = [p.read_text().split() for p in sorted(tmp_path.glob("batch*"))]
+        assert len(counts) == workers or fails and 1 <= len(counts) <= workers
+        assert all(set(c) == {"1"} for c in counts)
+        assert set(two_caller_threads()) == {2}
+
+    def test_fit_maps_do_not_depend_on_blas_threads(self, tmp_path):
+        # a 28x28 grid at G=4 has 14x14 parcels, which take the dense eigh;
+        # its nu2 bits follow the BLAS thread count unless the fit pins it.
+        # The child writes a digest of each nu2 the fit builds, one line per
+        # write call, so that the two workers' lines do not interleave.
+        maps = generate_true_maps((28, 28), [RegionSpec((13, 13), 4.0)], 0.15)
+        design = design_for_length(80)
+        ds = simulate_iid(maps, design, SignalSpec(beta0=0.5), NoiseSpec("iid", sigma=0.05), 7)
+        dataio.write_dataset(tmp_path / "d.cvf", ds)
+        code = (
+            "import hashlib, os, sys\n"
+            "from cvfmri import cli, pipeline\n"
+            "build = pipeline.build_spatial_basis\n"
+            "def digested(*args):\n"
+            "    nu2 = build(*args)\n"
+            "    os.write(1, f'nu2 {hashlib.sha256(nu2.tobytes()).hexdigest()}\\n'.encode())\n"
+            "    return nu2\n"
+            "pipeline.build_spatial_basis = digested\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n"
+        )
+        src = str(Path(cli.__file__).parents[1])
+        outs, digests = [], []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+            out = tmp_path / f"t{threads}"
+            proc = subprocess.run(
+                [sys.executable, "-c", code, "fit", "--data", str(tmp_path / "d.cvf"),
+                 "--out", str(out), "--G", "4", "--iters", "80", "--burn", "40", "--seed", "3",
+                 "--workers", "2"],
+                capture_output=True, text=True, env=env, check=True,
+            )
+            outs.append(out)
+            digests.append(sorted(ln for ln in proc.stdout.splitlines() if ln.startswith("nu2 ")))
+        assert len(digests[0]) == 4 and digests[0] == digests[1]
+        for name in ("activation.csv", "magnitude.csv", "phase.csv", "incl_prob.csv",
+                     "mcse.csv"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
 class TestCli:
