@@ -496,18 +496,16 @@ def _run_replicate(study, master_seed, rep, fit_cfg: FitConfig, n_time=200):
     return row, result
 
 
-def _reproduce_simple(study, n_replicates, seed, workers):
+def _reproduce_simple(study, n_replicates, seed, base: FitConfig):
     rows = []
-    cfg = FitConfig(workers=workers)
     for rep in range(n_replicates):
-        row, _ = _run_replicate(study, seed, rep, cfg)
+        row, _ = _run_replicate(study, seed, rep, base)
         rows.append(row)
     return rows
 
 
-def _reproduce_params(n_replicates, seed, workers):
+def _reproduce_params(n_replicates, seed, base: FitConfig):
     """One-at-a-time sweeps over psi, parcel count, and series length."""
-    base = FitConfig(workers=workers)
     sections = [(f"psi=ndtri({p})", replace(base, sampler=SamplerConfig(psi=ndtri(p))), 200)
                 for p in (0.02, 0.20, 0.35, 0.47)]
     sections += [(f"G={g}", replace(base, n_parcels=g), 200) for g in (1, 4, 9, 16)]
@@ -526,7 +524,7 @@ def _reproduce_params(n_replicates, seed, workers):
     return rows
 
 
-def _reproduce_realistic(seed, workers):
+def _reproduce_realistic(seed, base: FitConfig):
     """Per-slice detection table for the seven-slice dynamic-phase volume."""
     dataset, maps = simulate_realistic(derive_seed(seed, 2))
     design = realistic_design(dataset.n_time)
@@ -534,11 +532,8 @@ def _reproduce_realistic(seed, workers):
     for s in range(dataset.dims[0]):
         sl = dataset.slice_dataset(s)
         truth = maps.slice_maps(s)
-        cfg = FitConfig(
-            n_parcels=REALISTIC_G,
-            workers=workers,
-            sampler=SamplerConfig(psi=REALISTIC_PSI, seed=derive_seed(seed, 100 + s)),
-        )
+        cfg = replace(base, n_parcels=REALISTIC_G,
+                      sampler=SamplerConfig(psi=REALISTIC_PSI, seed=derive_seed(seed, 100 + s)))
         result = fit_dataset(sl, design, cfg)
         cls = classification_metrics(truth.active, result.maps.activation)
         rows.append([
@@ -563,17 +558,18 @@ def reproduce(study: str, n_replicates: int, seed: int, out_dir, workers=None):
         raise InvalidSpecError(f"unknown study {study!r}")
     if n_replicates < 1:
         raise InvalidSpecError(f"replicates must be at least 1, got {n_replicates}")
+    base = FitConfig(workers=workers)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if study in ("iid", "ar1"):
-        rows = _reproduce_simple(study, n_replicates, seed, workers)
+        rows = _reproduce_simple(study, n_replicates, seed, base)
         write_report_csv(out / "report.csv", rows)
     elif study == "params":
-        rows = _reproduce_params(n_replicates, seed, workers)
+        rows = _reproduce_params(n_replicates, seed, base)
         write_report_csv(out / "report.csv", rows,
                          columns=("setting",) + REPORT_COLUMNS, mean_row=False)
     else:
-        rows = _reproduce_realistic(seed, workers)
+        rows = _reproduce_realistic(seed, base)
         with open(out / "report.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(("slice",) + REALISTIC_COLUMNS)

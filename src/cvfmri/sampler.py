@@ -27,19 +27,17 @@ Within a sweep the voxel-level updates (gamma, beta, rho, sigma^2) are
 conditionally independent given the parcel-level state, so they are performed
 as vectorized stage updates; this realizes the same transition kernel as a
 fixed voxel-order scan. One engine runs a batch of parcels stacked along the
-voxel axis: each voxel stage is one numpy call across every parcel of the
-batch, parcel-level sums are ``np.add.reduceat`` over the parcels' offsets
-(the sum of each parcel's own segment), and only the scalar tau^2 (and
-nonspatial rate) draws loop over parcels. A lone parcel is a batch of one.
+voxel axis: each stage is one numpy call across every parcel of the batch, and
+parcel-level sums are ``np.add.reduceat`` over the parcels' offsets (the sum
+of each parcel's own segment). A lone parcel is a batch of one.
 
 Each parcel has its own random stream, ``default_rng(derive_seed(master, g))``.
-Its voxel draws have fixed counts, for every voxel whether it uses them or
-not, and are pregenerated in blocks of ``BLOCK_SWEEPS`` sweeps (the layout is
-given there); tau^2 and the nonspatial rate are drawn per sweep from the same
-generator. So a parcel's draws, and its maps, do not depend on which batch or
-worker runs it. Each conditional is written once, as a public function
-of its sufficient statistics and standard variates (``inclusion_probability``
-and the ``draw_*`` functions); the engine calls them, and the test suite feeds
+Every draw a parcel uses has a fixed count, for every voxel whether it uses it
+or not, and is pregenerated in blocks of ``BLOCK_SWEEPS`` sweeps (the layout is
+given there). So a parcel's draws, and its maps, do not depend on which batch
+or worker runs it. Each conditional is written once, as a public function of
+its sufficient statistics and standard variates (``inclusion_probability`` and
+the ``draw_*`` functions); the engine calls them, and the test suite feeds
 them from an independent per-series reference.
 """
 
@@ -49,7 +47,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, log_ndtr, ndtri
+from scipy.special import betaincinv, expit, gammaincinv, log_ndtr, ndtri
 
 from .errors import (
     DegeneratePosteriorError,
@@ -277,15 +275,18 @@ def draw_sigma2(ss, g):
     return (ss / 2.0) / g
 
 
-def draw_tau2(n_active, ssb, prev_tau2, rng):
-    """Slab variance of one parcel, or ``prev_tau2`` when nothing is active."""
-    if n_active == 0:
-        return prev_tau2
-    if ssb <= 0.0:
+def draw_tau2(n_active, ssb, prev_tau2, u):
+    """Slab variances of parcels with ``n_active`` active voxels whose squared
+    coefficients sum to ``ssb``: inverse gamma IG(k, ssb/2) by inverse
+    transform of uniforms ``u``, or ``prev_tau2`` where nothing is active."""
+    active = n_active > 0
+    if np.any(active & (ssb <= 0.0)):
         raise DegeneratePosteriorError(
             "slab variance update saw active voxels with zero coefficients"
         )
-    return (ssb / 2.0) / rng.standard_gamma(n_active)
+    # the clamp keeps u == 0 finite, as in draw_eta
+    g = gammaincinv(np.maximum(n_active, 1), np.maximum(u, 1e-300))
+    return np.where(active, (ssb / 2.0) / g, prev_tau2)
 
 
 def draw_eta(gamma, nu2, kappa, u):
@@ -302,37 +303,39 @@ def draw_kappa(sum_eta2_nu2, g, b_kappa):
     return g / (0.5 * sum_eta2_nu2 + 1.0 / b_kappa)
 
 
-def draw_eta_shared(n_active, n_vox, rng):
-    """Shared inclusion rate of one parcel, Beta(1 + k, 1 + V - k)."""
-    return float(rng.beta(1 + n_active, 1 + n_vox - n_active))
+def draw_eta_shared(n_active, n_vox, u):
+    """Shared inclusion rates of parcels, Beta(1 + k, 1 + V - k) by inverse
+    transform of uniforms ``u``."""
+    return betaincinv(1 + n_active, 1 + n_vox - n_active, u)
 
 
 # --------------------------------------------------------------------------
 # the chain engine
 # --------------------------------------------------------------------------
 
-#: Sweeps per block of pregenerated voxel draws. For each block of
-#: k = min(BLOCK_SWEEPS, sweeps left) sweeps, a parcel's generator yields, in
-#: this order: k x V uniforms (gamma), k x V x 2 normals (beta), k x V x 2
-#: normals (rho), k x V standard gammas of shape T - 1 (sigma^2) and, in
-#: spatial mode, k x V uniforms (eta) and k standard gammas of shape
-#: V/2 + a_kappa (kappa). Within the block's sweeps the same generator then
-#: draws tau^2 (and the nonspatial rate) once per sweep. The value is part of
-#: the stream's definition: changing it changes every chain.
+#: Sweeps per block of pregenerated draws. For each block of
+#: k = min(BLOCK_SWEEPS, sweeps left) sweeps, a parcel's generator yields every
+#: draw of those sweeps, stage by stage in sweep order: k x V uniforms (gamma),
+#: k x V x 2 normals (beta), k x V x 2 normals (rho), k x V standard gammas of
+#: shape T - 1 (sigma^2), k uniforms (tau^2), then in spatial mode k x V
+#: uniforms (eta) and k standard gammas of shape V/2 + a_kappa (kappa), or in
+#: nonspatial mode k uniforms (the shared rate). The value is part of the
+#: stream's definition: changing it changes every chain.
 BLOCK_SWEEPS = 32
 
 
-def _voxel_draws(rng, n_sweeps, n_vox, shape_sigma, shape_kappa):
-    """One parcel's block of voxel draws, in stream order (see BLOCK_SWEEPS)."""
+def _block_draws(rng, n_sweeps, n_vox, shape_sigma, shape_kappa):
+    """One parcel's block of draws, in stream order (see BLOCK_SWEEPS)."""
     draws = [
         rng.random((n_sweeps, n_vox)),
         _standard_complex_normals(rng, (n_sweeps, n_vox)),
         _standard_complex_normals(rng, (n_sweeps, n_vox)),
         rng.standard_gamma(shape_sigma, (n_sweeps, n_vox)),
+        rng.random((n_sweeps, 1)),
     ]
-    if shape_kappa is not None:
-        draws += [rng.random((n_sweeps, n_vox)), rng.standard_gamma(shape_kappa, (n_sweeps, 1))]
-    return draws
+    if shape_kappa is None:
+        return draws + [rng.random((n_sweeps, 1))]
+    return draws + [rng.random((n_sweeps, n_vox)), rng.standard_gamma(shape_kappa, (n_sweeps, 1))]
 
 
 class _ParcelStats:
@@ -384,16 +387,6 @@ class _ParcelStats:
         return cw, wl2, wn2
 
 
-def _audit(gamma, beta, sigma2, scales):
-    """Raise AssertionError unless a sweep's state keeps the chain's invariants."""
-    if np.any(beta[~gamma] != 0):
-        raise AssertionError("state invariant violated: gamma=0 voxel with nonzero beta")
-    if np.any(sigma2 <= 0):
-        raise AssertionError("state invariant violated: nonpositive sigma2")
-    if not all(np.all(s > 0) for s in scales):
-        raise AssertionError("state invariant violated: nonpositive tau2/kappa")
-
-
 def _center(values):
     """Remove the mean along the last axis (the time axis of a series)."""
     return values - values.mean(axis=-1, keepdims=True)
@@ -406,7 +399,6 @@ def run_parcel_chain(
     cfg: SamplerConfig,
     parcel_seed,
     trace_voxels=None,
-    audit: bool = False,
     sizes=None,
     parcel_ids=None,
 ) -> ChainSummary:
@@ -420,12 +412,12 @@ def run_parcel_chain(
     or a single one for a lone parcel; ``nu2`` may be None in nonspatial mode.
     ``parcel_ids`` name the parcels in error messages (default 0, 1, ...).
 
-    Each voxel stage is one numpy call across the batch; only the tau^2 and
-    nonspatial-rate draws loop over parcels. Every parcel draws from its own
-    generator (see ``BLOCK_SWEEPS``) and its statistics come from its own rows,
-    so its part of the summary is a deterministic function of its rows, nu2
-    and seed, whatever batch it runs in. The summary covers the stacked rows,
-    which ``trace_voxels`` index too.
+    Each stage of a sweep is one numpy call across the batch. Every parcel
+    draws from its own generator (see ``BLOCK_SWEEPS``) and its statistics come
+    from its own rows, so its part of the summary is a deterministic function
+    of its rows, nu2 and seed, whatever batch it runs in. The summary covers
+    the stacked rows, which ``trace_voxels`` index too; the trace maps each
+    traced row to its (n_iter, 6) draws of gamma, beta, rho and sigma^2.
     """
     y = np.ascontiguousarray(y, dtype=complex)
     x = np.asarray(x, dtype=float)
@@ -434,16 +426,22 @@ def run_parcel_chain(
     if x.size < 3:
         raise InsufficientDataError("chains need at least 3 time points")
     n_vox, n_time = y.shape
-    sizes = [n_vox] if sizes is None else [int(s) for s in sizes]
+    sizes = np.array([n_vox] if sizes is None else [int(s) for s in sizes], dtype=np.intp)
     seeds = [parcel_seed] if np.ndim(parcel_seed) == 0 else list(parcel_seed)
     ids = list(range(len(sizes))) if parcel_ids is None else list(parcel_ids)
     n_parcels = len(sizes)
     if sum(sizes) != n_vox or min(sizes) < 1 or len(seeds) != n_parcels or len(ids) != n_parcels:
         raise InvalidSpecError("a batch needs one size, seed and id per parcel; sizes sum to V")
 
-    def in_parcel(g, exc):
-        """``exc`` with parcel g named: the one form of a parcel-level error."""
-        return type(exc)(f"parcel {ids[g]}: {exc}")
+    def in_first_failing_parcel(draw, bounds, *args):
+        """Redo a failed ``draw`` parcel by parcel, on each parcel's slice
+        ``lo:hi`` of ``args``, and raise its error with the first failing
+        parcel named: the one form of a parcel-level error."""
+        for g, (lo, hi) in enumerate(bounds):
+            try:
+                draw(*(a[lo:hi] for a in args))
+            except DegeneratePosteriorError as exc:
+                raise type(exc)(f"parcel {ids[g]}: {exc}") from None
 
     spatial = cfg.mode == SPATIAL
     if spatial:
@@ -454,14 +452,16 @@ def run_parcel_chain(
             raise InvalidSpecError("a batch needs one nu2 vector per parcel")
         for g, (b, size) in enumerate(zip(bases, sizes)):
             if np.shape(b) != (size,):
-                raise in_parcel(g, InvalidSpecError("basis size does not match parcel size"))
+                raise InvalidSpecError(f"parcel {ids[g]}: basis size does not match parcel size")
         nu2 = np.concatenate(bases)
 
     offsets = np.concatenate([[0], np.cumsum(sizes)])
     starts = offsets[:-1]
+    voxel_bounds = list(zip(starts, offsets[1:]))
+    parcel_bounds = [(g, g + 1) for g in range(n_parcels)]
     xc = _center(x)
     parts, sigma2 = [], []
-    for lo, hi in zip(starts, offsets[1:]):
+    for lo, hi in voxel_bounds:
         yc = _center(y[lo:hi])
         parts.append(_ParcelStats(yc, xc))
         # pooled per-component variance of the centered series, halved
@@ -483,15 +483,16 @@ def run_parcel_chain(
     beta_sum = np.zeros(n_vox, dtype=complex)
     trace = None
     if trace_voxels is not None:
-        trace = {int(v): np.zeros((cfg.n_iter, 6)) for v in trace_voxels}
+        traced = np.fromiter(trace_voxels, dtype=np.intp)
+        trace = np.zeros((cfg.n_iter, traced.size, 6))
 
     for it in range(cfg.n_iter):
         j = it % BLOCK_SWEEPS
         if j == 0:
             n_sweeps = min(BLOCK_SWEEPS, cfg.n_iter - it)
-            per_parcel = [_voxel_draws(rng, n_sweeps, size, n_time - 1, shape)
+            per_parcel = [_block_draws(rng, n_sweeps, size, n_time - 1, shape)
                           for rng, size, shape in zip(rngs, sizes, kappa_shapes)]
-            u_gamma, z_beta, z_rho, g_sigma, *spatial_draws = [
+            u_gamma, z_beta, z_rho, g_sigma, u_tau2, *prior_draws = [
                 np.concatenate(stage, axis=1) for stage in zip(*per_parcel)
             ]
 
@@ -512,36 +513,27 @@ def run_parcel_chain(
         try:
             sigma2 = draw_sigma2(ss, g_sigma[j])
         except DegeneratePosteriorError:
-            # redone on each parcel's rows, so the error names the local voxel
-            for g, (lo, hi) in enumerate(zip(starts, offsets[1:])):
-                try:
-                    draw_sigma2(ss[lo:hi], g_sigma[j, lo:hi])
-                except DegeneratePosteriorError as exc:
-                    raise in_parcel(g, exc) from None
+            # the parcel's own rows name the local voxel
+            in_first_failing_parcel(draw_sigma2, voxel_bounds, ss, g_sigma[j])
 
         # parcel stage: tau2, then the inclusion-prior latents
         n_active = np.add.reduceat(gamma, starts, dtype=np.intp)
         ssb = np.add.reduceat(beta.real**2 + beta.imag**2, starts)
-        for g, rng in enumerate(rngs):
-            try:
-                tau2[g] = draw_tau2(int(n_active[g]), ssb[g], tau2[g], rng)
-            except DegeneratePosteriorError as exc:
-                raise in_parcel(g, exc) from None
+        try:
+            tau2 = draw_tau2(n_active, ssb, tau2, u_tau2[j])
+        except DegeneratePosteriorError:
+            in_first_failing_parcel(draw_tau2, parcel_bounds, n_active, ssb, tau2, u_tau2[j])
         if spatial:
-            u_eta, g_kappa = spatial_draws
+            u_eta, g_kappa = prior_draws
             eta = draw_eta(gamma, nu2, np.repeat(kappa, sizes), u_eta[j])
             sum_eta2 = np.add.reduceat(eta * eta / nu2, starts)
             kappa = draw_kappa(sum_eta2, g_kappa[j], cfg.b_kappa)
         else:
-            for g, rng in enumerate(rngs):
-                eta_shared[g] = draw_eta_shared(int(n_active[g]), sizes[g], rng)
+            eta_shared = draw_eta_shared(n_active, sizes, prior_draws[0][j])
 
-        if audit:
-            _audit(gamma, beta, sigma2, (tau2, kappa) if spatial else (tau2,))
         if trace is not None:
-            for v, buf in trace.items():
-                buf[it] = (gamma[v], beta[v].real, beta[v].imag, rho[v].real, rho[v].imag,
-                           sigma2[v])
+            trace[it] = np.column_stack((gamma[traced], beta[traced].real, beta[traced].imag,
+                                         rho[traced].real, rho[traced].imag, sigma2[traced]))
         if it >= cfg.n_burn:
             kept_gamma[it - cfg.n_burn] = gamma
             beta_sum += beta
@@ -549,13 +541,13 @@ def run_parcel_chain(
     incl = kept_gamma.mean(axis=0)
     # parcel by parcel: the float copy stays parcel-sized, and each parcel's
     # MCSE comes from the same array as when it runs alone
-    errs = np.concatenate([mcse(kept_gamma[:, lo:hi]) for lo, hi in zip(starts, offsets[1:])])
+    errs = np.concatenate([mcse(kept_gamma[:, lo:hi]) for lo, hi in voxel_bounds])
     return ChainSummary(
         incl_prob=incl,
         beta_mean=beta_sum / cfg.n_kept,
         mcse=errs,
         converged=bool(np.max(errs) < cfg.mcse_tol),
-        trace=trace,
+        trace=None if trace is None else {int(v): trace[:, i] for i, v in enumerate(traced)},
     )
 
 

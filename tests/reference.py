@@ -110,10 +110,11 @@ def sigma2_draws(w_now, w_lag, rho, n, rng):
     return draw_sigma2(np.full(n, ss), rng.standard_gamma(len(w_now), size=n))
 
 
-def tau2_draw(gamma, beta, prev_tau2, rng):
+def tau2_draws(gamma, beta, prev_tau2, n, rng):
     beta = np.asarray(beta)
     ssb = float(np.sum(beta.real**2 + beta.imag**2))
-    return draw_tau2(int(np.sum(gamma)), ssb, prev_tau2, rng)
+    return draw_tau2(np.full(n, int(np.sum(gamma))), np.full(n, ssb), np.full(n, prev_tau2),
+                     rng.random(n))
 
 
 def kappa_draw(eta, nu2, a_kappa, b_kappa, rng):

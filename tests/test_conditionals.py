@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from scipy import stats
 from scipy.integrate import dblquad
-from scipy.special import ndtr
+from scipy.special import gammaincinv, ndtr
 
 from cvfmri.errors import DegeneratePosteriorError, InsufficientDataError
 from cvfmri.parcellation import EDGE, build_adjacency, build_spatial_basis
@@ -22,6 +22,8 @@ from cvfmri.sampler import (
     derive_seed,
     draw_eta,
     draw_eta_shared,
+    draw_kappa,
+    draw_tau2,
     log_null_slab_ratio,
     splitmix64,
 )
@@ -34,7 +36,7 @@ from reference import (
     rho_draws,
     sigma2_draws,
     stack_real,
-    tau2_draw,
+    tau2_draws,
 )
 
 N_DRAWS = 100_000
@@ -300,23 +302,34 @@ class TestSigma2:
 class TestTau2:
     def test_keeps_previous_when_empty(self):
         rng = np.random.default_rng(1)
-        assert tau2_draw(np.zeros(4, dtype=bool), np.zeros(4, dtype=complex), 1.23, rng) == 1.23
+        draws = tau2_draws(np.zeros(4, dtype=bool), np.zeros(4, dtype=complex), 1.23, 3, rng)
+        assert draws.tolist() == [1.23] * 3
 
     def test_two_active_voxels(self):
         gamma = np.array([True, True, False])
         beta = np.array([1 + 1j, 1 + 1j, 0j])
-        rng = np.random.default_rng(31)
-        draws = np.array([tau2_draw(gamma, beta, 1.0, rng) for _ in range(N_DRAWS // 5)])
-        oracle = stats.invgamma(a=2, scale=2.0).rvs(N_DRAWS // 5, random_state=32)
-        assert ks(draws, oracle) < 1.6 * KS_TOL
+        draws = tau2_draws(gamma, beta, 1.0, N_DRAWS, np.random.default_rng(31))
+        oracle = stats.invgamma(a=2, scale=2.0).rvs(N_DRAWS, random_state=32)
+        assert ks(draws, oracle) < KS_TOL
 
     def test_single_voxel(self):
         gamma = np.array([True])
         beta = np.array([3 + 4j])
-        rng = np.random.default_rng(33)
-        draws = np.array([tau2_draw(gamma, beta, 1.0, rng) for _ in range(N_DRAWS // 5)])
-        oracle = stats.invgamma(a=1, scale=12.5).rvs(N_DRAWS // 5, random_state=34)
-        assert ks(draws, oracle) < 1.6 * KS_TOL
+        draws = tau2_draws(gamma, beta, 1.0, N_DRAWS, np.random.default_rng(33))
+        oracle = stats.invgamma(a=1, scale=12.5).rvs(N_DRAWS, random_state=34)
+        assert ks(draws, oracle) < KS_TOL
+
+    @pytest.mark.parametrize("k", [3, 250])
+    def test_many_active_voxels(self, k):
+        beta = np.random.default_rng(35).standard_normal(k) * (0.3 + 0.1j)
+        ssb = float(np.sum(np.abs(beta) ** 2))
+        draws = tau2_draws(np.ones(k, dtype=bool), beta, 1.0, N_DRAWS, np.random.default_rng(36))
+        oracle = stats.invgamma(a=k, scale=ssb / 2).rvs(N_DRAWS, random_state=37)
+        assert ks(draws, oracle) < KS_TOL
+
+    def test_active_voxels_with_zero_coefficients_rejected(self):
+        with pytest.raises(DegeneratePosteriorError, match="slab variance"):
+            draw_tau2(np.array([0, 2]), np.array([0.0, 0.0]), np.ones(2), np.full(2, 0.5))
 
 
 class TestEta:
@@ -384,23 +397,59 @@ class TestKappa:
 
 class TestEtaNonspatial:
     def test_all_active(self):
-        rng = np.random.default_rng(71)
-        draws = np.array([
-            draw_eta_shared(10, 10, rng) for _ in range(N_DRAWS // 5)
-        ])
-        oracle = stats.beta(11, 1).rvs(N_DRAWS // 5, random_state=72)
-        assert ks(draws, oracle) < 1.6 * KS_TOL
+        draws = draw_eta_shared(10, 10, np.random.default_rng(71).random(N_DRAWS))
+        oracle = stats.beta(11, 1).rvs(N_DRAWS, random_state=72)
+        assert ks(draws, oracle) < KS_TOL
 
     def test_none_active(self):
-        rng = np.random.default_rng(73)
-        draws = np.array([
-            draw_eta_shared(0, 10, rng) for _ in range(N_DRAWS // 5)
-        ])
-        oracle = stats.beta(1, 11).rvs(N_DRAWS // 5, random_state=74)
-        assert ks(draws, oracle) < 1.6 * KS_TOL
+        draws = draw_eta_shared(0, 10, np.random.default_rng(73).random(N_DRAWS))
+        oracle = stats.beta(1, 11).rvs(N_DRAWS, random_state=74)
+        assert ks(draws, oracle) < KS_TOL
 
     def test_half_active_symmetric(self):
-        rng = np.random.default_rng(75)
         gamma = np.array([True] * 5 + [False] * 5)
-        draws = np.array([draw_eta_shared(int(gamma.sum()), gamma.size, rng) for _ in range(20000)])
+        draws = draw_eta_shared(int(gamma.sum()), gamma.size,
+                                np.random.default_rng(75).random(N_DRAWS))
+        oracle = stats.beta(6, 6).rvs(N_DRAWS, random_state=76)
+        assert ks(draws, oracle) < KS_TOL
         assert draws.mean() == pytest.approx(0.5, abs=0.01)
+
+
+class TestInverseTransforms:
+    """The parcel-level draws from their standard variates: finite at the
+    ends of the uniforms' range, and elementwise in their bits."""
+
+    U_ENDS = np.array([0.0, 1.0 - 2.0**-53])
+
+    @pytest.mark.parametrize("k", [1, 3, 250, 2500])
+    def test_extreme_uniforms_stay_finite(self, k):
+        tau2 = draw_tau2(np.full(2, k), np.full(2, 0.05 * k), np.ones(2), self.U_ENDS)
+        assert np.all(np.isfinite(tau2)) and np.all(tau2 > 0)
+        rate = draw_eta_shared(k, 2 * k, self.U_ENDS)
+        assert np.all((rate >= 0) & (rate <= 1))
+
+    @pytest.mark.parametrize("n_vox", [1, 51, 2500])
+    def test_extreme_kappa_stays_finite(self, n_vox):
+        shape = n_vox / 2 + 0.5
+        # the smallest and largest standard gammas, the quantiles at 2^-53 and 1 - 2^-53
+        g_ends = gammaincinv(shape, np.array([2.0**-53, 1.0 - 2.0**-53]))
+        for u in self.U_ENDS:
+            for gamma in (True, False):
+                eta = draw_eta(gamma, np.ones(n_vox), 1e-3, np.full(n_vox, u))
+                kappa = draw_kappa(np.sum(eta * eta), g_ends, 2000.0)
+                assert np.all(np.isfinite(kappa)) and np.all(kappa > 0)
+
+    def test_bits_do_not_depend_on_the_array(self):
+        rng = np.random.default_rng(81)
+        n_vox = rng.integers(1, 300, 64)
+        k = rng.integers(0, n_vox + 1)
+        ssb = rng.random(64) * k
+        prev = rng.random(64)
+        u = rng.random(64)
+        tau2 = draw_tau2(k, ssb, prev, u)
+        rate = draw_eta_shared(k, n_vox, u)
+        for i in range(64):
+            alone = draw_tau2(k[i:i + 1], ssb[i:i + 1], prev[i:i + 1], u[i:i + 1])
+            assert alone.tobytes() == tau2[i:i + 1].tobytes()
+            alone = draw_eta_shared(k[i:i + 1], n_vox[i:i + 1], u[i:i + 1])
+            assert alone.tobytes() == rate[i:i + 1].tobytes()

@@ -547,3 +547,18 @@ class TestReproduceCli:
                          "--seed", "1", "--out", str(out)]) == 2
         assert f"replicates must be at least 1, got {replicates}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("study", ["ar1", "realistic"])
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_workers_below_one_rejected_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                                        study, workers):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated before the worker count was checked")
+
+        monkeypatch.setattr(pipeline, "simulate_realistic", no_simulation)
+        monkeypatch.setattr(pipeline, "simulate_study_dataset", no_simulation)
+        out = tmp_path / "study"
+        assert cli.main(["reproduce", "--study", study, "--replicates", "1",
+                         "--seed", "1", "--workers", workers, "--out", str(out)]) == 2
+        assert f"workers must be at least 1, got {workers}" in capsys.readouterr().err
+        assert not out.exists()

@@ -6,8 +6,9 @@ import math
 import numpy as np
 import pytest
 
+from cvfmri import sampler
 from cvfmri.design import design_for_length
-from cvfmri.errors import InsufficientDataError, InvalidSpecError
+from cvfmri.errors import DegeneratePosteriorError, InsufficientDataError, InvalidSpecError
 from cvfmri.parcellation import EDGE, build_adjacency, build_spatial_basis, partition_grid
 from cvfmri.sampler import (
     BLOCK_SWEEPS,
@@ -31,21 +32,25 @@ from cvfmri.sampler import (
 from reference import design_stats, lag_stats, residual_ss
 
 
-def voxel_block(rng, it, cfg, n_vox, n_time):
-    """The block of voxel draws that sweep ``it`` opens, written from the
-    documented stream layout: uniforms for gamma, normal pairs for beta and
-    rho, standard gammas for sigma2, then (spatial) uniforms for eta and
-    standard gammas for kappa."""
+def block_draws(rng, it, cfg, n_vox, n_time):
+    """The block of draws that sweep ``it`` opens, written from the documented
+    stream layout: uniforms for gamma, normal pairs for beta and rho, standard
+    gammas for sigma2, one uniform per sweep for tau2, then (spatial) uniforms
+    for eta and standard gammas for kappa, or (nonspatial) one uniform per
+    sweep for the shared rate."""
     k = min(BLOCK_SWEEPS, cfg.n_iter - it)
     block = {
         "gamma": rng.random((k, n_vox)),
         "beta": rng.standard_normal((k, n_vox, 2)),
         "rho": rng.standard_normal((k, n_vox, 2)),
         "sigma2": rng.standard_gamma(n_time - 1, (k, n_vox)),
+        "tau2": rng.random(k),
     }
     if cfg.mode != NONSPATIAL:
         block["eta"] = rng.random((k, n_vox))
         block["kappa"] = rng.standard_gamma(n_vox / 2 + cfg.a_kappa, k)
+    else:
+        block["rate"] = rng.random(k)
     return block
 
 
@@ -73,7 +78,7 @@ def reference_chain(y, nu2, x, cfg, seed):
     for it in range(cfg.n_iter):
         j = it % BLOCK_SWEEPS
         if j == 0:
-            block = voxel_block(rng, it, cfg, n_vox, n_time)
+            block = block_draws(rng, it, cfg, n_vox, n_time)
         xnorm2, c = design_stats(yc, xc, rho)
         if spatial:
             p = inclusion_probability(xnorm2, c, sigma2, tau2, prior_logit_spatial(cfg.psi, eta))
@@ -88,12 +93,13 @@ def reference_chain(y, nu2, x, cfg, seed):
         rho, _ = draw_rho(cw, wl2, sigma2, block["rho"][j].view(complex)[:, 0])
         w = yc - beta[:, None] * xc
         sigma2 = draw_sigma2(residual_ss(w[:, 1:], w[:, :-1], rho), block["sigma2"][j])
-        tau2 = draw_tau2(int(gamma.sum()), float(np.sum(beta.real**2 + beta.imag**2)), tau2, rng)
+        tau2 = draw_tau2(int(gamma.sum()), float(np.sum(beta.real**2 + beta.imag**2)), tau2,
+                         block["tau2"][j])
         if spatial:
             eta = draw_eta(gamma, nu2, kappa, block["eta"][j])
             kappa = draw_kappa(np.sum(eta * eta / nu2), block["kappa"][j], cfg.b_kappa)
         else:
-            eta_shared = draw_eta_shared(int(gamma.sum()), n_vox, rng)
+            eta_shared = draw_eta_shared(int(gamma.sum()), n_vox, block["rate"][j])
         history.append((gamma.copy(), beta.copy(), rho.copy(), sigma2.copy()))
         if it >= cfg.n_burn:
             kept_gamma.append(gamma.copy())
@@ -228,9 +234,13 @@ class TestChainBehavior:
         assert np.mean(strong) > np.mean(weak)
 
     def test_audit_invariants_hold(self, tiny_instance):
+        # every traced sweep: gamma=0 => beta=0, and sigma2 > 0
         y, x, nu2 = tiny_instance
         cfg = SamplerConfig(n_iter=100, n_burn=50, seed=0)
-        run_parcel_chain(y, nu2, x, cfg, parcel_seed=11, audit=True)
+        summary = run_parcel_chain(y, nu2, x, cfg, parcel_seed=11, trace_voxels=range(4))
+        draws = np.stack([summary.trace[v] for v in range(4)], axis=1)  # (sweep, voxel, field)
+        assert np.all(draws[draws[..., 0] == 0][:, 1:3] == 0)
+        assert np.all(draws[..., 5] > 0)
 
     def test_nonspatial_mode(self, tiny_instance):
         y, x, _ = tiny_instance
@@ -291,6 +301,22 @@ class TestBatchInvariance:
         alone = per_parcel(range(7))
         for bounds in ([0, 3, 6], [0, 1, 4, 6], [0, 2, 5, 6], [0, 6]):
             assert per_parcel(bounds) == alone, bounds
+
+    def test_tau2_failure_names_its_parcel(self, batch_instance, monkeypatch):
+        # zero coefficients on the middle parcel's rows: its active voxels
+        # leave its slab variance without data, and the error names it
+        y, x, nu2s, sizes = batch_instance
+        draw = sampler.draw_beta
+
+        def zero_middle_parcel(*args):
+            beta = draw(*args)
+            beta[4:7] = 0
+            return beta
+
+        monkeypatch.setattr(sampler, "draw_beta", zero_middle_parcel)
+        cfg = SamplerConfig(n_iter=40, n_burn=20, seed=0)
+        with pytest.raises(DegeneratePosteriorError, match="^parcel 8: slab variance"):
+            run_parcel_chain(y, nu2s, x, cfg, [1, 2, 3], sizes=sizes, parcel_ids=[7, 8, 9])
 
     def test_batch_rejects_mismatched_parts(self, batch_instance):
         y, x, nu2s, sizes = batch_instance
