@@ -29,7 +29,6 @@ from .parcellation import (
     Partition,
     build_adjacency,
     build_spatial_basis,
-    graph_laplacian,
     partition_grid,
     principal_eigenvectors,
 )

@@ -103,9 +103,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--study", required=True, choices=["iid", "ar1", "realistic"])
     sim.add_argument("--seed", required=True, type=int)
     sim.add_argument("--out", required=True)
-    sim.add_argument("--T", type=int, default=200, help="time points (iid/ar1 studies)")
-    sim.add_argument("--multiplier", type=float, default=DEFAULT_MULTIPLIER,
-                     help="peak magnitude of the true maps (iid/ar1 studies)")
+    sim.add_argument("--T", type=int, help="time points (iid/ar1 studies; default 200)")
+    sim.add_argument("--multiplier", type=float,
+                     help="peak magnitude of the true maps (iid/ar1 studies; "
+                          f"default {DEFAULT_MULTIPLIER})")
 
     fit = sub.add_parser("fit", help="fit a dataset and write result maps")
     fit.add_argument("--config", help="flat key = value config file")
@@ -123,7 +124,9 @@ def _build_parser() -> argparse.ArgumentParser:
     rep = sub.add_parser("reproduce", help="run a full simulation study")
     rep.add_argument("--study", required=True,
                      choices=["iid", "ar1", "params", "realistic"])
-    rep.add_argument("--replicates", type=int, default=20)
+    rep.add_argument("--replicates", type=int,
+                     help="replicates (iid/ar1/params studies; "
+                          f"default {pipeline.DEFAULT_REPLICATES})")
     rep.add_argument("--seed", type=int, default=20260101)
     rep.add_argument("--out", required=True)
     rep.add_argument("--workers", type=int)
@@ -139,16 +142,15 @@ def _cmd_simulate(args) -> int:
     dataio.write_dataset(out / "dataset.cvf", dataset)
     dataio.write_map(out / "true_activation.csv", maps.active, integer=True)
     dataio.write_map(out / "true_magnitude.csv", maps.magnitude)
-    dataio.write_keyvalues(
-        out / "manifest.txt",
-        {
-            "study": args.study,
-            "seed": args.seed,
-            "T": dataset.n_time,
-            "dims": ",".join(str(d) for d in dataset.dims),
-            "multiplier": args.multiplier,
-        },
-    )
+    manifest = {
+        "study": args.study,
+        "seed": args.seed,
+        "T": dataset.n_time,
+        "dims": ",".join(str(d) for d in dataset.dims),
+    }
+    if args.study != "realistic":
+        manifest["multiplier"] = DEFAULT_MULTIPLIER if args.multiplier is None else args.multiplier
+    dataio.write_keyvalues(out / "manifest.txt", manifest)
     print(f"wrote {out / 'dataset.cvf'} ({dataset.n_voxels} voxels, T={dataset.n_time})")
     return 0
 

@@ -57,10 +57,6 @@ class StimulusSpec:
         if self.off_len < 0:
             raise InvalidSpecError("stimulus off-block length cannot be negative")
 
-    @property
-    def total_length(self) -> int:
-        return self.n_epochs * (self.on_len + self.off_len)
-
 
 @dataclass(frozen=True)
 class DesignVector:

@@ -51,7 +51,6 @@ class ClassificationReport:
 
 @dataclass(frozen=True)
 class FidelityReport:
-    auc: float | None
     slope: float | None
     ccc: float
     xy_mse: float
@@ -112,14 +111,14 @@ def magnitude_fidelity(true_mag, est_mag) -> FidelityReport:
     t = np.asarray(true_mag, dtype=float).ravel()
     e = np.asarray(est_mag, dtype=float).ravel()
     if np.array_equal(t, e):
-        return FidelityReport(auc=None, slope=1.0 if t.any() else None, ccc=1.0, xy_mse=0.0)
+        return FidelityReport(slope=1.0 if t.any() else None, ccc=1.0, xy_mse=0.0)
     denom = float(t @ t)
     slope = float((t @ e) / denom) if denom > 0 else None
     s_xy = float(np.mean(t * e) - t.mean() * e.mean())
     denom_ccc = float(np.var(t) + np.var(e) + (t.mean() - e.mean()) ** 2)
     ccc = 1.0 if denom_ccc == 0 else 2.0 * s_xy / denom_ccc
     xy_mse = float(np.mean((e - t) ** 2))
-    return FidelityReport(auc=None, slope=slope, ccc=ccc, xy_mse=xy_mse)
+    return FidelityReport(slope=slope, ccc=ccc, xy_mse=xy_mse)
 
 
 def _format_value(v) -> str:

@@ -27,7 +27,6 @@ __all__ = [
     "Partition",
     "partition_grid",
     "build_adjacency",
-    "graph_laplacian",
     "principal_eigenvectors",
     "build_spatial_basis",
     "EDGE",
@@ -169,18 +168,6 @@ def _square_symmetric(adjacency) -> sparse.csr_array:
     if a.ndim != 2 or a.shape[0] != a.shape[1] or (a != a.T).nnz:
         raise InvalidSpecError("adjacency must be square and symmetric")
     return a
-
-
-def graph_laplacian(adjacency):
-    """Q = diag(A 1) - A; degrees built in integer arithmetic so Q 1 = 0 exactly.
-
-    Q is sparse for a sparse adjacency and dense for a dense one.
-    """
-    a = _square_symmetric(adjacency)
-    degrees = a.astype(np.int64).sum(axis=1).astype(float)
-    diagonal = np.arange(a.shape[0])
-    q = sparse.csr_array((degrees, (diagonal, diagonal)), shape=a.shape) - a
-    return q if sparse.issparse(adjacency) else q.toarray()
 
 
 def _top_eigenpairs(a: sparse.csr_array, k: int):

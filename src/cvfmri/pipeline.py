@@ -8,14 +8,16 @@ parcel draws from a stream seeded by the master seed and its index alone, so
 outputs do not depend on the number of workers or on scheduling order.
 
 The parcel stage runs under one BLAS thread: the fit sets every loaded
-OpenBLAS to one thread and gives the caller's count back afterwards, and pool
-workers pin it again when they start. The pool forks, and each worker reads
-its batch from the parent's memory; only a batch index and the summaries
-cross the pipe. The default worker count is the number of CPUs the process
-may run on. Without BLAS helper threads competing for those CPUs the pool
-pays off even on small data: on two vCPUs an ar1 50x50 fit at G=49 took
-0.89-0.94 s with two workers against 1.28-1.54 s with one, where with the
-libraries' own two threads each, two workers were slower than one.
+OpenBLAS to one thread, creates its pool under that setting, and gives the
+caller's count back afterwards. The pool forks, so its workers inherit the
+fit (the series, the partition, the regressor and the config) and the BLAS
+setting; a task is a range of parcels, and each worker cuts its own rows.
+Only the ranges and the summaries cross the pipe. The default worker count is
+the number of CPUs the process may run on. Without BLAS helper threads
+competing for those CPUs the pool pays off even on small data: on two vCPUs
+an ar1 50x50 fit at G=49 took 0.89-0.94 s with two workers against
+1.28-1.54 s with one, where with the libraries' own two threads each, two
+workers were slower than one.
 """
 
 from __future__ import annotations
@@ -76,6 +78,9 @@ __all__ = [
     "reproduce",
     "REALISTIC_COLUMNS",
 ]
+
+#: Replicates of the iid, ar1 and params studies unless a caller sets them.
+DEFAULT_REPLICATES = 20
 
 #: Sampler settings of the realistic study; the 50x50 studies use the defaults.
 REALISTIC_PSI = ndtri(0.11)
@@ -180,48 +185,45 @@ def _one_blas_thread():
             put(n)
 
 
-#: A pool worker's job tuples; see ``_start_worker``.
-_worker_jobs: list = []
+#: The fit a pool worker inherits; see ``_start_worker``.
+_worker_fit: tuple = ()
 
 
-def _start_worker(jobs):
-    """Pool initializer: keep the fit's job tuples and pin one BLAS thread.
-
-    The pool forks, so ``jobs`` reaches the worker as inherited memory, not
-    pickled, and each task names its job by index alone."""
-    global _worker_jobs
-    _worker_jobs = jobs
-    for _, put in _openblas_thread_setters():
-        put(1)
+def _start_worker(fit):
+    """Pool initializer: keep the fit. The pool forks, so ``fit`` reaches the
+    worker as inherited memory, not pickled, and each task is a parcel range."""
+    global _worker_fit
+    _worker_fit = fit
 
 
-def _worker_job(index: int):
-    return _batch_job(_worker_jobs[index])
+def _worker_job(bounds):
+    return _batch_job(_worker_fit, *bounds)
 
 
-def _batch_job(args):
-    (first, voxel_lists, y_batch, x, sampler_cfg, neighborhood, dims, master_seed,
-     trace_rows) = args
-    ids = range(first, first + len(voxel_lists))
+def _batch_job(fit, lo: int, hi: int):
+    """Fit parcels ``lo`` to ``hi - 1`` of ``fit = (flat series, partition,
+    regressor, FitConfig)`` as one batch of the engine; the summary's trace is
+    keyed by flat voxel index."""
+    flat, partition, x, cfg = fit
+    voxel_lists = partition.parcel_voxel_lists[lo:hi]
+    voxels = np.concatenate(voxel_lists)
+    traced = [gv for gv in dict.fromkeys(cfg.trace_voxels)
+              if lo <= partition.assignment[gv] < hi]
+    rows = [int(np.flatnonzero(voxels == gv)[0]) for gv in traced]
     nu2 = None
-    if sampler_cfg.mode != NONSPATIAL:
+    if cfg.sampler.mode != NONSPATIAL:
         nu2 = []
-        for pid, voxels in zip(ids, voxel_lists):
+        for pid, parcel in enumerate(voxel_lists, lo):
             try:
-                adjacency = build_adjacency(voxels, dims, neighborhood)
-                nu2.append(build_spatial_basis(adjacency, sampler_cfg.q))
+                adjacency = build_adjacency(parcel, partition.dims, cfg.neighborhood)
+                nu2.append(build_spatial_basis(adjacency, cfg.sampler.q))
             except CvfmriError as exc:
                 raise type(exc)(f"parcel {pid}: {exc}") from None
-    return run_parcel_chain(
-        y_batch,
-        nu2,
-        x,
-        sampler_cfg,
-        [derive_seed(master_seed, pid) for pid in ids],
-        trace_voxels=trace_rows or None,
-        sizes=[len(v) for v in voxel_lists],
-        parcel_ids=ids,
-    )
+    summary = run_parcel_chain(flat[voxels], nu2, x, cfg.sampler, [len(v) for v in voxel_lists],
+                               parcel_ids=range(lo, hi), trace_voxels=rows or None)
+    if rows:
+        summary.trace = {gv: summary.trace[row] for gv, row in zip(traced, rows)}
+    return summary
 
 
 def fit_dataset(dataset: ComplexDataset, design: DesignVector, cfg: FitConfig) -> FitResult:
@@ -232,7 +234,7 @@ def fit_dataset(dataset: ComplexDataset, design: DesignVector, cfg: FitConfig) -
     run under one BLAS thread, in this process and in the pool alike, and the
     caller's BLAS thread count is restored when the fit returns or raises.
     With more than one worker the parcel ranges run in a forked process pool
-    whose workers inherit their rows instead of receiving them pickled.
+    whose workers inherit the series and cut their own rows.
     """
     if design.n_time != dataset.n_time:
         raise InvalidSpecError(
@@ -251,38 +253,27 @@ def fit_dataset(dataset: ComplexDataset, design: DesignVector, cfg: FitConfig) -
         if not 0 <= gv < dataset.n_voxels:
             raise InvalidSpecError(f"trace voxel {gv} lies outside [0, {dataset.n_voxels})")
 
-    flat = dataset.voxel_view()
+    fit = (dataset.voxel_view(), partition, design.bold, cfg)
     workers = cfg.resolved_workers()
     bounds = _parcel_ranges(partition.parcel_sizes(), workers)
-    jobs, trace_rows = [], []
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        voxel_lists = partition.parcel_voxel_lists[lo:hi]
-        voxels = np.concatenate(voxel_lists)
-        # each traced voxel of the batch, by its row in the batch
-        rows = {int(gv): int(np.flatnonzero(voxels == gv)[0])
-                for gv in cfg.trace_voxels if lo <= partition.assignment[gv] < hi}
-        trace_rows.append(rows)
-        jobs.append((lo, voxel_lists, flat[voxels], design.bold, cfg.sampler,
-                     cfg.neighborhood, dataset.dims, cfg.sampler.seed, list(rows.values())))
-
+    ranges = list(zip(bounds[:-1], bounds[1:]))
     with _one_blas_thread():
         if workers == 1:
-            results = [_batch_job(job) for job in jobs]
+            results = [_batch_job(fit, lo, hi) for lo, hi in ranges]
         else:
             with ProcessPoolExecutor(max_workers=workers,
                                      mp_context=multiprocessing.get_context("fork"),
-                                     initializer=_start_worker, initargs=(jobs,)) as pool:
-                results = list(pool.map(_worker_job, range(len(jobs))))
+                                     initializer=_start_worker, initargs=(fit,)) as pool:
+                results = list(pool.map(_worker_job, ranges))
 
-    maps = summarize(results, partition, cfg.sampler.threshold)
     incl = stitch_voxel_field(partition, results, lambda s: s.incl_prob)
+    beta = stitch_voxel_field(partition, results, lambda s: s.beta_mean, dtype=complex)
     errs = stitch_voxel_field(partition, results, lambda s: s.mcse)
     traces = None
     if cfg.trace_voxels:
-        traces = {gv: summary.trace[row]
-                  for rows, summary in zip(trace_rows, results) for gv, row in rows.items()}
+        traces = {gv: buf for s in results if s.trace for gv, buf in s.trace.items()}
     return FitResult(
-        maps=maps,
+        maps=summarize(incl, beta, cfg.sampler.threshold),
         incl_prob=incl,
         mcse=errs,
         converged=all(s.converged for s in results),
@@ -314,12 +305,11 @@ def write_fit_outputs(result: FitResult, out_dir, extra_manifest: dict | None = 
 
     act = maps.activation
     mag = maps.magnitude
+    mag_scale = 255.0 / mag.max() if mag.max() > 0 else 0.0
     if act.ndim == 2:
         dataio.write_pgm(out / "activation.pgm", act.astype(np.uint8) * 255)
-        mag_scale = 255.0 / mag.max() if mag.max() > 0 else 0.0
         dataio.write_pgm(out / "magnitude.pgm", mag * mag_scale)
     else:
-        mag_scale = 255.0 / mag.max() if mag.max() > 0 else 0.0
         for s in range(act.shape[0]):
             dataio.write_pgm(out / f"activation_slice{s}.pgm", act[s].astype(np.uint8) * 255)
             dataio.write_pgm(out / f"magnitude_slice{s}.pgm", mag[s] * mag_scale)
@@ -452,16 +442,22 @@ def write_report_csv(path, rows, columns=("dataset",) + REPORT_COLUMNS, mean_row
 # study harness
 # --------------------------------------------------------------------------
 
-def simulate_study_dataset(study: str, seed: int, n_time: int = 200,
-                           multiplier: float = DEFAULT_MULTIPLIER):
+def simulate_study_dataset(study: str, seed: int, n_time: int | None = None,
+                           multiplier: float | None = None):
     """One dataset of the named study with its ground truth and design.
 
     Returns ``(dataset, maps, design)``. Seeds for the map and the noise are
-    derived from ``seed`` so replicates differ in both.
+    derived from ``seed`` so replicates differ in both. The iid and ar1
+    studies take ``n_time`` (default 200) and ``multiplier`` (default
+    ``DEFAULT_MULTIPLIER``); the realistic study fixes both and takes neither.
     """
     if study == "realistic":
+        if n_time is not None or multiplier is not None:
+            raise InvalidSpecError("the realistic study sets its own T and multiplier")
         dataset, maps = simulate_realistic(derive_seed(seed, 2))
         return dataset, maps, realistic_design(dataset.n_time)
+    n_time = 200 if n_time is None else n_time
+    multiplier = DEFAULT_MULTIPLIER if multiplier is None else multiplier
     if n_time < 3:
         raise InvalidSpecError(f"T must be at least 3 (the fewest a chain takes), got {n_time}")
     design = design_for_length(n_time)
@@ -549,16 +545,21 @@ def _reproduce_realistic(seed, base: FitConfig):
     return rows
 
 
-def reproduce(study: str, n_replicates: int, seed: int, out_dir, workers=None):
+def reproduce(study: str, n_replicates: int | None, seed: int, out_dir, workers=None):
     """Run simulate -> fit -> evaluate end to end and write the study report.
 
-    ``study`` is one of iid, ar1, params, realistic. Returns the report rows.
+    ``study`` is one of iid, ar1, params, realistic. ``n_replicates`` defaults
+    to ``DEFAULT_REPLICATES``; the realistic study fits its seven slices once
+    and takes none. Returns the report rows.
     """
     if study not in ("iid", "ar1", "params", "realistic"):
         raise InvalidSpecError(f"unknown study {study!r}")
-    if n_replicates < 1:
+    if n_replicates is not None and n_replicates < 1:
         raise InvalidSpecError(f"replicates must be at least 1, got {n_replicates}")
     base = FitConfig(workers=workers)
+    if study == "realistic" and n_replicates is not None:
+        raise InvalidSpecError("the realistic study has no replicates")
+    n_replicates = DEFAULT_REPLICATES if n_replicates is None else n_replicates
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if study in ("iid", "ar1"):
@@ -570,12 +571,8 @@ def reproduce(study: str, n_replicates: int, seed: int, out_dir, workers=None):
                          columns=("setting",) + REPORT_COLUMNS, mean_row=False)
     else:
         rows = _reproduce_realistic(seed, base)
-        with open(out / "report.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(("slice",) + REALISTIC_COLUMNS)
-            writer.writerows(rows)
-    dataio.write_keyvalues(
-        out / "manifest.txt",
-        {"study": study, "replicates": n_replicates, "seed": seed},
-    )
+        write_report_csv(out / "report.csv", rows,
+                         columns=("slice",) + REALISTIC_COLUMNS, mean_row=False)
+    replicates = {} if study == "realistic" else {"replicates": n_replicates}
+    dataio.write_keyvalues(out / "manifest.txt", {"study": study, **replicates, "seed": seed})
     return rows

@@ -31,10 +31,11 @@ voxel axis: each stage is one numpy call across every parcel of the batch, and
 parcel-level sums are ``np.add.reduceat`` over the parcels' offsets (the sum
 of each parcel's own segment). A lone parcel is a batch of one.
 
-Each parcel has its own random stream, ``default_rng(derive_seed(master, g))``.
-Every draw a parcel uses has a fixed count, for every voxel whether it uses it
-or not, and is pregenerated in blocks of ``BLOCK_SWEEPS`` sweeps (the layout is
-given there). So a parcel's draws, and its maps, do not depend on which batch
+Parcel g has its own random stream, ``default_rng(derive_seed(cfg.seed, g))``,
+which the engine derives from the parcel's index in the image. Every draw a
+parcel uses has a fixed count, for every voxel whether it uses it or not, and
+is pregenerated in blocks of ``BLOCK_SWEEPS`` sweeps (the layout is given
+there). So a parcel's draws, and its maps, do not depend on which batch
 or worker runs it. Each conditional is written once, as a public function of
 its sufficient statistics and standard variates (``inclusion_probability`` and
 the ``draw_*`` functions); the engine calls them, and the test suite feeds
@@ -397,27 +398,26 @@ def run_parcel_chain(
     nu2,
     x: np.ndarray,
     cfg: SamplerConfig,
-    parcel_seed,
-    trace_voxels=None,
-    sizes=None,
+    sizes,
     parcel_ids=None,
+    trace_voxels=None,
 ) -> ChainSummary:
     """Run the Gibbs chains of a batch of parcels and summarize the kept draws.
 
     ``y`` is the (V, T) complex data of the batch, its parcels' rows stacked
-    in order, ``sizes`` rows each (default: one parcel of all V rows); ``x`` is
-    the shared regressor. Both are centered internally, parcel by parcel.
-    ``nu2`` and ``parcel_seed`` give one spatial basis (the nu2 vector of
-    :func:`~cvfmri.parcellation.build_spatial_basis`) and one seed per parcel,
-    or a single one for a lone parcel; ``nu2`` may be None in nonspatial mode.
-    ``parcel_ids`` name the parcels in error messages (default 0, 1, ...).
+    in order, ``sizes`` rows each; ``x`` is the shared regressor. Both are
+    centered internally, parcel by parcel. ``nu2`` gives each parcel's spatial
+    basis (the nu2 vector of :func:`~cvfmri.parcellation.build_spatial_basis`),
+    or is None in nonspatial mode. ``parcel_ids`` (default 0, 1, ...) are the
+    parcels' indices in the image: parcel g draws from
+    ``default_rng(derive_seed(cfg.seed, g))`` and is named g in error messages.
 
     Each stage of a sweep is one numpy call across the batch. Every parcel
     draws from its own generator (see ``BLOCK_SWEEPS``) and its statistics come
     from its own rows, so its part of the summary is a deterministic function
-    of its rows, nu2 and seed, whatever batch it runs in. The summary covers
-    the stacked rows, which ``trace_voxels`` index too; the trace maps each
-    traced row to its (n_iter, 6) draws of gamma, beta, rho and sigma^2.
+    of its rows, nu2, index and ``cfg``, whatever batch it runs in. The summary
+    covers the stacked rows, which ``trace_voxels`` index too; the trace maps
+    each traced row to its (n_iter, 6) draws of gamma, beta, rho and sigma^2.
     """
     y = np.ascontiguousarray(y, dtype=complex)
     x = np.asarray(x, dtype=float)
@@ -426,12 +426,11 @@ def run_parcel_chain(
     if x.size < 3:
         raise InsufficientDataError("chains need at least 3 time points")
     n_vox, n_time = y.shape
-    sizes = np.array([n_vox] if sizes is None else [int(s) for s in sizes], dtype=np.intp)
-    seeds = [parcel_seed] if np.ndim(parcel_seed) == 0 else list(parcel_seed)
-    ids = list(range(len(sizes))) if parcel_ids is None else list(parcel_ids)
+    sizes = np.array([int(s) for s in sizes], dtype=np.intp)
     n_parcels = len(sizes)
-    if sum(sizes) != n_vox or min(sizes) < 1 or len(seeds) != n_parcels or len(ids) != n_parcels:
-        raise InvalidSpecError("a batch needs one size, seed and id per parcel; sizes sum to V")
+    ids = list(range(n_parcels) if parcel_ids is None else parcel_ids)
+    if sum(sizes) != n_vox or min(sizes) < 1 or len(ids) != n_parcels:
+        raise InvalidSpecError("a batch needs one size and id per parcel; sizes sum to V")
 
     def in_first_failing_parcel(draw, bounds, *args):
         """Redo a failed ``draw`` parcel by parcel, on each parcel's slice
@@ -447,13 +446,12 @@ def run_parcel_chain(
     if spatial:
         if nu2 is None:
             raise InvalidSpecError("spatial mode requires the parcels' nu2")
-        bases = [nu2] if len(nu2) and np.ndim(nu2[0]) == 0 else list(nu2)
-        if len(bases) != n_parcels:
+        if len(nu2) != n_parcels:
             raise InvalidSpecError("a batch needs one nu2 vector per parcel")
-        for g, (b, size) in enumerate(zip(bases, sizes)):
+        for g, (b, size) in enumerate(zip(nu2, sizes)):
             if np.shape(b) != (size,):
                 raise InvalidSpecError(f"parcel {ids[g]}: basis size does not match parcel size")
-        nu2 = np.concatenate(bases)
+        nu2 = np.concatenate(nu2)
 
     offsets = np.concatenate([[0], np.cumsum(sizes)])
     starts = offsets[:-1]
@@ -476,7 +474,7 @@ def run_parcel_chain(
         kappa = np.full(n_parcels, cfg.a_kappa * cfg.b_kappa)
     else:
         eta_shared = np.full(n_parcels, 0.5)
-    rngs = [np.random.default_rng(s) for s in seeds]
+    rngs = [np.random.default_rng(derive_seed(cfg.seed, g)) for g in ids]
     kappa_shapes = [s / 2.0 + cfg.a_kappa if spatial else None for s in sizes]
 
     kept_gamma = np.zeros((cfg.n_kept, n_vox), dtype=np.int8)
@@ -590,16 +588,15 @@ def stitch_voxel_field(partition: Partition, chains, extract, dtype=float) -> np
     return flat.reshape(partition.dims)
 
 
-def summarize(chains, partition: Partition, threshold: float) -> ResultMaps:
-    """Stitch parcel summaries into activation, magnitude, and phase maps.
+def summarize(incl_prob: np.ndarray, beta_mean: np.ndarray, threshold: float) -> ResultMaps:
+    """Activation, magnitude, and phase maps from the stitched inclusion
+    probabilities and posterior mean coefficients.
 
     A voxel is declared active when its inclusion probability strictly exceeds
     ``threshold``; the phase map is defined on active voxels only (NaN
     elsewhere).
     """
-    incl = stitch_voxel_field(partition, chains, lambda s: s.incl_prob)
-    beta = stitch_voxel_field(partition, chains, lambda s: s.beta_mean, dtype=complex)
-    activation = (incl > threshold).astype(np.int8)
-    magnitude = np.abs(beta)
-    phase = np.where(activation == 1, np.angle(beta), np.nan)
-    return ResultMaps(partition.dims, activation, magnitude, phase)
+    activation = (incl_prob > threshold).astype(np.int8)
+    magnitude = np.abs(beta_mean)
+    phase = np.where(activation == 1, np.angle(beta_mean), np.nan)
+    return ResultMaps(incl_prob.shape, activation, magnitude, phase)

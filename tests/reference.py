@@ -8,11 +8,15 @@ public ``draw_*`` functions of ``cvfmri.sampler`` independently of the
 engine's algebra. The ``*_draws`` helpers give n draws of one series'
 conditional, taking their standard variates from ``rng`` in the order and
 layout of the engine's stream (two normals per complex draw).
+
+``graph_laplacian`` is the dense oracle of a parcel's graph Laplacian, which
+the spatial basis tests compare against.
 """
 
 import numpy as np
+from scipy import sparse
 
-from cvfmri.errors import InsufficientDataError
+from cvfmri.errors import InsufficientDataError, InvalidSpecError
 from cvfmri.sampler import (
     _standard_complex_normals,
     draw_beta,
@@ -120,3 +124,12 @@ def tau2_draws(gamma, beta, prev_tau2, n, rng):
 def kappa_draw(eta, nu2, a_kappa, b_kappa, rng):
     g = rng.standard_gamma(eta.size / 2.0 + a_kappa)
     return float(draw_kappa(np.sum(eta * eta / nu2), g, b_kappa))
+
+
+def graph_laplacian(adjacency):
+    """Dense Q = diag(A 1) - A of a dense or sparse adjacency; degrees are
+    summed in integer arithmetic so that Q 1 = 0 exactly."""
+    a = adjacency.toarray() if sparse.issparse(adjacency) else np.asarray(adjacency)
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or not np.array_equal(a, a.T):
+        raise InvalidSpecError("adjacency must be square and symmetric")
+    return np.diag(a.astype(np.int64).sum(axis=1).astype(float)) - a

@@ -35,7 +35,6 @@ from cvfmri.parcellation import (
     EDGE_CORNER,
     build_adjacency,
     build_spatial_basis,
-    graph_laplacian,
     partition_grid,
 )
 from cvfmri.pipeline import (
@@ -61,6 +60,7 @@ from reference import (
     backward_transform,
     beta_draws,
     gamma_probability,
+    graph_laplacian,
     kappa_draw,
     real_design_matrix,
     rho_draws,
@@ -367,8 +367,8 @@ class TestRecoveryCriteria:
         y = 0.5 + 0.05 * (rng2.standard_normal((100, 100)) + 1j * rng2.standard_normal((100, 100)))
         part = partition_grid((10, 10), 1)
         nu2 = build_spatial_basis(build_adjacency(part.parcel_voxel_lists[0], (10, 10)), 5)
-        summary = run_parcel_chain(y, nu2, x, SamplerConfig(n_iter=100, n_burn=50, seed=0),
-                                   parcel_seed=4, trace_voxels=range(100))
+        summary = run_parcel_chain(y, [nu2], x, SamplerConfig(n_iter=100, n_burn=50, seed=4),
+                                   [100], trace_voxels=range(100))
         draws = np.stack([summary.trace[v] for v in range(100)], axis=1)  # (sweep, voxel, field)
         trace_ok = bool(np.all(draws[draws[..., 0] == 0][:, 1:3] == 0)
                         and np.all(draws[..., 5] > 0))

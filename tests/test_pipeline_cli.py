@@ -1,11 +1,14 @@
 """End-to-end pipeline and CLI behavior on small configurations."""
 
 import csv
+import json
 import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 import warnings
+from multiprocessing.reduction import ForkingPickler
 from pathlib import Path
 
 import numpy as np
@@ -15,9 +18,22 @@ from cvfmri import cli, dataio, pipeline
 from cvfmri.data import ComplexDataset
 from cvfmri.design import design_for_length
 from cvfmri.errors import InvalidSpecError
-from cvfmri.pipeline import FitConfig, evaluate_dirs, fit_dataset, write_fit_outputs
+from cvfmri.pipeline import (
+    REALISTIC_COLUMNS,
+    FitConfig,
+    evaluate_dirs,
+    fit_dataset,
+    write_fit_outputs,
+)
 from cvfmri.sampler import SamplerConfig
-from cvfmri.simulate import NoiseSpec, RegionSpec, SignalSpec, generate_true_maps, simulate_iid
+from cvfmri.simulate import (
+    DEFAULT_MULTIPLIER,
+    NoiseSpec,
+    RegionSpec,
+    SignalSpec,
+    generate_true_maps,
+    simulate_iid,
+)
 
 DATA_FILES = (
     "activation.csv",
@@ -69,6 +85,55 @@ class TestFitPipeline:
             outs.append(out)
         for name in DATA_FILES:
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+    def test_pooled_traces_match_one_worker(self, tmp_path):
+        # traced voxels in both workers' parcel ranges, one of them listed twice
+        ds, _, _ = small_dataset()
+        part = pipeline.partition_grid(ds.dims, 4)
+        assert part.assignment[0] < 2 <= part.assignment[143]
+        dataio.write_dataset(tmp_path / "d.cvf", ds)
+        traces = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"w{workers}"
+            assert cli.main(["fit", "--data", str(tmp_path / "d.cvf"), "--out", str(out),
+                             "--G", "4", "--iters", "40", "--burn", "20", "--seed", "6",
+                             "--workers", workers, "--trace-voxels", "143,0,70,143"]) == 0
+            traces.append({p.name: p.read_bytes() for p in out.glob("trace_voxel*.csv")})
+        assert sorted(traces[0]) == ["trace_voxel0.csv", "trace_voxel143.csv",
+                                     "trace_voxel70.csv"]
+        assert traces[0] == traces[1]
+
+    def test_pooled_fit_parent_holds_no_copy_of_the_series(self):
+        # the workers inherit the series and cut their own rows
+        maps = generate_true_maps((40, 40), [RegionSpec((20, 20), 4.0)], 0.15)
+        design = design_for_length(200)
+        ds = simulate_iid(maps, design, SignalSpec(beta0=0.5), NoiseSpec("iid", sigma=0.05), 8)
+        cfg = FitConfig(n_parcels=4, workers=2,
+                        sampler=SamplerConfig(n_iter=40, n_burn=20, seed=1))
+        tracemalloc.start()
+        try:
+            fit_dataset(ds, design, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < ds.data.nbytes / 4
+
+    def test_pool_pickles_parcel_ranges_only(self, monkeypatch):
+        # what the parent pickles to its workers: the tasks, not the fit
+        dumps = ForkingPickler.dumps
+        sent = []
+
+        def counting(obj, protocol=None):
+            data = dumps(obj, protocol)
+            sent.append(len(data))
+            return data
+
+        monkeypatch.setattr(ForkingPickler, "dumps", counting)
+        ds, _, design = small_dataset()
+        cfg = FitConfig(n_parcels=4, workers=2,
+                        sampler=SamplerConfig(n_iter=40, n_burn=20, seed=1))
+        fit_dataset(ds, design, cfg)
+        assert 0 < sum(sent) < 2048
 
     def test_design_length_mismatch(self):
         ds, _, _ = small_dataset()
@@ -443,6 +508,34 @@ class TestCli:
             capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag", [("--T", "100"), ("--multiplier", "3")])
+    def test_realistic_simulate_rejects_iid_ar1_flags(self, tmp_path, capsys, monkeypatch, flag):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated despite a flag the study does not use")
+
+        monkeypatch.setattr(pipeline, "simulate_realistic", no_simulation)
+        out = tmp_path / "sim"
+        assert self.run("simulate", "--study", "realistic", "--seed", "1", *flag,
+                        "--out", str(out)) == 2
+        assert "the realistic study sets its own T and multiplier" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_simulate_manifest_records_the_values_used(self, tmp_path, monkeypatch):
+        out = tmp_path / "ar1"
+        assert self.run("simulate", "--study", "ar1", "--seed", "1", "--T", "3",
+                        "--out", str(out)) == 0
+        manifest = dataio.read_keyvalues(out / "manifest.txt")
+        assert manifest["T"] == "3" and float(manifest["multiplier"]) == DEFAULT_MULTIPLIER
+        # a one-slice, 40-point volume stands in for the seven-slice one
+        realistic = pipeline.simulate_realistic
+        monkeypatch.setattr(pipeline, "simulate_realistic",
+                            lambda seed: realistic(seed, n_slices=1, n_time=40, taper=(1.0,)))
+        out = tmp_path / "realistic"
+        assert self.run("simulate", "--study", "realistic", "--seed", "1",
+                        "--out", str(out)) == 0
+        manifest = dataio.read_keyvalues(out / "manifest.txt")
+        assert manifest == {"study": "realistic", "seed": "1", "T": "40", "dims": "1,96,96"}
+
     def test_non_finite_sample_exit_code(self, tmp_path, capsys):
         ds, _, _ = small_dataset()
         path = tmp_path / "nan.cvf"
@@ -562,3 +655,53 @@ class TestReproduceCli:
                          "--seed", "1", "--workers", workers, "--out", str(out)]) == 2
         assert f"workers must be at least 1, got {workers}" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_realistic_rejects_replicates_before_any_work(self, tmp_path, capsys, monkeypatch):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated despite a replicate count the study ignores")
+
+        monkeypatch.setattr(pipeline, "simulate_realistic", no_simulation)
+        out = tmp_path / "study"
+        assert cli.main(["reproduce", "--study", "realistic", "--replicates", "3",
+                         "--seed", "1", "--out", str(out)]) == 2
+        assert "the realistic study has no replicates" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_manifest_records_the_replicates_used(self, tmp_path, monkeypatch):
+        runs = []
+        monkeypatch.setattr(pipeline, "_reproduce_simple",
+                            lambda study, n, seed, base: runs.append(n) or [])
+        monkeypatch.setattr(pipeline, "_reproduce_realistic", lambda seed, base: [])
+        assert cli.main(["reproduce", "--study", "ar1", "--seed", "1",
+                         "--out", str(tmp_path / "ar1")]) == 0
+        assert runs == [20]
+        manifest = dataio.read_keyvalues(tmp_path / "ar1" / "manifest.txt")
+        assert manifest == {"study": "ar1", "replicates": "20", "seed": "1"}
+        out = tmp_path / "realistic"
+        assert cli.main(["reproduce", "--study", "realistic", "--seed", "1",
+                         "--out", str(out)]) == 0
+        assert dataio.read_keyvalues(out / "manifest.txt") == {"study": "realistic", "seed": "1"}
+        assert read_csv_rows(out / "report.csv") == [["slice", *REALISTIC_COLUMNS]]
+
+
+class TestFitbenchTracer:
+    def test_every_span_and_the_batch_count_are_recorded(self, tmp_path):
+        # the benchmark's tracer wraps pipeline names by lookup and patches
+        # modules for good, so it runs in a process of its own
+        ds, _, _ = small_dataset()
+        dataio.write_dataset(tmp_path / "d.cvf", ds)
+        src = str(Path(cli.__file__).parents[1])
+        fitproc = Path(__file__).resolve().parents[1] / "fitbench" / "fitproc.py"
+        proc = subprocess.run(
+            [sys.executable, str(fitproc), src, "1", "--data", str(tmp_path / "d.cvf"),
+             "--out", str(tmp_path / "fit"), "--G", "4", "--iters", "40", "--burn", "20",
+             "--seed", "1", "--workers", "1"],
+            capture_output=True, text=True, check=True,
+        )
+        report = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert report["exit"] == 0
+        for key in ("dataio.read", "dataio.write", "parcellation.partition",
+                    "parcellation.adjacency", "parcellation.basis", "sampler.chain",
+                    "sampler.stitch", "pipeline.fit_dataset"):
+            assert report["spans"].get(key, 0) > 0, key
+        assert report["counts"]["parcels"] == 1

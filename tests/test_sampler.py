@@ -27,6 +27,7 @@ from cvfmri.sampler import (
     mcse,
     prior_logit_spatial,
     run_parcel_chain,
+    stitch_voxel_field,
     summarize,
 )
 from reference import design_stats, lag_stats, residual_ss
@@ -150,26 +151,26 @@ def batch_instance():
 class TestChainEquivalence:
     def test_chain_matches_op_level_reference(self, tiny_instance):
         y, x, nu2 = tiny_instance
-        cfg = SamplerConfig(n_iter=20, n_burn=0, seed=0)
-        seed = 77777
-        summary = run_parcel_chain(y, nu2, x, cfg, parcel_seed=seed,
-                                   trace_voxels=[0, 1, 2, 3])
-        history, incl, beta_mean = reference_chain(y, nu2, x, cfg, seed)
+        cfg = SamplerConfig(n_iter=20, n_burn=0, seed=77777)
+        summary = run_parcel_chain(y, [nu2], x, cfg, [4], trace_voxels=[0, 1, 2, 3])
+        history, incl, beta_mean = reference_chain(y, nu2, x, cfg, derive_seed(cfg.seed, 0))
         assert_trace_matches(summary.trace, history, range(4))
         assert np.allclose(summary.incl_prob, incl, atol=1e-12)
         assert np.allclose(summary.beta_mean, beta_mean, rtol=1e-9, atol=1e-12)
 
     def test_batch_matches_op_level_reference(self, batch_instance):
         # three parcels in one batch, over a block boundary: each parcel must
-        # follow its own stream as if it ran alone
+        # follow its own stream as if it ran alone, the one that the seeding
+        # rule derives from the config's seed and the parcel's index
         y, x, nu2s, sizes = batch_instance
-        cfg = SamplerConfig(n_iter=BLOCK_SWEEPS + 8, n_burn=8, seed=0)
-        seeds = [derive_seed(404, g) for g in range(3)]
-        summary = run_parcel_chain(y, nu2s, x, cfg, parcel_seed=seeds, sizes=sizes,
+        cfg = SamplerConfig(n_iter=BLOCK_SWEEPS + 8, n_burn=8, seed=404)
+        ids = [5, 6, 7]
+        summary = run_parcel_chain(y, nu2s, x, cfg, sizes, parcel_ids=ids,
                                    trace_voxels=range(y.shape[0]))
         lo = 0
-        for nu2, size, seed in zip(nu2s, sizes, seeds):
-            history, incl, beta_mean = reference_chain(y[lo:lo + size], nu2, x, cfg, seed)
+        for nu2, size, g in zip(nu2s, sizes, ids):
+            history, incl, beta_mean = reference_chain(y[lo:lo + size], nu2, x, cfg,
+                                                       derive_seed(cfg.seed, g))
             assert_trace_matches(summary.trace, history, range(lo, lo + size))
             assert np.allclose(summary.incl_prob[lo:lo + size], incl, atol=1e-12)
             assert np.allclose(summary.beta_mean[lo:lo + size], beta_mean,
@@ -180,16 +181,15 @@ class TestChainEquivalence:
 class TestChainBehavior:
     def test_deterministic(self, tiny_instance):
         y, x, nu2 = tiny_instance
-        cfg = SamplerConfig(n_iter=60, n_burn=20, seed=0)
-        a = run_parcel_chain(y, nu2, x, cfg, parcel_seed=42)
-        b = run_parcel_chain(y, nu2, x, cfg, parcel_seed=42)
+        cfg = SamplerConfig(n_iter=60, n_burn=20, seed=42)
+        a = run_parcel_chain(y, [nu2], x, cfg, [4])
+        b = run_parcel_chain(y, [nu2], x, cfg, [4])
         assert np.array_equal(a.incl_prob, b.incl_prob)
         assert np.array_equal(a.beta_mean, b.beta_mean)
         assert np.array_equal(a.mcse, b.mcse)
-        # a lone parcel's nu2 and seed, alone or as a batch of one
-        c = run_parcel_chain(y, [nu2], x, cfg, parcel_seed=[42])
-        assert np.array_equal(a.incl_prob, c.incl_prob)
-        assert np.array_equal(a.beta_mean, c.beta_mean)
+        # the parcel's index picks its stream
+        c = run_parcel_chain(y, [nu2], x, cfg, [4], parcel_ids=[1])
+        assert not np.array_equal(a.beta_mean, c.beta_mean)
 
     def test_pure_noise_parcel_stays_quiet(self):
         rng = np.random.default_rng(8)
@@ -198,8 +198,8 @@ class TestChainBehavior:
         y = 0.5 + 0.2 * (rng.standard_normal((n_vox, n_time)) + 1j * rng.standard_normal((n_vox, n_time)))
         part = partition_grid((10, 10), 1)
         nu2 = build_spatial_basis(build_adjacency(part.parcel_voxel_lists[0], (10, 10)), 5)
-        cfg = SamplerConfig(n_iter=400, n_burn=200, seed=0)
-        summary = run_parcel_chain(y, nu2, x, cfg, parcel_seed=3)
+        cfg = SamplerConfig(n_iter=400, n_burn=200, seed=3)
+        summary = run_parcel_chain(y, [nu2], x, cfg, [n_vox])
         below = np.mean(summary.incl_prob < cfg.threshold)
         assert below >= 0.99
 
@@ -212,8 +212,8 @@ class TestChainBehavior:
         y = (0.5 + beta_true[:, None] * x[None, :]) * np.exp(1j * np.pi / 4)
         y = y + sigma * (rng.standard_normal((4, n_time)) + 1j * rng.standard_normal((4, n_time)))
         nu2 = build_spatial_basis(build_adjacency(np.arange(4), (1, 4), EDGE), 2)
-        cfg = SamplerConfig(n_iter=400, n_burn=200, seed=0)
-        summary = run_parcel_chain(y, nu2, x, cfg, parcel_seed=5)
+        cfg = SamplerConfig(n_iter=400, n_burn=200, seed=5)
+        summary = run_parcel_chain(y, [nu2], x, cfg, [4])
         assert summary.incl_prob[1] > 0.99
 
     def test_inclusion_monotone_in_signal_strength(self):
@@ -222,13 +222,13 @@ class TestChainBehavior:
         sigma = 0.05
         beta_true = np.array([0.5 * sigma, 2.0 * sigma, 0.0, 0.0])
         nu2 = build_spatial_basis(build_adjacency(np.arange(4), (1, 4), EDGE), 2)
-        cfg = SamplerConfig(n_iter=200, n_burn=100, seed=0)
         weak, strong = [], []
         for seed in range(20):
             rng = np.random.default_rng(1000 + seed)
             y = (0.5 + beta_true[:, None] * x[None, :]) * np.exp(1j * np.pi / 4)
             y = y + sigma * (rng.standard_normal((4, n_time)) + 1j * rng.standard_normal((4, n_time)))
-            summary = run_parcel_chain(y, nu2, x, cfg, parcel_seed=seed)
+            cfg = SamplerConfig(n_iter=200, n_burn=100, seed=seed)
+            summary = run_parcel_chain(y, [nu2], x, cfg, [4])
             weak.append(summary.incl_prob[0])
             strong.append(summary.incl_prob[1])
         assert np.mean(strong) > np.mean(weak)
@@ -236,32 +236,30 @@ class TestChainBehavior:
     def test_audit_invariants_hold(self, tiny_instance):
         # every traced sweep: gamma=0 => beta=0, and sigma2 > 0
         y, x, nu2 = tiny_instance
-        cfg = SamplerConfig(n_iter=100, n_burn=50, seed=0)
-        summary = run_parcel_chain(y, nu2, x, cfg, parcel_seed=11, trace_voxels=range(4))
+        cfg = SamplerConfig(n_iter=100, n_burn=50, seed=11)
+        summary = run_parcel_chain(y, [nu2], x, cfg, [4], trace_voxels=range(4))
         draws = np.stack([summary.trace[v] for v in range(4)], axis=1)  # (sweep, voxel, field)
         assert np.all(draws[draws[..., 0] == 0][:, 1:3] == 0)
         assert np.all(draws[..., 5] > 0)
 
     def test_nonspatial_mode(self, tiny_instance):
         y, x, _ = tiny_instance
-        cfg = SamplerConfig(n_iter=60, n_burn=20, mode=NONSPATIAL, seed=0)
+        cfg = SamplerConfig(n_iter=60, n_burn=20, mode=NONSPATIAL, seed=2)
         assert cfg.threshold == 0.5
-        summary = run_parcel_chain(y, None, x, cfg, parcel_seed=2)
+        summary = run_parcel_chain(y, None, x, cfg, [4])
         assert summary.incl_prob.shape == (4,)
 
     def test_nonspatial_matches_op_reference(self, tiny_instance):
         y, x, _ = tiny_instance
-        cfg = SamplerConfig(n_iter=16, n_burn=0, mode=NONSPATIAL, seed=0)
-        seed = 31
-        summary = run_parcel_chain(y, None, x, cfg, parcel_seed=seed,
-                                   trace_voxels=[0, 1, 2, 3])
-        history, _, _ = reference_chain(y, None, x, cfg, seed)
+        cfg = SamplerConfig(n_iter=16, n_burn=0, mode=NONSPATIAL, seed=31)
+        summary = run_parcel_chain(y, None, x, cfg, [4], trace_voxels=[0, 1, 2, 3])
+        history, _, _ = reference_chain(y, None, x, cfg, derive_seed(cfg.seed, 0))
         assert_trace_matches(summary.trace, history, range(4))
 
     def test_rejects_mismatched_inputs(self, tiny_instance):
         y, x, nu2 = tiny_instance
         with pytest.raises(InvalidSpecError):
-            run_parcel_chain(y[:, :6], nu2, x, SamplerConfig(seed=0), parcel_seed=1)
+            run_parcel_chain(y[:, :6], [nu2], x, SamplerConfig(seed=1), [4])
         # too few kept draws for the MCSE is a bad setting, caught before any chain
         with pytest.raises(InvalidSpecError, match="kept draws"):
             SamplerConfig(n_iter=20, n_burn=10, seed=0)
@@ -282,7 +280,6 @@ class TestBatchInvariance:
         y = (1.0 + beta_true[:, None] * x[None, :]) * np.exp(0.4j)
         y = y + 0.05 * (rng.standard_normal(y.shape) + 1j * rng.standard_normal(y.shape))
         nu2s = [build_spatial_basis(build_adjacency(v, dims), 3) for v in lists]
-        seeds = [derive_seed(9, g) for g in range(6)]
         cfg = SamplerConfig(n_iter=2 * BLOCK_SWEEPS + 10, n_burn=30, mode=mode, seed=9)
 
         def per_parcel(bounds):
@@ -291,7 +288,7 @@ class TestBatchInvariance:
                 sizes = [len(v) for v in lists[lo:hi]]
                 s = run_parcel_chain(y[np.concatenate(lists[lo:hi])],
                                      nu2s[lo:hi] if mode == "spatial" else None, x, cfg,
-                                     seeds[lo:hi], sizes=sizes, parcel_ids=range(lo, hi))
+                                     sizes, parcel_ids=range(lo, hi))
                 cuts = np.cumsum(sizes)[:-1]
                 out += [tuple(a.tobytes() for a in fields)
                         for fields in zip(*(np.split(f, cuts)
@@ -316,18 +313,19 @@ class TestBatchInvariance:
         monkeypatch.setattr(sampler, "draw_beta", zero_middle_parcel)
         cfg = SamplerConfig(n_iter=40, n_burn=20, seed=0)
         with pytest.raises(DegeneratePosteriorError, match="^parcel 8: slab variance"):
-            run_parcel_chain(y, nu2s, x, cfg, [1, 2, 3], sizes=sizes, parcel_ids=[7, 8, 9])
+            run_parcel_chain(y, nu2s, x, cfg, sizes, parcel_ids=[7, 8, 9])
 
     def test_batch_rejects_mismatched_parts(self, batch_instance):
         y, x, nu2s, sizes = batch_instance
         cfg = SamplerConfig(n_iter=40, n_burn=20, seed=0)
         with pytest.raises(InvalidSpecError):
-            run_parcel_chain(y, nu2s, x, cfg, [1, 2, 3], sizes=(4, 3, 4))
+            run_parcel_chain(y, nu2s, x, cfg, (4, 3, 4))
         with pytest.raises(InvalidSpecError):
-            run_parcel_chain(y, nu2s, x, cfg, [1, 2], sizes=sizes)
+            run_parcel_chain(y, nu2s, x, cfg, sizes, parcel_ids=[1, 2])
+        with pytest.raises(InvalidSpecError):
+            run_parcel_chain(y, nu2s[:2], x, cfg, sizes)
         with pytest.raises(InvalidSpecError, match="parcel 7: basis size"):
-            run_parcel_chain(y, nu2s[::-1], x, cfg, [1, 2, 3], sizes=sizes,
-                             parcel_ids=[7, 8, 9])
+            run_parcel_chain(y, nu2s[::-1], x, cfg, sizes, parcel_ids=[7, 8, 9])
 
 
 class TestMcse:
@@ -360,37 +358,26 @@ class TestMcse:
 
 
 class TestSummarize:
-    def _summaries(self, partition, incl, beta):
-        out = []
-        for voxels in partition.parcel_voxel_lists:
-            out.append(ChainSummary(
-                incl_prob=incl.reshape(-1)[voxels],
-                beta_mean=beta.reshape(-1)[voxels],
-                mcse=np.zeros(voxels.size),
-                converged=True,
-            ))
-        return out
-
     def test_magnitude_and_phase(self):
-        part = partition_grid((2, 2), 2)
-        incl = np.array([1.0, 0.0, 1.0, 0.0])
-        beta = np.array([1 + 1j, 0j, 2 + 0j, 0j])
-        maps = summarize(self._summaries(part, incl, beta), part, 0.8722)
+        incl = np.array([[1.0, 0.0], [1.0, 0.0]])
+        beta = np.array([[1 + 1j, 0j], [2 + 0j, 0j]])
+        maps = summarize(incl, beta, 0.8722)
         assert maps.activation.tolist() == [[1, 0], [1, 0]]
         assert maps.magnitude[0, 0] == pytest.approx(math.sqrt(2))
         assert maps.phase[0, 0] == pytest.approx(math.pi / 4)
         assert np.isnan(maps.phase[0, 1])
 
     def test_threshold_is_strict(self):
-        part = partition_grid((1, 2), 1)
-        incl = np.array([0.8722, 0.87221])
-        beta = np.array([1 + 0j, 1 + 0j])
-        maps = summarize(self._summaries(part, incl, beta), part, 0.8722)
+        maps = summarize(np.array([[0.8722, 0.87221]]), np.array([[1 + 0j, 1 + 0j]]), 0.8722)
         assert maps.activation.tolist() == [[0, 1]]
 
     def test_missing_parcel_rejected(self):
+        # stitching scatters each parcel's voxels back, and must see them all
         part = partition_grid((2, 2), 2)
-        incl = np.zeros(4)
-        beta = np.zeros(4, dtype=complex)
+        summaries = [ChainSummary(incl_prob=np.full(v.size, 0.5), beta_mean=np.zeros(v.size),
+                                  mcse=np.zeros(v.size), converged=True)
+                     for v in part.parcel_voxel_lists]
+        field = stitch_voxel_field(part, summaries, lambda s: s.incl_prob)
+        assert field.tolist() == [[0.5, 0.5], [0.5, 0.5]]
         with pytest.raises(InvalidSpecError):
-            summarize(self._summaries(part, incl, beta)[:1], part, 0.5)
+            stitch_voxel_field(part, summaries[:1], lambda s: s.incl_prob)
