@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import csv
 import multiprocessing
-import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
@@ -54,6 +53,7 @@ from .sampler import (
     run_parcel_chain,
     stitch_voxel_field,
     summarize,
+    usable_cpus,
 )
 from .simulate import (
     DEFAULT_MULTIPLIER,
@@ -113,8 +113,7 @@ class FitConfig:
         """The worker count, by default one per CPU this process may run on."""
         w = self.workers
         if w is None:
-            w = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                 else os.cpu_count() or 1)
+            w = usable_cpus()
         return min(w, self.n_parcels)
 
 

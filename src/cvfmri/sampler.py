@@ -36,19 +36,27 @@ which the engine derives from the parcel's index in the image. Every draw a
 parcel uses has a fixed count, for every voxel whether it uses it or not, and
 is pregenerated in blocks of ``BLOCK_SWEEPS`` sweeps (the layout is given
 there). So a parcel's draws, and its maps, do not depend on which batch
-or worker runs it. Each conditional is written once, as a public function of
-its sufficient statistics and standard variates (``inclusion_probability`` and
-the ``draw_*`` functions); the engine calls them, and the test suite feeds
-them from an independent per-series reference.
+or worker runs it. When the batch's parcels average at least
+``PREFETCH_MIN_VOXELS`` voxels and a CPU is spare (the process may run on
+more than one and is not a worker of a process pool), a helper thread draws
+each block while the engine sweeps the one before it; the stream is the same
+either way. Each
+conditional is written once, as a public function of its sufficient
+statistics and standard variates (``inclusion_probability`` and the
+``draw_*`` functions); the engine calls them, and the test suite feeds them
+from an independent per-series reference.
 """
 
 from __future__ import annotations
 
 import math
+import multiprocessing
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betaincinv, expit, gammaincinv, log_ndtr, ndtri
+from scipy.special import betaincinv, expit, gammaincinv, ndtr, ndtri
 
 from .errors import (
     DegeneratePosteriorError,
@@ -78,6 +86,7 @@ __all__ = [
     "draw_eta_shared",
     "BLOCK_SWEEPS",
     "run_parcel_chain",
+    "usable_cpus",
     "mcse",
     "stitch_voxel_field",
     "summarize",
@@ -184,7 +193,6 @@ class ChainSummary:
 class ResultMaps:
     """Stitched whole-image outputs: activation, magnitude, phase."""
 
-    dims: tuple
     activation: np.ndarray
     magnitude: np.ndarray
     phase: np.ndarray
@@ -206,9 +214,13 @@ def log_null_slab_ratio(xstar_norm2, xty_norm2, sigma2, tau2):
 
 
 def prior_logit_spatial(psi, eta):
-    """Prior log odds of inclusion under the probit latent: logit Phi(psi + eta)."""
+    """Prior log odds of inclusion under the probit latent: logit Phi(psi + eta).
+
+    Beyond |z| of about 38 one tail underflows to 0, and the log odds are
+    +-inf, which make the inclusion probability exactly 1 or 0."""
     z = psi + eta
-    return log_ndtr(z) - log_ndtr(-z)
+    with np.errstate(divide="ignore"):
+        return np.log(ndtr(z)) - np.log(ndtr(-z))
 
 
 def prior_logit_shared(eta_shared):
@@ -247,6 +259,8 @@ def _complex_normal(num, prec, sigma2, mask, z):
     ``z`` holds one standard complex normal per element; masked-out ones go
     unused.
     """
+    if mask.all():
+        return num / prec + np.sqrt(sigma2 / prec) * z
     out = np.zeros(mask.shape, dtype=complex)
     idx = np.flatnonzero(mask)
     p = prec[idx]
@@ -321,8 +335,32 @@ def draw_eta_shared(n_active, n_vox, u):
 #: shape T - 1 (sigma^2), k uniforms (tau^2), then in spatial mode k x V
 #: uniforms (eta) and k standard gammas of shape V/2 + a_kappa (kappa), or in
 #: nonspatial mode k uniforms (the shared rate). The value is part of the
-#: stream's definition: changing it changes every chain.
+#: stream's definition: changing it changes every chain. Which thread draws a
+#: block (see PREFETCH_MIN_VOXELS) is not: each generator is read in this
+#: order by one thread at a time.
 BLOCK_SWEEPS = 32
+
+#: Mean parcel size, in voxels, from which the engine draws each block one
+#: block ahead on a helper thread, overlapping the generator fills (which
+#: release the GIL) with the sweeps. Each generator call then costs two
+#: thread switches, so batches of smaller parcels draw inline, on the thread
+#: that sweeps. The overlap also needs a CPU the sweeps leave idle; see
+#: ``_cpu_to_spare``.
+PREFETCH_MIN_VOXELS = 256
+
+
+def usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _cpu_to_spare() -> bool:
+    """Whether a helper thread would find an idle CPU: the process may run on
+    more than one, and it is not a pool worker (a fit's pool starts one
+    worker per CPU, so each CPU already sweeps)."""
+    return usable_cpus() > 1 and multiprocessing.parent_process() is None
 
 
 def _block_draws(rng, n_sweeps, n_vox, shape_sigma, shape_kappa):
@@ -380,11 +418,19 @@ class _ParcelStats:
         c = self.a1 - np.conj(rho) * self.a2 - rho * self.a3 + r2 * self.a4
         return xnorm2, c
 
-    def residual_norms(self, beta):
-        b2 = beta.real**2 + beta.imag**2
-        cw = self.syy - beta * np.conj(self.a3) - np.conj(beta) * self.a2 + b2 * self.sxx_nl
-        wl2 = np.maximum(self.syl2 - 2.0 * (np.conj(beta) * self.a4).real + b2 * self.sxx_ll, 0.0)
-        wn2 = np.maximum(self.syn2 - 2.0 * (np.conj(beta) * self.a1).real + b2 * self.sxx_nn, 0.0)
+    def residual_norms(self, beta, active):
+        """(cw, wl2, wn2) of the residual y - beta x, where beta is 0 off
+        ``active``: there they are the series' own ``syy``, ``syl2``, ``syn2``."""
+        idx = np.flatnonzero(active)
+        b = beta[idx]
+        b2 = b.real**2 + b.imag**2
+        cw, wl2, wn2 = self.syy.copy(), self.syl2.copy(), self.syn2.copy()
+        cw[idx] = (self.syy[idx] - b * np.conj(self.a3[idx]) - np.conj(b) * self.a2[idx]
+                   + b2 * self.sxx_nl)
+        wl2[idx] = np.maximum(self.syl2[idx] - 2.0 * (np.conj(b) * self.a4[idx]).real
+                              + b2 * self.sxx_ll, 0.0)
+        wn2[idx] = np.maximum(self.syn2[idx] - 2.0 * (np.conj(b) * self.a1[idx]).real
+                              + b2 * self.sxx_nn, 0.0)
         return cw, wl2, wn2
 
 
@@ -453,6 +499,14 @@ def run_parcel_chain(
                 raise InvalidSpecError(f"parcel {ids[g]}: basis size does not match parcel size")
         nu2 = np.concatenate(nu2)
 
+    trace = None
+    if trace_voxels is not None:
+        traced = np.fromiter(trace_voxels, dtype=np.intp)
+        outside = traced[(traced < 0) | (traced >= n_vox)]
+        if outside.size:
+            raise InvalidSpecError(f"trace row {outside[0]} lies outside [0, {n_vox})")
+        trace = np.zeros((cfg.n_iter, traced.size, 6))
+
     offsets = np.concatenate([[0], np.cumsum(sizes)])
     starts = offsets[:-1]
     voxel_bounds = list(zip(starts, offsets[1:]))
@@ -477,64 +531,77 @@ def run_parcel_chain(
     rngs = [np.random.default_rng(derive_seed(cfg.seed, g)) for g in ids]
     kappa_shapes = [s / 2.0 + cfg.a_kappa if spatial else None for s in sizes]
 
+    def make_block(it):
+        """The batch's draws of the block that sweep ``it`` opens, one array
+        per stage; the only reader of the parcels' generators."""
+        n_sweeps = min(BLOCK_SWEEPS, cfg.n_iter - it)
+        per_parcel = [_block_draws(rng, n_sweeps, size, n_time - 1, shape)
+                      for rng, size, shape in zip(rngs, sizes, kappa_shapes)]
+        if n_parcels == 1:
+            return per_parcel[0]
+        return [np.concatenate(stage, axis=1) for stage in zip(*per_parcel)]
+
     kept_gamma = np.zeros((cfg.n_kept, n_vox), dtype=np.int8)
     beta_sum = np.zeros(n_vox, dtype=complex)
-    trace = None
-    if trace_voxels is not None:
-        traced = np.fromiter(trace_voxels, dtype=np.intp)
-        trace = np.zeros((cfg.n_iter, traced.size, 6))
-
-    for it in range(cfg.n_iter):
-        j = it % BLOCK_SWEEPS
-        if j == 0:
-            n_sweeps = min(BLOCK_SWEEPS, cfg.n_iter - it)
-            per_parcel = [_block_draws(rng, n_sweeps, size, n_time - 1, shape)
-                          for rng, size, shape in zip(rngs, sizes, kappa_shapes)]
-            u_gamma, z_beta, z_rho, g_sigma, u_tau2, *prior_draws = [
-                np.concatenate(stage, axis=1) for stage in zip(*per_parcel)
-            ]
-
-        # voxel stage: gamma, beta, rho, sigma2 (one call across the batch)
-        tau2_v = np.repeat(tau2, sizes)
-        xnorm2, c = stats.design_norms(rho)
-        if spatial:
-            prior_logit = prior_logit_spatial(cfg.psi, eta)
-        else:
-            prior_logit = np.repeat(prior_logit_shared(eta_shared), sizes)
-        p_incl = inclusion_probability(xnorm2, c, sigma2, tau2_v, prior_logit)
-        gamma = u_gamma[j] < p_incl
-        beta = draw_beta(xnorm2, c, sigma2, tau2_v, gamma, z_beta[j])
-        cw, wl2, wn2 = stats.residual_norms(beta)
-        rho, _ = draw_rho(cw, wl2, sigma2, z_rho[j])
-        r2 = rho.real**2 + rho.imag**2
-        ss = np.maximum(wn2 - 2.0 * (np.conj(rho) * cw).real + r2 * wl2, 0.0)
+    ahead = n_vox >= PREFETCH_MIN_VOXELS * n_parcels and _cpu_to_spare()
+    # the producer's thread starts at its first submit and is joined on exit
+    with ThreadPoolExecutor(max_workers=1) as producer:
+        pending = producer.submit(make_block, 0) if ahead else None
         try:
-            sigma2 = draw_sigma2(ss, g_sigma[j])
-        except DegeneratePosteriorError:
-            # the parcel's own rows name the local voxel
-            in_first_failing_parcel(draw_sigma2, voxel_bounds, ss, g_sigma[j])
+            for it in range(cfg.n_iter):
+                j = it % BLOCK_SWEEPS
+                if j == 0:
+                    u_gamma, z_beta, z_rho, g_sigma, u_tau2, *prior_draws = (
+                        pending.result() if ahead else make_block(it))
+                    if ahead and it + BLOCK_SWEEPS < cfg.n_iter:
+                        pending = producer.submit(make_block, it + BLOCK_SWEEPS)
 
-        # parcel stage: tau2, then the inclusion-prior latents
-        n_active = np.add.reduceat(gamma, starts, dtype=np.intp)
-        ssb = np.add.reduceat(beta.real**2 + beta.imag**2, starts)
-        try:
-            tau2 = draw_tau2(n_active, ssb, tau2, u_tau2[j])
-        except DegeneratePosteriorError:
-            in_first_failing_parcel(draw_tau2, parcel_bounds, n_active, ssb, tau2, u_tau2[j])
-        if spatial:
-            u_eta, g_kappa = prior_draws
-            eta = draw_eta(gamma, nu2, np.repeat(kappa, sizes), u_eta[j])
-            sum_eta2 = np.add.reduceat(eta * eta / nu2, starts)
-            kappa = draw_kappa(sum_eta2, g_kappa[j], cfg.b_kappa)
-        else:
-            eta_shared = draw_eta_shared(n_active, sizes, prior_draws[0][j])
+                # voxel stage: gamma, beta, rho, sigma2 (one call across the batch)
+                tau2_v = np.repeat(tau2, sizes)
+                xnorm2, c = stats.design_norms(rho)
+                if spatial:
+                    prior_logit = prior_logit_spatial(cfg.psi, eta)
+                else:
+                    prior_logit = np.repeat(prior_logit_shared(eta_shared), sizes)
+                p_incl = inclusion_probability(xnorm2, c, sigma2, tau2_v, prior_logit)
+                gamma = u_gamma[j] < p_incl
+                beta = draw_beta(xnorm2, c, sigma2, tau2_v, gamma, z_beta[j])
+                cw, wl2, wn2 = stats.residual_norms(beta, gamma)
+                rho, _ = draw_rho(cw, wl2, sigma2, z_rho[j])
+                r2 = rho.real**2 + rho.imag**2
+                ss = np.maximum(wn2 - 2.0 * (np.conj(rho) * cw).real + r2 * wl2, 0.0)
+                try:
+                    sigma2 = draw_sigma2(ss, g_sigma[j])
+                except DegeneratePosteriorError:
+                    # the parcel's own rows name the local voxel
+                    in_first_failing_parcel(draw_sigma2, voxel_bounds, ss, g_sigma[j])
 
-        if trace is not None:
-            trace[it] = np.column_stack((gamma[traced], beta[traced].real, beta[traced].imag,
-                                         rho[traced].real, rho[traced].imag, sigma2[traced]))
-        if it >= cfg.n_burn:
-            kept_gamma[it - cfg.n_burn] = gamma
-            beta_sum += beta
+                # parcel stage: tau2, then the inclusion-prior latents
+                n_active = np.add.reduceat(gamma, starts, dtype=np.intp)
+                ssb = np.add.reduceat(beta.real**2 + beta.imag**2, starts)
+                try:
+                    tau2 = draw_tau2(n_active, ssb, tau2, u_tau2[j])
+                except DegeneratePosteriorError:
+                    in_first_failing_parcel(draw_tau2, parcel_bounds, n_active, ssb, tau2,
+                                            u_tau2[j])
+                if spatial:
+                    u_eta, g_kappa = prior_draws
+                    eta = draw_eta(gamma, nu2, np.repeat(kappa, sizes), u_eta[j])
+                    sum_eta2 = np.add.reduceat(eta * eta / nu2, starts)
+                    kappa = draw_kappa(sum_eta2, g_kappa[j], cfg.b_kappa)
+                else:
+                    eta_shared = draw_eta_shared(n_active, sizes, prior_draws[0][j])
+
+                if trace is not None:
+                    trace[it] = np.column_stack((gamma[traced], beta[traced].real,
+                                                 beta[traced].imag, rho[traced].real,
+                                                 rho[traced].imag, sigma2[traced]))
+                if it >= cfg.n_burn:
+                    kept_gamma[it - cfg.n_burn] = gamma
+                    beta_sum += beta
+        finally:
+            if pending is not None:
+                pending.cancel()
 
     incl = kept_gamma.mean(axis=0)
     # parcel by parcel: the float copy stays parcel-sized, and each parcel's
@@ -599,4 +666,4 @@ def summarize(incl_prob: np.ndarray, beta_mean: np.ndarray, threshold: float) ->
     activation = (incl_prob > threshold).astype(np.int8)
     magnitude = np.abs(beta_mean)
     phase = np.where(activation == 1, np.angle(beta_mean), np.nan)
-    return ResultMaps(incl_prob.shape, activation, magnitude, phase)
+    return ResultMaps(activation, magnitude, phase)

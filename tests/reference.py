@@ -10,11 +10,13 @@ conditional, taking their standard variates from ``rng`` in the order and
 layout of the engine's stream (two normals per complex draw).
 
 ``graph_laplacian`` is the dense oracle of a parcel's graph Laplacian, which
-the spatial basis tests compare against.
+the spatial basis tests compare against, and ``probit_log_odds`` that of the
+spatial prior's log odds.
 """
 
 import numpy as np
 from scipy import sparse
+from scipy.special import log_ndtr
 
 from cvfmri.errors import InsufficientDataError, InvalidSpecError
 from cvfmri.sampler import (
@@ -133,3 +135,8 @@ def graph_laplacian(adjacency):
     if a.ndim != 2 or a.shape[0] != a.shape[1] or not np.array_equal(a, a.T):
         raise InvalidSpecError("adjacency must be square and symmetric")
     return np.diag(a.astype(np.int64).sum(axis=1).astype(float)) - a
+
+
+def probit_log_odds(z):
+    """logit Phi(z) from scipy's log-CDF, accurate in both tails."""
+    return log_ndtr(z) - log_ndtr(-z)

@@ -9,6 +9,7 @@ the public ``draw_*`` functions, fed with statistics from ``reference``.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -24,7 +25,9 @@ from cvfmri.sampler import (
     draw_eta_shared,
     draw_kappa,
     draw_tau2,
+    inclusion_probability,
     log_null_slab_ratio,
+    prior_logit_spatial,
     splitmix64,
 )
 from reference import (
@@ -32,6 +35,7 @@ from reference import (
     beta_draws,
     gamma_probability,
     kappa_draw,
+    probit_log_odds,
     real_design_matrix,
     rho_draws,
     sigma2_draws,
@@ -144,6 +148,19 @@ class TestGamma:
         ystar, xstar = backward_transform(T4_Y, T4_X, T4_RHO)
         p = gamma_probability(ystar, xstar, 1.0, 1.0, eta=0.0, psi=-38.0)
         assert p == 0.0
+
+    def test_prior_log_odds_match_oracle(self):
+        z = np.linspace(-37.0, 37.0, 20001)
+        np.testing.assert_allclose(prior_logit_spatial(0.0, z), probit_log_odds(z), rtol=1e-12)
+
+    def test_far_tails_give_certain_inclusion(self):
+        # a tail of Phi underflows there: the log odds are +-inf, not a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            logit = prior_logit_spatial(0.0, np.array([40.0, -40.0]))
+            p = inclusion_probability(np.ones(2), np.ones(2, dtype=complex), np.ones(2),
+                                      np.ones(2), logit)
+        assert p.tolist() == [1.0, 0.0]
 
     def test_unit_ratio_balanced_prior(self):
         # ||x*||^2 = 1 and |X*'y*|^2 = 4 log 2 make the ratio exactly one

@@ -2,6 +2,11 @@
 detection power, MCSE, and result stitching."""
 
 import math
+import multiprocessing
+import sys
+import threading
+import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -264,6 +269,15 @@ class TestChainBehavior:
         with pytest.raises(InvalidSpecError, match="kept draws"):
             SamplerConfig(n_iter=20, n_burn=10, seed=0)
 
+    @pytest.mark.parametrize("row", [-1, 12])
+    def test_trace_rows_outside_the_batch_rejected(self, batch_instance, monkeypatch, row):
+        y, x, nu2s, sizes = batch_instance
+        # rejected before the O(V*T) statistics are built
+        monkeypatch.setattr(sampler, "_ParcelStats", None)
+        with pytest.raises(InvalidSpecError, match=rf"^trace row {row} lies outside \[0, 12\)$"):
+            run_parcel_chain(y, nu2s, x, SamplerConfig(n_iter=40, n_burn=20), sizes,
+                             trace_voxels=[0, row])
+
 
 class TestBatchInvariance:
     @pytest.mark.parametrize("mode", ["spatial", NONSPATIAL])
@@ -326,6 +340,147 @@ class TestBatchInvariance:
             run_parcel_chain(y, nu2s[:2], x, cfg, sizes)
         with pytest.raises(InvalidSpecError, match="parcel 7: basis size"):
             run_parcel_chain(y, nu2s[::-1], x, cfg, sizes, parcel_ids=[7, 8, 9])
+
+
+def drawing_threads(y, x, nu2s, sizes, cfg):
+    """Run the engine and say, for each parcel block drawn, whether the
+    thread that drew it is the main one."""
+    draw = sampler._block_draws
+    on_main = []
+
+    def recorded(*args):
+        on_main.append(threading.current_thread() is threading.main_thread())
+        return draw(*args)
+
+    sampler._block_draws = recorded
+    try:
+        run_parcel_chain(y, nu2s, x, cfg, sizes)
+    finally:
+        sampler._block_draws = draw
+    return on_main
+
+
+class TestBlockProducer:
+    """Batches whose parcels average PREFETCH_MIN_VOXELS voxels or more draw
+    each block on a helper thread when a CPU is spare: the same bits, and no
+    thread left behind."""
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        # the producer path whatever the machine: two CPUs, this process a pool's parent
+        monkeypatch.setattr(sampler, "usable_cpus", lambda: 2)
+
+    @pytest.mark.parametrize("mode", ["spatial", NONSPATIAL])
+    def test_producer_matches_inline(self, batch_instance, monkeypatch, mode):
+        y, x, nu2s, sizes = batch_instance
+        cfg = SamplerConfig(n_iter=2 * BLOCK_SWEEPS + 8, n_burn=8, mode=mode, seed=21)
+        draw = sampler._block_draws
+        on_main = []
+
+        def recorded(*args):
+            on_main.append(threading.current_thread() is threading.main_thread())
+            return draw(*args)
+
+        monkeypatch.setattr(sampler, "_block_draws", recorded)
+        runs = {}
+        interval = sys.getswitchinterval()
+        for ahead, limit in ((False, 10**9), (True, 1)):
+            monkeypatch.setattr(sampler, "PREFETCH_MIN_VOXELS", limit)
+            on_main.clear()
+            # frequent thread switches, so that the two threads interleave finely
+            sys.setswitchinterval(1e-6)
+            try:
+                s = run_parcel_chain(y, nu2s if mode == "spatial" else None, x, cfg, sizes,
+                                     parcel_ids=[3, 4, 5], trace_voxels=range(y.shape[0]))
+            finally:
+                sys.setswitchinterval(interval)
+            # three blocks of three parcels, drawn on the helper thread or not
+            assert on_main == [not ahead] * 9
+            runs[ahead] = [a.tobytes() for a in (s.incl_prob, s.beta_mean, s.mcse)]
+            runs[ahead] += [s.trace[v].tobytes() for v in range(y.shape[0])]
+        assert runs[True] == runs[False]
+
+    def test_no_producer_without_a_spare_cpu(self, batch_instance, monkeypatch):
+        y, x, nu2s, sizes = batch_instance
+        cfg = SamplerConfig(n_iter=BLOCK_SWEEPS + 8, n_burn=8)
+        monkeypatch.setattr(sampler, "PREFETCH_MIN_VOXELS", 1)
+        assert drawing_threads(y, x, nu2s, sizes, cfg) == [False] * 6
+        monkeypatch.setattr(sampler, "usable_cpus", lambda: 1)
+        assert drawing_threads(y, x, nu2s, sizes, cfg) == [True] * 6
+
+    def test_no_producer_in_a_pool_worker(self, batch_instance, monkeypatch):
+        # a fit's pool runs one worker per CPU, so its workers draw inline
+        y, x, nu2s, sizes = batch_instance
+        cfg = SamplerConfig(n_iter=BLOCK_SWEEPS + 8, n_burn=8)
+        monkeypatch.setattr(sampler, "PREFETCH_MIN_VOXELS", 1)
+        with ProcessPoolExecutor(max_workers=1,
+                                 mp_context=multiprocessing.get_context("fork")) as pool:
+            in_worker = pool.submit(drawing_threads, y, x, nu2s, sizes, cfg).result()
+        assert in_worker == [True] * 6
+
+    def test_no_thread_outlives_the_call(self, batch_instance, monkeypatch):
+        y, x, nu2s, sizes = batch_instance
+        monkeypatch.setattr(sampler, "PREFETCH_MIN_VOXELS", 1)
+        before = threading.enumerate()
+        run_parcel_chain(y, nu2s, x, SamplerConfig(n_iter=BLOCK_SWEEPS + 8, n_burn=8), sizes)
+        assert threading.enumerate() == before
+
+    def test_no_thread_outlives_a_failed_sweep(self, batch_instance, monkeypatch):
+        # a constant series fails the first sweep while the second block is
+        # being drawn: the engine waits for it and raises the usual error
+        y, x, nu2s, sizes = batch_instance
+        y = y.copy()
+        y[5] = 1.0 + 0.5j
+        monkeypatch.setattr(sampler, "PREFETCH_MIN_VOXELS", 1)
+        draw, draw_sigma2 = sampler._block_draws, sampler.draw_sigma2
+        started, finished = [], []
+        second_block = threading.Event()
+
+        def slow_second_block(*args):
+            started.append(1)
+            if len(started) > len(sizes):
+                second_block.set()
+                time.sleep(0.05)
+            out = draw(*args)
+            finished.append(1)
+            return out
+
+        def sigma2_once_second_block_runs(*args):
+            assert second_block.wait(10)
+            return draw_sigma2(*args)
+
+        monkeypatch.setattr(sampler, "_block_draws", slow_second_block)
+        monkeypatch.setattr(sampler, "draw_sigma2", sigma2_once_second_block_runs)
+        before = threading.enumerate()
+        with pytest.raises(DegeneratePosteriorError,
+                           match="^parcel 8: zero residual sum of squares at voxel 1$"):
+            run_parcel_chain(y, nu2s, x, SamplerConfig(n_iter=2 * BLOCK_SWEEPS, n_burn=8),
+                             sizes, parcel_ids=[7, 8, 9])
+        assert threading.enumerate() == before
+        assert len(finished) == len(started) == 2 * len(sizes)
+
+
+def full_residual_norms(stats, beta):
+    """The residual norms with the beta terms evaluated on every voxel."""
+    b2 = beta.real**2 + beta.imag**2
+    cw = stats.syy - beta * np.conj(stats.a3) - np.conj(beta) * stats.a2 + b2 * stats.sxx_nl
+    wl2 = np.maximum(stats.syl2 - 2.0 * (np.conj(beta) * stats.a4).real + b2 * stats.sxx_ll, 0.0)
+    wn2 = np.maximum(stats.syn2 - 2.0 * (np.conj(beta) * stats.a1).real + b2 * stats.sxx_nn, 0.0)
+    return cw, wl2, wn2
+
+
+class TestResidualNorms:
+    @pytest.mark.parametrize("share", [0.0, 0.4, 1.0])
+    def test_active_set_form_is_the_full_form(self, share):
+        rng = np.random.default_rng(31)
+        n_vox, n_time = 257, 40
+        y = rng.standard_normal((n_vox, n_time)) + 1j * rng.standard_normal((n_vox, n_time))
+        x = rng.standard_normal(n_time)
+        stats = sampler._ParcelStats(y - y.mean(axis=1, keepdims=True), x - x.mean())
+        active = rng.random(n_vox) < share
+        beta = np.where(active, rng.standard_normal(n_vox) + 1j * rng.standard_normal(n_vox), 0)
+        for got, full in zip(stats.residual_norms(beta, active), full_residual_norms(stats, beta)):
+            assert got.dtype == full.dtype and got.tobytes() == full.tobytes()
 
 
 class TestMcse:
