@@ -24,8 +24,6 @@ from .metrics import (
     roc_auc,
 )
 from .parcellation import (
-    EDGE,
-    EDGE_CORNER,
     Partition,
     build_adjacency,
     build_spatial_basis,

@@ -2,13 +2,12 @@
 
 Subcommands: simulate, fit, evaluate, reproduce. Every fit setting is both a
 flag and a key of a flat "key = value" config file (# comments allowed, each
-key at most once):
-``data``, ``G``, ``neighborhood``, ``workers``, ``psi``, ``q``, ``iters``,
-``burn``, ``threshold``, ``mode``, ``seed``, ``mcse_tol``, ``a_kappa``,
-``b_kappa``, ``stimulus_on``, ``stimulus_off``, ``stimulus_on_first`` and
-``stimulus_warmup``. A flag is the key with ``_`` written as ``-`` (``--mcse-tol``),
-and explicit flags override the file. Booleans are 1/true/yes/on or
-0/false/no/off, in any case. A setting given nowhere takes the default of
+key at most once): ``data``, ``G``, ``workers``, ``psi``, ``iters``,
+``burn``, ``threshold``, ``mode``, ``seed``, ``mcse_tol``, ``stimulus_on``,
+``stimulus_off``, ``stimulus_on_first`` and ``stimulus_warmup``. A flag is
+the key with ``_`` written as ``-`` (``--mcse-tol``), and explicit flags
+override the file. Booleans are 1/true/yes/on or 0/false/no/off, in any case.
+A setting given nowhere takes the default of
 :class:`~cvfmri.pipeline.FitConfig`, :class:`~cvfmri.sampler.SamplerConfig` or
 :func:`~cvfmri.design.design_for_length`. ``--trace-voxels`` is a flag only.
 
@@ -72,19 +71,14 @@ def boolean(text) -> bool:
 _FIT_SETTINGS = {
     "data": (None, "data", str, "CVF1 dataset file"),
     "G": (pipeline.FitConfig, "n_parcels", int, "number of parcels"),
-    "neighborhood": (pipeline.FitConfig, "neighborhood", str, "edge or edge+corner"),
     "workers": (pipeline.FitConfig, "workers", int, None),
     "psi": (SamplerConfig, "psi", float, "probit prior offset"),
-    "q": (SamplerConfig, "q", int,
-          "minimum spatial basis rank; eigenvalues tied with the q-th add columns"),
     "iters": (SamplerConfig, "n_iter", int, None),
     "burn": (SamplerConfig, "n_burn", int, None),
     "threshold": (SamplerConfig, "threshold", float, None),
     "mode": (SamplerConfig, "mode", str, "spatial or nonspatial"),
     "seed": (SamplerConfig, "seed", int, None),
     "mcse_tol": (SamplerConfig, "mcse_tol", float, None),
-    "a_kappa": (SamplerConfig, "a_kappa", float, "shape of the kappa prior"),
-    "b_kappa": (SamplerConfig, "b_kappa", float, "scale of the kappa prior"),
     "stimulus_on": (design_for_length, "on_len", int, None),
     "stimulus_off": (design_for_length, "off_len", int, None),
     "stimulus_on_first": (design_for_length, "on_first", boolean, "start with an on block"),

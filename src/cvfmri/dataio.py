@@ -128,6 +128,10 @@ def read_map(path) -> np.ndarray:
         data_lines.append(stripped)
     if dims is None:
         raise DataFormatError(f"{path}: missing '# dims:' header")
+    if len(dims) not in (2, 3):
+        raise DataFormatError(f"{path}: a map has 2 or 3 dims, got {len(dims)}")
+    if min(dims) < 1:
+        raise DataFormatError(f"{path}: grid extents must be positive, got {dims}")
     try:
         values = np.array([[float(tok) for tok in line.split(",")] for line in data_lines])
     except ValueError as exc:

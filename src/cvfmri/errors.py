@@ -22,7 +22,7 @@ class InsufficientDataError(CvfmriError):
 
 
 class SingularBasisError(CvfmriError):
-    """The spatial basis is numerically singular; use a smaller q or a larger parcel."""
+    """The spatial basis is numerically singular; fewer, larger parcels avoid it."""
 
 
 class DegeneratePosteriorError(CvfmriError):

@@ -66,6 +66,8 @@ def classification_metrics(truth, predicted) -> ClassificationReport:
     _check_shapes(truth, predicted)
     t = np.asarray(truth).astype(bool).ravel()
     p = np.asarray(predicted).astype(bool).ravel()
+    if t.size == 0:
+        raise UndefinedMetricError("classification metrics need at least one voxel")
     tp = int(np.sum(t & p))
     fp = int(np.sum(~t & p))
     fn = int(np.sum(t & ~p))

@@ -29,12 +29,8 @@ __all__ = [
     "build_adjacency",
     "principal_eigenvectors",
     "build_spatial_basis",
-    "EDGE",
-    "EDGE_CORNER",
+    "SPATIAL_RANK",
 ]
-
-EDGE = "edge"
-EDGE_CORNER = "edge+corner"
 
 #: Parcels up to this many voxels take the dense eigensolver, larger ones the
 #: sparse one. The crossover was measured on k x k king graphs at 10
@@ -45,6 +41,10 @@ DENSE_EIGH_MAX_VOXELS = 512
 #: Eigenvalues this close to the q-th, relative to the largest (or to 1), are
 #: tied with it, and their eigenvectors enter the basis together.
 TIE_RTOL = 1e-9
+
+#: The q of every fit's spatial basis: its minimum rank, completed to whole
+#: tied eigenspaces (see :func:`principal_eigenvectors`).
+SPATIAL_RANK = 5
 
 
 @dataclass
@@ -121,22 +121,14 @@ def partition_grid(dims, n_parcels: int) -> Partition:
     return Partition(dims, n_parcels, assignment.ravel(), voxel_lists)
 
 
-def _neighbor_offsets(n_axes: int, neighborhood: str):
-    if neighborhood not in (EDGE, EDGE_CORNER):
-        raise InvalidSpecError(f"unknown neighborhood rule {neighborhood!r}")
-    offsets = []
-    for off in np.ndindex(*(3,) * n_axes):
-        delta = np.array(off) - 1
-        if np.max(np.abs(delta)) == 0:
-            continue
-        if neighborhood == EDGE and np.sum(np.abs(delta)) != 1:
-            continue
-        offsets.append(delta)
-    return offsets
+def _neighbor_offsets(n_axes: int):
+    """Every nonzero offset in {-1, 0, 1}^n_axes: 8 neighbours in 2-D, 26 in 3-D."""
+    return [np.array(off) - 1 for off in np.ndindex(*(3,) * n_axes) if off != (1,) * n_axes]
 
 
-def build_adjacency(voxels, dims, neighborhood: str = EDGE_CORNER) -> sparse.csr_array:
-    """Symmetric 0/1 adjacency among ``voxels``, truncated at the parcel border.
+def build_adjacency(voxels, dims) -> sparse.csr_array:
+    """Symmetric 0/1 adjacency among ``voxels``, truncated at the parcel border:
+    voxels are neighbours when they touch by a face, an edge or a corner.
 
     Returned as an int8 CSR matrix: a parcel of V voxels stores about V times
     its neighbour count of entries, never a V x V array.
@@ -150,7 +142,7 @@ def build_adjacency(voxels, dims, neighborhood: str = EDGE_CORNER) -> sparse.csr
     local = -np.ones(dims, dtype=np.int64)
     local[tuple(coords.T)] = np.arange(n)
     rows, cols = [], []
-    for delta in _neighbor_offsets(len(dims), neighborhood):
+    for delta in _neighbor_offsets(len(dims)):
         nb = coords + delta
         ok = np.all((nb >= 0) & (nb < np.asarray(dims)), axis=1)
         src = np.flatnonzero(ok)
@@ -252,7 +244,7 @@ def build_spatial_basis(adjacency, q: int) -> np.ndarray:
     max_degree = int(np.bincount(i, minlength=a.shape[0]).max())
     if eigs[0] <= 1e-12 * max_degree or eigs[-1] / eigs[0] > 1e12:
         raise SingularBasisError(
-            "M'QM is numerically singular; use a smaller q or a larger parcel"
+            "M'QM is numerically singular; use fewer, larger parcels"
         )
     # nu2 as 1 + a sum of squares, which keeps nu2 >= 1 exactly
     y = solve_triangular(cholesky(qs, lower=True), m.T, lower=True)

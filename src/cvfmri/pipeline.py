@@ -44,7 +44,7 @@ from .metrics import (
     report_row,
     roc_auc,
 )
-from .parcellation import EDGE, EDGE_CORNER, build_adjacency, build_spatial_basis, partition_grid
+from .parcellation import SPATIAL_RANK, build_adjacency, build_spatial_basis, partition_grid
 from .sampler import (
     NONSPATIAL,
     ResultMaps,
@@ -94,7 +94,6 @@ class FitConfig:
     """Everything a fit needs besides the data and the design."""
 
     n_parcels: int = 9
-    neighborhood: str = EDGE_CORNER
     workers: int | None = None
     trace_voxels: tuple = ()
     sampler: SamplerConfig = field(default_factory=SamplerConfig)
@@ -102,10 +101,6 @@ class FitConfig:
     def __post_init__(self):
         if self.n_parcels < 1:
             raise InvalidSpecError("number of parcels must be positive")
-        if self.neighborhood not in (EDGE, EDGE_CORNER):
-            raise InvalidSpecError(
-                f"unknown neighborhood {self.neighborhood!r}; use {EDGE!r} or {EDGE_CORNER!r}"
-            )
         if self.workers is not None and self.workers < 1:
             raise InvalidSpecError(f"workers must be at least 1, got {self.workers}")
 
@@ -214,8 +209,8 @@ def _batch_job(fit, lo: int, hi: int):
         nu2 = []
         for pid, parcel in enumerate(voxel_lists, lo):
             try:
-                adjacency = build_adjacency(parcel, partition.dims, cfg.neighborhood)
-                nu2.append(build_spatial_basis(adjacency, cfg.sampler.q))
+                adjacency = build_adjacency(parcel, partition.dims)
+                nu2.append(build_spatial_basis(adjacency, SPATIAL_RANK))
             except CvfmriError as exc:
                 raise type(exc)(f"parcel {pid}: {exc}") from None
     summary = run_parcel_chain(flat[voxels], nu2, x, cfg.sampler, [len(v) for v in voxel_lists],
@@ -243,10 +238,10 @@ def fit_dataset(dataset: ComplexDataset, design: DesignVector, cfg: FitConfig) -
     partition = partition_grid(dataset.dims, cfg.n_parcels)
     if cfg.sampler.mode != NONSPATIAL:
         smallest = int(partition.parcel_sizes().min())
-        if cfg.sampler.q > smallest:
+        if SPATIAL_RANK > smallest:
             raise InvalidSpecError(
-                f"q={cfg.sampler.q} exceeds the smallest parcel ({smallest} voxels); "
-                "reduce q or the parcel count"
+                f"the spatial basis rank {SPATIAL_RANK} exceeds the smallest parcel "
+                f"({smallest} voxels); reduce the parcel count"
             )
     for gv in cfg.trace_voxels:
         if not 0 <= gv < dataset.n_voxels:
@@ -339,7 +334,6 @@ def write_fit_outputs(result: FitResult, out_dir, extra_manifest: dict | None = 
     sampler["psi"] = repr(float(sampler["psi"]))
     manifest = {
         "n_parcels": result.config.n_parcels,
-        "neighborhood": result.config.neighborhood,
         "workers": result.config.resolved_workers(),
         **sampler,
         "magnitude_pgm_scale": repr(float(mag_scale)),

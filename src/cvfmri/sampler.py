@@ -84,6 +84,8 @@ __all__ = [
     "draw_eta",
     "draw_kappa",
     "draw_eta_shared",
+    "A_KAPPA",
+    "B_KAPPA",
     "BLOCK_SWEEPS",
     "run_parcel_chain",
     "usable_cpus",
@@ -94,6 +96,11 @@ __all__ = [
 
 SPATIAL = "spatial"
 NONSPATIAL = "nonspatial"
+
+#: Shape and scale of the Gamma prior on each parcel's smoothing parameter
+#: kappa; its mean, A_KAPPA * B_KAPPA, is kappa's start value.
+A_KAPPA = 0.5
+B_KAPPA = 2000.0
 
 _MASK64 = (1 << 64) - 1
 #: Threshold on |w_lag|^2 below which the AR update is declared degenerate.
@@ -137,9 +144,6 @@ class SamplerConfig:
     """
 
     psi: float = ndtri(0.47)
-    q: int = 5
-    a_kappa: float = 0.5
-    b_kappa: float = 2000.0
     n_iter: int = 1000
     n_burn: int | None = None
     threshold: float | None = None
@@ -166,10 +170,6 @@ class SamplerConfig:
             self.threshold = 0.8722 if self.mode == SPATIAL else 0.5
         if not 0.0 < self.threshold < 1.0:
             raise InvalidSpecError("threshold must lie in (0, 1)")
-        if self.q < 1:
-            raise InvalidSpecError("q must be positive")
-        if not (0 < self.a_kappa < math.inf and 0 < self.b_kappa < math.inf):
-            raise InvalidSpecError("kappa prior parameters must be positive and finite")
         if not 0 < self.mcse_tol < math.inf:
             raise InvalidSpecError("mcse_tol must be positive and finite")
 
@@ -313,9 +313,9 @@ def draw_eta(gamma, nu2, kappa, u):
     return np.where(gamma, mag, -mag)
 
 
-def draw_kappa(sum_eta2_nu2, g, b_kappa):
-    """Smoothing parameter, Gamma from standard gammas ``g`` of shape V/2 + a_kappa."""
-    return g / (0.5 * sum_eta2_nu2 + 1.0 / b_kappa)
+def draw_kappa(sum_eta2_nu2, g):
+    """Smoothing parameter, Gamma from standard gammas ``g`` of shape V/2 + A_KAPPA."""
+    return g / (0.5 * sum_eta2_nu2 + 1.0 / B_KAPPA)
 
 
 def draw_eta_shared(n_active, n_vox, u):
@@ -333,7 +333,7 @@ def draw_eta_shared(n_active, n_vox, u):
 #: draw of those sweeps, stage by stage in sweep order: k x V uniforms (gamma),
 #: k x V x 2 normals (beta), k x V x 2 normals (rho), k x V standard gammas of
 #: shape T - 1 (sigma^2), k uniforms (tau^2), then in spatial mode k x V
-#: uniforms (eta) and k standard gammas of shape V/2 + a_kappa (kappa), or in
+#: uniforms (eta) and k standard gammas of shape V/2 + A_KAPPA (kappa), or in
 #: nonspatial mode k uniforms (the shared rate). The value is part of the
 #: stream's definition: changing it changes every chain. Which thread draws a
 #: block (see PREFETCH_MIN_VOXELS) is not: each generator is read in this
@@ -525,11 +525,11 @@ def run_parcel_chain(
     tau2 = np.ones(n_parcels)
     if spatial:
         eta = np.zeros(n_vox)
-        kappa = np.full(n_parcels, cfg.a_kappa * cfg.b_kappa)
+        kappa = np.full(n_parcels, A_KAPPA * B_KAPPA)
     else:
         eta_shared = np.full(n_parcels, 0.5)
     rngs = [np.random.default_rng(derive_seed(cfg.seed, g)) for g in ids]
-    kappa_shapes = [s / 2.0 + cfg.a_kappa if spatial else None for s in sizes]
+    kappa_shapes = [s / 2.0 + A_KAPPA if spatial else None for s in sizes]
 
     def make_block(it):
         """The batch's draws of the block that sweep ``it`` opens, one array
@@ -588,7 +588,7 @@ def run_parcel_chain(
                     u_eta, g_kappa = prior_draws
                     eta = draw_eta(gamma, nu2, np.repeat(kappa, sizes), u_eta[j])
                     sum_eta2 = np.add.reduceat(eta * eta / nu2, starts)
-                    kappa = draw_kappa(sum_eta2, g_kappa[j], cfg.b_kappa)
+                    kappa = draw_kappa(sum_eta2, g_kappa[j])
                 else:
                     eta_shared = draw_eta_shared(n_active, sizes, prior_draws[0][j])
 

@@ -20,6 +20,7 @@ from scipy.special import log_ndtr
 
 from cvfmri.errors import InsufficientDataError, InvalidSpecError
 from cvfmri.sampler import (
+    A_KAPPA,
     _standard_complex_normals,
     draw_beta,
     draw_kappa,
@@ -123,9 +124,9 @@ def tau2_draws(gamma, beta, prev_tau2, n, rng):
                      rng.random(n))
 
 
-def kappa_draw(eta, nu2, a_kappa, b_kappa, rng):
-    g = rng.standard_gamma(eta.size / 2.0 + a_kappa)
-    return float(draw_kappa(np.sum(eta * eta / nu2), g, b_kappa))
+def kappa_draw(eta, nu2, rng):
+    g = rng.standard_gamma(eta.size / 2.0 + A_KAPPA)
+    return float(draw_kappa(np.sum(eta * eta / nu2), g))
 
 
 def graph_laplacian(adjacency):

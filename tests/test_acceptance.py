@@ -30,13 +30,7 @@ from scipy.special import ndtr, ndtri
 
 from cvfmri.design import design_for_length
 from cvfmri.metrics import classification_metrics
-from cvfmri.parcellation import (
-    EDGE,
-    EDGE_CORNER,
-    build_adjacency,
-    build_spatial_basis,
-    partition_grid,
-)
+from cvfmri.parcellation import build_adjacency, build_spatial_basis, partition_grid
 from cvfmri.pipeline import (
     REALISTIC_G,
     REALISTIC_PSI,
@@ -208,7 +202,7 @@ class TestSamplerOracles:
         x4 = np.array([0.1, 0.9, 0.4, -0.6])
         y4 = np.array([0.8 + 0.3j, -0.2 + 1.1j, 0.5 - 0.7j, 1.0 + 0.2j])
         rho0 = 0.15 + 0.25j
-        nu2 = build_spatial_basis(build_adjacency(np.arange(4), (1, 4), EDGE), 2)
+        nu2 = build_spatial_basis(build_adjacency(np.arange(4), (1, 4)), 2)
         ystar, xstar = backward_transform(y4, x4, rho0)
         ks = lambda a, b: stats.ks_2samp(a, b).statistic
         dists = {}
@@ -292,7 +286,7 @@ class TestSamplerOracles:
         rate = 0.5 * float(np.sum(eta_field**2 / nu2)) + 1 / 2000.0
         rng = np.random.default_rng(15)
         kappa_draws = np.array([
-            kappa_draw(eta_field, nu2, 0.5, 2000.0, rng) for _ in range(N_KS)
+            kappa_draw(eta_field, nu2, rng) for _ in range(N_KS)
         ])
         dists["kappa"] = ks(
             kappa_draws, stats.gamma(a=2.5, scale=1 / rate).rvs(N_KS, random_state=16)
@@ -356,7 +350,7 @@ class TestRecoveryCriteria:
         for dims, g in (((50, 50), 9), ((20, 20), 4)):
             part = partition_grid(dims, g)
             for vox in part.parcel_voxel_lists:
-                a = build_adjacency(vox, dims, EDGE_CORNER)
+                a = build_adjacency(vox, dims)
                 q = graph_laplacian(a)
                 lap_ok &= bool(np.all(q.sum(axis=1) == 0.0))
                 nu2_min = min(nu2_min, float(build_spatial_basis(a, 5).min()))

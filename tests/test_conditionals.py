@@ -1,10 +1,10 @@
 """Every full conditional against an independent oracle.
 
 The fixed reference instance is a path-graph parcel of 4 voxels (1x4 grid,
-edge neighborhood, q=2) with T=4 time points. Oracles come from dense linear
-algebra on the stacked real representation and from scipy reference
-distributions; the inclusion probability is checked against 2-D numerical
-quadrature of the slab marginal likelihood. The conditionals under test are
+q=2) with T=4 time points. Oracles come from dense linear algebra on the
+stacked real representation and from scipy reference distributions; the
+inclusion probability is checked against 2-D numerical quadrature of the slab
+marginal likelihood. The conditionals under test are
 the public ``draw_*`` functions, fed with statistics from ``reference``.
 """
 
@@ -18,7 +18,7 @@ from scipy.integrate import dblquad
 from scipy.special import gammaincinv, ndtr
 
 from cvfmri.errors import DegeneratePosteriorError, InsufficientDataError
-from cvfmri.parcellation import EDGE, build_adjacency, build_spatial_basis
+from cvfmri.parcellation import build_adjacency, build_spatial_basis
 from cvfmri.sampler import (
     derive_seed,
     draw_eta,
@@ -53,7 +53,7 @@ T4_RHO = 0.15 + 0.25j
 
 @pytest.fixture(scope="module")
 def path4_nu2():
-    a = build_adjacency(np.arange(4), (1, 4), EDGE)
+    a = build_adjacency(np.arange(4), (1, 4))
     return build_spatial_basis(a, 2)
 
 
@@ -384,7 +384,7 @@ class TestKappa:
     def test_flat_field_prior_scale(self):
         rng = np.random.default_rng(61)
         draws = np.array([
-            kappa_draw(np.zeros(1), np.ones(1), 0.5, 2000.0, rng) for _ in range(N_DRAWS // 5)
+            kappa_draw(np.zeros(1), np.ones(1), rng) for _ in range(N_DRAWS // 5)
         ])
         oracle = stats.gamma(a=1.0, scale=2000.0).rvs(N_DRAWS // 5, random_state=62)
         assert ks(draws, oracle) < 1.6 * KS_TOL
@@ -395,7 +395,7 @@ class TestKappa:
         nu2 = np.ones(3)
         rng = np.random.default_rng(63)
         draws = np.array([
-            kappa_draw(eta, nu2, 0.5, 2000.0, rng) for _ in range(N_DRAWS // 5)
+            kappa_draw(eta, nu2, rng) for _ in range(N_DRAWS // 5)
         ])
         oracle = stats.gamma(a=2.0, scale=1.0 / 1.5005).rvs(N_DRAWS // 5, random_state=64)
         assert ks(draws, oracle) < 1.6 * KS_TOL
@@ -403,7 +403,7 @@ class TestKappa:
     def test_shape_depends_only_on_size(self, path4_nu2):
         rng = np.random.default_rng(65)
         big = np.array([
-            kappa_draw(np.full(4, 100.0), path4_nu2, 0.5, 2000.0, rng)
+            kappa_draw(np.full(4, 100.0), path4_nu2, rng)
             for _ in range(2000)
         ])
         # huge eta shrinks the scale but the shape stays (V+1)/2 = 2.5;
@@ -453,7 +453,7 @@ class TestInverseTransforms:
         for u in self.U_ENDS:
             for gamma in (True, False):
                 eta = draw_eta(gamma, np.ones(n_vox), 1e-3, np.full(n_vox, u))
-                kappa = draw_kappa(np.sum(eta * eta), g_ends, 2000.0)
+                kappa = draw_kappa(np.sum(eta * eta), g_ends)
                 assert np.all(np.isfinite(kappa)) and np.all(kappa > 0)
 
     def test_bits_do_not_depend_on_the_array(self):

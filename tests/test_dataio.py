@@ -147,6 +147,19 @@ class TestMapFormat:
         with pytest.raises(DataFormatError, match="expected 6 cells"):
             read_map(path)
 
+    @pytest.mark.parametrize("header, body, message", [
+        ("-50,-50", "1.0\n" * 2500, "grid extents must be positive"),
+        ("0,50", "", "grid extents must be positive"),
+        ("3,0", "", "grid extents must be positive"),
+        ("4", "1.0,2.0,3.0,4.0\n", "a map has 2 or 3 dims, got 1"),
+        ("1,1,2,2", "1.0,2.0\n3.0,4.0\n", "a map has 2 or 3 dims, got 4"),
+    ], ids=["negative", "rows=0", "cols=0", "1-d", "4-d"])
+    def test_bad_dims_rejected(self, tmp_path, header, body, message):
+        path = tmp_path / "m.csv"
+        path.write_text(f"# dims: {header}\n{body}")
+        with pytest.raises(DataFormatError, match=f"m.csv: {message}"):
+            read_map(path)
+
 
 class TestPgm:
     def test_header_and_payload(self, tmp_path):

@@ -72,6 +72,10 @@ class TestClassification:
         b = classification_metrics(truth[perm], pred[perm])
         assert (a.tp, a.fp, a.fn, a.tn) == (b.tp, b.fp, b.fn, b.tn)
 
+    def test_empty_fields_rejected(self):
+        with pytest.raises(UndefinedMetricError, match="at least one voxel"):
+            classification_metrics(np.zeros((0, 50)), np.zeros((0, 50)))
+
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatchError):
             classification_metrics(np.zeros((2, 2)), np.zeros(4))

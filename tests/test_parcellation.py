@@ -8,18 +8,35 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from cvfmri import parcellation
 from cvfmri.errors import InvalidSpecError, SingularBasisError
 from cvfmri.parcellation import (
-    EDGE,
-    EDGE_CORNER,
     build_adjacency,
     build_spatial_basis,
     partition_grid,
     principal_eigenvectors,
 )
 from reference import graph_laplacian
+
+
+def face_adjacency(dims):
+    """The face-neighbour lattice of a whole grid (4 neighbours in 2-D, 6 in
+    3-D), built as the Kronecker sum of the axes' path graphs: a second graph
+    family for the spatial basis."""
+    a = sparse.csr_array((1, 1), dtype=np.int8)
+    for n in dims:
+        path = sparse.diags_array([np.ones(n - 1), np.ones(n - 1)], offsets=[-1, 1])
+        a = sparse.kronsum(path, a)
+    return sparse.csr_array(a, dtype=np.int8)
+
+
+#: The two graph families of the basis tests, by their ids.
+GRAPHS = {
+    "edge": face_adjacency,
+    "edge+corner": lambda dims: build_adjacency(np.arange(np.prod(dims)), dims),
+}
 
 
 def axis_runs_oracle(extent, pieces):
@@ -89,29 +106,26 @@ class TestPartition:
 
 class TestAdjacency:
     def test_horizontal_pair(self):
-        a = build_adjacency(np.array([0, 1]), (1, 2), EDGE)
+        a = build_adjacency(np.array([0, 1]), (1, 2))
         assert a.toarray().tolist() == [[0, 1], [1, 0]]
 
     def test_diagonal_pair(self):
         # voxels (0,0) and (1,1) on a 2x2 grid
         vox = np.array([0, 3])
-        assert build_adjacency(vox, (2, 2), EDGE).toarray().tolist() == [[0, 0], [0, 0]]
-        assert build_adjacency(vox, (2, 2), EDGE_CORNER).toarray().tolist() == [[0, 1], [1, 0]]
+        assert build_adjacency(vox, (2, 2)).toarray().tolist() == [[0, 1], [1, 0]]
 
     def test_moore_center_degree(self):
-        a = build_adjacency(np.arange(9), (3, 3), EDGE_CORNER)
+        a = build_adjacency(np.arange(9), (3, 3))
         assert a[4].sum() == 8
 
     def test_truncated_at_parcel_border(self):
         # left half of a 2x4 grid: neighbors outside the list are ignored
-        a = build_adjacency(np.array([0, 1, 4, 5]), (2, 4), EDGE)
-        assert a.sum() == 2 * 4  # path square: 4 undirected edges
+        a = build_adjacency(np.array([0, 1, 4, 5]), (2, 4))
+        assert a.sum() == 2 * 6  # a 2x2 block is complete: 6 undirected edges
 
     def test_3d_rules(self):
-        a = build_adjacency(np.arange(27), (3, 3, 3), EDGE_CORNER)
+        a = build_adjacency(np.arange(27), (3, 3, 3))
         assert a[13].sum() == 26
-        a = build_adjacency(np.arange(27), (3, 3, 3), EDGE)
-        assert a[13].sum() == 6
 
 
 class TestLaplacian:
@@ -153,13 +167,13 @@ class TestSpatialBasis:
         # the constant principal eigenvector lies in the Laplacian null space,
         # whatever the sign of the roundoff in M'QM
         graphs = [np.ones((n, n), dtype=int) - np.eye(n, dtype=int) for n in range(2, 12)]
-        graphs += [build_adjacency(np.arange(4), (2, 2), nb) for nb in (EDGE, EDGE_CORNER)]
+        graphs += [graph((2, 2)) for graph in GRAPHS.values()]
         for a in graphs:
             with pytest.raises(SingularBasisError):
                 build_spatial_basis(a, 1)
 
     def test_grid_basis_against_dense_oracle(self):
-        a = build_adjacency(np.arange(16), (4, 4), EDGE)
+        a = face_adjacency((4, 4))
         nu2 = build_spatial_basis(a, 3)
         _, m = principal_eigenvectors(a, 3)
         assert np.allclose(m.T @ m, np.eye(3), atol=1e-8)
@@ -171,12 +185,12 @@ class TestSpatialBasis:
         assert np.all(nu2 >= 1.0)
 
     def test_deterministic(self):
-        a = build_adjacency(np.arange(25), (5, 5), EDGE_CORNER)
+        a = build_adjacency(np.arange(25), (5, 5))
         assert np.array_equal(principal_eigenvectors(a, 5)[1], principal_eigenvectors(a, 5)[1])
         assert np.array_equal(build_spatial_basis(a, 5), build_spatial_basis(a, 5))
 
     def test_q_bounds(self):
-        a = build_adjacency(np.arange(4), (1, 4), EDGE)
+        a = build_adjacency(np.arange(4), (1, 4))
         with pytest.raises(InvalidSpecError):
             principal_eigenvectors(a, 5)
 
@@ -186,7 +200,7 @@ class TestSpatialBasis:
 
             p = partition_grid(dims, g)
             for vox in p.parcel_voxel_lists:
-                a = build_adjacency(vox, dims, EDGE_CORNER)
+                a = build_adjacency(vox, dims)
                 assert np.all(build_spatial_basis(a, 3) >= 1.0)
 
     def test_square_parcel_nu2_is_transpose_symmetric(self):
@@ -195,8 +209,8 @@ class TestSpatialBasis:
         # (it is already symmetric under flips of either axis)
         worst = 0.0
         for k in (7, 8, 14):
-            for neighborhood in (EDGE, EDGE_CORNER):
-                a = build_adjacency(np.arange(k * k), (k, k), neighborhood)
+            for graph in GRAPHS.values():
+                a = graph((k, k))
                 nu2 = build_spatial_basis(a, 5).reshape(k, k)
                 worst = max(worst, float(np.max(np.abs(nu2 - nu2.T) / nu2)))
         assert worst < 1e-9
@@ -210,14 +224,14 @@ def _basis_on(path, monkeypatch, a, q):
 
 
 class TestSolverPaths:
-    @pytest.mark.parametrize("neighborhood", [EDGE, EDGE_CORNER])
+    @pytest.mark.parametrize("graph", list(GRAPHS))
     @pytest.mark.parametrize("dims, columns", [
         ((7, 7), 6), ((14, 14), 6), ((30, 30), 6), ((50, 49), 5), ((12, 12, 12), 7),
     ])
-    def test_dense_and_sparse_agree(self, monkeypatch, dims, columns, neighborhood):
+    def test_dense_and_sparse_agree(self, monkeypatch, dims, columns, graph):
         # squares tie the 5th and 6th eigenvalues and cubes the 5th to 7th, so
         # both paths must take the whole tied eigenspace; 50x49 has no tie at q=5
-        a = build_adjacency(np.arange(np.prod(dims)), dims, neighborhood)
+        a = GRAPHS[graph](dims)
         cols_dense, nu2_dense = _basis_on("dense", monkeypatch, a, 5)
         cols_sparse, nu2_sparse = _basis_on("sparse", monkeypatch, a, 5)
         assert cols_dense == cols_sparse == columns
@@ -232,7 +246,7 @@ class TestSolverPaths:
         assert 196 < parcellation.DENSE_EIGH_MAX_VOXELS < 2500
 
     def test_dense_adjacency_accepted(self):
-        a = build_adjacency(np.arange(100), (10, 10), EDGE_CORNER)
+        a = build_adjacency(np.arange(100), (10, 10))
         assert np.array_equal(build_spatial_basis(a.toarray(), 5), build_spatial_basis(a, 5))
 
     def test_volume_parcel_memory_stays_bounded(self):
@@ -240,7 +254,7 @@ class TestSolverPaths:
         dims = (7, 50, 50)
         tracemalloc.start()
         try:
-            a = build_adjacency(np.arange(np.prod(dims)), dims, EDGE_CORNER)
+            a = build_adjacency(np.arange(np.prod(dims)), dims)
             nu2 = build_spatial_basis(a, 5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:

@@ -35,6 +35,11 @@ from cvfmri.simulate import (
     simulate_iid,
 )
 
+#: Fit settings that are fixed parts of the model now, with the values they
+#: had as defaults: no flag or config key sets them.
+REMOVED_SETTINGS = {"neighborhood": "edge+corner", "q": "5", "a_kappa": "0.5",
+                    "b_kappa": "2000"}
+
 DATA_FILES = (
     "activation.csv",
     "magnitude.csv",
@@ -139,6 +144,13 @@ class TestFitPipeline:
         ds, _, _ = small_dataset()
         with pytest.raises(Exception, match="design length"):
             fit_dataset(ds, design_for_length(60), FitConfig(n_parcels=4))
+
+    def test_parcels_smaller_than_the_basis_rank_rejected(self):
+        # 36 parcels of a 12x12 grid hold 4 voxels each, one fewer than q = 5
+        ds, _, design = small_dataset()
+        with pytest.raises(InvalidSpecError, match=r"rank 5 exceeds the smallest parcel "
+                                                   r"\(4 voxels\); reduce the parcel count"):
+            fit_dataset(ds, design, FitConfig(n_parcels=36))
 
     def test_single_parcel(self):
         ds, _, design = small_dataset()
@@ -341,10 +353,9 @@ class TestCli:
         sim = tmp_path / "sim"
         self.run("simulate", "--study", "ar1", "--seed", "4", "--T", "60", "--out", str(sim))
         settings = {
-            "data": str(sim / "dataset.cvf"), "G": "4", "neighborhood": "edge",
-            "workers": "1", "psi": "-0.3", "q": "3", "iters": "40", "burn": "10",
-            "threshold": "0.7", "mode": "spatial", "seed": "8", "mcse_tol": "0.2",
-            "a_kappa": "1.5", "b_kappa": "100", "stimulus_on": "12", "stimulus_off": "8",
+            "data": str(sim / "dataset.cvf"), "G": "4", "workers": "1", "psi": "-0.3",
+            "iters": "40", "burn": "10", "threshold": "0.7", "mode": "spatial", "seed": "8",
+            "mcse_tol": "0.2", "stimulus_on": "12", "stimulus_off": "8",
             "stimulus_on_first": "No", "stimulus_warmup": "3",
         }
         assert set(settings) == set(cli._FIT_SETTINGS)
@@ -359,7 +370,7 @@ class TestCli:
             del manifest["time_seconds"]
         assert manifests[0] == manifests[1]
         assert manifests[0]["stimulus_on_first"] == "False"
-        assert manifests[0]["a_kappa"] == "1.5" and manifests[0]["b_kappa"] == "100.0"
+        assert not set(REMOVED_SETTINGS) & set(manifests[0])
         for name in DATA_FILES:
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
@@ -375,14 +386,24 @@ class TestCli:
         assert [cli.boolean(w) for w in ("1", "TRUE", "Yes", "on")] == [True] * 4
         assert [cli.boolean(w) for w in ("0", "False", "NO", "off")] == [False] * 4
 
-    def test_unknown_neighborhood_rejected_before_read(self, tmp_path, capsys):
-        cfg = tmp_path / "typo.cfg"
-        cfg.write_text(f"data = {tmp_path / 'none.cvf'}\nmode = nonspatial\n"
-                       "neighborhood = edges\n")
+    @pytest.mark.parametrize("key", list(REMOVED_SETTINGS))
+    def test_removed_setting_in_config_rejected_before_read(self, tmp_path, capsys, key):
+        # the dataset does not exist, so reaching the read would exit 3
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text(f"data = {tmp_path / 'none.cvf'}\n{key} = {REMOVED_SETTINGS[key]}\n")
         assert self.run("fit", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
-        assert "neighborhood 'edges'" in capsys.readouterr().err
-        with pytest.raises(InvalidSpecError, match="neighborhood"):
-            FitConfig(neighborhood="corner")
+        assert f"unknown config keys: ['{key}']" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("key", list(REMOVED_SETTINGS))
+    def test_removed_setting_flag_rejected(self, tmp_path, capsys, key):
+        flag = "--" + key.replace("_", "-")
+        with pytest.raises(SystemExit) as exc:
+            self.run("fit", "--data", str(tmp_path / "none.cvf"), "--out", str(tmp_path / "o"),
+                     flag, REMOVED_SETTINGS[key])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_too_few_kept_draws_rejected_before_read(self, tmp_path, capsys):
         # 20 sweeps keep 10 draws; the batch-means MCSE needs 16. The dataset
@@ -444,12 +465,9 @@ class TestCli:
     @pytest.mark.parametrize("flag, value, message", [
         ("--psi", "nan", "psi must be finite"),
         ("--psi", "inf", "psi must be finite"),
-        ("--a-kappa", "nan", "kappa prior parameters"),
-        ("--b-kappa", "nan", "kappa prior parameters"),
-        ("--b-kappa", "inf", "kappa prior parameters"),
         ("--mcse-tol", "nan", "mcse_tol must be positive and finite"),
         ("--G", "0", "number of parcels"),
-    ], ids=["psi=nan", "psi=inf", "a_kappa=nan", "b_kappa=nan", "b_kappa=inf", "mcse_tol=nan", "G=0"])
+    ], ids=["psi=nan", "psi=inf", "mcse_tol=nan", "G=0"])
     def test_bad_numeric_setting_rejected_before_read(self, tmp_path, capsys, flag, value,
                                                       message):
         # the dataset does not exist, so reaching the read would exit 3
@@ -464,6 +482,21 @@ class TestCli:
                         "--result", str(tmp_path / "truth"),
                         "--out", str(tmp_path / "m.csv")) == 3
         assert "true_activation.csv: malformed '# dims:' header" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("header, body", [
+        ("-50,-50", "1\n" * 2500), ("0,50", ""),
+    ], ids=["negative", "empty"])
+    def test_bad_map_extents_exit_code(self, tmp_path, capsys, header, body):
+        # -50,-50 once failed in reshape and 0,50 in the metrics, both exit 1
+        # with a traceback
+        for name in ("true_activation", "true_magnitude", "activation", "magnitude",
+                     "incl_prob"):
+            (tmp_path / f"{name}.csv").write_text(f"# dims: {header}\n{body}")
+        assert self.run("evaluate", "--truth", str(tmp_path), "--result", str(tmp_path),
+                        "--out", str(tmp_path / "m.csv")) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "true_activation.csv: grid extents must be positive" in err
 
     def test_missing_result_replicates_rejected(self, tmp_path, capsys):
         maps = generate_true_maps((10, 10), [RegionSpec((4, 4), 2.0)], 0.2)

@@ -1,14 +1,17 @@
 """Every name the package exports resolves, so a stale export fails here
-rather than at a user's ``from cvfmri.<module> import *``."""
+rather than at a user's ``from cvfmri.<module> import *``; and the fit
+settings the docs list are the CLI's."""
 
 import ast
 import importlib
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
 
 import cvfmri
+from cvfmri import cli
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(cvfmri.__path__))
 
@@ -30,3 +33,18 @@ def test_package_imports_resolve():
         for alias in node.names:
             assert hasattr(module, alias.name), f"{node.module}.{alias.name}"
             assert hasattr(cvfmri, alias.asname or alias.name), alias.name
+
+
+def _listed_settings(text, opener):
+    """The names quoted in backticks in the sentence that begins with ``opener``."""
+    words = r"\s+".join(map(re.escape, opener.split()))
+    sentence = re.search(words + r"[^:]*:(.*?)\.\s", text, re.DOTALL)
+    assert sentence, opener
+    return re.findall(r"`+(\w+)`+", sentence.group(1))
+
+
+def test_documented_fit_settings_match_the_table():
+    readme = (Path(cvfmri.__file__).parents[2] / "README.md").read_text()
+    opener = "Every fit setting is both a flag and a key"
+    assert _listed_settings(readme, opener) == list(cli._FIT_SETTINGS)
+    assert _listed_settings(cli.__doc__, opener) == list(cli._FIT_SETTINGS)

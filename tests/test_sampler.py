@@ -14,8 +14,10 @@ import pytest
 from cvfmri import sampler
 from cvfmri.design import design_for_length
 from cvfmri.errors import DegeneratePosteriorError, InsufficientDataError, InvalidSpecError
-from cvfmri.parcellation import EDGE, build_adjacency, build_spatial_basis, partition_grid
+from cvfmri.parcellation import build_adjacency, build_spatial_basis, partition_grid
 from cvfmri.sampler import (
+    A_KAPPA,
+    B_KAPPA,
     BLOCK_SWEEPS,
     NONSPATIAL,
     ChainSummary,
@@ -54,7 +56,7 @@ def block_draws(rng, it, cfg, n_vox, n_time):
     }
     if cfg.mode != NONSPATIAL:
         block["eta"] = rng.random((k, n_vox))
-        block["kappa"] = rng.standard_gamma(n_vox / 2 + cfg.a_kappa, k)
+        block["kappa"] = rng.standard_gamma(n_vox / 2 + A_KAPPA, k)
     else:
         block["rate"] = rng.random(k)
     return block
@@ -76,7 +78,7 @@ def reference_chain(y, nu2, x, cfg, seed):
     xc = x - x.mean()
     sigma2 = np.maximum(0.25 * np.mean(yc.real**2 + yc.imag**2, axis=1), 1e-30)
     rho = np.zeros(n_vox, dtype=complex)
-    tau2, eta, kappa, eta_shared = 1.0, np.zeros(n_vox), cfg.a_kappa * cfg.b_kappa, 0.5
+    tau2, eta, kappa, eta_shared = 1.0, np.zeros(n_vox), A_KAPPA * B_KAPPA, 0.5
 
     history = []
     kept_gamma = []
@@ -103,7 +105,7 @@ def reference_chain(y, nu2, x, cfg, seed):
                          block["tau2"][j])
         if spatial:
             eta = draw_eta(gamma, nu2, kappa, block["eta"][j])
-            kappa = draw_kappa(np.sum(eta * eta / nu2), block["kappa"][j], cfg.b_kappa)
+            kappa = draw_kappa(np.sum(eta * eta / nu2), block["kappa"][j])
         else:
             eta_shared = draw_eta_shared(int(gamma.sum()), n_vox, block["rate"][j])
         history.append((gamma.copy(), beta.copy(), rho.copy(), sigma2.copy()))
@@ -135,7 +137,7 @@ def tiny_instance():
     beta_true = np.array([0.0, 0.5, 0.0, 1.0])
     y = (1.0 + beta_true[:, None] * x[None, :]) * np.exp(1j * 0.6)
     y = y + 0.3 * (rng.standard_normal((n_vox, n_time)) + 1j * rng.standard_normal((n_vox, n_time)))
-    adjacency = build_adjacency(np.arange(4), (1, 4), EDGE)
+    adjacency = build_adjacency(np.arange(4), (1, 4))
     nu2 = build_spatial_basis(adjacency, 2)
     return y, x, nu2
 
@@ -149,7 +151,7 @@ def batch_instance():
     beta_true = rng.choice([0.0, 0.5, 1.0], size=sum(sizes))
     y = (1.0 + beta_true[:, None] * x[None, :]) * np.exp(1j * 0.6)
     y = y + 0.3 * (rng.standard_normal(y.shape) + 1j * rng.standard_normal(y.shape))
-    nu2s = [build_spatial_basis(build_adjacency(np.arange(n), (1, n), EDGE), 2) for n in sizes]
+    nu2s = [build_spatial_basis(build_adjacency(np.arange(n), (1, n)), 2) for n in sizes]
     return y, x, nu2s, sizes
 
 
@@ -216,7 +218,7 @@ class TestChainBehavior:
         beta_true = np.array([0.0, 5 * sigma, 0.0, 0.0])  # CNR 5
         y = (0.5 + beta_true[:, None] * x[None, :]) * np.exp(1j * np.pi / 4)
         y = y + sigma * (rng.standard_normal((4, n_time)) + 1j * rng.standard_normal((4, n_time)))
-        nu2 = build_spatial_basis(build_adjacency(np.arange(4), (1, 4), EDGE), 2)
+        nu2 = build_spatial_basis(build_adjacency(np.arange(4), (1, 4)), 2)
         cfg = SamplerConfig(n_iter=400, n_burn=200, seed=5)
         summary = run_parcel_chain(y, [nu2], x, cfg, [4])
         assert summary.incl_prob[1] > 0.99
@@ -226,7 +228,7 @@ class TestChainBehavior:
         x = design_for_length(n_time).bold
         sigma = 0.05
         beta_true = np.array([0.5 * sigma, 2.0 * sigma, 0.0, 0.0])
-        nu2 = build_spatial_basis(build_adjacency(np.arange(4), (1, 4), EDGE), 2)
+        nu2 = build_spatial_basis(build_adjacency(np.arange(4), (1, 4)), 2)
         weak, strong = [], []
         for seed in range(20):
             rng = np.random.default_rng(1000 + seed)

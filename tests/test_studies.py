@@ -60,8 +60,9 @@ def test_sampler_config_validation():
         SamplerConfig(threshold=1.5)
     with pytest.raises(InvalidSpecError):
         SamplerConfig(mode="bogus")
-    with pytest.raises(InvalidSpecError):
-        SamplerConfig(q=0)
+    for removed in ("q", "a_kappa", "b_kappa"):
+        with pytest.raises(TypeError):
+            SamplerConfig(**{removed: 1})
     cfg = SamplerConfig(n_iter=500)
     assert cfg.n_burn == 250 and cfg.threshold == 0.8722
 
