@@ -203,7 +203,12 @@ def _cmd_fit(args) -> int:
         if target is design_for_length:
             manifest[name] = stimulus.get(param, defaults[param].default)
     pipeline.write_fit_outputs(result, args.out, extra_manifest=manifest)
-    status = "converged" if result.converged else "NOT converged (max MCSE above tolerance)"
+    status = "converged"
+    if not result.converged:
+        ids = result.unconverged_parcels
+        more = f" and {len(ids) - 10} more" if len(ids) > 10 else ""
+        status = ("NOT converged (max MCSE above tolerance in parcel(s) "
+                  f"{', '.join(map(str, ids[:10]))}{more})")
     print(f"fit finished in {result.time_seconds:.2f}s, {status}; outputs in {args.out}")
     return 0
 

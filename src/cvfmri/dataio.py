@@ -18,6 +18,7 @@ byte-stable.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from pathlib import Path
@@ -80,7 +81,7 @@ def read_dataset(path) -> ComplexDataset:
             raise DataFormatError(f"{path}: grid extents must be positive, got {tuple(dims)}")
         if n_time < 1:
             raise DataFormatError(f"{path}: series length T must be positive, got {n_time}")
-        n_samples = int(np.prod(dims)) * n_time
+        n_samples = math.prod(dims) * n_time
         expected = 12 + len(shape) + n_samples * 16
         if size != expected:
             raise DataFormatError(
@@ -136,9 +137,9 @@ def read_map(path) -> np.ndarray:
         values = np.array([[float(tok) for tok in line.split(",")] for line in data_lines])
     except ValueError as exc:
         raise DataFormatError(f"{path}: unparseable cell ({exc})") from exc
-    if values.size != int(np.prod(dims)):
+    if values.size != math.prod(dims):
         raise DataFormatError(
-            f"{path}: expected {int(np.prod(dims))} cells for dims {dims}, got {values.size}"
+            f"{path}: expected {math.prod(dims)} cells for dims {dims}, got {values.size}"
         )
     return values.reshape(dims)
 

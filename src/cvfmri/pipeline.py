@@ -11,13 +11,13 @@ The parcel stage runs under one BLAS thread: the fit sets every loaded
 OpenBLAS to one thread, creates its pool under that setting, and gives the
 caller's count back afterwards. The pool forks, so its workers inherit the
 fit (the series, the partition, the regressor and the config) and the BLAS
-setting; a task is a range of parcels, and each worker cuts its own rows.
-Only the ranges and the summaries cross the pipe. The default worker count is
-the number of CPUs the process may run on. Without BLAS helper threads
-competing for those CPUs the pool pays off even on small data: on two vCPUs
-an ar1 50x50 fit at G=49 took 0.89-0.94 s with two workers against
-1.28-1.54 s with one, where with the libraries' own two threads each, two
-workers were slower than one.
+setting; a task is a range of parcels, whose rows the engine reads from the
+inherited series one parcel at a time. Only the ranges and the summaries
+cross the pipe. The default worker count is the number of CPUs the process
+may run on. Without BLAS helper threads competing for those CPUs the pool
+pays off even on small data: on two vCPUs an ar1 50x50 fit at G=49 took
+0.89-0.94 s with two workers against 1.28-1.54 s with one, where with the
+libraries' own two threads each, two workers were slower than one.
 """
 
 from __future__ import annotations
@@ -117,10 +117,14 @@ class FitResult:
     maps: ResultMaps
     incl_prob: np.ndarray
     mcse: np.ndarray
-    converged: bool
+    unconverged_parcels: tuple
     time_seconds: float
     config: FitConfig
     traces: dict | None = None
+
+    @property
+    def converged(self) -> bool:
+        return not self.unconverged_parcels
 
 
 def _parcel_ranges(sizes, workers: int) -> list:
@@ -195,15 +199,12 @@ def _worker_job(bounds):
 
 
 def _batch_job(fit, lo: int, hi: int):
-    """Fit parcels ``lo`` to ``hi - 1`` of ``fit = (flat series, partition,
-    regressor, FitConfig)`` as one batch of the engine; the summary's trace is
-    keyed by flat voxel index."""
-    flat, partition, x, cfg = fit
+    """Fit parcels ``lo`` to ``hi - 1`` of ``fit = (series, partition,
+    regressor, FitConfig)`` as one batch of the engine, which reads each
+    parcel's rows from the (V, T) series; the summary's trace is keyed by flat
+    voxel index."""
+    series, partition, x, cfg = fit
     voxel_lists = partition.parcel_voxel_lists[lo:hi]
-    voxels = np.concatenate(voxel_lists)
-    traced = [gv for gv in dict.fromkeys(cfg.trace_voxels)
-              if lo <= partition.assignment[gv] < hi]
-    rows = [int(np.flatnonzero(voxels == gv)[0]) for gv in traced]
     nu2 = None
     if cfg.sampler.mode != NONSPATIAL:
         nu2 = []
@@ -213,11 +214,9 @@ def _batch_job(fit, lo: int, hi: int):
                 nu2.append(build_spatial_basis(adjacency, SPATIAL_RANK))
             except CvfmriError as exc:
                 raise type(exc)(f"parcel {pid}: {exc}") from None
-    summary = run_parcel_chain(flat[voxels], nu2, x, cfg.sampler, [len(v) for v in voxel_lists],
-                               parcel_ids=range(lo, hi), trace_voxels=rows or None)
-    if rows:
-        summary.trace = {gv: summary.trace[row] for gv, row in zip(traced, rows)}
-    return summary
+    traced = [gv for gv in cfg.trace_voxels if lo <= partition.assignment[gv] < hi]
+    return run_parcel_chain(series, nu2, x, cfg.sampler, dict(enumerate(voxel_lists, lo)),
+                            trace_voxels=traced or None)
 
 
 def fit_dataset(dataset: ComplexDataset, design: DesignVector, cfg: FitConfig) -> FitResult:
@@ -228,7 +227,9 @@ def fit_dataset(dataset: ComplexDataset, design: DesignVector, cfg: FitConfig) -
     run under one BLAS thread, in this process and in the pool alike, and the
     caller's BLAS thread count is restored when the fit returns or raises.
     With more than one worker the parcel ranges run in a forked process pool
-    whose workers inherit the series and cut their own rows.
+    whose workers inherit the series. No job copies its range's rows: the
+    engine gathers one parcel's at a time. ``unconverged_parcels`` lists each
+    parcel with a voxel whose MCSE is at or over ``mcse_tol``.
     """
     if design.n_time != dataset.n_time:
         raise InvalidSpecError(
@@ -263,6 +264,7 @@ def fit_dataset(dataset: ComplexDataset, design: DesignVector, cfg: FitConfig) -
     incl = stitch_voxel_field(partition, results, lambda s: s.incl_prob)
     beta = stitch_voxel_field(partition, results, lambda s: s.beta_mean, dtype=complex)
     errs = stitch_voxel_field(partition, results, lambda s: s.mcse)
+    unconverged = np.unique(partition.assignment[errs.ravel() >= cfg.sampler.mcse_tol])
     traces = None
     if cfg.trace_voxels:
         traces = {gv: buf for s in results if s.trace for gv, buf in s.trace.items()}
@@ -270,7 +272,7 @@ def fit_dataset(dataset: ComplexDataset, design: DesignVector, cfg: FitConfig) -
         maps=summarize(incl, beta, cfg.sampler.threshold),
         incl_prob=incl,
         mcse=errs,
-        converged=all(s.converged for s in results),
+        unconverged_parcels=tuple(unconverged.tolist()),
         time_seconds=time.perf_counter() - started,
         config=cfg,
         traces=traces,

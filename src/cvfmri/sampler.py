@@ -26,10 +26,12 @@ draws delta.
 Within a sweep the voxel-level updates (gamma, beta, rho, sigma^2) are
 conditionally independent given the parcel-level state, so they are performed
 as vectorized stage updates; this realizes the same transition kernel as a
-fixed voxel-order scan. One engine runs a batch of parcels stacked along the
-voxel axis: each stage is one numpy call across every parcel of the batch, and
-parcel-level sums are ``np.add.reduceat`` over the parcels' offsets (the sum
-of each parcel's own segment). A lone parcel is a batch of one.
+fixed voxel-order scan. One engine runs a batch of parcels, each given as its
+rows of the series (in a fit, the whole image's); it gathers one parcel's rows
+at a time and stacks the parcels' statistics along the voxel axis. Each stage
+is one numpy call across every parcel of the batch, and parcel-level sums are
+``np.add.reduceat`` over the parcels' offsets (the sum of each parcel's own
+segment). A lone parcel is a batch of one.
 
 Parcel g has its own random stream, ``default_rng(derive_seed(cfg.seed, g))``,
 which the engine derives from the parcel's index in the image. Every draw a
@@ -180,7 +182,8 @@ class SamplerConfig:
 
 @dataclass
 class ChainSummary:
-    """Post burn-in summaries of a batch of parcel chains, per stacked voxel."""
+    """Post burn-in summaries of a batch of parcel chains, per voxel of the
+    batch's parcels in order; ``trace`` is keyed by row of the series."""
 
     incl_prob: np.ndarray
     beta_mean: np.ndarray
@@ -444,49 +447,46 @@ def run_parcel_chain(
     nu2,
     x: np.ndarray,
     cfg: SamplerConfig,
-    sizes,
-    parcel_ids=None,
+    parcels,
     trace_voxels=None,
 ) -> ChainSummary:
     """Run the Gibbs chains of a batch of parcels and summarize the kept draws.
 
-    ``y`` is the (V, T) complex data of the batch, its parcels' rows stacked
-    in order, ``sizes`` rows each; ``x`` is the shared regressor. Both are
-    centered internally, parcel by parcel. ``nu2`` gives each parcel's spatial
-    basis (the nu2 vector of :func:`~cvfmri.parcellation.build_spatial_basis`),
-    or is None in nonspatial mode. ``parcel_ids`` (default 0, 1, ...) are the
-    parcels' indices in the image: parcel g draws from
-    ``default_rng(derive_seed(cfg.seed, g))`` and is named g in error messages.
+    ``y`` is an (N, T) complex series (in a fit, the image's, row v holding
+    voxel v) and ``x`` the shared regressor. ``parcels`` maps each parcel of
+    the batch, in order, from its index in the image to its rows of ``y``:
+    parcel g draws from ``default_rng(derive_seed(cfg.seed, g))`` and is named
+    g in error messages. The engine gathers and centers one parcel's rows at a
+    time. ``nu2`` gives each parcel's spatial basis (the nu2 vector of
+    :func:`~cvfmri.parcellation.build_spatial_basis`), in the same order, or is
+    None in nonspatial mode.
 
     Each stage of a sweep is one numpy call across the batch. Every parcel
     draws from its own generator (see ``BLOCK_SWEEPS``) and its statistics come
     from its own rows, so its part of the summary is a deterministic function
     of its rows, nu2, index and ``cfg``, whatever batch it runs in. The summary
-    covers the stacked rows, which ``trace_voxels`` index too; the trace maps
-    each traced row to its (n_iter, 6) draws of gamma, beta, rho and sigma^2.
+    covers the parcels' rows in order. ``trace_voxels`` are rows of ``y`` in
+    the batch's parcels; the trace maps each to its (n_iter, 6) draws of
+    gamma, beta, rho and sigma^2.
     """
-    y = np.ascontiguousarray(y, dtype=complex)
+    y = np.asarray(y, dtype=complex)
     x = np.asarray(x, dtype=float)
     if y.ndim != 2 or y.shape[1] != x.size:
-        raise InvalidSpecError("parcel data must be (V, T) with T matching the regressor")
+        raise InvalidSpecError("parcel data must be (N, T) with T matching the regressor")
     if x.size < 3:
         raise InsufficientDataError("chains need at least 3 time points")
-    n_vox, n_time = y.shape
-    sizes = np.array([int(s) for s in sizes], dtype=np.intp)
-    n_parcels = len(sizes)
-    ids = list(range(n_parcels) if parcel_ids is None else parcel_ids)
-    if sum(sizes) != n_vox or min(sizes) < 1 or len(ids) != n_parcels:
-        raise InvalidSpecError("a batch needs one size and id per parcel; sizes sum to V")
-
-    def in_first_failing_parcel(draw, bounds, *args):
-        """Redo a failed ``draw`` parcel by parcel, on each parcel's slice
-        ``lo:hi`` of ``args``, and raise its error with the first failing
-        parcel named: the one form of a parcel-level error."""
-        for g, (lo, hi) in enumerate(bounds):
-            try:
-                draw(*(a[lo:hi] for a in args))
-            except DegeneratePosteriorError as exc:
-                raise type(exc)(f"parcel {ids[g]}: {exc}") from None
+    n_time = x.size
+    ids = list(parcels)
+    row_lists = [np.asarray(r, dtype=np.intp) for r in parcels.values()]
+    sizes = np.array([r.size for r in row_lists], dtype=np.intp)
+    n_parcels = len(ids)
+    if not n_parcels or sizes.min() < 1:
+        raise InvalidSpecError("a batch needs at least one parcel, and each parcel a row")
+    rows = np.concatenate(row_lists)
+    n_vox = rows.size
+    outside = rows[(rows < 0) | (rows >= len(y))]
+    if outside.size:
+        raise InvalidSpecError(f"parcel row {outside[0]} lies outside [0, {len(y)})")
 
     spatial = cfg.mode == SPATIAL
     if spatial:
@@ -494,27 +494,27 @@ def run_parcel_chain(
             raise InvalidSpecError("spatial mode requires the parcels' nu2")
         if len(nu2) != n_parcels:
             raise InvalidSpecError("a batch needs one nu2 vector per parcel")
-        for g, (b, size) in enumerate(zip(nu2, sizes)):
+        for g, b, size in zip(ids, nu2, sizes):
             if np.shape(b) != (size,):
-                raise InvalidSpecError(f"parcel {ids[g]}: basis size does not match parcel size")
+                raise InvalidSpecError(f"parcel {g}: basis size does not match parcel size")
         nu2 = np.concatenate(nu2)
 
     trace = None
     if trace_voxels is not None:
-        traced = np.fromiter(trace_voxels, dtype=np.intp)
-        outside = traced[(traced < 0) | (traced >= n_vox)]
-        if outside.size:
-            raise InvalidSpecError(f"trace row {outside[0]} lies outside [0, {n_vox})")
-        trace = np.zeros((cfg.n_iter, traced.size, 6))
+        traced = list(dict.fromkeys(int(v) for v in trace_voxels))
+        position = dict(zip(rows.tolist(), range(n_vox)))
+        missing = [v for v in traced if v not in position]
+        if missing:
+            raise InvalidSpecError(f"trace voxel {missing[0]} lies outside the batch's parcels")
+        at = np.array([position[v] for v in traced], dtype=np.intp)
+        trace = np.zeros((cfg.n_iter, len(traced), 6))
 
     offsets = np.concatenate([[0], np.cumsum(sizes)])
     starts = offsets[:-1]
-    voxel_bounds = list(zip(starts, offsets[1:]))
-    parcel_bounds = [(g, g + 1) for g in range(n_parcels)]
     xc = _center(x)
     parts, sigma2 = [], []
-    for lo, hi in voxel_bounds:
-        yc = _center(y[lo:hi])
+    for r in row_lists:
+        yc = _center(y[r])
         parts.append(_ParcelStats(yc, xc))
         # pooled per-component variance of the centered series, halved
         sigma2.append(np.maximum(0.25 * np.mean(yc.real**2 + yc.imag**2, axis=1), 1e-30))
@@ -573,17 +573,20 @@ def run_parcel_chain(
                 try:
                     sigma2 = draw_sigma2(ss, g_sigma[j])
                 except DegeneratePosteriorError:
-                    # the parcel's own rows name the local voxel
-                    in_first_failing_parcel(draw_sigma2, voxel_bounds, ss, g_sigma[j])
+                    # named by its row of y, which in a fit is its image voxel
+                    k = int(np.argmax(ss <= 0.0))
+                    g = ids[np.searchsorted(starts, k, side="right") - 1]
+                    raise DegeneratePosteriorError(
+                        f"parcel {g}: zero residual sum of squares at voxel {rows[k]}") from None
 
                 # parcel stage: tau2, then the inclusion-prior latents
                 n_active = np.add.reduceat(gamma, starts, dtype=np.intp)
                 ssb = np.add.reduceat(beta.real**2 + beta.imag**2, starts)
                 try:
                     tau2 = draw_tau2(n_active, ssb, tau2, u_tau2[j])
-                except DegeneratePosteriorError:
-                    in_first_failing_parcel(draw_tau2, parcel_bounds, n_active, ssb, tau2,
-                                            u_tau2[j])
+                except DegeneratePosteriorError as exc:
+                    g = ids[int(np.argmax((n_active > 0) & (ssb <= 0.0)))]
+                    raise type(exc)(f"parcel {g}: {exc}") from None
                 if spatial:
                     u_eta, g_kappa = prior_draws
                     eta = draw_eta(gamma, nu2, np.repeat(kappa, sizes), u_eta[j])
@@ -593,9 +596,8 @@ def run_parcel_chain(
                     eta_shared = draw_eta_shared(n_active, sizes, prior_draws[0][j])
 
                 if trace is not None:
-                    trace[it] = np.column_stack((gamma[traced], beta[traced].real,
-                                                 beta[traced].imag, rho[traced].real,
-                                                 rho[traced].imag, sigma2[traced]))
+                    trace[it] = np.column_stack((gamma[at], beta[at].real, beta[at].imag,
+                                                 rho[at].real, rho[at].imag, sigma2[at]))
                 if it >= cfg.n_burn:
                     kept_gamma[it - cfg.n_burn] = gamma
                     beta_sum += beta
@@ -606,13 +608,13 @@ def run_parcel_chain(
     incl = kept_gamma.mean(axis=0)
     # parcel by parcel: the float copy stays parcel-sized, and each parcel's
     # MCSE comes from the same array as when it runs alone
-    errs = np.concatenate([mcse(kept_gamma[:, lo:hi]) for lo, hi in voxel_bounds])
+    errs = np.concatenate([mcse(kept_gamma[:, lo:hi]) for lo, hi in zip(starts, offsets[1:])])
     return ChainSummary(
         incl_prob=incl,
         beta_mean=beta_sum / cfg.n_kept,
         mcse=errs,
         converged=bool(np.max(errs) < cfg.mcse_tol),
-        trace=None if trace is None else {int(v): trace[:, i] for i, v in enumerate(traced)},
+        trace=None if trace is None else {v: trace[:, i] for i, v in enumerate(traced)},
     )
 
 

@@ -362,7 +362,7 @@ class TestRecoveryCriteria:
         part = partition_grid((10, 10), 1)
         nu2 = build_spatial_basis(build_adjacency(part.parcel_voxel_lists[0], (10, 10)), 5)
         summary = run_parcel_chain(y, [nu2], x, SamplerConfig(n_iter=100, n_burn=50, seed=4),
-                                   [100], trace_voxels=range(100))
+                                   {0: part.parcel_voxel_lists[0]}, trace_voxels=range(100))
         draws = np.stack([summary.trace[v] for v in range(100)], axis=1)  # (sweep, voxel, field)
         trace_ok = bool(np.all(draws[draws[..., 0] == 0][:, 1:3] == 0)
                         and np.all(draws[..., 5] > 0))

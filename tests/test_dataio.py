@@ -82,12 +82,15 @@ class TestDatasetFormat:
         ((0, 4), 5, "grid extents must be positive"),
         ((3, 0), 5, "grid extents must be positive"),
         ((3, 4), 0, "series length T must be positive"),
-    ], ids=["rows=0", "cols=0", "T=0"])
+        ((2**31, 2**31, 4), 1, f"expected {28 + 16 * 2**64} bytes, got 28"),
+        ((2**32 - 1, 2**32 - 1), 2**32 - 1, f"expected {24 + 16 * (2**32 - 1)**3} bytes, got 24"),
+    ], ids=["rows=0", "cols=0", "T=0", "cells=2^64", "samples=(2^32-1)^3"])
     def test_empty_header_extent_rejected(self, tmp_path, dims, n_time, message):
-        # the payload of an empty grid or series is empty, so its size matches
+        # the payload of an empty grid or series is empty, so its size
+        # matches; so is the one that a cell count wrapped at 2^64 expects
         path = tmp_path / "empty.cvf"
-        path.write_bytes(b"CVF1" + struct.pack("<II2II", 1, 2, *dims, n_time))
-        with pytest.raises(DataFormatError, match=f"empty.cvf: {message}"):
+        path.write_bytes(b"CVF1" + struct.pack(f"<II{len(dims)}II", 1, len(dims), *dims, n_time))
+        with pytest.raises(DataFormatError, match=f"empty.cvf: .*{message}"):
             read_dataset(path)
 
     def test_non_finite_sample_rejected(self):
@@ -153,7 +156,8 @@ class TestMapFormat:
         ("3,0", "", "grid extents must be positive"),
         ("4", "1.0,2.0,3.0,4.0\n", "a map has 2 or 3 dims, got 1"),
         ("1,1,2,2", "1.0,2.0\n3.0,4.0\n", "a map has 2 or 3 dims, got 4"),
-    ], ids=["negative", "rows=0", "cols=0", "1-d", "4-d"])
+        ("4294967296,4294967296", "1.0\n", f"expected {2**64} cells"),
+    ], ids=["negative", "rows=0", "cols=0", "1-d", "4-d", "cells=2^64"])
     def test_bad_dims_rejected(self, tmp_path, header, body, message):
         path = tmp_path / "m.csv"
         path.write_text(f"# dims: {header}\n{body}")

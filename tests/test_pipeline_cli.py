@@ -2,12 +2,14 @@
 
 import csv
 import json
+import math
 import os
 import struct
 import subprocess
 import sys
 import tracemalloc
 import warnings
+from dataclasses import replace
 from multiprocessing.reduction import ForkingPickler
 from pathlib import Path
 
@@ -109,7 +111,7 @@ class TestFitPipeline:
         assert traces[0] == traces[1]
 
     def test_pooled_fit_parent_holds_no_copy_of_the_series(self):
-        # the workers inherit the series and cut their own rows
+        # the workers inherit the series and read their parcels' rows from it
         maps = generate_true_maps((40, 40), [RegionSpec((20, 20), 4.0)], 0.15)
         design = design_for_length(200)
         ds = simulate_iid(maps, design, SignalSpec(beta0=0.5), NoiseSpec("iid", sigma=0.05), 8)
@@ -139,6 +141,43 @@ class TestFitPipeline:
                         sampler=SamplerConfig(n_iter=40, n_burn=20, seed=1))
         fit_dataset(ds, design, cfg)
         assert 0 < sum(sent) < 2048
+
+    def test_one_worker_fit_holds_no_copy_of_the_series(self):
+        # the engine reads each parcel's rows from the series, so a job holds
+        # one parcel's gathered rows at a time, not a copy of its batch
+        maps = generate_true_maps((40, 40), [RegionSpec((20, 20), 4.0)], 0.15)
+        design = design_for_length(1000)
+        ds = simulate_iid(maps, design, SignalSpec(beta0=0.5), NoiseSpec("iid", sigma=0.05), 8)
+        cfg = FitConfig(n_parcels=16, workers=1,
+                        sampler=SamplerConfig(n_iter=64, n_burn=32, seed=1))
+        tracemalloc.start()
+        try:
+            fit_dataset(ds, design, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.75 * ds.data.nbytes
+
+    def test_volume_outputs_do_not_depend_on_workers(self, tmp_path):
+        # a 3-D fit: maps, per-slice PGMs and traces of voxels in the later
+        # slices (one listed twice) are the same bytes at 1 and 2 workers
+        maps = generate_true_maps((3, 12, 12), [RegionSpec((1, 4, 4), 1.0, shape="cube"),
+                                                RegionSpec((1, 8, 8), 1.0, shape="cube")], 0.15)
+        design = design_for_length(40)
+        ds = simulate_iid(maps, design, SignalSpec(beta0=0.5), NoiseSpec("iid", sigma=0.05), 4)
+        outs = []
+        for workers in (1, 2):
+            cfg = FitConfig(n_parcels=8, workers=workers, trace_voxels=(300, 150, 300),
+                            sampler=SamplerConfig(n_iter=80, n_burn=40, seed=7))
+            out = tmp_path / f"w{workers}"
+            write_fit_outputs(fit_dataset(ds, design, cfg), out)
+            outs.append({p.name: p.read_bytes() for p in out.iterdir()
+                         if p.name not in ("summary.csv", "manifest.txt")})
+        assert sorted(outs[0]) == sorted(
+            [f"{kind}_slice{s}.pgm" for kind in ("activation", "magnitude") for s in range(3)]
+            + [f"{name}.csv" for name in ("activation", "magnitude", "phase", "incl_prob",
+                                          "mcse", "trace_voxel150", "trace_voxel300")])
+        assert outs[0] == outs[1]
 
     def test_design_length_mismatch(self):
         ds, _, _ = small_dataset()
@@ -223,7 +262,7 @@ class TestBlasThreads:
         chain = pipeline.run_parcel_chain
 
         def recording(*args, **kwargs):
-            seen = tmp_path / f"batch{kwargs['parcel_ids'][0]}"
+            seen = tmp_path / f"batch{next(iter(args[4]))}"
             seen.write_text(" ".join(map(str, two_caller_threads())))
             if fails:
                 raise InvalidSpecError("stop after recording")
@@ -428,10 +467,44 @@ class TestCli:
         assert "'G' is given more than once" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("tol, named", [
+        ("0.5", None), ("1e-9", "0, 1, 2, 3"),
+    ], ids=["converged", "unconverged"])
+    def test_closing_line_names_unconverged_parcels(self, tmp_path, capsys, tol, named):
+        sim, fit = tmp_path / "sim", tmp_path / "fit"
+        self.run("simulate", "--study", "iid", "--seed", "3", "--T", "80", "--out", str(sim))
+        capsys.readouterr()
+        assert self.run("fit", "--data", str(sim / "dataset.cvf"), "--out", str(fit),
+                        "--G", "4", "--iters", "40", "--seed", "2", "--mcse-tol", tol) == 0
+        line = capsys.readouterr().out
+        summary = read_csv_rows(fit / "summary.csv")
+        if named is None:
+            assert ", converged; outputs in" in line and "parcel" not in line
+            assert summary[1][0] == "1"
+        else:
+            assert f"NOT converged (max MCSE above tolerance in parcel(s) {named}); " in line
+            assert summary[1][0] == "0"
+
+    def test_closing_line_lists_ten_unconverged_parcels(self, tmp_path, capsys, monkeypatch):
+        fit_dataset = pipeline.fit_dataset
+
+        def fourteen_unconverged(*args):
+            return replace(fit_dataset(*args), unconverged_parcels=tuple(range(3, 17)))
+
+        monkeypatch.setattr(pipeline, "fit_dataset", fourteen_unconverged)
+        sim = tmp_path / "sim"
+        self.run("simulate", "--study", "iid", "--seed", "3", "--T", "80", "--out", str(sim))
+        capsys.readouterr()
+        assert self.run("fit", "--data", str(sim / "dataset.cvf"), "--out", str(tmp_path / "o"),
+                        "--G", "4", "--iters", "40") == 0
+        assert "in parcel(s) 3, 4, 5, 6, 7, 8, 9, 10, 11, 12 and 4 more); " in \
+            capsys.readouterr().out
+
     @pytest.mark.parametrize("workers", ["1", "3"])
-    def test_constant_voxel_names_parcel_and_local_voxel(self, tmp_path, capsys, workers):
-        # voxel (10, 10) of a 50x50 grid is voxel 180 of parcel 0 at G=9; the
-        # engine runs several parcels in one batch and must still say so
+    def test_constant_voxel_names_parcel_and_image_voxel(self, tmp_path, capsys, workers):
+        # voxel (10, 10) of a 50x50 grid is voxel 510 of the image and row 180
+        # of parcel 0 at G=9; the error names the image voxel, the one that
+        # --trace-voxels and the map files use, whatever batch runs the parcel
         sim = tmp_path / "sim"
         self.run("simulate", "--study", "ar1", "--seed", "100", "--out", str(sim))
         ds = dataio.read_dataset(sim / "dataset.cvf")
@@ -440,8 +513,8 @@ class TestCli:
         dataio.write_dataset(sim / "dataset.cvf", ComplexDataset(ds.dims, data))
         assert self.run("fit", "--data", str(sim / "dataset.cvf"), "--out", str(tmp_path / "o"),
                         "--G", "9", "--iters", "200", "--workers", workers) == 4
-        err = capsys.readouterr().err
-        assert "parcel 0: zero residual sum of squares at voxel 180" in err
+        assert capsys.readouterr().err == (
+            "error: parcel 0: zero residual sum of squares at voxel 510\n")
 
     def test_exit_codes(self, tmp_path):
         # missing dataset file -> I/O category
@@ -483,12 +556,15 @@ class TestCli:
                         "--out", str(tmp_path / "m.csv")) == 3
         assert "true_activation.csv: malformed '# dims:' header" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("header, body", [
-        ("-50,-50", "1\n" * 2500), ("0,50", ""),
-    ], ids=["negative", "empty"])
-    def test_bad_map_extents_exit_code(self, tmp_path, capsys, header, body):
-        # -50,-50 once failed in reshape and 0,50 in the metrics, both exit 1
-        # with a traceback
+    @pytest.mark.parametrize("header, body, message", [
+        ("-50,-50", "1\n" * 2500, "grid extents must be positive"),
+        ("0,50", "", "grid extents must be positive"),
+        ("4294967296,4294967296", "1\n", f"expected {2**64} cells"),
+    ], ids=["negative", "empty", "cells=2^64"])
+    def test_bad_map_extents_exit_code(self, tmp_path, capsys, header, body, message):
+        # -50,-50 once failed in reshape, 0,50 in the metrics and 2^32 x 2^32
+        # in reshape after its cell count wrapped to 0, each exit 1 with a
+        # traceback
         for name in ("true_activation", "true_magnitude", "activation", "magnitude",
                      "incl_prob"):
             (tmp_path / f"{name}.csv").write_text(f"# dims: {header}\n{body}")
@@ -496,7 +572,8 @@ class TestCli:
                         "--out", str(tmp_path / "m.csv")) == 3
         err = capsys.readouterr().err
         assert err.count("\n") == 1
-        assert "true_activation.csv: grid extents must be positive" in err
+        assert f"true_activation.csv: {message}" in err
+        assert not (tmp_path / "m.csv").exists()
 
     def test_missing_result_replicates_rejected(self, tmp_path, capsys):
         maps = generate_true_maps((10, 10), [RegionSpec((4, 4), 2.0)], 0.2)
@@ -521,6 +598,21 @@ class TestCli:
         path.write_bytes(b"CVF1" + struct.pack("<II2II", 1, 2, 50, 50, 0))
         assert self.run("fit", "--data", str(path), "--out", str(tmp_path / "o")) == 3
         assert "empty.cvf: series length T must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dims, n_time", [
+        ((2**31, 2**31, 4), 1), ((2**32 - 1, 2**32 - 1), 2**32 - 1),
+    ], ids=["cells=2^64", "samples=(2^32-1)^3"])
+    def test_overflowing_dataset_extents_exit_code(self, tmp_path, capsys, dims, n_time):
+        # a header-only file whose sample count wraps to 0 (or below) in int64
+        # once passed the size check and failed in reshape with a traceback
+        path = tmp_path / "huge.cvf"
+        path.write_bytes(b"CVF1" + struct.pack(f"<II{len(dims)}II", 1, len(dims), *dims, n_time))
+        assert self.run("fit", "--data", str(path), "--out", str(tmp_path / "o")) == 3
+        err = capsys.readouterr().err
+        expected = 12 + 4 * (len(dims) + 1) + 16 * n_time * math.prod(dims)
+        assert err == f"error: {path}: payload length mismatch, expected {expected} bytes, " \
+                      f"got {path.stat().st_size}\n"
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("value", ["inf", "nan"])
     def test_non_finite_multiplier_rejected(self, tmp_path, capsys, value):

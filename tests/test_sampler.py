@@ -142,6 +142,12 @@ def tiny_instance():
     return y, x, nu2
 
 
+def consecutive(sizes, first=0):
+    """Parcels ``first``, ``first + 1``, ... of consecutive rows, ``sizes`` rows each."""
+    ends = np.cumsum(sizes)
+    return {g: range(end - n, end) for g, (n, end) in enumerate(zip(sizes, ends), first)}
+
+
 @pytest.fixture(scope="module")
 def batch_instance():
     rng = np.random.default_rng(556)
@@ -159,43 +165,43 @@ class TestChainEquivalence:
     def test_chain_matches_op_level_reference(self, tiny_instance):
         y, x, nu2 = tiny_instance
         cfg = SamplerConfig(n_iter=20, n_burn=0, seed=77777)
-        summary = run_parcel_chain(y, [nu2], x, cfg, [4], trace_voxels=[0, 1, 2, 3])
+        summary = run_parcel_chain(y, [nu2], x, cfg, {0: range(4)}, trace_voxels=[0, 1, 2, 3])
         history, incl, beta_mean = reference_chain(y, nu2, x, cfg, derive_seed(cfg.seed, 0))
         assert_trace_matches(summary.trace, history, range(4))
         assert np.allclose(summary.incl_prob, incl, atol=1e-12)
         assert np.allclose(summary.beta_mean, beta_mean, rtol=1e-9, atol=1e-12)
 
     def test_batch_matches_op_level_reference(self, batch_instance):
-        # three parcels in one batch, over a block boundary: each parcel must
-        # follow its own stream as if it ran alone, the one that the seeding
-        # rule derives from the config's seed and the parcel's index
+        # three parcels of scattered rows in one batch, over a block boundary:
+        # each parcel must follow its own stream as if it ran alone, the one
+        # that the seeding rule derives from the config's seed and the
+        # parcel's index, and its trace is keyed by its rows of y
         y, x, nu2s, sizes = batch_instance
         cfg = SamplerConfig(n_iter=BLOCK_SWEEPS + 8, n_burn=8, seed=404)
-        ids = [5, 6, 7]
-        summary = run_parcel_chain(y, nu2s, x, cfg, sizes, parcel_ids=ids,
-                                   trace_voxels=range(y.shape[0]))
+        rows = np.random.default_rng(7).permutation(y.shape[0])
+        parcels = dict(zip([5, 6, 7], np.split(rows, np.cumsum(sizes)[:-1])))
+        summary = run_parcel_chain(y, nu2s, x, cfg, parcels, trace_voxels=rows)
         lo = 0
-        for nu2, size, g in zip(nu2s, sizes, ids):
-            history, incl, beta_mean = reference_chain(y[lo:lo + size], nu2, x, cfg,
-                                                       derive_seed(cfg.seed, g))
-            assert_trace_matches(summary.trace, history, range(lo, lo + size))
-            assert np.allclose(summary.incl_prob[lo:lo + size], incl, atol=1e-12)
-            assert np.allclose(summary.beta_mean[lo:lo + size], beta_mean,
+        for nu2, (g, r) in zip(nu2s, parcels.items()):
+            history, incl, beta_mean = reference_chain(y[r], nu2, x, cfg, derive_seed(cfg.seed, g))
+            assert_trace_matches(summary.trace, history, r)
+            assert np.allclose(summary.incl_prob[lo:lo + r.size], incl, atol=1e-12)
+            assert np.allclose(summary.beta_mean[lo:lo + r.size], beta_mean,
                                rtol=1e-9, atol=1e-12)
-            lo += size
+            lo += r.size
 
 
 class TestChainBehavior:
     def test_deterministic(self, tiny_instance):
         y, x, nu2 = tiny_instance
         cfg = SamplerConfig(n_iter=60, n_burn=20, seed=42)
-        a = run_parcel_chain(y, [nu2], x, cfg, [4])
-        b = run_parcel_chain(y, [nu2], x, cfg, [4])
+        a = run_parcel_chain(y, [nu2], x, cfg, {0: range(4)})
+        b = run_parcel_chain(y, [nu2], x, cfg, {0: range(4)})
         assert np.array_equal(a.incl_prob, b.incl_prob)
         assert np.array_equal(a.beta_mean, b.beta_mean)
         assert np.array_equal(a.mcse, b.mcse)
         # the parcel's index picks its stream
-        c = run_parcel_chain(y, [nu2], x, cfg, [4], parcel_ids=[1])
+        c = run_parcel_chain(y, [nu2], x, cfg, {1: range(4)})
         assert not np.array_equal(a.beta_mean, c.beta_mean)
 
     def test_pure_noise_parcel_stays_quiet(self):
@@ -206,7 +212,7 @@ class TestChainBehavior:
         part = partition_grid((10, 10), 1)
         nu2 = build_spatial_basis(build_adjacency(part.parcel_voxel_lists[0], (10, 10)), 5)
         cfg = SamplerConfig(n_iter=400, n_burn=200, seed=3)
-        summary = run_parcel_chain(y, [nu2], x, cfg, [n_vox])
+        summary = run_parcel_chain(y, [nu2], x, cfg, {0: range(n_vox)})
         below = np.mean(summary.incl_prob < cfg.threshold)
         assert below >= 0.99
 
@@ -220,7 +226,7 @@ class TestChainBehavior:
         y = y + sigma * (rng.standard_normal((4, n_time)) + 1j * rng.standard_normal((4, n_time)))
         nu2 = build_spatial_basis(build_adjacency(np.arange(4), (1, 4)), 2)
         cfg = SamplerConfig(n_iter=400, n_burn=200, seed=5)
-        summary = run_parcel_chain(y, [nu2], x, cfg, [4])
+        summary = run_parcel_chain(y, [nu2], x, cfg, {0: range(4)})
         assert summary.incl_prob[1] > 0.99
 
     def test_inclusion_monotone_in_signal_strength(self):
@@ -235,7 +241,7 @@ class TestChainBehavior:
             y = (0.5 + beta_true[:, None] * x[None, :]) * np.exp(1j * np.pi / 4)
             y = y + sigma * (rng.standard_normal((4, n_time)) + 1j * rng.standard_normal((4, n_time)))
             cfg = SamplerConfig(n_iter=200, n_burn=100, seed=seed)
-            summary = run_parcel_chain(y, [nu2], x, cfg, [4])
+            summary = run_parcel_chain(y, [nu2], x, cfg, {0: range(4)})
             weak.append(summary.incl_prob[0])
             strong.append(summary.incl_prob[1])
         assert np.mean(strong) > np.mean(weak)
@@ -244,7 +250,7 @@ class TestChainBehavior:
         # every traced sweep: gamma=0 => beta=0, and sigma2 > 0
         y, x, nu2 = tiny_instance
         cfg = SamplerConfig(n_iter=100, n_burn=50, seed=11)
-        summary = run_parcel_chain(y, [nu2], x, cfg, [4], trace_voxels=range(4))
+        summary = run_parcel_chain(y, [nu2], x, cfg, {0: range(4)}, trace_voxels=range(4))
         draws = np.stack([summary.trace[v] for v in range(4)], axis=1)  # (sweep, voxel, field)
         assert np.all(draws[draws[..., 0] == 0][:, 1:3] == 0)
         assert np.all(draws[..., 5] > 0)
@@ -253,32 +259,34 @@ class TestChainBehavior:
         y, x, _ = tiny_instance
         cfg = SamplerConfig(n_iter=60, n_burn=20, mode=NONSPATIAL, seed=2)
         assert cfg.threshold == 0.5
-        summary = run_parcel_chain(y, None, x, cfg, [4])
+        summary = run_parcel_chain(y, None, x, cfg, {0: range(4)})
         assert summary.incl_prob.shape == (4,)
 
     def test_nonspatial_matches_op_reference(self, tiny_instance):
         y, x, _ = tiny_instance
         cfg = SamplerConfig(n_iter=16, n_burn=0, mode=NONSPATIAL, seed=31)
-        summary = run_parcel_chain(y, None, x, cfg, [4], trace_voxels=[0, 1, 2, 3])
+        summary = run_parcel_chain(y, None, x, cfg, {0: range(4)}, trace_voxels=[0, 1, 2, 3])
         history, _, _ = reference_chain(y, None, x, cfg, derive_seed(cfg.seed, 0))
         assert_trace_matches(summary.trace, history, range(4))
 
     def test_rejects_mismatched_inputs(self, tiny_instance):
         y, x, nu2 = tiny_instance
         with pytest.raises(InvalidSpecError):
-            run_parcel_chain(y[:, :6], [nu2], x, SamplerConfig(seed=1), [4])
+            run_parcel_chain(y[:, :6], [nu2], x, SamplerConfig(seed=1), {0: range(4)})
         # too few kept draws for the MCSE is a bad setting, caught before any chain
         with pytest.raises(InvalidSpecError, match="kept draws"):
             SamplerConfig(n_iter=20, n_burn=10, seed=0)
 
-    @pytest.mark.parametrize("row", [-1, 12])
+    @pytest.mark.parametrize("row", [-1, 12, 9])
     def test_trace_rows_outside_the_batch_rejected(self, batch_instance, monkeypatch, row):
+        # a batch of the first two parcels, rows 0 to 6 of y's 12; rejected
+        # before the O(V*T) statistics are built
         y, x, nu2s, sizes = batch_instance
-        # rejected before the O(V*T) statistics are built
         monkeypatch.setattr(sampler, "_ParcelStats", None)
-        with pytest.raises(InvalidSpecError, match=rf"^trace row {row} lies outside \[0, 12\)$"):
-            run_parcel_chain(y, nu2s, x, SamplerConfig(n_iter=40, n_burn=20), sizes,
-                             trace_voxels=[0, row])
+        with pytest.raises(InvalidSpecError,
+                           match=rf"^trace voxel {row} lies outside the batch's parcels$"):
+            run_parcel_chain(y, nu2s[:2], x, SamplerConfig(n_iter=40, n_burn=20),
+                             consecutive(sizes[:2]), trace_voxels=[0, row])
 
 
 class TestBatchInvariance:
@@ -301,11 +309,9 @@ class TestBatchInvariance:
         def per_parcel(bounds):
             out = []
             for lo, hi in zip(bounds[:-1], bounds[1:]):
-                sizes = [len(v) for v in lists[lo:hi]]
-                s = run_parcel_chain(y[np.concatenate(lists[lo:hi])],
-                                     nu2s[lo:hi] if mode == "spatial" else None, x, cfg,
-                                     sizes, parcel_ids=range(lo, hi))
-                cuts = np.cumsum(sizes)[:-1]
+                s = run_parcel_chain(y, nu2s[lo:hi] if mode == "spatial" else None, x, cfg,
+                                     dict(enumerate(lists[lo:hi], lo)))
+                cuts = np.cumsum([len(v) for v in lists[lo:hi]])[:-1]
                 out += [tuple(a.tobytes() for a in fields)
                         for fields in zip(*(np.split(f, cuts)
                                             for f in (s.incl_prob, s.beta_mean, s.mcse)))]
@@ -329,19 +335,21 @@ class TestBatchInvariance:
         monkeypatch.setattr(sampler, "draw_beta", zero_middle_parcel)
         cfg = SamplerConfig(n_iter=40, n_burn=20, seed=0)
         with pytest.raises(DegeneratePosteriorError, match="^parcel 8: slab variance"):
-            run_parcel_chain(y, nu2s, x, cfg, sizes, parcel_ids=[7, 8, 9])
+            run_parcel_chain(y, nu2s, x, cfg, consecutive(sizes, 7))
 
     def test_batch_rejects_mismatched_parts(self, batch_instance):
         y, x, nu2s, sizes = batch_instance
         cfg = SamplerConfig(n_iter=40, n_burn=20, seed=0)
+        with pytest.raises(InvalidSpecError, match=r"^parcel row 12 lies outside \[0, 12\)$"):
+            run_parcel_chain(y, nu2s, x, cfg, {0: range(4), 1: range(4, 7), 2: range(8, 13)})
+        with pytest.raises(InvalidSpecError, match="each parcel a row"):
+            run_parcel_chain(y, nu2s, x, cfg, {0: range(4), 1: range(4, 7), 2: []})
+        with pytest.raises(InvalidSpecError, match="at least one parcel"):
+            run_parcel_chain(y, [], x, cfg, {})
         with pytest.raises(InvalidSpecError):
-            run_parcel_chain(y, nu2s, x, cfg, (4, 3, 4))
-        with pytest.raises(InvalidSpecError):
-            run_parcel_chain(y, nu2s, x, cfg, sizes, parcel_ids=[1, 2])
-        with pytest.raises(InvalidSpecError):
-            run_parcel_chain(y, nu2s[:2], x, cfg, sizes)
+            run_parcel_chain(y, nu2s[:2], x, cfg, consecutive(sizes))
         with pytest.raises(InvalidSpecError, match="parcel 7: basis size"):
-            run_parcel_chain(y, nu2s[::-1], x, cfg, sizes, parcel_ids=[7, 8, 9])
+            run_parcel_chain(y, nu2s[::-1], x, cfg, consecutive(sizes, 7))
 
 
 def drawing_threads(y, x, nu2s, sizes, cfg):
@@ -356,7 +364,7 @@ def drawing_threads(y, x, nu2s, sizes, cfg):
 
     sampler._block_draws = recorded
     try:
-        run_parcel_chain(y, nu2s, x, cfg, sizes)
+        run_parcel_chain(y, nu2s, x, cfg, consecutive(sizes))
     finally:
         sampler._block_draws = draw
     return on_main
@@ -392,8 +400,8 @@ class TestBlockProducer:
             # frequent thread switches, so that the two threads interleave finely
             sys.setswitchinterval(1e-6)
             try:
-                s = run_parcel_chain(y, nu2s if mode == "spatial" else None, x, cfg, sizes,
-                                     parcel_ids=[3, 4, 5], trace_voxels=range(y.shape[0]))
+                s = run_parcel_chain(y, nu2s if mode == "spatial" else None, x, cfg,
+                                     consecutive(sizes, 3), trace_voxels=range(y.shape[0]))
             finally:
                 sys.setswitchinterval(interval)
             # three blocks of three parcels, drawn on the helper thread or not
@@ -424,7 +432,8 @@ class TestBlockProducer:
         y, x, nu2s, sizes = batch_instance
         monkeypatch.setattr(sampler, "PREFETCH_MIN_VOXELS", 1)
         before = threading.enumerate()
-        run_parcel_chain(y, nu2s, x, SamplerConfig(n_iter=BLOCK_SWEEPS + 8, n_burn=8), sizes)
+        run_parcel_chain(y, nu2s, x, SamplerConfig(n_iter=BLOCK_SWEEPS + 8, n_burn=8),
+                         consecutive(sizes))
         assert threading.enumerate() == before
 
     def test_no_thread_outlives_a_failed_sweep(self, batch_instance, monkeypatch):
@@ -455,9 +464,9 @@ class TestBlockProducer:
         monkeypatch.setattr(sampler, "draw_sigma2", sigma2_once_second_block_runs)
         before = threading.enumerate()
         with pytest.raises(DegeneratePosteriorError,
-                           match="^parcel 8: zero residual sum of squares at voxel 1$"):
+                           match="^parcel 8: zero residual sum of squares at voxel 5$"):
             run_parcel_chain(y, nu2s, x, SamplerConfig(n_iter=2 * BLOCK_SWEEPS, n_burn=8),
-                             sizes, parcel_ids=[7, 8, 9])
+                             consecutive(sizes, 7))
         assert threading.enumerate() == before
         assert len(finished) == len(started) == 2 * len(sizes)
 
