@@ -11,8 +11,9 @@ A setting given nowhere takes the default of
 :class:`~cvfmri.pipeline.FitConfig`, :class:`~cvfmri.sampler.SamplerConfig` or
 :func:`~cvfmri.design.design_for_length`. ``--trace-voxels`` is a flag only.
 
-Exit codes: 0 success, 2 invalid specification or config, 3 file/format
-problems, 4 numerical or degenerate failures, 1 anything unexpected.
+Exit codes: 0 success; 2 a bad setting; 3 bad data or a bad file; 4 a
+numerically degenerate fit (a constant voxel); 1 anything unexpected. Each
+error type of :mod:`cvfmri.errors` carries its code as ``exit_code``.
 """
 
 from __future__ import annotations
@@ -24,34 +25,9 @@ from pathlib import Path
 
 from . import dataio, pipeline
 from .design import design_for_length
-from .errors import (
-    CvfmriError,
-    DataFormatError,
-    DegenerateDesignError,
-    DegeneratePosteriorError,
-    InsufficientDataError,
-    InvalidSpecError,
-    ShapeMismatchError,
-    SingularBasisError,
-    UndefinedMetricError,
-)
+from .errors import CvfmriError, InsufficientDataError, InvalidSpecError
 from .sampler import SamplerConfig
 from .simulate import DEFAULT_MULTIPLIER
-
-_EXIT_CODES = (
-    ((InvalidSpecError, ShapeMismatchError), 2),
-    (DataFormatError, 3),
-    (
-        (
-            DegenerateDesignError,
-            DegeneratePosteriorError,
-            InsufficientDataError,
-            SingularBasisError,
-            UndefinedMetricError,
-        ),
-        4,
-    ),
-)
 
 _TRUE = ("1", "true", "yes", "on")
 _FALSE = ("0", "false", "no", "off")
@@ -194,6 +170,9 @@ def _cmd_fit(args) -> int:
     )
     data = kwargs[None]["data"]
     dataset = dataio.read_dataset(data)
+    if dataset.n_time < 3:
+        raise InsufficientDataError(
+            f"{data}: series length T={dataset.n_time}; a chain needs at least 3 time points")
     stimulus = kwargs[design_for_length]
     design = design_for_length(dataset.n_time, **stimulus)
     result = pipeline.fit_dataset(dataset, design, cfg)
@@ -241,13 +220,8 @@ def main(argv=None) -> int:
     try:
         return _COMMANDS[args.command](args)
     except CvfmriError as exc:
-        for classes, code in _EXIT_CODES:
-            if isinstance(exc, classes):
-                break
-        else:
-            code = 1
         print(f"error: {exc}", file=sys.stderr)
-        return code
+        return exc.exit_code
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

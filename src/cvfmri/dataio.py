@@ -105,16 +105,26 @@ def write_map(path, values: np.ndarray, integer: bool = False) -> None:
     rows = values.reshape(-1, values.shape[-1])
     lines = ["# dims: " + ",".join(str(d) for d in values.shape)]
     lines.extend(",".join(_format_cell(v, integer) for v in row) for row in rows)
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _read_lines(path) -> list:
+    """The lines of a UTF-8 text file; undecodable bytes or a NUL are a format error."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from None
+    if "\0" in text:
+        raise DataFormatError(f"{path}: not text (NUL at character {text.index(chr(0))})")
+    return text.splitlines()
 
 
 def read_map(path) -> np.ndarray:
     """Read a map CSV written by :func:`write_map`."""
     path = Path(path)
-    lines = path.read_text().splitlines()
     dims = None
     data_lines = []
-    for line in lines:
+    for line in _read_lines(path):
         stripped = line.strip()
         if not stripped:
             continue
@@ -159,7 +169,7 @@ def write_pgm(path, image: np.ndarray) -> None:
 def write_keyvalues(path, items: dict) -> None:
     """Write a flat 'key = value' file (one pair per line)."""
     lines = [f"{k} = {v}" for k, v in items.items()]
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def read_keyvalues(path) -> dict:
@@ -168,7 +178,7 @@ def read_keyvalues(path) -> dict:
     A key given twice is an error, not a silent override.
     """
     out = {}
-    for raw in Path(path).read_text().splitlines():
+    for raw in _read_lines(path):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

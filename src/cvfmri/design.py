@@ -142,6 +142,7 @@ def design_for_length(
         raise InvalidSpecError("design length must be positive")
     if warmup < 0 or warmup >= n_time:
         raise InvalidSpecError("warmup must lie in [0, n_time)")
+    on_len, off_len = min(on_len, n_time), min(off_len, n_time)  # longer blocks are cut anyway
     n_epochs = -(-(n_time - warmup) // max(on_len + off_len, 1)) or 1
     stim = boxcar_stimulus(StimulusSpec(n_epochs, on_len, off_len, on_first))
     stim = np.concatenate([np.zeros(warmup, dtype=np.int8), stim])[:n_time]

@@ -36,7 +36,7 @@ from scipy.special import ndtri
 from . import dataio
 from .data import ComplexDataset
 from .design import DesignVector, design_for_length
-from .errors import CvfmriError, InvalidSpecError
+from .errors import CvfmriError, InvalidSpecError, UndefinedMetricError
 from .metrics import (
     REPORT_COLUMNS,
     classification_metrics,
@@ -352,22 +352,22 @@ def write_fit_outputs(result: FitResult, out_dir, extra_manifest: dict | None = 
 
 def evaluate_arrays(true_active, true_magnitude, activation, magnitude, incl_prob,
                     time_seconds=None, label="dataset"):
-    """Build one metrics row from in-memory fields."""
+    """Build one metrics row from in-memory fields; AUC is NA for a one-class truth."""
     cls = classification_metrics(true_active, activation)
     fid = magnitude_fidelity(true_magnitude, magnitude)
-    auc = roc_auc(true_active, incl_prob)
+    try:
+        auc = roc_auc(true_active, incl_prob)
+    except UndefinedMetricError:  # e.g. a slice with no activation
+        auc = None
     return report_row(label, cls, fid, auc, time_seconds)
 
 
 def _read_time_seconds(result_dir: Path):
-    summary = result_dir / "summary.csv"
-    if not summary.exists():
-        return None
-    with open(summary, newline="") as fh:
-        rows = list(csv.reader(fh))
     try:
+        with open(result_dir / "summary.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
         return float(rows[1][rows[0].index("time_seconds")])
-    except (IndexError, ValueError):
+    except (FileNotFoundError, IndexError, ValueError):  # no, or no readable, summary
         return None
 
 

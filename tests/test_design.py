@@ -145,3 +145,16 @@ class TestDesignVector:
         d = design_for_length(490, on_len=15, off_len=15, warmup=10)
         assert d.n_time == 490
         assert np.all(d.stimulus[:10] == 0) and d.stimulus[10] == 1
+
+    @pytest.mark.parametrize("on_len, off_len, on_first, on_points", [
+        (10**12, 5, True, range(2, 40)),
+        (3, 10**12, True, range(2, 5)),
+        (10**12, 5, False, range(7, 40)),
+    ])
+    def test_blocks_longer_than_the_run_are_cut(self, on_len, off_len, on_first, on_points):
+        # a 10^12-point block once asked for a 10^12-element array
+        d = design_for_length(40, on_len, off_len, on_first, warmup=2)
+        stimulus = np.zeros(40, dtype=np.int8)
+        stimulus[list(on_points)] = 1
+        assert np.array_equal(d.stimulus, stimulus)
+        assert np.array_equal(d.bold, expected_bold(stimulus))

@@ -20,6 +20,7 @@ from cvfmri import cli, dataio, pipeline
 from cvfmri.data import ComplexDataset
 from cvfmri.design import design_for_length
 from cvfmri.errors import InvalidSpecError
+from cvfmri.metrics import REPORT_COLUMNS, classification_metrics, magnitude_fidelity, report_row
 from cvfmri.pipeline import (
     REALISTIC_COLUMNS,
     FitConfig,
@@ -466,6 +467,12 @@ class TestCli:
         assert self.run("fit", "--config", str(cfg), "--out", str(tmp_path / "o")) == 3
         assert "'G' is given more than once" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+        # undecodable bytes once exited 1 with a UnicodeDecodeError traceback
+        cfg.write_bytes(b"G = 4\n\xff\xfe bad\n")
+        assert self.run("fit", "--config", str(cfg), "--out", str(tmp_path / "o")) == 3
+        assert capsys.readouterr().err == \
+            f"error: {cfg}: not UTF-8 text (byte 6: invalid start byte)\n"
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("tol, named", [
         ("0.5", None), ("1e-9", "0, 1, 2, 3"),
@@ -555,6 +562,14 @@ class TestCli:
                         "--result", str(tmp_path / "truth"),
                         "--out", str(tmp_path / "m.csv")) == 3
         assert "true_activation.csv: malformed '# dims:' header" in capsys.readouterr().err
+        # a map whose first cell is not UTF-8 once exited 1 with a traceback
+        (tmp_path / "truth" / "true_activation.csv").write_bytes(b"# dims: 2,2\n\xff,0\n0,1\n")
+        assert self.run("evaluate", "--truth", str(tmp_path / "truth"),
+                        "--result", str(tmp_path / "truth"),
+                        "--out", str(tmp_path / "m.csv")) == 3
+        assert capsys.readouterr().err == (f"error: {tmp_path / 'truth' / 'true_activation.csv'}"
+                                           ": not UTF-8 text (byte 12: invalid start byte)\n")
+        assert not (tmp_path / "m.csv").exists()
 
     @pytest.mark.parametrize("header, body, message", [
         ("-50,-50", "1\n" * 2500, "grid extents must be positive"),
@@ -731,6 +746,29 @@ class TestEvaluate:
                 assert float(table[-1][j]) == pytest.approx(
                     sum(vals) / len(vals), abs=1e-12
                 )
+
+    @pytest.mark.parametrize("fill", [0, 1])
+    def test_one_class_truth_reports_auc_na(self, tmp_path, fill):
+        # a one-class truth (a slice with no activation) once stopped evaluate
+        # with exit 4 and no metrics.csv
+        rng = np.random.default_rng(fill)
+        truth = np.full((6, 6), fill)
+        magnitude = 2.0 * truth
+        activation = (rng.random((6, 6)) < 0.4).astype(int)
+        estimate = activation * rng.random((6, 6))
+        incl = rng.random((6, 6))
+        (tmp_path / "t").mkdir()
+        dataio.write_map(tmp_path / "t" / "true_activation.csv", truth, integer=True)
+        dataio.write_map(tmp_path / "t" / "true_magnitude.csv", magnitude)
+        self._write_result(tmp_path / "r", activation, estimate, incl)
+        out = tmp_path / "m.csv"
+        assert cli.main(["evaluate", "--truth", str(tmp_path / "t"),
+                         "--result", str(tmp_path / "r"), "--out", str(out)]) == 0
+        row = read_csv_rows(out)[1]
+        expected = report_row("r", classification_metrics(truth, activation),
+                              magnitude_fidelity(magnitude, estimate), None, None)
+        assert row == expected
+        assert row[1 + REPORT_COLUMNS.index("auc")] == "NA"
 
     def test_map_round_trip_preserves_phase_nan(self, tmp_path):
         ds, _, design = small_dataset()

@@ -1,6 +1,6 @@
 """Every name the package exports resolves, so a stale export fails here
 rather than at a user's ``from cvfmri.<module> import *``; and the fit
-settings the docs list are the CLI's."""
+settings and exit codes the docs list are the CLI's."""
 
 import ast
 import importlib
@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import cvfmri
-from cvfmri import cli
+from cvfmri import cli, errors
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(cvfmri.__path__))
 
@@ -48,3 +48,17 @@ def test_documented_fit_settings_match_the_table():
     opener = "Every fit setting is both a flag and a key"
     assert _listed_settings(readme, opener) == list(cli._FIT_SETTINGS)
     assert _listed_settings(cli.__doc__, opener) == list(cli._FIT_SETTINGS)
+
+
+def test_documented_exit_codes_match_the_error_types():
+    types = [t for t in vars(errors).values() if isinstance(t, type)
+             and issubclass(t, errors.CvfmriError) and t is not errors.CvfmriError]
+    assert types
+    for error_type in types:
+        assert "exit_code" in vars(error_type) and error_type.exit_code in {2, 3, 4}, error_type
+    readme = (Path(cvfmri.__file__).parents[2] / "README.md").read_text()
+    for text in (readme, cli.__doc__):
+        sentence = re.search(r"Exit codes:(.*?)\.\s", text, re.DOTALL).group(1)
+        # each clause of the sentence opens with its code
+        named = {int(code) for code in re.findall(r"(?:^|;)\s*(\d)\b", sentence)}
+        assert named == {0, errors.CvfmriError.exit_code} | {t.exit_code for t in types}
