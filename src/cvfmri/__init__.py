@@ -28,7 +28,6 @@ from .parcellation import (
     build_adjacency,
     build_spatial_basis,
     partition_grid,
-    principal_eigenvectors,
 )
 from .pipeline import (
     FitConfig,

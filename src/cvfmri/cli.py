@@ -159,6 +159,10 @@ def _trace_voxels(text) -> tuple:
 
 
 def _cmd_fit(args) -> int:
+    out = Path(args.out)
+    for path in (out, *out.parents):
+        if path.exists() and not path.is_dir():
+            raise NotADirectoryError(f"--out {out}: {path} exists and is not a directory")
     kwargs = {target: {} for target, *_ in _FIT_SETTINGS.values()}
     for name, value in _fit_settings(args).items():
         target, param, *_ = _FIT_SETTINGS[name]

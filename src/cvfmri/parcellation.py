@@ -1,25 +1,27 @@
 """Image parcellation and per-parcel spatial machinery.
 
-The grid is split into G contiguous blocks of approximately equal geometric
-size. Each block gets its own sparse adjacency matrix and, from its principal
-adjacency eigenvectors M, its spatial basis: the prior variance scale nu2 of
-every voxel's probit latent, which is all the sampler reads of the spatial
-prior once the random effects are integrated out.
+The grid is split into G rectangular boxes of approximately equal size. Each
+box gets its own sparse adjacency matrix and, from its principal adjacency
+eigenvectors M, its spatial basis: the prior variance scale nu2 of every
+voxel's probit latent, which is all the sampler reads of the spatial prior
+once the random effects are integrated out.
 
-M holds at least q eigenvectors and every eigenspace it touches whole, so nu2
-depends on the graph alone, not on the basis of a tied eigenspace that an
-eigensolver happens to return. Small parcels take a dense eigensolver and
-large ones a sparse one (``DENSE_EIGH_MAX_VOXELS``); no step forms a V x V
-array for a parcel above that size.
+A box's adjacency joins voxels that touch by a face, an edge or a corner, so
+its graph is the strong product of the axes' path graphs, and A + I is the
+Kronecker product of the axes' I + P. Its eigenpairs therefore come in closed
+form from the box extents: no eigensolver runs and no V x V array is formed.
+M holds at least q eigenvectors and every eigenspace it touches whole, so
+nu2 depends on the graph alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import cholesky, eigh, solve_triangular
+from scipy.linalg import cholesky, solve_triangular
 
 from .errors import InvalidSpecError, SingularBasisError
 
@@ -27,34 +29,31 @@ __all__ = [
     "Partition",
     "partition_grid",
     "build_adjacency",
-    "principal_eigenvectors",
     "build_spatial_basis",
     "SPATIAL_RANK",
 ]
-
-#: Parcels up to this many voxels take the dense eigensolver, larger ones the
-#: sparse one. The crossover was measured on k x k king graphs at 10
-#: eigenpairs: 400 voxels took 8.5 ms dense and 10.2 ms sparse, 625 took
-#: 21.6 ms and 16.6 ms, 2500 took 787 ms and 75 ms.
-DENSE_EIGH_MAX_VOXELS = 512
 
 #: Eigenvalues this close to the q-th, relative to the largest (or to 1), are
 #: tied with it, and their eigenvectors enter the basis together.
 TIE_RTOL = 1e-9
 
 #: The q of every fit's spatial basis: its minimum rank, completed to whole
-#: tied eigenspaces (see :func:`principal_eigenvectors`).
+#: tied eigenspaces (see :func:`build_spatial_basis`).
 SPATIAL_RANK = 5
 
 
 @dataclass
 class Partition:
-    """Assignment of every voxel to exactly one rectangular parcel."""
+    """Assignment of every voxel to exactly one rectangular parcel.
+
+    ``parcel_shapes[g]`` holds parcel g's extent on each axis; its voxel list
+    runs over that box in row-major order."""
 
     dims: tuple
     n_parcels: int
     assignment: np.ndarray
     parcel_voxel_lists: list
+    parcel_shapes: list
 
     def parcel_sizes(self) -> np.ndarray:
         return np.array([len(v) for v in self.parcel_voxel_lists])
@@ -112,13 +111,15 @@ def partition_grid(dims, n_parcels: int) -> Partition:
 
     runs = [_split_axis(d, c) for d, c in zip(dims, per_axis)]
     assignment = np.empty(dims, dtype=np.int64)
-    voxel_lists = []
+    voxel_lists, shapes = [], []
     index_grid = np.arange(n_vox).reshape(dims)
     for pid, block in enumerate(np.ndindex(*per_axis)):
         region = np.ix_(*(runs[ax][b] for ax, b in enumerate(block)))
         assignment[region] = pid
-        voxel_lists.append(index_grid[region].ravel())
-    return Partition(dims, n_parcels, assignment.ravel(), voxel_lists)
+        box = index_grid[region]
+        voxel_lists.append(box.ravel())
+        shapes.append(box.shape)
+    return Partition(dims, n_parcels, assignment.ravel(), voxel_lists, shapes)
 
 
 def _neighbor_offsets(n_axes: int):
@@ -154,94 +155,67 @@ def build_adjacency(voxels, dims) -> sparse.csr_array:
     return sparse.csr_array((np.ones(rows.size, dtype=np.int8), (rows, cols)), shape=(n, n))
 
 
-def _square_symmetric(adjacency) -> sparse.csr_array:
-    """``adjacency`` (dense or sparse) as CSR, after checking its shape and symmetry."""
-    a = sparse.csr_array(adjacency)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or (a != a.T).nnz:
-        raise InvalidSpecError("adjacency must be square and symmetric")
-    return a
+def _principal_vectors(shape) -> np.ndarray:
+    """M of a box of ``shape``: orthonormal adjacency eigenvectors of the
+    ``SPATIAL_RANK`` largest eigenvalues, completed to whole tied eigenspaces,
+    in descending order of eigenvalue.
 
-
-def _top_eigenpairs(a: sparse.csr_array, k: int):
-    """The k algebraically largest eigenpairs of ``a``, in descending order.
-
-    Parcels of at most ``DENSE_EIGH_MAX_VOXELS`` voxels take LAPACK's dense
-    ``eigh``; larger ones take ARPACK's Lanczos ``eigsh`` from a fixed start
-    vector, so no n x n array is formed and repeated calls agree bit for bit.
+    A path of n voxels has I + P eigenvalues 1 + 2cos(pi k/(n+1)) with
+    eigenvectors sqrt(2/(n+1)) sin(pi j k/(n+1)), j, k = 1..n. The box's
+    adjacency eigenvalues are the products of one factor per axis, minus 1,
+    and its eigenvectors the row-major Kronecker products of the axes'
+    vectors. Every eigenvalue within ``TIE_RTOL`` times max(1, largest) of
+    the q-th is kept, so a square box at q=5 gets 6 columns (its 5th and 6th
+    eigenvalues are equal) and a cube 7; the products of a cube's three
+    factors tie only to rounding.
     """
-    n = a.shape[0]
-    # ARPACK cannot return (nearly) all n pairs; a q that large needs them all
-    if n <= DENSE_EIGH_MAX_VOXELS or k >= n - 1:
-        vals, vecs = eigh(a.toarray().astype(float), subset_by_index=[n - k, n - 1])
-    else:
-        from scipy.sparse.linalg import eigsh
-
-        v0 = np.random.default_rng(0).standard_normal(n)
-        vals, vecs = eigsh(a.astype(float), k=k, which="LA", v0=v0)
-    order = np.argsort(vals)[::-1]
-    return vals[order], vecs[:, order]
-
-
-def principal_eigenvectors(adjacency, q: int):
-    """Orthonormal eigenvectors of the q algebraically largest eigenvalues,
-    completed to whole tied eigenspaces.
-
-    Every eigenvalue within ``TIE_RTOL`` times max(1, largest eigenvalue) of
-    the q-th is kept as well, so M spans the same space whatever basis of a
-    tied eigenspace the solver returns, and q is a minimum rank: a square
-    parcel at q=5 gets 6 columns, since its 5th and 6th eigenvalues are equal.
-    Columns are ordered by descending eigenvalue and sign-fixed so that each
-    column's largest-magnitude entry is positive, making the result
-    deterministic across calls.
-
-    ``adjacency`` may be dense or sparse. Returns ``(eigenvalues, M)``.
-    """
-    a = sparse.csr_array(adjacency)
-    n = a.shape[0]
-    if not 1 <= q <= n:
-        raise InvalidSpecError(f"q={q} must lie in [1, {n}]")
-    k = min(n, 2 * q)
-    while True:
-        vals, vecs = _top_eigenpairs(a, k)
-        tol = TIE_RTOL * max(1.0, vals[0])
-        keep = int(np.count_nonzero(vals >= vals[q - 1] - tol))
-        # the tie group of the q-th eigenvalue is closed once a smaller one shows
-        if keep < k or k == n:
-            break
-        k = min(n, 2 * k)
-    vals, vecs = vals[:keep], vecs[:, :keep]
-    for j in range(keep):
-        i = int(np.argmax(np.abs(vecs[:, j])))
-        if vecs[i, j] < 0:
-            vecs[:, j] = -vecs[:, j]
-    return vals, np.ascontiguousarray(vecs)
+    factors = [1.0 + 2.0 * np.cos(np.pi * np.arange(1, n + 1) / (n + 1)) for n in shape]
+    vals = reduce(np.multiply.outer, factors).ravel() - 1.0
+    order = np.argsort(-vals, kind="stable")
+    tol = TIE_RTOL * max(1.0, vals[order[0]])
+    keep = order[vals[order] >= vals[order[SPATIAL_RANK - 1]] - tol]
+    columns = []
+    for ks in zip(*np.unravel_index(keep, shape)):
+        axes = [np.sqrt(2.0 / (n + 1)) * np.sin(np.pi * np.arange(1, n + 1) * (k + 1) / (n + 1))
+                for n, k in zip(shape, ks)]
+        columns.append(reduce(np.kron, axes))
+    return np.column_stack(columns)
 
 
-def build_spatial_basis(adjacency, q: int) -> np.ndarray:
-    """The per-parcel spatial basis: nu2, one value per voxel.
+def build_spatial_basis(adjacency, shape) -> np.ndarray:
+    """The spatial basis of a box parcel of extents ``shape``: nu2, one value
+    per voxel, in the row-major order of the box.
 
     nu2 is the diagonal of I + M (M'QM)^-1 M', with M the principal adjacency
-    eigenvectors of :func:`principal_eigenvectors` (at least q, and whole tied
-    eigenspaces, so nu2 depends on the graph alone) and Q the graph
-    Laplacian: the variance scale of each voxel's probit latent once the
-    spatial random effects are integrated out. ``adjacency`` may be dense or
-    sparse.
+    eigenvectors of the box (at least ``SPATIAL_RANK``, and whole tied
+    eigenspaces; see :func:`_principal_vectors`) and Q the graph Laplacian of
+    ``adjacency``, the box's :func:`build_adjacency`: the variance scale of
+    each voxel's probit latent once the spatial random effects are integrated
+    out.
 
     M'QM is formed as the sum over edges (i, j) of (m_i - m_j)(m_i - m_j)',
     which equals M'QM and is positive semidefinite by construction. Raises
     :class:`SingularBasisError` when M'QM is numerically singular (smallest
     eigenvalue at most 1e-12 times the largest degree, or condition number
-    above 1e12), which happens when a low-index adjacency eigenvector is
-    (numerically) constant on a connected component.
+    above 1e12), which happens when M spans the constant vector, as on a
+    1 x 5 strip or a 2 x 2 x 2 cube.
     """
-    a = _square_symmetric(adjacency)
-    _, m = principal_eigenvectors(a, q)
-    i, j = a.nonzero()
+    shape = tuple(int(n) for n in shape)
+    n_vox = int(np.prod(shape))
+    if min(shape) < 1 or n_vox < SPATIAL_RANK:
+        raise InvalidSpecError(
+            f"a spatial basis of rank {SPATIAL_RANK} needs a box of at least "
+            f"{SPATIAL_RANK} voxels, got extents {shape}")
+    if adjacency.shape != (n_vox, n_vox):
+        raise InvalidSpecError(
+            f"adjacency of shape {adjacency.shape} does not fit a box of extents {shape}")
+    m = _principal_vectors(shape)
+    i, j = adjacency.nonzero()
     upper = i < j
     diff = m[i[upper]] - m[j[upper]]
     qs = diff.T @ diff
     eigs = np.linalg.eigvalsh(qs)
-    max_degree = int(np.bincount(i, minlength=a.shape[0]).max())
+    max_degree = int(np.bincount(i, minlength=n_vox).max())
     if eigs[0] <= 1e-12 * max_degree or eigs[-1] / eigs[0] > 1e12:
         raise SingularBasisError(
             "M'QM is numerically singular; use fewer, larger parcels"

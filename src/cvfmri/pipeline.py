@@ -36,7 +36,7 @@ from scipy.special import ndtri
 from . import dataio
 from .data import ComplexDataset
 from .design import DesignVector, design_for_length
-from .errors import CvfmriError, InvalidSpecError, UndefinedMetricError
+from .errors import CvfmriError, DataFormatError, InvalidSpecError, UndefinedMetricError
 from .metrics import (
     REPORT_COLUMNS,
     classification_metrics,
@@ -170,8 +170,8 @@ def _one_blas_thread():
     """Run the block with one BLAS thread, then restore each library's count.
 
     Two processes on two CPUs, each with a BLAS helper thread, slow every
-    dense product and ``eigh``; one thread also makes the basis bits the same
-    whatever thread count the caller set."""
+    dense product; the pin is for speed, since no result depends on the
+    thread count."""
     found = _openblas_thread_setters()
     before = [get() for get, _ in found]
     try:
@@ -211,7 +211,7 @@ def _batch_job(fit, lo: int, hi: int):
         for pid, parcel in enumerate(voxel_lists, lo):
             try:
                 adjacency = build_adjacency(parcel, partition.dims)
-                nu2.append(build_spatial_basis(adjacency, SPATIAL_RANK))
+                nu2.append(build_spatial_basis(adjacency, partition.parcel_shapes[pid]))
             except CvfmriError as exc:
                 raise type(exc)(f"parcel {pid}: {exc}") from None
     traced = [gv for gv in cfg.trace_voxels if lo <= partition.assignment[gv] < hi]
@@ -371,15 +371,28 @@ def _read_time_seconds(result_dir: Path):
         return None
 
 
+def _read_scored_map(path, binary=False):
+    """A map that evaluation scores: every cell finite, and 0 or 1 if ``binary``."""
+    values = dataio.read_map(path)
+    bad = ~np.isin(values, (0.0, 1.0)) if binary else ~np.isfinite(values)
+    if bad.any():
+        cell = tuple(int(i) for i in np.argwhere(bad)[0])
+        expected = "0 or 1" if binary else "a finite value"
+        raise DataFormatError(
+            f"{path}: cell {cell} holds {float(values[cell])!r}, expected {expected}")
+    return values
+
+
 def evaluate_pair(truth_dir, result_dir, label=None):
-    """Metrics row for one truth/result directory pair."""
+    """Metrics row for one truth/result directory pair; a non-finite cell in
+    any map it reads, or an activation cell other than 0 or 1, is bad data."""
     truth_dir = Path(truth_dir)
     result_dir = Path(result_dir)
-    true_active = dataio.read_map(truth_dir / "true_activation.csv")
-    true_mag = dataio.read_map(truth_dir / "true_magnitude.csv")
-    activation = dataio.read_map(result_dir / "activation.csv")
-    magnitude = dataio.read_map(result_dir / "magnitude.csv")
-    incl = dataio.read_map(result_dir / "incl_prob.csv")
+    true_active = _read_scored_map(truth_dir / "true_activation.csv", binary=True)
+    true_mag = _read_scored_map(truth_dir / "true_magnitude.csv")
+    activation = _read_scored_map(result_dir / "activation.csv", binary=True)
+    magnitude = _read_scored_map(result_dir / "magnitude.csv")
+    incl = _read_scored_map(result_dir / "incl_prob.csv")
     return evaluate_arrays(
         true_active,
         true_mag,

@@ -9,16 +9,19 @@ engine's algebra. The ``*_draws`` helpers give n draws of one series'
 conditional, taking their standard variates from ``rng`` in the order and
 layout of the engine's stream (two normals per complex draw).
 
-``graph_laplacian`` is the dense oracle of a parcel's graph Laplacian, which
-the spatial basis tests compare against, and ``probit_log_odds`` that of the
+``graph_laplacian`` is the dense oracle of a parcel's graph Laplacian,
+``reference_eigenvectors`` and ``reference_nu2`` those of the spatial basis
+of any graph at any minimum rank q, and ``probit_log_odds`` that of the
 spatial prior's log odds.
 """
 
 import numpy as np
 from scipy import sparse
+from scipy.linalg import cholesky, eigh, solve_triangular
 from scipy.special import log_ndtr
 
-from cvfmri.errors import InsufficientDataError, InvalidSpecError
+from cvfmri.errors import InsufficientDataError, InvalidSpecError, SingularBasisError
+from cvfmri.parcellation import TIE_RTOL
 from cvfmri.sampler import (
     A_KAPPA,
     _standard_complex_normals,
@@ -136,6 +139,42 @@ def graph_laplacian(adjacency):
     if a.ndim != 2 or a.shape[0] != a.shape[1] or not np.array_equal(a, a.T):
         raise InvalidSpecError("adjacency must be square and symmetric")
     return np.diag(a.astype(np.int64).sum(axis=1).astype(float)) - a
+
+
+def reference_eigenvectors(adjacency, q):
+    """Orthonormal eigenvectors of the q largest eigenvalues of a dense or
+    sparse adjacency and of every eigenvalue within ``TIE_RTOL`` times
+    max(1, largest) of the q-th, in descending order, from LAPACK's dense
+    ``eigh``."""
+    a = adjacency.toarray() if sparse.issparse(adjacency) else np.asarray(adjacency)
+    n = a.shape[0]
+    k = min(n, 2 * q)
+    while True:
+        vals, vecs = eigh(a.astype(float), subset_by_index=[n - k, n - 1])
+        order = np.argsort(vals)[::-1]
+        vals, vecs = vals[order], vecs[:, order]
+        keep = vals >= vals[q - 1] - TIE_RTOL * max(1.0, vals[0])
+        # the tie group of the q-th eigenvalue is closed once a smaller one shows
+        if not keep.all() or k == n:
+            return vecs[:, keep]
+        k = min(n, 2 * k)
+
+
+def reference_nu2(adjacency, q):
+    """nu2 of any graph at minimum rank q: the diagonal of I + M (M'QM)^-1 M'
+    with M from :func:`reference_eigenvectors` and Q the graph Laplacian,
+    M'QM summed over edges as ``build_spatial_basis`` does. Raises
+    ``SingularBasisError`` on the same test."""
+    a = adjacency.toarray() if sparse.issparse(adjacency) else np.asarray(adjacency)
+    m = reference_eigenvectors(a, q)
+    i, j = np.nonzero(np.triu(a, 1))
+    diff = m[i] - m[j]
+    qs = diff.T @ diff
+    eigs = np.linalg.eigvalsh(qs)
+    if eigs[0] <= 1e-12 * a.sum(axis=1).max() or eigs[-1] / eigs[0] > 1e12:
+        raise SingularBasisError("M'QM is numerically singular")
+    y = solve_triangular(cholesky(qs, lower=True), m.T, lower=True)
+    return 1.0 + np.sum(y * y, axis=0)
 
 
 def probit_log_odds(z):

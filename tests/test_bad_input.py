@@ -116,6 +116,15 @@ def dataset_cases():
         yield fit_case(f"4x4x4-G=8-workers={workers}", volume,
                        ("--G", "8", "--workers", workers), 2,
                        "error: parcel 0: M'QM is numerically singular; use fewer, larger parcels")
+    # 1x5 strips at rank 5 take every eigenvector, the constant among them
+    # (fixed samples, so the seeded stream of the cases below does not move)
+    yield fit_case("1x10-G=2", cvf1((1, 10), values=np.cos(np.arange(2 * 10 * T))), ("--G", "2"), 2,
+                   "error: parcel 0: M'QM is numerically singular; use fewer, larger parcels")
+    # --out is checked before the (corrupt) dataset is read
+    for id, out in (("out-is-a-file", "{d}/busy"), ("out-parent-is-a-file", "{d}/busy/out")):
+        yield Case(id, {"data.cvf": good[:10], "busy": b""},
+                   tuple(out if arg == "{d}/out" else arg for arg in FIT), 3,
+                   f"error: --out {out}: {{d}}/busy exists and is not a directory")
 
 
 def config_case(id, text, code, message):
@@ -225,6 +234,20 @@ def evaluate_cases():
                         **{"result/incl_prob.csv": csv_map(rng.random((4, 5)))})
     yield Case("truth-empty", {"truth/x/y": b"", "result/y": b""}, EVALUATE, 2,
                "has no result for truth replicate(s) x")
+    # every map evaluation reads must be finite, and activation maps 0 or 1
+    cell = tuple(int(i) for i in rng.integers(5, size=2))
+    for name, value, text in (("result/incl_prob.csv", np.nan, b"nan"),
+                              ("result/magnitude.csv", np.inf, b"inf"),
+                              ("result/magnitude.csv", np.inf, b"1e400"),
+                              ("truth/true_activation.csv", 2.0, b"2.0"),
+                              ("result/activation.csv", 0.5, b"0.5")):
+        binary = name.endswith("activation.csv")
+        values = (rng.random((5, 5)) < 0.3).astype(float) if binary else rng.random((5, 5))
+        values[cell] = 123.0
+        expected = "0 or 1" if binary else "a finite value"
+        yield evaluate_case(f"{name}-cell={text.decode()}", 3,
+                            f"{name}: cell {cell} holds {value!r}, expected {expected}",
+                            **{name: csv_map(values).replace(b"123.0", text)})
 
 
 CASES = [*dataset_cases(), *config_cases(), *flag_cases(), *evaluate_cases()]

@@ -18,7 +18,7 @@ from scipy.integrate import dblquad
 from scipy.special import gammaincinv, ndtr
 
 from cvfmri.errors import DegeneratePosteriorError, InsufficientDataError
-from cvfmri.parcellation import build_adjacency, build_spatial_basis
+from cvfmri.parcellation import build_adjacency
 from cvfmri.sampler import (
     derive_seed,
     draw_eta,
@@ -37,6 +37,7 @@ from reference import (
     kappa_draw,
     probit_log_odds,
     real_design_matrix,
+    reference_nu2,
     rho_draws,
     sigma2_draws,
     stack_real,
@@ -54,7 +55,7 @@ T4_RHO = 0.15 + 0.25j
 @pytest.fixture(scope="module")
 def path4_nu2():
     a = build_adjacency(np.arange(4), (1, 4))
-    return build_spatial_basis(a, 2)
+    return reference_nu2(a, 2)
 
 
 def ks(sample_a, sample_b):

@@ -8,35 +8,22 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy import sparse
 
 from cvfmri import parcellation
 from cvfmri.errors import InvalidSpecError, SingularBasisError
 from cvfmri.parcellation import (
+    SPATIAL_RANK,
     build_adjacency,
     build_spatial_basis,
     partition_grid,
-    principal_eigenvectors,
 )
-from reference import graph_laplacian
+from reference import graph_laplacian, reference_eigenvectors, reference_nu2
 
 
-def face_adjacency(dims):
-    """The face-neighbour lattice of a whole grid (4 neighbours in 2-D, 6 in
-    3-D), built as the Kronecker sum of the axes' path graphs: a second graph
-    family for the spatial basis."""
-    a = sparse.csr_array((1, 1), dtype=np.int8)
-    for n in dims:
-        path = sparse.diags_array([np.ones(n - 1), np.ones(n - 1)], offsets=[-1, 1])
-        a = sparse.kronsum(path, a)
-    return sparse.csr_array(a, dtype=np.int8)
-
-
-#: The two graph families of the basis tests, by their ids.
-GRAPHS = {
-    "edge": face_adjacency,
-    "edge+corner": lambda dims: build_adjacency(np.arange(np.prod(dims)), dims),
-}
+def box_basis(dims):
+    """The adjacency and nu2 of one box parcel spanning the whole of ``dims``."""
+    a = build_adjacency(np.arange(np.prod(dims)), dims)
+    return a, build_spatial_basis(a, dims)
 
 
 def axis_runs_oracle(extent, pieces):
@@ -99,6 +86,14 @@ class TestPartition:
         joined = np.concatenate(p.parcel_voxel_lists)
         assert np.array_equal(np.sort(joined), np.arange(4 * 6 * 6))
 
+    def test_parcel_shapes_are_box_extents(self):
+        for dims, g in (((50, 50), 9), ((13, 9), 6), ((4, 6, 6), 8), ((50, 50), 7)):
+            p = partition_grid(dims, g)
+            for voxels, shape in zip(p.parcel_voxel_lists, p.parcel_shapes):
+                coords = np.unravel_index(voxels, dims)
+                assert shape == tuple(int(c.max() - c.min() + 1) for c in coords)
+                assert np.prod(shape) == len(voxels)
+
     def test_too_many_parcels(self):
         with pytest.raises(InvalidSpecError):
             partition_grid((4, 4), 17)
@@ -157,51 +152,55 @@ class TestLaplacian:
 
 
 class TestSpatialBasis:
-    def test_complete_graph_principal_vector(self):
-        k3 = np.ones((3, 3), dtype=int) - np.eye(3, dtype=int)
-        vals, m = principal_eigenvectors(k3, 1)
-        assert vals[0] == pytest.approx(2.0)
-        assert np.allclose(m[:, 0], np.full(3, 1 / np.sqrt(3)), atol=1e-12)
-
     def test_complete_graph_basis_is_singular(self):
-        # the constant principal eigenvector lies in the Laplacian null space,
-        # whatever the sign of the roundoff in M'QM
-        graphs = [np.ones((n, n), dtype=int) - np.eye(n, dtype=int) for n in range(2, 12)]
-        graphs += [graph((2, 2)) for graph in GRAPHS.values()]
-        for a in graphs:
+        # a 2x2x2 box is the complete graph K8: its basis at rank 5 takes all
+        # 8 eigenvectors (the 7 below the first are tied), constant included
+        a = build_adjacency(np.arange(8), (2, 2, 2))
+        for nu2 in (lambda: build_spatial_basis(a, (2, 2, 2)), lambda: reference_nu2(a, 5)):
             with pytest.raises(SingularBasisError):
-                build_spatial_basis(a, 1)
+                nu2()
+
+    def test_strip_spanning_the_constant_is_singular(self):
+        # a 1x5 strip at rank 5 takes every eigenvector, so M spans 1
+        a = build_adjacency(np.arange(5), (1, 5))
+        for nu2 in (lambda: build_spatial_basis(a, (1, 5)), lambda: reference_nu2(a, 5)):
+            with pytest.raises(SingularBasisError):
+                nu2()
 
     def test_grid_basis_against_dense_oracle(self):
-        a = face_adjacency((4, 4))
-        nu2 = build_spatial_basis(a, 3)
-        _, m = principal_eigenvectors(a, 3)
-        assert np.allclose(m.T @ m, np.eye(3), atol=1e-8)
-        # dense linear-algebra oracle for nu2
+        # the closed-form M holds orthonormal eigenvectors of A, and nu2 is the
+        # diagonal of I + M (M'QM)^-1 M' by dense linear algebra
+        dims = (4, 5)
+        a, nu2 = box_basis(dims)
+        m = parcellation._principal_vectors(dims)
+        assert np.allclose(m.T @ m, np.eye(m.shape[1]), atol=1e-12)
+        vals = np.sum(m * (a @ m), axis=0)
+        assert np.allclose(a @ m, m * vals, atol=1e-12)
+        assert np.all(np.diff(vals) <= 1e-12)
         q = graph_laplacian(a)
-        qs = m.T @ q @ m
-        nu2_oracle = 1.0 + np.diag(m @ np.linalg.inv(qs) @ m.T)
+        nu2_oracle = 1.0 + np.diag(m @ np.linalg.inv(m.T @ q @ m) @ m.T)
         assert np.allclose(nu2, nu2_oracle, atol=1e-8)
         assert np.all(nu2 >= 1.0)
 
     def test_deterministic(self):
-        a = build_adjacency(np.arange(25), (5, 5))
-        assert np.array_equal(principal_eigenvectors(a, 5)[1], principal_eigenvectors(a, 5)[1])
-        assert np.array_equal(build_spatial_basis(a, 5), build_spatial_basis(a, 5))
+        assert np.array_equal(box_basis((5, 5))[1], box_basis((5, 5))[1])
 
     def test_q_bounds(self):
-        a = build_adjacency(np.arange(4), (1, 4))
-        with pytest.raises(InvalidSpecError):
-            principal_eigenvectors(a, 5)
+        # the box must hold at least SPATIAL_RANK voxels, and the adjacency
+        # must be the box's
+        with pytest.raises(InvalidSpecError, match="at least 5 voxels"):
+            build_spatial_basis(build_adjacency(np.arange(4), (1, 4)), (1, 4))
+        a = build_adjacency(np.arange(30), (5, 6))
+        for shape in ((6, 6), (30, 1, 2), (0, 6)):
+            with pytest.raises(InvalidSpecError):
+                build_spatial_basis(a, shape)
 
     def test_nu2_at_least_one_everywhere(self):
         for dims, g in (((10, 10), 4), ((6, 6, 3), 2)):
-            from cvfmri.parcellation import partition_grid
-
             p = partition_grid(dims, g)
-            for vox in p.parcel_voxel_lists:
+            for vox, shape in zip(p.parcel_voxel_lists, p.parcel_shapes):
                 a = build_adjacency(vox, dims)
-                assert np.all(build_spatial_basis(a, 3) >= 1.0)
+                assert np.all(build_spatial_basis(a, shape) >= 1.0)
 
     def test_square_parcel_nu2_is_transpose_symmetric(self):
         # a square grid graph is invariant under transposition, so any basis
@@ -209,53 +208,37 @@ class TestSpatialBasis:
         # (it is already symmetric under flips of either axis)
         worst = 0.0
         for k in (7, 8, 14):
-            for graph in GRAPHS.values():
-                a = graph((k, k))
-                nu2 = build_spatial_basis(a, 5).reshape(k, k)
-                worst = max(worst, float(np.max(np.abs(nu2 - nu2.T) / nu2)))
+            nu2 = box_basis((k, k))[1].reshape(k, k)
+            worst = max(worst, float(np.max(np.abs(nu2 - nu2.T) / nu2)))
         assert worst < 1e-9
 
 
-def _basis_on(path, monkeypatch, a, q):
-    """Column count of M and nu2 with the eigensolver forced onto one path."""
-    limit = {"dense": 10**9, "sparse": 0}[path]
-    monkeypatch.setattr(parcellation, "DENSE_EIGH_MAX_VOXELS", limit)
-    return principal_eigenvectors(a, q)[1].shape[1], build_spatial_basis(a, q)
-
-
 class TestSolverPaths:
-    @pytest.mark.parametrize("graph", list(GRAPHS))
     @pytest.mark.parametrize("dims, columns", [
         ((7, 7), 6), ((14, 14), 6), ((30, 30), 6), ((50, 49), 5), ((12, 12, 12), 7),
     ])
-    def test_dense_and_sparse_agree(self, monkeypatch, dims, columns, graph):
+    def test_closed_form_matches_dense_oracle(self, dims, columns):
         # squares tie the 5th and 6th eigenvalues and cubes the 5th to 7th, so
-        # both paths must take the whole tied eigenspace; 50x49 has no tie at q=5
-        a = GRAPHS[graph](dims)
-        cols_dense, nu2_dense = _basis_on("dense", monkeypatch, a, 5)
-        cols_sparse, nu2_sparse = _basis_on("sparse", monkeypatch, a, 5)
-        assert cols_dense == cols_sparse == columns
-        assert np.max(np.abs(nu2_sparse - nu2_dense) / nu2_dense) < 1e-10
+        # the closed form must take the whole tied eigenspace, as the dense
+        # eigensolver does; 50x49 has no tie at q=5
+        a, nu2 = box_basis(dims)
+        m = parcellation._principal_vectors(dims)
+        m_oracle = reference_eigenvectors(a, SPATIAL_RANK)
+        assert m.shape[1] == m_oracle.shape[1] == columns
+        # the same subspace: every principal cosine is 1
+        assert np.allclose(np.linalg.svd(m.T @ m_oracle, compute_uv=False), 1.0, atol=1e-10)
+        oracle = reference_nu2(a, SPATIAL_RANK)
+        assert np.max(np.abs(nu2 - oracle) / oracle) < 1e-10
         if dims[0] == dims[1]:
-            square = nu2_sparse.reshape(dims[0], dims[1], -1)
+            square = nu2.reshape(dims[0], dims[1], -1)
             assert np.max(np.abs(square - square.transpose(1, 0, 2)) / square) < 1e-9
-
-    def test_size_selects_the_solver(self):
-        # the constant, not an option, picks the path: 49-196 voxel parcels
-        # stay dense and a 2500-voxel parcel goes sparse
-        assert 196 < parcellation.DENSE_EIGH_MAX_VOXELS < 2500
-
-    def test_dense_adjacency_accepted(self):
-        a = build_adjacency(np.arange(100), (10, 10))
-        assert np.array_equal(build_spatial_basis(a.toarray(), 5), build_spatial_basis(a, 5))
 
     def test_volume_parcel_memory_stays_bounded(self):
         # one 7x50x50 parcel: a dense int8 adjacency alone would take 306 MB
         dims = (7, 50, 50)
         tracemalloc.start()
         try:
-            a = build_adjacency(np.arange(np.prod(dims)), dims)
-            nu2 = build_spatial_basis(a, 5)
+            _, nu2 = box_basis(dims)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -263,13 +246,13 @@ class TestSolverPaths:
         assert peak < 64 * 2**20
 
     def test_nu2_does_not_depend_on_blas_threads(self):
-        # the 2500-voxel parcel of a G=1 fit on a 50x50 image (the sparse path)
+        # the 2500-voxel parcel of a G=1 fit on a 50x50 image
         src = str(Path(parcellation.__file__).parents[1])
         code = (
             "import numpy as np\n"
             "from cvfmri.parcellation import build_adjacency, build_spatial_basis\n"
             "a = build_adjacency(np.arange(2500), (50, 50))\n"
-            "print(build_spatial_basis(a, 5).tobytes().hex())\n"
+            "print(build_spatial_basis(a, (50, 50)).tobytes().hex())\n"
         )
         outputs = []
         for threads in ("1", "2"):

@@ -284,8 +284,8 @@ class TestBlasThreads:
         assert set(two_caller_threads()) == {2}
 
     def test_fit_maps_do_not_depend_on_blas_threads(self, tmp_path):
-        # a 28x28 grid at G=4 has 14x14 parcels, which take the dense eigh;
-        # its nu2 bits follow the BLAS thread count unless the fit pins it.
+        # a 28x28 grid at G=4 has 14x14 parcels, the realistic slice's size;
+        # neither their nu2 bits nor the maps may follow the BLAS thread count.
         # The child writes a digest of each nu2 the fit builds, one line per
         # write call, so that the two workers' lines do not interleave.
         maps = generate_true_maps((28, 28), [RegionSpec((13, 13), 4.0)], 0.15)

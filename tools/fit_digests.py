@@ -9,7 +9,9 @@ of every output file except ``summary.csv`` and ``manifest.txt``, which record
 the wall time and the worker count: the maps, the PGM previews and the trace
 CSVs. Fits are deterministic and do not depend on the worker count, so two
 runs print the same lines at any ``--workers``, and a change that keeps every
-line keeps every map bit for bit. The cases:
+line keeps every map bit for bit. ``tools/fit_digests.txt`` records the
+lines of the current code, and CI diffs the ``--workers 1`` output against
+it; a change that alters the outputs on purpose updates that file. The cases:
 
 - ``ar1-g1``, ``ar1-g49``: the ar1 study's dataset of seed 100 (50x50, T=200)
   at G=1 and G=49;
