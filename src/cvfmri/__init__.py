@@ -44,7 +44,6 @@ from .sampler import (
     ResultMaps,
     SamplerConfig,
     derive_seed,
-    mcse,
     run_parcel_chain,
     splitmix64,
     summarize,

@@ -10,13 +10,19 @@ from .errors import DataFormatError, InvalidSpecError
 
 __all__ = ["ComplexDataset", "TrueMaps"]
 
+#: Largest magnitude of a sample's real or imaginary part. The slab term
+#: 2 sigma^2 (||x*||^2 + sigma^2/tau^2), about 2 sigma^4 at tau^2's start of 1,
+#: overflows float64 from samples of about 1e77; 1e75 leaves sigma^2 a factor 100.
+_MAX_SAMPLE = 1e75
+
 
 @dataclass
 class ComplexDataset:
     """Per-voxel complex time series on a 2-D or 3-D grid.
 
     ``data`` has shape ``(*dims, T)`` with dtype complex128; voxels are
-    addressed in row-major order throughout the package.
+    addressed in row-major order throughout the package. Each part of every
+    sample must be finite and at most 1e75 in magnitude.
     """
 
     dims: tuple
@@ -33,10 +39,15 @@ class ComplexDataset:
             raise InvalidSpecError(
                 f"data shape {self.data.shape} does not match dims {self.dims}"
             )
-        finite = np.isfinite(self.data)
-        if not finite.all():
-            voxel, t = divmod(int(np.argmin(finite)), self.n_time)
-            raise DataFormatError(f"non-finite sample at voxel {voxel}, time index {t}")
+        parts = self.data.view(np.float64)
+        # NaN fails both comparisons; only a failure looks for the sample
+        if parts.size and not (-_MAX_SAMPLE <= parts.min() and parts.max() <= _MAX_SAMPLE):
+            at = int(np.argmax(~(np.abs(parts) <= _MAX_SAMPLE)))
+            voxel, t = divmod(at // 2, self.n_time)
+            where = f"sample at voxel {voxel}, time index {t}"
+            if np.isfinite(parts.flat[at]):
+                raise DataFormatError(f"{where} exceeds {_MAX_SAMPLE:g} in magnitude")
+            raise DataFormatError(f"non-finite {where}")
 
     @property
     def n_time(self) -> int:

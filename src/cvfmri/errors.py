@@ -22,7 +22,7 @@ class DegenerateDesignError(CvfmriError):
 
 
 class InsufficientDataError(CvfmriError):
-    """A series (or a set of kept draws) too short for the requested operation."""
+    """A series too short for the requested operation."""
     exit_code = 3
 
 

@@ -42,11 +42,14 @@ or worker runs it. When the batch's parcels average at least
 ``PREFETCH_MIN_VOXELS`` voxels and a CPU is spare (the process may run on
 more than one and is not a worker of a process pool), a helper thread draws
 each block while the engine sweeps the one before it; the stream is the same
-either way. Each
-conditional is written once, as a public function of its sufficient
-statistics and standard variates (``inclusion_probability`` and the
-``draw_*`` functions); the engine calls them, and the test suite feeds them
-from an independent per-series reference.
+either way. Each conditional is written once, as a public function of its
+sufficient statistics and standard variates (``inclusion_probability`` and
+the ``draw_*`` functions); the engine calls them, and the test suite feeds
+them from an independent per-series reference.
+
+The chain keeps running counts, not draws: a voxel's count of kept gamma = 1,
+in all and per batch of n_kept // b sweeps for b = isqrt(n_kept), gives its
+inclusion probability and that estimate's batch-means MCSE.
 """
 
 from __future__ import annotations
@@ -91,7 +94,6 @@ __all__ = [
     "BLOCK_SWEEPS",
     "run_parcel_chain",
     "usable_cpus",
-    "mcse",
     "stitch_voxel_field",
     "summarize",
 ]
@@ -182,8 +184,9 @@ class SamplerConfig:
 
 @dataclass
 class ChainSummary:
-    """Post burn-in summaries of a batch of parcel chains, per voxel of the
-    batch's parcels in order; ``trace`` is keyed by row of the series."""
+    """Post burn-in summaries of a batch of parcel chains from running counts,
+    per voxel of the batch's parcels in order (``mcse`` over isqrt(n_kept)
+    batches); ``trace`` is keyed by row of the series."""
 
     incl_prob: np.ndarray
     beta_mean: np.ndarray
@@ -509,8 +512,7 @@ def run_parcel_chain(
         at = np.array([position[v] for v in traced], dtype=np.intp)
         trace = np.zeros((cfg.n_iter, len(traced), 6))
 
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    starts = offsets[:-1]
+    starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
     xc = _center(x)
     parts, sigma2 = [], []
     for r in row_lists:
@@ -541,7 +543,12 @@ def run_parcel_chain(
             return per_parcel[0]
         return [np.concatenate(stage, axis=1) for stage in zip(*per_parcel)]
 
-    kept_gamma = np.zeros((cfg.n_kept, n_vox), dtype=np.int8)
+    # running counts of kept gamma = 1: in all, and per batch of batch_len
+    # kept sweeps (the last n_kept - n_batches * batch_len count in all only)
+    n_batches = math.isqrt(cfg.n_kept)
+    batch_len = cfg.n_kept // n_batches
+    count = np.zeros(n_vox, dtype=np.intp)
+    batch_counts = np.zeros((n_batches, n_vox), dtype=np.intp)
     beta_sum = np.zeros(n_vox, dtype=complex)
     ahead = n_vox >= PREFETCH_MIN_VOXELS * n_parcels and _cpu_to_spare()
     # the producer's thread starts at its first submit and is joined on exit
@@ -598,19 +605,20 @@ def run_parcel_chain(
                 if trace is not None:
                     trace[it] = np.column_stack((gamma[at], beta[at].real, beta[at].imag,
                                                  rho[at].real, rho[at].imag, sigma2[at]))
-                if it >= cfg.n_burn:
-                    kept_gamma[it - cfg.n_burn] = gamma
+                kept = it - cfg.n_burn
+                if kept >= 0:
+                    count += gamma
+                    if kept < n_batches * batch_len:
+                        batch_counts[kept // batch_len] += gamma
                     beta_sum += beta
         finally:
             if pending is not None:
                 pending.cancel()
 
-    incl = kept_gamma.mean(axis=0)
-    # parcel by parcel: the float copy stays parcel-sized, and each parcel's
-    # MCSE comes from the same array as when it runs alone
-    errs = np.concatenate([mcse(kept_gamma[:, lo:hi]) for lo, hi in zip(starts, offsets[1:])])
+    # batch-means MCSE, column by column, so a parcel's bits do not depend on its batch
+    errs = np.std(batch_counts / batch_len, axis=0, ddof=1) / math.sqrt(n_batches)
     return ChainSummary(
-        incl_prob=incl,
+        incl_prob=count / cfg.n_kept,
         beta_mean=beta_sum / cfg.n_kept,
         mcse=errs,
         converged=bool(np.max(errs) < cfg.mcse_tol),
@@ -619,27 +627,8 @@ def run_parcel_chain(
 
 
 # --------------------------------------------------------------------------
-# diagnostics and stitching
+# stitching
 # --------------------------------------------------------------------------
-
-def mcse(draws: np.ndarray) -> np.ndarray:
-    """Batch-means Monte Carlo standard error of the draw mean(s).
-
-    Splits the chain into b = floor(sqrt(n)) consecutive batches of equal
-    length (discarding the remainder) and returns sd(batch means)/sqrt(b).
-    Accepts a (n,) sequence or an (n, V) stack of per-voxel sequences.
-    """
-    draws = np.asarray(draws, dtype=float)
-    n = draws.shape[0]
-    if n < 16:
-        raise InsufficientDataError("batch-means MCSE needs at least 16 draws")
-    b = int(math.isqrt(n))
-    m = n // b
-    used = draws[: b * m]
-    batch_means = used.reshape(b, m, *draws.shape[1:]).mean(axis=1)
-    out = batch_means.std(axis=0, ddof=1) / math.sqrt(b)
-    return out if draws.ndim > 1 else float(out)
-
 
 def stitch_voxel_field(partition: Partition, chains, extract, dtype=float) -> np.ndarray:
     """Scatter chain summaries' voxel vectors back onto the full grid.

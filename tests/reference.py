@@ -9,11 +9,14 @@ engine's algebra. The ``*_draws`` helpers give n draws of one series'
 conditional, taking their standard variates from ``rng`` in the order and
 layout of the engine's stream (two normals per complex draw).
 
-``graph_laplacian`` is the dense oracle of a parcel's graph Laplacian,
+``mcse`` is the oracle of the engine's batch-means MCSE, on a stack of kept
+draws. ``graph_laplacian`` is the dense oracle of a parcel's graph Laplacian,
 ``reference_eigenvectors`` and ``reference_nu2`` those of the spatial basis
 of any graph at any minimum rank q, and ``probit_log_odds`` that of the
 spatial prior's log odds.
 """
+
+import math
 
 import numpy as np
 from scipy import sparse
@@ -180,3 +183,22 @@ def reference_nu2(adjacency, q):
 def probit_log_odds(z):
     """logit Phi(z) from scipy's log-CDF, accurate in both tails."""
     return log_ndtr(z) - log_ndtr(-z)
+
+
+def mcse(draws: np.ndarray) -> np.ndarray:
+    """Batch-means Monte Carlo standard error of the draw mean(s).
+
+    Splits the chain into b = floor(sqrt(n)) consecutive batches of equal
+    length (discarding the remainder) and returns sd(batch means)/sqrt(b).
+    Accepts a (n,) sequence or an (n, V) stack of per-voxel sequences.
+    """
+    draws = np.asarray(draws, dtype=float)
+    n = draws.shape[0]
+    if n < 16:
+        raise InsufficientDataError("batch-means MCSE needs at least 16 draws")
+    b = int(math.isqrt(n))
+    m = n // b
+    used = draws[: b * m]
+    batch_means = used.reshape(b, m, *draws.shape[1:]).mean(axis=1)
+    out = batch_means.std(axis=0, ddof=1) / math.sqrt(b)
+    return out if draws.ndim > 1 else float(out)

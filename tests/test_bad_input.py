@@ -87,6 +87,14 @@ def dataset_cases():
         voxel, t = divmod(at // 2, T)
         yield fit_case(f"cvf1-sample={value}", cvf1(values=values), (), 3,
                        f"non-finite sample at voxel {voxel}, time index {t}")
+    # finite samples past 1e75 would overflow the chain's slab term; a series
+    # that reaches the bound fits without a warning (fixed samples, so the
+    # seeded stream of the cases below does not move)
+    wave = np.cos(np.arange(2 * V * T))
+    for scale in (1e100, 1e160, 1e300):
+        yield fit_case(f"cvf1-scale={scale:g}", cvf1(values=scale * wave), (), 3,
+                       "sample at voxel 0, time index 0 exceeds 1e+75 in magnitude")
+    yield fit_case("cvf1-scale=1e+75", cvf1(values=1e75 * wave), (), 0, "")
     yield fit_case("cvf1-T=0", cvf1(n_time=0), (), 3, "series length T must be positive")
     for n_time in (1, 2):
         yield fit_case(f"cvf1-T={n_time}", cvf1(n_time=n_time), (), 3,

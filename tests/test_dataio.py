@@ -99,6 +99,17 @@ class TestDatasetFormat:
         with pytest.raises(DataFormatError, match="voxel 6, time index 3"):
             ComplexDataset((3, 4), data)
 
+    def test_sample_past_the_bound_rejected(self):
+        # either part of a sample may reach +-1e75; the first one past it is named
+        data = random_dataset(np.random.default_rng(4)).data.copy()
+        data[0, 1, 0] = complex(1e75, -1e75)
+        ComplexDataset((3, 4), data)
+        data[1, 2, 3] = complex(0.5, -1.01e75)
+        data[2, 0, 1] = np.nan
+        with pytest.raises(DataFormatError,
+                           match="^sample at voxel 6, time index 3 exceeds 1e\\+75 in magnitude$"):
+            ComplexDataset((3, 4), data)
+
 
 class TestMapFormat:
     def test_round_trip_2d(self, tmp_path):

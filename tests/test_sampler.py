@@ -6,6 +6,7 @@ import multiprocessing
 import sys
 import threading
 import time
+import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -31,13 +32,12 @@ from cvfmri.sampler import (
     draw_sigma2,
     draw_tau2,
     inclusion_probability,
-    mcse,
     prior_logit_spatial,
     run_parcel_chain,
     stitch_voxel_field,
     summarize,
 )
-from reference import design_stats, lag_stats, reference_nu2, residual_ss
+from reference import design_stats, lag_stats, mcse, reference_nu2, residual_ss
 
 
 def block_draws(rng, it, cfg, n_vox, n_time):
@@ -69,7 +69,8 @@ def reference_chain(y, nu2, x, cfg, seed):
 
     Consumes the parcel's RNG stream exactly like run_parcel_chain, so the two
     must agree draw for draw (up to roundoff in the sufficient-statistics
-    algebra).
+    algebra). Returns the per-sweep history, the (n_kept, V) kept gamma draws
+    and the posterior mean of beta.
     """
     rng = np.random.default_rng(seed)
     n_vox, n_time = y.shape
@@ -112,8 +113,8 @@ def reference_chain(y, nu2, x, cfg, seed):
         if it >= cfg.n_burn:
             kept_gamma.append(gamma.copy())
             beta_sum += beta
-    incl = np.mean(kept_gamma, axis=0)
-    return history, incl, beta_sum / len(kept_gamma)
+    kept_gamma = np.array(kept_gamma)
+    return history, kept_gamma, beta_sum / len(kept_gamma)
 
 
 def assert_trace_matches(trace, history, rows):
@@ -166,16 +167,18 @@ class TestChainEquivalence:
         y, x, nu2 = tiny_instance
         cfg = SamplerConfig(n_iter=20, n_burn=0, seed=77777)
         summary = run_parcel_chain(y, [nu2], x, cfg, {0: range(4)}, trace_voxels=[0, 1, 2, 3])
-        history, incl, beta_mean = reference_chain(y, nu2, x, cfg, derive_seed(cfg.seed, 0))
+        history, kept, beta_mean = reference_chain(y, nu2, x, cfg, derive_seed(cfg.seed, 0))
         assert_trace_matches(summary.trace, history, range(4))
-        assert np.allclose(summary.incl_prob, incl, atol=1e-12)
+        assert np.allclose(summary.incl_prob, kept.mean(axis=0), atol=1e-12)
         assert np.allclose(summary.beta_mean, beta_mean, rtol=1e-9, atol=1e-12)
+        assert np.array_equal(summary.mcse, mcse(kept))
 
     def test_batch_matches_op_level_reference(self, batch_instance):
         # three parcels of scattered rows in one batch, over a block boundary:
         # each parcel must follow its own stream as if it ran alone, the one
         # that the seeding rule derives from the config's seed and the
-        # parcel's index, and its trace is keyed by its rows of y
+        # parcel's index, and its trace is keyed by its rows of y; 32 kept
+        # draws make 5 batches of 6 and a tail of 2 that the MCSE drops
         y, x, nu2s, sizes = batch_instance
         cfg = SamplerConfig(n_iter=BLOCK_SWEEPS + 8, n_burn=8, seed=404)
         rows = np.random.default_rng(7).permutation(y.shape[0])
@@ -183,11 +186,12 @@ class TestChainEquivalence:
         summary = run_parcel_chain(y, nu2s, x, cfg, parcels, trace_voxels=rows)
         lo = 0
         for nu2, (g, r) in zip(nu2s, parcels.items()):
-            history, incl, beta_mean = reference_chain(y[r], nu2, x, cfg, derive_seed(cfg.seed, g))
+            history, kept, beta_mean = reference_chain(y[r], nu2, x, cfg, derive_seed(cfg.seed, g))
             assert_trace_matches(summary.trace, history, r)
-            assert np.allclose(summary.incl_prob[lo:lo + r.size], incl, atol=1e-12)
+            assert np.allclose(summary.incl_prob[lo:lo + r.size], kept.mean(axis=0), atol=1e-12)
             assert np.allclose(summary.beta_mean[lo:lo + r.size], beta_mean,
                                rtol=1e-9, atol=1e-12)
+            assert np.array_equal(summary.mcse[lo:lo + r.size], mcse(kept))
             lo += r.size
 
 
@@ -266,8 +270,28 @@ class TestChainBehavior:
         y, x, _ = tiny_instance
         cfg = SamplerConfig(n_iter=16, n_burn=0, mode=NONSPATIAL, seed=31)
         summary = run_parcel_chain(y, None, x, cfg, {0: range(4)}, trace_voxels=[0, 1, 2, 3])
-        history, _, _ = reference_chain(y, None, x, cfg, derive_seed(cfg.seed, 0))
+        history, kept, _ = reference_chain(y, None, x, cfg, derive_seed(cfg.seed, 0))
         assert_trace_matches(summary.trace, history, range(4))
+        assert np.array_equal(summary.mcse, mcse(kept))
+
+    def test_summaries_hold_no_kept_draws(self):
+        # the engine keeps running counts, so ten times the sweeps grow its
+        # peak by the batch counts alone (a store of the kept draws of this
+        # 1600-voxel batch would add 1.4 MiB)
+        part = partition_grid((40, 40), 16)
+        rng = np.random.default_rng(31)
+        x = design_for_length(60).bold
+        y = 1.0 + 0.05 * (rng.standard_normal((1600, 60)) + 1j * rng.standard_normal((1600, 60)))
+        peaks = []
+        for n_iter in (200, 2000):
+            cfg = SamplerConfig(n_iter=n_iter, mode=NONSPATIAL, seed=1)
+            tracemalloc.start()
+            try:
+                run_parcel_chain(y, None, x, cfg, dict(enumerate(part.parcel_voxel_lists)))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 0.5 * 2**20
 
     def test_rejects_mismatched_inputs(self, tiny_instance):
         y, x, nu2 = tiny_instance
