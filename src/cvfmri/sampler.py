@@ -38,14 +38,15 @@ which the engine derives from the parcel's index in the image. Every draw a
 parcel uses has a fixed count, for every voxel whether it uses it or not, and
 is pregenerated in blocks of ``BLOCK_SWEEPS`` sweeps (the layout is given
 there). So a parcel's draws, and its maps, do not depend on which batch
-or worker runs it. When the batch's parcels average at least
-``PREFETCH_MIN_VOXELS`` voxels and a CPU is spare (the process may run on
-more than one and is not a worker of a process pool), a helper thread draws
-each block while the engine sweeps the one before it; the stream is the same
-either way. Each conditional is written once, as a public function of its
-sufficient statistics and standard variates (``inclusion_probability`` and
-the ``draw_*`` functions); the engine calls them, and the test suite feeds
-them from an independent per-series reference.
+or worker runs it. Blocks fill buffers allocated once per chain, and hold
+eta's uniforms as standard half-normal magnitudes. When the batch's parcels
+average at least ``PREFETCH_MIN_VOXELS`` voxels and a CPU is spare (the
+process may run on more than one and is not a worker of a process pool), a
+helper thread draws and transforms each block while the engine sweeps the
+one before it; the stream is the same either way. Each conditional is written
+once, as a public function of its sufficient statistics and standard variates
+(``inclusion_probability`` and the ``draw_*`` functions); the engine calls
+them, and the test suite feeds them from an independent per-series reference.
 
 The chain keeps running counts, not draws: a voxel's count of kept gamma = 1,
 in all and per batch of n_kept // b sweeps for b = isqrt(n_kept), gives its
@@ -86,6 +87,7 @@ __all__ = [
     "draw_rho",
     "draw_sigma2",
     "draw_tau2",
+    "half_normal_magnitudes",
     "draw_eta",
     "draw_kappa",
     "draw_eta_shared",
@@ -254,11 +256,6 @@ def inclusion_probability(xnorm2, c, sigma2, tau2, prior_logit):
     return expit(prior_logit - log_ratio)
 
 
-def _standard_complex_normals(rng, shape):
-    """z1 + i z2 for each element of ``shape``, from standard normals drawn in pairs."""
-    return rng.standard_normal((*shape, 2)).view(complex)[..., 0]
-
-
 def _complex_normal(num, prec, sigma2, mask, z):
     """num/prec + sqrt(sigma2/prec) z where ``mask`` holds, 0 elsewhere.
 
@@ -305,17 +302,22 @@ def draw_tau2(n_active, ssb, prev_tau2, u):
         raise DegeneratePosteriorError(
             "slab variance update saw active voxels with zero coefficients"
         )
-    # the clamp keeps u == 0 finite, as in draw_eta
+    # the clamp keeps u == 0 finite, as in half_normal_magnitudes
     g = gammaincinv(np.maximum(n_active, 1), np.maximum(u, 1e-300))
     return np.where(active, (ssb / 2.0) / g, prev_tau2)
 
 
-def draw_eta(gamma, nu2, kappa, u):
-    """Probit latents from uniforms ``u``: half-normal magnitude with sd
-    sqrt(nu2/kappa), positive where the voxel is included, else negative."""
-    # standardized half-normal by inverse survival; the clamp keeps u == 0
-    # (probability 2^-53 per draw) finite at ~37 sd
-    mag = -ndtri(np.maximum(u * 0.5, 1e-300)) * np.sqrt(nu2 / kappa)
+def half_normal_magnitudes(u, out=None):
+    """Standard half-normal magnitudes -ndtri(u/2) of uniforms ``u`` (into ``out``
+    if given); the clamp keeps u == 0 (probability 2^-53) finite at about 37.05."""
+    half = np.maximum(np.multiply(u, 0.5, out=out), 1e-300, out=out)
+    return np.negative(ndtri(half, out=out), out=out)
+
+
+def draw_eta(gamma, nu2, kappa, h):
+    """Probit latents from standard half-normal magnitudes ``h``: magnitude
+    h sqrt(nu2/kappa), positive where the voxel is included, else negative."""
+    mag = h * np.sqrt(nu2 / kappa)
     return np.where(gamma, mag, -mag)
 
 
@@ -341,9 +343,10 @@ def draw_eta_shared(n_active, n_vox, u):
 #: shape T - 1 (sigma^2), k uniforms (tau^2), then in spatial mode k x V
 #: uniforms (eta) and k standard gammas of shape V/2 + A_KAPPA (kappa), or in
 #: nonspatial mode k uniforms (the shared rate). The value is part of the
-#: stream's definition: changing it changes every chain. Which thread draws a
-#: block (see PREFETCH_MIN_VOXELS) is not: each generator is read in this
-#: order by one thread at a time.
+#: stream's definition: changing it changes every chain. The block holds eta's
+#: uniforms as their half-normal magnitudes; the stream is the same. Which
+#: thread draws a block (see PREFETCH_MIN_VOXELS) is not part of it either:
+#: each generator is read in this order by one thread at a time.
 BLOCK_SWEEPS = 32
 
 #: Mean parcel size, in voxels, from which the engine draws each block one
@@ -369,18 +372,13 @@ def _cpu_to_spare() -> bool:
     return usable_cpus() > 1 and multiprocessing.parent_process() is None
 
 
-def _block_draws(rng, n_sweeps, n_vox, shape_sigma, shape_kappa):
-    """One parcel's block of draws, in stream order (see BLOCK_SWEEPS)."""
-    draws = [
-        rng.random((n_sweeps, n_vox)),
-        _standard_complex_normals(rng, (n_sweeps, n_vox)),
-        _standard_complex_normals(rng, (n_sweeps, n_vox)),
-        rng.standard_gamma(shape_sigma, (n_sweeps, n_vox)),
-        rng.random((n_sweeps, 1)),
-    ]
-    if shape_kappa is None:
-        return draws + [rng.random((n_sweeps, 1))]
-    return draws + [rng.random((n_sweeps, n_vox)), rng.standard_gamma(shape_kappa, (n_sweeps, 1))]
+def _block_draws(rng, stages, shape_sigma, shape_kappa):
+    """Fill one parcel's C-contiguous block arrays ``stages`` in stream order (BLOCK_SWEEPS)."""
+    fills = (rng.random, rng.standard_normal, rng.standard_normal,
+             lambda out: rng.standard_gamma(shape_sigma, out=out), rng.random, rng.random,
+             lambda out: rng.standard_gamma(shape_kappa, out=out))
+    for fill, out in zip(fills, stages):
+        fill(out=out)
 
 
 class _ParcelStats:
@@ -533,24 +531,43 @@ def run_parcel_chain(
     rngs = [np.random.default_rng(derive_seed(cfg.seed, g)) for g in ids]
     kappa_shapes = [s / 2.0 + A_KAPPA if spatial else None for s in sizes]
 
+    ahead = n_vox >= PREFETCH_MIN_VOXELS * n_parcels and _cpu_to_spare()
+    # a block's stages (one draw per voxel or per parcel, values per draw) in
+    # buffers allocated once: one set inline, two alternating sets ahead
+    stages = [(True, 1), (True, 2), (True, 2), (True, 1), (False, 1)]
+    stages += [(True, 1), (False, 1)] if spatial else [(False, 1)]
+    buffers = [[np.empty((BLOCK_SWEEPS, n_vox if per_voxel else n_parcels, width))
+                for per_voxel, width in stages] for _ in range(1 + ahead)]
+    # a parcel of a batch draws into scratch sized to the largest parcel, copied to its columns
+    scratch = [np.empty(BLOCK_SWEEPS * (sizes.max() if per_voxel else 1) * width)
+               for per_voxel, width in stages if n_parcels > 1]
+
     def make_block(it):
         """The batch's draws of the block that sweep ``it`` opens, one array
         per stage; the only reader of the parcels' generators."""
-        n_sweeps = min(BLOCK_SWEEPS, cfg.n_iter - it)
-        per_parcel = [_block_draws(rng, n_sweeps, size, n_time - 1, shape)
-                      for rng, size, shape in zip(rngs, sizes, kappa_shapes)]
+        k = min(BLOCK_SWEEPS, cfg.n_iter - it)
+        block = [b[:k] for b in buffers[it // BLOCK_SWEEPS % len(buffers)]]
         if n_parcels == 1:
-            return per_parcel[0]
-        return [np.concatenate(stage, axis=1) for stage in zip(*per_parcel)]
+            _block_draws(rngs[0], block, n_time - 1, kappa_shapes[0])
+        else:
+            for p, (rng, lo, size, shape) in enumerate(zip(rngs, starts, sizes, kappa_shapes)):
+                cols = [b[:, lo:lo + size] if per_voxel else b[:, p:p + 1]
+                        for b, (per_voxel, _) in zip(block, stages)]
+                parts = [flat[:c.size].reshape(c.shape) for flat, c in zip(scratch, cols)]
+                _block_draws(rng, parts, n_time - 1, shape)
+                for c, part in zip(cols, parts):
+                    c[...] = part
+        if spatial:  # eta's uniforms, stage 5, become their magnitudes
+            half_normal_magnitudes(block[5], out=block[5])
+        return [b.view(complex)[..., 0] if b.shape[2] == 2 else b[..., 0] for b in block]
 
     # running counts of kept gamma = 1: in all, and per batch of batch_len
     # kept sweeps (the last n_kept - n_batches * batch_len count in all only)
     n_batches = math.isqrt(cfg.n_kept)
     batch_len = cfg.n_kept // n_batches
     count = np.zeros(n_vox, dtype=np.intp)
-    batch_counts = np.zeros((n_batches, n_vox), dtype=np.intp)
+    batch_counts = np.zeros((n_batches, n_vox))
     beta_sum = np.zeros(n_vox, dtype=complex)
-    ahead = n_vox >= PREFETCH_MIN_VOXELS * n_parcels and _cpu_to_spare()
     # the producer's thread starts at its first submit and is joined on exit
     with ThreadPoolExecutor(max_workers=1) as producer:
         pending = producer.submit(make_block, 0) if ahead else None
@@ -595,8 +612,8 @@ def run_parcel_chain(
                     g = ids[int(np.argmax((n_active > 0) & (ssb <= 0.0)))]
                     raise type(exc)(f"parcel {g}: {exc}") from None
                 if spatial:
-                    u_eta, g_kappa = prior_draws
-                    eta = draw_eta(gamma, nu2, np.repeat(kappa, sizes), u_eta[j])
+                    h_eta, g_kappa = prior_draws
+                    eta = draw_eta(gamma, nu2, np.repeat(kappa, sizes), h_eta[j])
                     sum_eta2 = np.add.reduceat(eta * eta / nu2, starts)
                     kappa = draw_kappa(sum_eta2, g_kappa[j])
                 else:
@@ -615,8 +632,11 @@ def run_parcel_chain(
             if pending is not None:
                 pending.cancel()
 
-    # batch-means MCSE, column by column, so a parcel's bits do not depend on its batch
-    errs = np.std(batch_counts / batch_len, axis=0, ddof=1) / math.sqrt(n_batches)
+    # batch-means MCSE: np.std(batch means, axis=0, ddof=1) in place, column by column
+    batch_counts /= batch_len
+    batch_counts -= batch_counts.sum(axis=0) / n_batches
+    errs = np.sqrt(np.square(batch_counts, out=batch_counts).sum(axis=0) / (n_batches - 1))
+    errs /= math.sqrt(n_batches)
     return ChainSummary(
         incl_prob=count / cfg.n_kept,
         beta_mean=beta_sum / cfg.n_kept,

@@ -27,7 +27,6 @@ from cvfmri.errors import InsufficientDataError, InvalidSpecError, SingularBasis
 from cvfmri.parcellation import TIE_RTOL
 from cvfmri.sampler import (
     A_KAPPA,
-    _standard_complex_normals,
     draw_beta,
     draw_kappa,
     draw_rho,
@@ -105,17 +104,22 @@ def gamma_probability(ystar, xstar, sigma2, tau2, eta, psi):
     return inclusion_probability(xnorm2, c, sigma2, tau2, prior_logit_spatial(psi, eta))
 
 
+def standard_complex_normals(rng, n):
+    """n standard complex normals z1 + i z2, from normals drawn in pairs."""
+    return rng.standard_normal((n, 2)).view(complex)[:, 0]
+
+
 def beta_draws(ystar, xstar, sigma2, tau2, gamma, n, rng):
     xnorm2, c = cross_stats(np.asarray(ystar), np.asarray(xstar))
     return draw_beta(np.full(n, xnorm2), np.full(n, c), np.full(n, sigma2), tau2,
-                     np.full(n, gamma), _standard_complex_normals(rng, (n,)))
+                     np.full(n, gamma), standard_complex_normals(rng, n))
 
 
 def rho_draws(y, x, beta, sigma2, n, rng):
     """``(rho, degenerate)`` for n draws."""
     wl2, cw = lag_stats(y, x, beta)
     return draw_rho(np.full(n, cw), np.full(n, wl2), np.full(n, sigma2),
-                    _standard_complex_normals(rng, (n,)))
+                    standard_complex_normals(rng, n))
 
 
 def sigma2_draws(w_now, w_lag, rho, n, rng):

@@ -40,7 +40,13 @@ from cvfmri.pipeline import (
     simulate_study_dataset,
     write_fit_outputs,
 )
-from cvfmri.sampler import SamplerConfig, derive_seed, draw_eta, run_parcel_chain
+from cvfmri.sampler import (
+    SamplerConfig,
+    derive_seed,
+    draw_eta,
+    half_normal_magnitudes,
+    run_parcel_chain,
+)
 from cvfmri.simulate import (
     NoiseSpec,
     SignalSpec,
@@ -276,7 +282,7 @@ class TestSamplerOracles:
         kappa0 = 3.0
         nu2_v = float(nu2[1])
         eta_draws = draw_eta(True, np.full(N_KS, nu2_v), kappa0,
-                             np.random.default_rng(11).random(N_KS))
+                             half_normal_magnitudes(np.random.default_rng(11).random(N_KS)))
         dists["eta"] = ks(
             eta_draws,
             stats.halfnorm(scale=math.sqrt(nu2_v / kappa0)).rvs(N_KS, random_state=12),

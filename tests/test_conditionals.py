@@ -25,6 +25,7 @@ from cvfmri.sampler import (
     draw_eta_shared,
     draw_kappa,
     draw_tau2,
+    half_normal_magnitudes,
     inclusion_probability,
     log_null_slab_ratio,
     prior_logit_spatial,
@@ -353,22 +354,26 @@ class TestTau2:
 class TestEta:
     def test_signs_respect_indicator(self):
         rng = np.random.default_rng(41)
-        up = draw_eta(np.ones(1000, dtype=bool), np.full(1000, 1.3), 2.0, rng.random(1000))
-        down = draw_eta(np.zeros(1000, dtype=bool), np.full(1000, 1.3), 2.0, rng.random(1000))
+        up = draw_eta(np.ones(1000, dtype=bool), np.full(1000, 1.3), 2.0,
+                      half_normal_magnitudes(rng.random(1000)))
+        down = draw_eta(np.zeros(1000, dtype=bool), np.full(1000, 1.3), 2.0,
+                        half_normal_magnitudes(rng.random(1000)))
         assert np.all(up > 0) and np.all(down < 0)
 
     def test_isolated_voxel_unit_variance(self):
         # nu2 = 1: the latent is a half-normal with sd 1/sqrt(kappa)
         kappa = 2.5
         rng = np.random.default_rng(42)
-        draws = draw_eta(True, np.ones(N_DRAWS), kappa, rng.random(N_DRAWS))
+        draws = draw_eta(True, np.ones(N_DRAWS), kappa,
+                         half_normal_magnitudes(rng.random(N_DRAWS)))
         oracle = stats.halfnorm(scale=1 / math.sqrt(kappa)).rvs(N_DRAWS, random_state=43)
         assert ks(draws, oracle) < KS_TOL
 
     def test_halfnormal_moment(self):
         # gamma=1, nu2=2, kappa=4: mean sqrt(2/4) * sqrt(2/pi)
         rng = np.random.default_rng(44)
-        draws = draw_eta(True, np.full(N_DRAWS, 2.0), 4.0, rng.random(N_DRAWS))
+        draws = draw_eta(True, np.full(N_DRAWS, 2.0), 4.0,
+                         half_normal_magnitudes(rng.random(N_DRAWS)))
         sd = math.sqrt(0.5)
         expect = sd * math.sqrt(2 / math.pi)
         se = sd * math.sqrt((1 - 2 / math.pi) / N_DRAWS)
@@ -376,7 +381,8 @@ class TestEta:
 
     def test_negative_side_distribution(self):
         rng = np.random.default_rng(45)
-        draws = draw_eta(False, np.full(N_DRAWS, 1.5), 3.0, rng.random(N_DRAWS))
+        draws = draw_eta(False, np.full(N_DRAWS, 1.5), 3.0,
+                         half_normal_magnitudes(rng.random(N_DRAWS)))
         oracle = -stats.halfnorm(scale=math.sqrt(1.5 / 3.0)).rvs(N_DRAWS, random_state=46)
         assert ks(draws, oracle) < KS_TOL
 
@@ -446,6 +452,13 @@ class TestInverseTransforms:
         rate = draw_eta_shared(k, 2 * k, self.U_ENDS)
         assert np.all((rate >= 0) & (rate <= 1))
 
+    def test_half_normal_magnitudes_at_the_ends(self):
+        # u = 0 is clamped to 1e-300 (about 37 sd); the largest uniform gives ~1e-16
+        h = half_normal_magnitudes(self.U_ENDS)
+        assert np.all(np.isfinite(h))
+        assert h[0] == pytest.approx(37.05, abs=0.01)
+        assert h[1] >= 0.0
+
     @pytest.mark.parametrize("n_vox", [1, 51, 2500])
     def test_extreme_kappa_stays_finite(self, n_vox):
         shape = n_vox / 2 + 0.5
@@ -453,7 +466,8 @@ class TestInverseTransforms:
         g_ends = gammaincinv(shape, np.array([2.0**-53, 1.0 - 2.0**-53]))
         for u in self.U_ENDS:
             for gamma in (True, False):
-                eta = draw_eta(gamma, np.ones(n_vox), 1e-3, np.full(n_vox, u))
+                eta = draw_eta(gamma, np.ones(n_vox), 1e-3,
+                               half_normal_magnitudes(np.full(n_vox, u)))
                 kappa = draw_kappa(np.sum(eta * eta), g_ends)
                 assert np.all(np.isfinite(kappa)) and np.all(kappa > 0)
 

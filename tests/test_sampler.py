@@ -11,6 +11,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from cvfmri import sampler
 from cvfmri.design import design_for_length
@@ -44,8 +45,9 @@ def block_draws(rng, it, cfg, n_vox, n_time):
     """The block of draws that sweep ``it`` opens, written from the documented
     stream layout: uniforms for gamma, normal pairs for beta and rho, standard
     gammas for sigma2, one uniform per sweep for tau2, then (spatial) uniforms
-    for eta and standard gammas for kappa, or (nonspatial) one uniform per
-    sweep for the shared rate."""
+    for eta, as their standard half-normal magnitudes -ndtri(u/2), and standard
+    gammas for kappa, or (nonspatial) one uniform per sweep for the shared
+    rate."""
     k = min(BLOCK_SWEEPS, cfg.n_iter - it)
     block = {
         "gamma": rng.random((k, n_vox)),
@@ -55,7 +57,7 @@ def block_draws(rng, it, cfg, n_vox, n_time):
         "tau2": rng.random(k),
     }
     if cfg.mode != NONSPATIAL:
-        block["eta"] = rng.random((k, n_vox))
+        block["eta"] = -ndtri(np.maximum(rng.random((k, n_vox)) * 0.5, 1e-300))
         block["kappa"] = rng.standard_gamma(n_vox / 2 + A_KAPPA, k)
     else:
         block["rate"] = rng.random(k)
