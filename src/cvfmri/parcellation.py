@@ -21,7 +21,6 @@ from functools import reduce
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import cholesky, solve_triangular
 
 from .errors import InvalidSpecError, SingularBasisError
 
@@ -213,7 +212,9 @@ def build_spatial_basis(adjacency, shape) -> np.ndarray:
     i, j = adjacency.nonzero()
     upper = i < j
     diff = m[i[upper]] - m[j[upper]]
-    qs = diff.T @ diff
+    # einsum, not BLAS, for every product that grows with V: LAPACK below
+    # sees only q x q matrices, so no BLAS helper thread wakes per parcel
+    qs = np.einsum("ei,ej->ij", diff, diff)
     eigs = np.linalg.eigvalsh(qs)
     max_degree = int(np.bincount(i, minlength=n_vox).max())
     if eigs[0] <= 1e-12 * max_degree or eigs[-1] / eigs[0] > 1e12:
@@ -221,5 +222,5 @@ def build_spatial_basis(adjacency, shape) -> np.ndarray:
             "M'QM is numerically singular; use fewer, larger parcels"
         )
     # nu2 as 1 + a sum of squares, which keeps nu2 >= 1 exactly
-    y = solve_triangular(cholesky(qs, lower=True), m.T, lower=True)
+    y = np.einsum("ij,vj->iv", np.linalg.inv(np.linalg.cholesky(qs)), m)
     return 1.0 + np.sum(y * y, axis=0)

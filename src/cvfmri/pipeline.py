@@ -7,17 +7,13 @@ basis, and runs the whole range as one batch of the sampler's engine. Every
 parcel draws from a stream seeded by the master seed and its index alone, so
 outputs do not depend on the number of workers or on scheduling order.
 
-The parcel stage runs under one BLAS thread: the fit sets every loaded
-OpenBLAS to one thread, creates its pool under that setting, and gives the
-caller's count back afterwards. The pool forks, so its workers inherit the
-fit (the series, the partition, the regressor and the config) and the BLAS
-setting; a task is a range of parcels, whose rows the engine reads from the
-inherited series one parcel at a time. Only the ranges and the summaries
-cross the pipe. The default worker count is the number of CPUs the process
-may run on. Without BLAS helper threads competing for those CPUs the pool
-pays off even on small data: on two vCPUs an ar1 50x50 fit at G=49 took
-0.89-0.94 s with two workers against 1.28-1.54 s with one, where with the
-libraries' own two threads each, two workers were slower than one.
+The pool forks, so its workers inherit the fit (the series, the partition,
+the regressor and the config); a task is a range of parcels, whose rows the
+engine reads from the inherited series one parcel at a time. Only the ranges
+and the summaries cross the pipe. The default worker count is the number of
+CPUs the process may run on. The parcel stage calls BLAS and LAPACK only on
+q x q matrices and the regressor, never on an array that grows with the
+parcel, so no BLAS helper thread competes with the workers for those CPUs.
 """
 
 from __future__ import annotations
@@ -26,7 +22,6 @@ import csv
 import multiprocessing
 import time
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -139,50 +134,6 @@ def _parcel_ranges(sizes, workers: int) -> list:
     return [0, *np.minimum(cuts, len(sizes) - workers + k).tolist(), len(sizes)]
 
 
-def _openblas_thread_setters() -> list:
-    """``(get, set)`` thread-count functions of each OpenBLAS loaded into this
-    process: numpy's build (suffix ``64_``, 64-bit integers) and scipy's.
-    Empty where none is found."""
-    import ctypes
-
-    try:
-        with open("/proc/self/maps") as fh:
-            paths = sorted({line.split()[-1] for line in fh
-                            if "openblas" in line and ".so" in line})
-    except OSError:
-        return []
-    found = []
-    for path in paths:
-        lib = ctypes.CDLL(path)
-        for suffix in ("64_", ""):
-            get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
-            put = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
-            if get is not None and put is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                put.argtypes, put.restype = [ctypes.c_int], None
-                found.append((get, put))
-                break
-    return found
-
-
-@contextmanager
-def _one_blas_thread():
-    """Run the block with one BLAS thread, then restore each library's count.
-
-    Two processes on two CPUs, each with a BLAS helper thread, slow every
-    dense product; the pin is for speed, since no result depends on the
-    thread count."""
-    found = _openblas_thread_setters()
-    before = [get() for get, _ in found]
-    try:
-        for _, put in found:
-            put(1)
-        yield
-    finally:
-        for (_, put), n in zip(found, before):
-            put(n)
-
-
 #: The fit a pool worker inherits; see ``_start_worker``.
 _worker_fit: tuple = ()
 
@@ -224,12 +175,12 @@ def fit_dataset(dataset: ComplexDataset, design: DesignVector, cfg: FitConfig) -
 
     The output is a pure function of (dataset, design, sampler config, seed);
     worker count only affects wall-clock time. The basis builds and chains
-    run under one BLAS thread, in this process and in the pool alike, and the
-    caller's BLAS thread count is restored when the fit returns or raises.
-    With more than one worker the parcel ranges run in a forked process pool
-    whose workers inherit the series. No job copies its range's rows: the
-    engine gathers one parcel's at a time. ``unconverged_parcels`` lists each
-    parcel with a voxel whose MCSE is at or over ``mcse_tol``.
+    call BLAS and LAPACK only on q x q matrices and the regressor, so their
+    per-voxel work runs on the calling thread whatever the library's thread
+    count. With more than one worker the parcel ranges run in a forked
+    process pool whose workers inherit the series. No job copies its range's
+    rows: the engine gathers one parcel's at a time. ``unconverged_parcels``
+    lists each parcel with a voxel whose MCSE is at or over ``mcse_tol``.
     """
     if design.n_time != dataset.n_time:
         raise InvalidSpecError(
@@ -252,14 +203,13 @@ def fit_dataset(dataset: ComplexDataset, design: DesignVector, cfg: FitConfig) -
     workers = cfg.resolved_workers()
     bounds = _parcel_ranges(partition.parcel_sizes(), workers)
     ranges = list(zip(bounds[:-1], bounds[1:]))
-    with _one_blas_thread():
-        if workers == 1:
-            results = [_batch_job(fit, lo, hi) for lo, hi in ranges]
-        else:
-            with ProcessPoolExecutor(max_workers=workers,
-                                     mp_context=multiprocessing.get_context("fork"),
-                                     initializer=_start_worker, initargs=(fit,)) as pool:
-                results = list(pool.map(_worker_job, ranges))
+    if workers == 1:
+        results = [_batch_job(fit, lo, hi) for lo, hi in ranges]
+    else:
+        with ProcessPoolExecutor(max_workers=workers,
+                                 mp_context=multiprocessing.get_context("fork"),
+                                 initializer=_start_worker, initargs=(fit,)) as pool:
+            results = list(pool.map(_worker_job, ranges))
 
     incl = stitch_voxel_field(partition, results, lambda s: s.incl_prob)
     beta = stitch_voxel_field(partition, results, lambda s: s.beta_mean, dtype=complex)

@@ -397,10 +397,12 @@ class _ParcelStats:
         self.sxx_nn = float(xn @ xn)
         self.sxx_ll = float(xl @ xl)
         self.sxx_nl = float(xn @ xl)
-        self.a1 = yn @ xn
-        self.a2 = yn @ xl
-        self.a3 = yl @ xn
-        self.a4 = yl @ xl
+        # einsum, not @: it runs on the calling thread, while a BLAS product
+        # would wake the library's helper threads in every pool worker
+        self.a1 = np.einsum("vt,t->v", yn, xn)
+        self.a2 = np.einsum("vt,t->v", yn, xl)
+        self.a3 = np.einsum("vt,t->v", yl, xn)
+        self.a4 = np.einsum("vt,t->v", yl, xl)
         self.syy = np.sum(np.conj(yl) * yn, axis=1)
         self.syl2 = np.sum(yl.real**2 + yl.imag**2, axis=1)
         self.syn2 = np.sum(yn.real**2 + yn.imag**2, axis=1)

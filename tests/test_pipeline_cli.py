@@ -218,76 +218,43 @@ class TestFitPipeline:
         assert FitConfig(n_parcels=9, workers=3).resolved_workers() == 3
 
 
-def openblas_thread_functions():
-    """``(get, set)`` of each OpenBLAS loaded here, found without cvfmri."""
-    import ctypes
+class TestParcelRanges:
+    def test_bounds_cover_every_parcel_in_nonempty_ranges(self):
+        rng = np.random.default_rng(24)
+        for _ in range(2000):
+            n_parcels = int(rng.integers(1, 80))
+            workers = int(rng.integers(1, n_parcels + 1))
+            sizes = rng.integers(1, 500, size=n_parcels)
+            bounds = pipeline._parcel_ranges(sizes, workers)
+            assert len(bounds) == workers + 1
+            assert bounds[0] == 0 and bounds[-1] == n_parcels
+            assert np.all(np.diff(bounds) > 0), (sizes, workers, bounds)
 
-    with open("/proc/self/maps") as fh:
-        paths = sorted({line.split()[-1] for line in fh if "openblas" in line and ".so" in line})
-    found = []
-    for path in paths:
-        lib = ctypes.CDLL(path)
-        for suffix in ("64_", ""):
-            get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
-            put = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
-            if get is not None and put is not None:
-                found.append((get, put))
-                break
-    return found
+    def test_ranges_hold_an_equal_share_within_one_parcel(self):
+        # on the grids of the studies, tests and benchmark, at every G that
+        # fits up to 64 and every worker count up to 8, no range's voxel count
+        # is further from the equal share than one largest parcel
+        for dims in [(50, 50), (96, 96), (28, 28), (5, 20, 20), (7, 96, 96)]:
+            for n_parcels in range(1, 65):
+                try:
+                    sizes = pipeline.partition_grid(dims, n_parcels).parcel_sizes()
+                except InvalidSpecError:  # a G no factorization fits
+                    continue
+                for workers in range(1, min(8, n_parcels) + 1):
+                    bounds = pipeline._parcel_ranges(sizes, workers)
+                    counts = np.add.reduceat(sizes, bounds[:-1])
+                    share = sizes.sum() / workers
+                    assert np.all(np.abs(counts - share) <= sizes.max()), (dims, n_parcels,
+                                                                          workers, counts)
 
 
 class TestBlasThreads:
-    @pytest.fixture
-    def two_caller_threads(self):
-        """Give every OpenBLAS two threads for the test, then the old count."""
-        libs = openblas_thread_functions() if sys.platform == "linux" else []
-        if not libs:
-            pytest.skip("no OpenBLAS with a thread-count interface is loaded")
-        before = [get() for get, _ in libs]
-        try:
-            for _, put in libs:
-                put(2)
-            if [get() for get, _ in libs] != [2] * len(libs):
-                pytest.skip("OpenBLAS does not take two threads here")
-            yield lambda: [get() for get, _ in libs]
-        finally:
-            for (_, put), n in zip(libs, before):
-                put(n)
-
-    @pytest.mark.parametrize("fails", [False, True])
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_parcel_stage_runs_on_one_blas_thread(self, tmp_path, monkeypatch,
-                                                  two_caller_threads, workers, fails):
-        # each batch's chain records the thread counts it ran under, from
-        # whichever process runs it
-        chain = pipeline.run_parcel_chain
-
-        def recording(*args, **kwargs):
-            seen = tmp_path / f"batch{next(iter(args[4]))}"
-            seen.write_text(" ".join(map(str, two_caller_threads())))
-            if fails:
-                raise InvalidSpecError("stop after recording")
-            return chain(*args, **kwargs)
-
-        monkeypatch.setattr(pipeline, "run_parcel_chain", recording)
-        ds, _, design = small_dataset()
-        cfg = FitConfig(n_parcels=4, workers=workers,
-                        sampler=SamplerConfig(n_iter=40, n_burn=20, seed=5))
-        if fails:
-            with pytest.raises(InvalidSpecError, match="stop after recording"):
-                fit_dataset(ds, design, cfg)
-        else:
-            fit_dataset(ds, design, cfg)
-        counts = [p.read_text().split() for p in sorted(tmp_path.glob("batch*"))]
-        assert len(counts) == workers or fails and 1 <= len(counts) <= workers
-        assert all(set(c) == {"1"} for c in counts)
-        assert set(two_caller_threads()) == {2}
-
-    def test_fit_maps_do_not_depend_on_blas_threads(self, tmp_path):
-        # a 28x28 grid at G=4 has 14x14 parcels, the realistic slice's size;
-        # neither their nu2 bits nor the maps may follow the BLAS thread count.
-        # The child writes a digest of each nu2 the fit builds, one line per
-        # write call, so that the two workers' lines do not interleave.
+    @staticmethod
+    def fit_under_blas_threads(tmp_path, n_parcels, workers):
+        """Fit a 28x28 iid dataset under one and under two BLAS threads and
+        check that neither the nu2 bits nor the maps follow the count. The
+        child writes a digest of each nu2 the fit builds, one line per write
+        call, so that two workers' lines do not interleave."""
         maps = generate_true_maps((28, 28), [RegionSpec((13, 13), 4.0)], 0.15)
         design = design_for_length(80)
         ds = simulate_iid(maps, design, SignalSpec(beta0=0.5), NoiseSpec("iid", sigma=0.05), 7)
@@ -311,16 +278,26 @@ class TestBlasThreads:
             out = tmp_path / f"t{threads}"
             proc = subprocess.run(
                 [sys.executable, "-c", code, "fit", "--data", str(tmp_path / "d.cvf"),
-                 "--out", str(out), "--G", "4", "--iters", "80", "--burn", "40", "--seed", "3",
-                 "--workers", "2"],
+                 "--out", str(out), "--G", str(n_parcels), "--iters", "80", "--burn", "40",
+                 "--seed", "3", "--workers", str(workers)],
                 capture_output=True, text=True, env=env, check=True,
             )
             outs.append(out)
             digests.append(sorted(ln for ln in proc.stdout.splitlines() if ln.startswith("nu2 ")))
-        assert len(digests[0]) == 4 and digests[0] == digests[1]
+        assert len(digests[0]) == n_parcels and digests[0] == digests[1]
         for name in ("activation.csv", "magnitude.csv", "phase.csv", "incl_prob.csv",
                      "mcse.csv"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+    def test_fit_maps_do_not_depend_on_blas_threads(self, tmp_path):
+        # G=4 gives 14x14 parcels, the realistic slice's size, fitted by a
+        # two-worker pool
+        self.fit_under_blas_threads(tmp_path, n_parcels=4, workers=2)
+
+    def test_in_process_fit_maps_do_not_depend_on_blas_threads(self, tmp_path):
+        # one 784-voxel parcel fitted in the calling process, under its
+        # caller's BLAS threads
+        self.fit_under_blas_threads(tmp_path, n_parcels=1, workers=1)
 
 
 class TestCli:
