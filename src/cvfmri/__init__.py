@@ -44,6 +44,7 @@ from .sampler import (
     ResultMaps,
     SamplerConfig,
     derive_seed,
+    inclusion_log_odds,
     run_parcel_chain,
     splitmix64,
     summarize,

@@ -38,15 +38,16 @@ which the engine derives from the parcel's index in the image. Every draw a
 parcel uses has a fixed count, for every voxel whether it uses it or not, and
 is pregenerated in blocks of ``BLOCK_SWEEPS`` sweeps (the layout is given
 there). So a parcel's draws, and its maps, do not depend on which batch
-or worker runs it. Blocks fill buffers allocated once per chain, and hold
-eta's uniforms as standard half-normal magnitudes. When the batch's parcels
-average at least ``PREFETCH_MIN_VOXELS`` voxels and a CPU is spare (the
-process may run on more than one and is not a worker of a process pool), a
-helper thread draws and transforms each block while the engine sweeps the
-one before it; the stream is the same either way. Each conditional is written
-once, as a public function of its sufficient statistics and standard variates
-(``inclusion_probability`` and the ``draw_*`` functions); the engine calls
-them, and the test suite feeds them from an independent per-series reference.
+or worker runs it. Blocks fill buffers allocated once per chain and hold every
+transform of the draws that reads no chain state, so a sweep does only the
+work that does. When the batch's parcels average at least
+``PREFETCH_MIN_VOXELS`` voxels and a CPU is spare (the process may run on more
+than one and is not a worker of a process pool), a helper thread draws and
+transforms each block while the engine sweeps the one before it; the stream
+is the same either way. Each conditional is written once, as a public function
+of its sufficient statistics and standard variates (``inclusion_log_odds``
+and the ``draw_*`` functions); the engine calls them, and the test suite feeds
+them from an independent per-series reference.
 
 The chain keeps running counts, not draws: a voxel's count of kept gamma = 1,
 in all and per batch of n_kept // b sweeps for b = isqrt(n_kept), gives its
@@ -62,7 +63,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betaincinv, expit, gammaincinv, ndtr, ndtri
+from scipy.special import betaincinv, erfc, expit, gammaincinv, ndtri
 
 from .errors import (
     DegeneratePosteriorError,
@@ -82,6 +83,7 @@ __all__ = [
     "log_null_slab_ratio",
     "prior_logit_spatial",
     "prior_logit_shared",
+    "inclusion_log_odds",
     "inclusion_probability",
     "draw_beta",
     "draw_rho",
@@ -211,24 +213,31 @@ class ResultMaps:
 # --------------------------------------------------------------------------
 
 def log_null_slab_ratio(xstar_norm2, xty_norm2, sigma2, tau2):
-    """log of the marginal-likelihood ratio null/slab with beta integrated out.
+    """log of the marginal-likelihood ratio null/slab with beta integrated out:
+    log1p(||x*||^2 tau2/sigma2) - |X*'y*|^2 / (2 sigma2 (||x*||^2 + sigma2/tau2)).
 
     Uses the scalar-identity structure of the stacked design: the 2x2 Gram
     matrix is ||x*||^2 I, so the determinant is (||x*||^2 + sigma2/tau2)^2 and
-    the quadratic form reduces to |X*'y*|^2 / (||x*||^2 + sigma2/tau2).
+    the quadratic form reduces to |X*'y*|^2 / (||x*||^2 + sigma2/tau2). The
+    determinant's log, log tau2 - log sigma2 + log(||x*||^2 + sigma2/tau2), is
+    taken as one log1p, which stays accurate where the slab is narrow.
     """
     denom = xstar_norm2 + sigma2 / tau2
-    return np.log(tau2) - np.log(sigma2) + np.log(denom) - xty_norm2 / (2.0 * sigma2 * denom)
+    return np.log1p(xstar_norm2 * tau2 / sigma2) - xty_norm2 / (2.0 * sigma2 * denom)
+
 
 
 def prior_logit_spatial(psi, eta):
-    """Prior log odds of inclusion under the probit latent: logit Phi(psi + eta).
+    """Prior log odds of inclusion under the probit latent: logit Phi(psi + eta),
+    as sign(z) (log1p(-y) - log y) with y = Phi(-|z|) = erfc(|z|/sqrt 2)/2,
+    the smaller tail, from one special-function call.
 
     Beyond |z| of about 38 one tail underflows to 0, and the log odds are
     +-inf, which make the inclusion probability exactly 1 or 0."""
     z = psi + eta
+    y = 0.5 * erfc(np.abs(z) * math.sqrt(0.5))
     with np.errstate(divide="ignore"):
-        return np.log(ndtr(z)) - np.log(ndtr(-z))
+        return np.copysign(np.log1p(-y) - np.log(y), z)
 
 
 def prior_logit_shared(eta_shared):
@@ -249,32 +258,48 @@ def prior_logit_shared(eta_shared):
 # with its AR coefficient, xnorm2 = ||x*||^2 and c = x*^H y*; for the lagged
 # residual w = y - beta x, wl2 = ||w_lag||^2 and cw = w_lag^H w_now.
 
+def inclusion_log_odds(xnorm2, c, sigma2, tau2, prior_logit):
+    """Posterior log odds of inclusion: prior logit - log null/slab ratio.
+
+    The engine draws gamma = 1 where logit(u) = log u - log1p(-u) of its
+    inclusion uniform u lies below them, the same event as u below the
+    inclusion probability."""
+    return prior_logit - log_null_slab_ratio(xnorm2, c.real**2 + c.imag**2, sigma2, tau2)
+
+
 def inclusion_probability(xnorm2, c, sigma2, tau2, prior_logit):
-    """Posterior inclusion probability, assembled in log space as
-    expit(prior logit - log null/slab ratio), so that it cannot overflow."""
-    log_ratio = log_null_slab_ratio(xnorm2, c.real**2 + c.imag**2, sigma2, tau2)
-    return expit(prior_logit - log_ratio)
+    """Posterior inclusion probability, expit of :func:`inclusion_log_odds`:
+    assembled in log space, so that it cannot overflow."""
+    return expit(inclusion_log_odds(xnorm2, c, sigma2, tau2, prior_logit))
 
 
-def _complex_normal(num, prec, sigma2, mask, z):
-    """num/prec + sqrt(sigma2/prec) z where ``mask`` holds, 0 elsewhere.
+def _complex_normal(num, prec, sigma2, mask, z, tau2=None):
+    """num/p + sqrt(sigma2/p) z where ``mask`` holds, 0 elsewhere, with
+    p = prec, or p = prec + sigma2/tau2 given ``tau2`` (per element, or
+    broadcast).
 
     ``z`` holds one standard complex normal per element; masked-out ones go
-    unused.
+    unused, and p is formed at the masked-in elements only.
     """
-    if mask.all():
-        return num / prec + np.sqrt(sigma2 / prec) * z
+    idx = None if mask.all() else np.flatnonzero(mask)
+    if idx is not None:
+        num, prec, sigma2, z = num[idx], prec[idx], sigma2[idx], z[idx]
+        if np.shape(tau2) == mask.shape:
+            tau2 = tau2[idx]
+    if tau2 is not None:
+        prec = prec + sigma2 / tau2
+    draw = num / prec + np.sqrt(sigma2 / prec) * z
+    if idx is None:
+        return draw
     out = np.zeros(mask.shape, dtype=complex)
-    idx = np.flatnonzero(mask)
-    p = prec[idx]
-    out[idx] = num[idx] / p + np.sqrt(sigma2[idx] / p) * z[idx]
+    out[idx] = draw
     return out
 
 
 def draw_beta(xnorm2, c, sigma2, tau2, gamma, z):
     """Activation coefficients: zero where ``gamma`` is False, else the
     conjugate ridge normal with scalar precision ||x*||^2 + sigma2/tau2."""
-    return _complex_normal(c, xnorm2 + sigma2 / tau2, sigma2, gamma, z)
+    return _complex_normal(c, xnorm2, sigma2, gamma, z, tau2)
 
 
 def draw_rho(cw, wl2, sigma2, z):
@@ -314,10 +339,12 @@ def half_normal_magnitudes(u, out=None):
     return np.negative(ndtri(half, out=out), out=out)
 
 
-def draw_eta(gamma, nu2, kappa, h):
-    """Probit latents from standard half-normal magnitudes ``h``: magnitude
-    h sqrt(nu2/kappa), positive where the voxel is included, else negative."""
-    mag = h * np.sqrt(nu2 / kappa)
+def draw_eta(gamma, m, kappa_rsqrt):
+    """Probit latents from magnitudes m = h sqrt(nu2), h standard half-normal:
+    magnitude m kappa^-1/2 (``kappa_rsqrt``, the voxel's parcel's, or one for
+    all), so h sqrt(nu2/kappa), positive where the voxel is included, else
+    negative."""
+    mag = m * kappa_rsqrt
     return np.where(gamma, mag, -mag)
 
 
@@ -343,8 +370,11 @@ def draw_eta_shared(n_active, n_vox, u):
 #: shape T - 1 (sigma^2), k uniforms (tau^2), then in spatial mode k x V
 #: uniforms (eta) and k standard gammas of shape V/2 + A_KAPPA (kappa), or in
 #: nonspatial mode k uniforms (the shared rate). The value is part of the
-#: stream's definition: changing it changes every chain. The block holds eta's
-#: uniforms as their half-normal magnitudes; the stream is the same. Which
+#: stream's definition: changing it changes every chain. Each transform that
+#: does not read the chain's state runs on the block, once: stage 0 holds the
+#: gamma uniforms' logits log u - log1p(-u), stage 5 eta's uniforms as
+#: half-normal magnitudes h = -ndtri(u/2) times sqrt(nu2), and the block adds
+#: each parcel's sum of h^2 for every sweep. The stream is the same. Which
 #: thread draws a block (see PREFETCH_MIN_VOXELS) is not part of it either:
 #: each generator is read in this order by one thread at a time.
 BLOCK_SWEEPS = 32
@@ -397,6 +427,7 @@ class _ParcelStats:
         self.sxx_nn = float(xn @ xn)
         self.sxx_ll = float(xl @ xl)
         self.sxx_nl = float(xn @ xl)
+        self.sxx_nl2 = 2.0 * self.sxx_nl
         # einsum, not @: it runs on the calling thread, while a BLAS product
         # would wake the library's helper threads in every pool worker
         self.a1 = np.einsum("vt,t->v", yn, xn)
@@ -418,9 +449,10 @@ class _ParcelStats:
             setattr(out, name, value)
         return out
 
-    def design_norms(self, rho):
-        r2 = rho.real**2 + rho.imag**2
-        xnorm2 = self.sxx_nn - 2.0 * rho.real * self.sxx_nl + r2 * self.sxx_ll
+    def design_norms(self, rho, r2):
+        """(||x*||^2, x*^H y*) after quasi-differencing with ``rho``, whose
+        squared moduli are ``r2``."""
+        xnorm2 = self.sxx_nn - rho.real * self.sxx_nl2 + r2 * self.sxx_ll
         c = self.a1 - np.conj(rho) * self.a2 - rho * self.a3 + r2 * self.a4
         return xnorm2, c
 
@@ -492,6 +524,7 @@ def run_parcel_chain(
         raise InvalidSpecError(f"parcel row {outside[0]} lies outside [0, {len(y)})")
 
     spatial = cfg.mode == SPATIAL
+    lone = n_parcels == 1
     if spatial:
         if nu2 is None:
             raise InvalidSpecError("spatial mode requires the parcels' nu2")
@@ -500,7 +533,7 @@ def run_parcel_chain(
         for g, b, size in zip(ids, nu2, sizes):
             if np.shape(b) != (size,):
                 raise InvalidSpecError(f"parcel {g}: basis size does not match parcel size")
-        nu2 = np.concatenate(nu2)
+        nu_v = np.sqrt(np.concatenate(nu2))
 
     trace = None
     if trace_voxels is not None:
@@ -524,6 +557,7 @@ def run_parcel_chain(
     # the state the mode reads (gamma and beta are drawn before their first read)
     sigma2 = np.concatenate(sigma2)
     rho = np.zeros(n_vox, dtype=complex)
+    r2 = np.zeros(n_vox)
     tau2 = np.ones(n_parcels)
     if spatial:
         eta = np.zeros(n_vox)
@@ -540,16 +574,19 @@ def run_parcel_chain(
     stages += [(True, 1), (False, 1)] if spatial else [(False, 1)]
     buffers = [[np.empty((BLOCK_SWEEPS, n_vox if per_voxel else n_parcels, width))
                 for per_voxel, width in stages] for _ in range(1 + ahead)]
+    # with each spatial set, the parcels' sums of eta's h^2, one per sweep
+    sums = [np.empty((BLOCK_SWEEPS, n_parcels)) for _ in buffers if spatial]
     # a parcel of a batch draws into scratch sized to the largest parcel, copied to its columns
     scratch = [np.empty(BLOCK_SWEEPS * (sizes.max() if per_voxel else 1) * width)
-               for per_voxel, width in stages if n_parcels > 1]
+               for per_voxel, width in stages if not lone]
 
     def make_block(it):
         """The batch's draws of the block that sweep ``it`` opens, one array
         per stage; the only reader of the parcels' generators."""
         k = min(BLOCK_SWEEPS, cfg.n_iter - it)
-        block = [b[:k] for b in buffers[it // BLOCK_SWEEPS % len(buffers)]]
-        if n_parcels == 1:
+        slot = it // BLOCK_SWEEPS % len(buffers)
+        block = [b[:k] for b in buffers[slot]]
+        if lone:
             _block_draws(rngs[0], block, n_time - 1, kappa_shapes[0])
         else:
             for p, (rng, lo, size, shape) in enumerate(zip(rngs, starts, sizes, kappa_shapes)):
@@ -559,9 +596,19 @@ def run_parcel_chain(
                 _block_draws(rng, parts, n_time - 1, shape)
                 for c, part in zip(cols, parts):
                     c[...] = part
-        if spatial:  # eta's uniforms, stage 5, become their magnitudes
-            half_normal_magnitudes(block[5], out=block[5])
-        return [b.view(complex)[..., 0] if b.shape[2] == 2 else b[..., 0] for b in block]
+        draws = [b.view(complex)[..., 0] if b.shape[2] == 2 else b[..., 0] for b in block]
+        # the transforms that read no chain state (see BLOCK_SWEEPS), in place
+        u = draws[0]
+        log1m = np.negative(u)
+        np.log1p(log1m, out=log1m)
+        with np.errstate(divide="ignore"):  # u == 0: logit -inf, gamma = 1 unless odds are 0
+            np.log(u, out=u)
+        u -= log1m
+        if spatial:
+            h = half_normal_magnitudes(draws[5], out=draws[5])
+            draws.append(np.add.reduceat(h * h, starts, axis=1, out=sums[slot][:k]))
+            h *= nu_v
+        return draws
 
     # running counts of kept gamma = 1: in all, and per batch of batch_len
     # kept sweeps (the last n_kept - n_batches * batch_len count in all only)
@@ -577,20 +624,21 @@ def run_parcel_chain(
             for it in range(cfg.n_iter):
                 j = it % BLOCK_SWEEPS
                 if j == 0:
-                    u_gamma, z_beta, z_rho, g_sigma, u_tau2, *prior_draws = (
+                    logit_u, z_beta, z_rho, g_sigma, u_tau2, *prior_draws = (
                         pending.result() if ahead else make_block(it))
                     if ahead and it + BLOCK_SWEEPS < cfg.n_iter:
                         pending = producer.submit(make_block, it + BLOCK_SWEEPS)
 
-                # voxel stage: gamma, beta, rho, sigma2 (one call across the batch)
-                tau2_v = np.repeat(tau2, sizes)
-                xnorm2, c = stats.design_norms(rho)
+                # voxel stage: gamma, beta, rho, sigma2 (one call across the batch;
+                # a lone parcel's tau2 and kappa broadcast)
+                tau2_v = tau2 if lone else np.repeat(tau2, sizes)
+                xnorm2, c = stats.design_norms(rho, r2)
                 if spatial:
                     prior_logit = prior_logit_spatial(cfg.psi, eta)
                 else:
-                    prior_logit = np.repeat(prior_logit_shared(eta_shared), sizes)
-                p_incl = inclusion_probability(xnorm2, c, sigma2, tau2_v, prior_logit)
-                gamma = u_gamma[j] < p_incl
+                    prior_logit = prior_logit_shared(eta_shared)
+                    prior_logit = prior_logit if lone else np.repeat(prior_logit, sizes)
+                gamma = logit_u[j] < inclusion_log_odds(xnorm2, c, sigma2, tau2_v, prior_logit)
                 beta = draw_beta(xnorm2, c, sigma2, tau2_v, gamma, z_beta[j])
                 cw, wl2, wn2 = stats.residual_norms(beta, gamma)
                 rho, _ = draw_rho(cw, wl2, sigma2, z_rho[j])
@@ -614,10 +662,12 @@ def run_parcel_chain(
                     g = ids[int(np.argmax((n_active > 0) & (ssb <= 0.0)))]
                     raise type(exc)(f"parcel {g}: {exc}") from None
                 if spatial:
-                    h_eta, g_kappa = prior_draws
-                    eta = draw_eta(gamma, nu2, np.repeat(kappa, sizes), h_eta[j])
-                    sum_eta2 = np.add.reduceat(eta * eta / nu2, starts)
-                    kappa = draw_kappa(sum_eta2, g_kappa[j])
+                    m_eta, g_kappa, sum_h2 = prior_draws
+                    kappa_rsqrt = kappa ** -0.5
+                    eta = draw_eta(gamma, m_eta[j],
+                                   kappa_rsqrt if lone else np.repeat(kappa_rsqrt, sizes))
+                    # each parcel's sum of eta^2/nu2 is its sum of h^2 over the kappa that drew eta
+                    kappa = draw_kappa(sum_h2[j] / kappa, g_kappa[j])
                 else:
                     eta_shared = draw_eta_shared(n_active, sizes, prior_draws[0][j])
 

@@ -281,8 +281,8 @@ class TestSamplerOracles:
         # eta (positive side, nu2 from the spatial basis)
         kappa0 = 3.0
         nu2_v = float(nu2[1])
-        eta_draws = draw_eta(True, np.full(N_KS, nu2_v), kappa0,
-                             half_normal_magnitudes(np.random.default_rng(11).random(N_KS)))
+        h = half_normal_magnitudes(np.random.default_rng(11).random(N_KS))
+        eta_draws = draw_eta(True, h * math.sqrt(nu2_v), kappa0 ** -0.5)
         dists["eta"] = ks(
             eta_draws,
             stats.halfnorm(scale=math.sqrt(nu2_v / kappa0)).rvs(N_KS, random_state=12),

@@ -15,20 +15,25 @@ import numpy as np
 import pytest
 from scipy import stats
 from scipy.integrate import dblquad
-from scipy.special import gammaincinv, ndtr
+from scipy.special import expit, gammaincinv, ndtr
 
+from cvfmri import sampler
+from cvfmri.design import design_for_length
 from cvfmri.errors import DegeneratePosteriorError, InsufficientDataError
-from cvfmri.parcellation import build_adjacency
+from cvfmri.parcellation import build_adjacency, build_spatial_basis
 from cvfmri.sampler import (
+    SamplerConfig,
     derive_seed,
     draw_eta,
     draw_eta_shared,
     draw_kappa,
     draw_tau2,
     half_normal_magnitudes,
+    inclusion_log_odds,
     inclusion_probability,
     log_null_slab_ratio,
     prior_logit_spatial,
+    run_parcel_chain,
     splitmix64,
 )
 from reference import (
@@ -186,6 +191,41 @@ class TestGamma:
             naive = prior / (prior + ratio * (1 - prior))
             got = gamma_probability(ystar, xstar, sigma2, tau2, eta, psi)
             assert got == pytest.approx(naive, abs=1e-10)
+
+    def test_log_odds_match_the_three_log_form(self):
+        # tau2 from 1e-12 to 1e12, sigma2 down to the engine's 1e-30 floor, |c|^2 up to 1e300
+        tau2, sigma2, c2, xnorm2, z = (a.ravel() for a in np.meshgrid(
+            np.logspace(-12, 12, 13), np.logspace(-30, 4, 18), np.logspace(-6, 300, 18),
+            np.logspace(-3, 6, 4), np.linspace(-8.0, 8.0, 5), indexing="ij"))
+        denom = xnorm2 + sigma2 / tau2
+        c = np.sqrt(c2) * np.exp(0.7j)
+        with np.errstate(over="ignore"):  # both forms' quadratic term overflows alike
+            terms = [np.log(tau2), -np.log(sigma2), np.log(denom), -c2 / (2.0 * sigma2 * denom)]
+            old = probit_log_odds(z) - sum(terms)
+            new = inclusion_log_odds(xnorm2, c, sigma2, tau2, prior_logit_spatial(0.0, z))
+        finite = np.isfinite(old)
+        assert finite.any() and not finite.all()
+        assert np.all(np.isfinite(new[finite]))
+        assert np.array_equal(new[~finite], old[~finite])
+        # rtol 1e-12 of the old form's terms, whose own rounding is relative to
+        # them: the first three cancel where the slab is narrow
+        scale = np.maximum(np.abs(old), np.abs(probit_log_odds(z)) + sum(map(np.abs, terms)))
+        assert np.all(np.abs(new[finite] - old[finite]) <= 1e-12 * scale[finite])
+
+    def test_probability_is_the_expit_of_the_log_odds(self):
+        rng = np.random.default_rng(13)
+        args = (rng.uniform(0.1, 50.0, 1000), rng.standard_normal(1000) * (1 + 1j),
+                rng.uniform(0.1, 2.0, 1000), rng.uniform(0.1, 2.0, 1000),
+                rng.standard_normal(1000))
+        assert np.array_equal(inclusion_probability(*args), expit(inclusion_log_odds(*args)))
+
+    def test_gamma_rule_in_log_odds_is_the_probability_rule(self):
+        # gamma = logit(u) < log odds, the engine's rule, against u < expit(log odds)
+        rng = np.random.default_rng(14)
+        u = rng.random(1_000_000)
+        log_odds = rng.logistic(0.0, 4.0, u.size)
+        logit_u = np.log(u) - np.log1p(-u)
+        assert np.array_equal(logit_u < log_odds, u < expit(log_odds))
 
     def test_draws_match_quadrature_probability(self):
         sigma2, tau2, psi, eta = 1.0, 1.0, -0.2, 0.1
@@ -351,29 +391,31 @@ class TestTau2:
             draw_tau2(np.array([0, 2]), np.array([0.0, 0.0]), np.ones(2), np.full(2, 0.5))
 
 
+def eta_draws(gamma, nu2, kappa, u):
+    """draw_eta fed as the engine feeds it: the half-normal magnitudes of
+    uniforms ``u`` times sqrt(nu2), and kappa^-1/2."""
+    return draw_eta(gamma, half_normal_magnitudes(u) * np.sqrt(nu2), kappa ** -0.5)
+
+
 class TestEta:
     def test_signs_respect_indicator(self):
         rng = np.random.default_rng(41)
-        up = draw_eta(np.ones(1000, dtype=bool), np.full(1000, 1.3), 2.0,
-                      half_normal_magnitudes(rng.random(1000)))
-        down = draw_eta(np.zeros(1000, dtype=bool), np.full(1000, 1.3), 2.0,
-                        half_normal_magnitudes(rng.random(1000)))
+        up = eta_draws(np.ones(1000, dtype=bool), np.full(1000, 1.3), 2.0, rng.random(1000))
+        down = eta_draws(np.zeros(1000, dtype=bool), np.full(1000, 1.3), 2.0, rng.random(1000))
         assert np.all(up > 0) and np.all(down < 0)
 
     def test_isolated_voxel_unit_variance(self):
         # nu2 = 1: the latent is a half-normal with sd 1/sqrt(kappa)
         kappa = 2.5
         rng = np.random.default_rng(42)
-        draws = draw_eta(True, np.ones(N_DRAWS), kappa,
-                         half_normal_magnitudes(rng.random(N_DRAWS)))
+        draws = eta_draws(True, np.ones(N_DRAWS), kappa, rng.random(N_DRAWS))
         oracle = stats.halfnorm(scale=1 / math.sqrt(kappa)).rvs(N_DRAWS, random_state=43)
         assert ks(draws, oracle) < KS_TOL
 
     def test_halfnormal_moment(self):
         # gamma=1, nu2=2, kappa=4: mean sqrt(2/4) * sqrt(2/pi)
         rng = np.random.default_rng(44)
-        draws = draw_eta(True, np.full(N_DRAWS, 2.0), 4.0,
-                         half_normal_magnitudes(rng.random(N_DRAWS)))
+        draws = eta_draws(True, np.full(N_DRAWS, 2.0), 4.0, rng.random(N_DRAWS))
         sd = math.sqrt(0.5)
         expect = sd * math.sqrt(2 / math.pi)
         se = sd * math.sqrt((1 - 2 / math.pi) / N_DRAWS)
@@ -381,10 +423,26 @@ class TestEta:
 
     def test_negative_side_distribution(self):
         rng = np.random.default_rng(45)
-        draws = draw_eta(False, np.full(N_DRAWS, 1.5), 3.0,
-                         half_normal_magnitudes(rng.random(N_DRAWS)))
+        draws = eta_draws(False, np.full(N_DRAWS, 1.5), 3.0, rng.random(N_DRAWS))
         oracle = -stats.halfnorm(scale=math.sqrt(1.5 / 3.0)).rvs(N_DRAWS, random_state=46)
         assert ks(draws, oracle) < KS_TOL
+
+    @pytest.mark.parametrize("seed", [47, 48, 49])
+    def test_block_forms_match_the_latent_forms(self, seed):
+        # a seeded box parcel's nu2, kappa over nine decades: eta from the
+        # block's h sqrt(nu2) against h sqrt(nu2/kappa), and kappa's statistic
+        # sum h^2 / kappa against sum eta^2 / nu2
+        rng = np.random.default_rng(seed)
+        shape = tuple(int(n) for n in rng.integers(1, 40, 2))
+        nu2 = build_spatial_basis(build_adjacency(np.arange(math.prod(shape)), shape), shape)
+        gamma = rng.random(nu2.size) < 0.5
+        for kappa in 10.0 ** rng.uniform(-3.0, 6.0, 20):
+            h = half_normal_magnitudes(rng.random(nu2.size))
+            eta = draw_eta(gamma, h * np.sqrt(nu2), kappa ** -0.5)
+            mag = h * np.sqrt(nu2 / kappa)
+            np.testing.assert_allclose(eta, np.where(gamma, mag, -mag), rtol=1e-15, atol=0)
+            np.testing.assert_allclose(np.sum(h * h) / kappa, np.sum(eta * eta / nu2),
+                                       rtol=1e-13, atol=0)
 
 
 class TestKappa:
@@ -466,10 +524,31 @@ class TestInverseTransforms:
         g_ends = gammaincinv(shape, np.array([2.0**-53, 1.0 - 2.0**-53]))
         for u in self.U_ENDS:
             for gamma in (True, False):
-                eta = draw_eta(gamma, np.ones(n_vox), 1e-3,
-                               half_normal_magnitudes(np.full(n_vox, u)))
+                eta = eta_draws(gamma, np.ones(n_vox), 1e-3, np.full(n_vox, u))
                 kappa = draw_kappa(np.sum(eta * eta), g_ends)
                 assert np.all(np.isfinite(kappa)) and np.all(kappa > 0)
+
+    def test_engine_logits_at_the_ends(self, monkeypatch):
+        # the smallest and largest uniform as voxels 0 and 1's gamma uniforms:
+        # logits -inf (so gamma = 1 at every sweep) and finite, with no warning
+        draw, logits = sampler._block_draws, []
+
+        def ends(rng, stages, *shapes):
+            draw(rng, stages, *shapes)
+            stages[0][:, :2, 0] = self.U_ENDS
+            logits.append(stages[0])  # the engine turns it into logits in place
+
+        monkeypatch.setattr(sampler, "_block_draws", ends)
+        x = design_for_length(12, on_len=3, off_len=3).bold
+        y = np.exp(1j * np.arange(36.0)).reshape(3, 12) + x
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            summary = run_parcel_chain(y, [np.ones(3)], x, SamplerConfig(n_iter=20, n_burn=0),
+                                       {0: range(3)}, trace_voxels=[0])
+        assert len(logits) == 1
+        assert np.all(logits[0][:, 0, 0] == -np.inf)
+        assert np.all(np.isfinite(logits[0][:, 1, 0]))
+        assert np.all(summary.trace[0][:, 0] == 1)
 
     def test_bits_do_not_depend_on_the_array(self):
         rng = np.random.default_rng(81)

@@ -62,3 +62,11 @@ def test_documented_exit_codes_match_the_error_types():
         # each clause of the sentence opens with its code
         named = {int(code) for code in re.findall(r"(?:^|;)\s*(\d)\b", sentence)}
         assert named == {0, errors.CvfmriError.exit_code} | {t.exit_code for t in types}
+
+
+def test_inclusion_log_odds_is_exported():
+    # the engine's gamma rule reads the log odds; the probability is their expit
+    from cvfmri import sampler
+
+    assert "inclusion_log_odds" in sampler.__all__
+    assert cvfmri.inclusion_log_odds is sampler.inclusion_log_odds

@@ -32,7 +32,7 @@ from cvfmri.sampler import (
     draw_rho,
     draw_sigma2,
     draw_tau2,
-    inclusion_probability,
+    inclusion_log_odds,
     prior_logit_spatial,
     run_parcel_chain,
     stitch_voxel_field,
@@ -41,23 +41,28 @@ from cvfmri.sampler import (
 from reference import design_stats, lag_stats, mcse, reference_nu2, residual_ss
 
 
-def block_draws(rng, it, cfg, n_vox, n_time):
+def block_draws(rng, it, cfg, n_vox, n_time, nu2):
     """The block of draws that sweep ``it`` opens, written from the documented
-    stream layout: uniforms for gamma, normal pairs for beta and rho, standard
-    gammas for sigma2, one uniform per sweep for tau2, then (spatial) uniforms
-    for eta, as their standard half-normal magnitudes -ndtri(u/2), and standard
-    gammas for kappa, or (nonspatial) one uniform per sweep for the shared
-    rate."""
+    stream layout: uniforms for gamma, as their logits log u - log1p(-u),
+    normal pairs for beta and rho, standard gammas for sigma2, one uniform per
+    sweep for tau2, then (spatial) uniforms for eta, as their standard
+    half-normal magnitudes h = -ndtri(u/2) times sqrt(nu2), and standard
+    gammas for kappa, with the sum of h^2 of each sweep, or (nonspatial) one
+    uniform per sweep for the shared rate."""
     k = min(BLOCK_SWEEPS, cfg.n_iter - it)
-    block = {
-        "gamma": rng.random((k, n_vox)),
+    u = rng.random((k, n_vox))
+    with np.errstate(divide="ignore"):
+        block = {"gamma": np.log(u) - np.log1p(-u)}
+    block.update({
         "beta": rng.standard_normal((k, n_vox, 2)),
         "rho": rng.standard_normal((k, n_vox, 2)),
         "sigma2": rng.standard_gamma(n_time - 1, (k, n_vox)),
         "tau2": rng.random(k),
-    }
+    })
     if cfg.mode != NONSPATIAL:
-        block["eta"] = -ndtri(np.maximum(rng.random((k, n_vox)) * 0.5, 1e-300))
+        h = -ndtri(np.maximum(rng.random((k, n_vox)) * 0.5, 1e-300))
+        block["eta"] = h * np.sqrt(nu2)
+        block["sum_h2"] = np.sum(h * h, axis=1)
         block["kappa"] = rng.standard_gamma(n_vox / 2 + A_KAPPA, k)
     else:
         block["rate"] = rng.random(k)
@@ -89,16 +94,17 @@ def reference_chain(y, nu2, x, cfg, seed):
     for it in range(cfg.n_iter):
         j = it % BLOCK_SWEEPS
         if j == 0:
-            block = block_draws(rng, it, cfg, n_vox, n_time)
+            block = block_draws(rng, it, cfg, n_vox, n_time, nu2)
         xnorm2, c = design_stats(yc, xc, rho)
         if spatial:
-            p = inclusion_probability(xnorm2, c, sigma2, tau2, prior_logit_spatial(cfg.psi, eta))
+            log_odds = inclusion_log_odds(xnorm2, c, sigma2, tau2,
+                                          prior_logit_spatial(cfg.psi, eta))
         else:
-            # the naive ratio formula, an oracle for the log-space shared-rate form
+            # the naive three-log formula, an oracle for the shared-rate log odds
             denom = xnorm2 + sigma2 / tau2
-            ratio = (tau2 / sigma2) * denom * np.exp(-np.abs(c) ** 2 / (2 * sigma2 * denom))
-            p = eta_shared / (eta_shared + ratio * (1 - eta_shared))
-        gamma = block["gamma"][j] < p
+            log_odds = (np.log(eta_shared / (1 - eta_shared)) - np.log((tau2 / sigma2) * denom)
+                        + np.abs(c) ** 2 / (2 * sigma2 * denom))
+        gamma = block["gamma"][j] < log_odds
         beta = draw_beta(xnorm2, c, sigma2, tau2, gamma, block["beta"][j].view(complex)[:, 0])
         wl2, cw = lag_stats(yc, xc, beta)
         rho, _ = draw_rho(cw, wl2, sigma2, block["rho"][j].view(complex)[:, 0])
@@ -107,8 +113,8 @@ def reference_chain(y, nu2, x, cfg, seed):
         tau2 = draw_tau2(int(gamma.sum()), float(np.sum(beta.real**2 + beta.imag**2)), tau2,
                          block["tau2"][j])
         if spatial:
-            eta = draw_eta(gamma, nu2, kappa, block["eta"][j])
-            kappa = draw_kappa(np.sum(eta * eta / nu2), block["kappa"][j])
+            eta = draw_eta(gamma, block["eta"][j], kappa ** -0.5)
+            kappa = draw_kappa(block["sum_h2"][j] / kappa, block["kappa"][j])
         else:
             eta_shared = draw_eta_shared(int(gamma.sum()), n_vox, block["rate"][j])
         history.append((gamma.copy(), beta.copy(), rho.copy(), sigma2.copy()))

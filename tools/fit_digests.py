@@ -1,14 +1,24 @@
-"""Fit fixed cases and print one sha256 digest of each fit's data outputs.
+"""Fit fixed cases and print two sha256 digests of each fit's data outputs.
 
 Usage: python3 tools/fit_digests.py [--workers N]
 
 Each case is simulated, written as a CVF1 file in a temporary directory and
 fitted through ``cvfmri fit`` with fit seed 7, 1000 sweeps and trace voxels
-0, 77, 1300 and 77 (listed twice). A case's digest covers the name and bytes
-of every output file except ``summary.csv`` and ``manifest.txt``, which record
-the wall time and the worker count: the maps, the PGM previews and the trace
-CSVs. Fits are deterministic and do not depend on the worker count, so two
-runs print the same lines at any ``--workers``, and a change that keeps every
+0, 77, 1300 and 77 (listed twice). Every output file except ``summary.csv``
+and ``manifest.txt``, which record the wall time and the worker count, falls
+in one of two groups, and each group's digest covers the name and bytes of
+its files:
+
+- ``decisions``: ``activation.csv``, ``incl_prob.csv``, ``mcse.csv`` and the
+  activation PGMs, which follow from the chain's gamma draws alone;
+- ``values``: ``magnitude.csv``, ``phase.csv``, the magnitude PGMs and the
+  trace CSVs, which also carry the floats of beta, rho and sigma^2.
+
+A change that moves the floats by rounding alone (another summation order,
+an equivalent formula) moves only the ``values`` line as long as every
+gamma draw stays the same. An output file in neither group stops the tool.
+Fits are deterministic and do not depend on the worker count, so two runs
+print the same lines at any ``--workers``, and a change that keeps every
 line keeps every map bit for bit. ``tools/fit_digests.txt`` records the
 lines of the current code, and CI diffs the ``--workers 1`` output against
 it; a change that alters the outputs on purpose updates that file. The cases:
@@ -28,6 +38,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import fnmatch
 import hashlib
 import io
 import sys
@@ -54,6 +65,11 @@ COMMON = ["--seed", "7", "--iters", "1000", "--trace-voxels", "0,77,1300,77"]
 REALISTIC = ["--psi", repr(float(ndtri(0.11))), "--stimulus-on", "15", "--stimulus-off", "15",
              "--stimulus-warmup", "10"]
 UNDIGESTED = {"summary.csv", "manifest.txt"}
+#: digest group -> the file name patterns it covers
+GROUPS = {
+    "decisions": ("activation.csv", "incl_prob.csv", "mcse.csv", "activation*.pgm"),
+    "values": ("magnitude.csv", "phase.csv", "magnitude*.pgm", "trace_voxel*.csv"),
+}
 
 
 def ar1_dataset():
@@ -82,13 +98,24 @@ CASES = {
 }
 
 
-def digest(out: Path) -> str:
-    h = hashlib.sha256()
+def group_of(name: str) -> str:
+    """The digest group of an output file; a file in none or both is an error."""
+    groups = [g for g, patterns in GROUPS.items()
+              if any(fnmatch.fnmatchcase(name, p) for p in patterns)]
+    if len(groups) != 1:
+        raise ValueError(f"output {name} falls in {len(groups)} digest groups, not one")
+    return groups[0]
+
+
+def digests(out: Path) -> dict:
+    """Each group's sha256 over the names and bytes of its files, in name order."""
+    hashes = {g: hashlib.sha256() for g in GROUPS}
     for path in sorted(out.iterdir()):
         if path.name not in UNDIGESTED:
+            h = hashes[group_of(path.name)]
             h.update(path.name.encode() + b"\0")
             h.update(path.read_bytes())
-    return h.hexdigest()
+    return {g: h.hexdigest() for g, h in hashes.items()}
 
 
 def main(argv=None) -> int:
@@ -105,7 +132,8 @@ def main(argv=None) -> int:
             if code != 0:
                 print(f"{name}: cvfmri fit exited {code}", file=sys.stderr)
                 return 1
-            print(f"{digest(out)}  {name}", flush=True)
+            for group, value in digests(out).items():
+                print(f"{value}  {name} {group}", flush=True)
     return 0
 
 
