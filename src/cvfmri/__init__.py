@@ -9,8 +9,6 @@ CLI (``cvfmri``) around simulate / fit / evaluate / reproduce.
 
 from .data import ComplexDataset, TrueMaps
 from .design import (
-    DesignVector,
-    StimulusSpec,
     boxcar_stimulus,
     design_for_length,
     double_gamma_hrf,

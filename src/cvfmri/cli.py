@@ -4,9 +4,8 @@ Subcommands: simulate, fit, evaluate, reproduce. Every fit setting is both a
 flag and a key of a flat "key = value" config file (# comments allowed, each
 key at most once): ``data``, ``G``, ``workers``, ``psi``, ``iters``,
 ``burn``, ``threshold``, ``mode``, ``seed``, ``mcse_tol``, ``stimulus_on``,
-``stimulus_off``, ``stimulus_on_first`` and ``stimulus_warmup``. A flag is
-the key with ``_`` written as ``-`` (``--mcse-tol``), and explicit flags
-override the file. Booleans are 1/true/yes/on or 0/false/no/off, in any case.
+``stimulus_off`` and ``stimulus_warmup``. A flag is the key with ``_``
+written as ``-`` (``--mcse-tol``), and explicit flags override the file.
 A setting given nowhere takes the default of
 :class:`~cvfmri.pipeline.FitConfig`, :class:`~cvfmri.sampler.SamplerConfig` or
 :func:`~cvfmri.design.design_for_length`. ``--trace-voxels`` is a flag only.
@@ -29,18 +28,6 @@ from .errors import CvfmriError, InsufficientDataError, InvalidSpecError
 from .sampler import SamplerConfig
 from .simulate import DEFAULT_MULTIPLIER
 
-_TRUE = ("1", "true", "yes", "on")
-_FALSE = ("0", "false", "no", "off")
-
-
-def boolean(text) -> bool:
-    """Parse 1/true/yes/on or 0/false/no/off, in any case."""
-    word = str(text).strip().lower()
-    if word not in _TRUE + _FALSE:
-        raise ValueError(f"expected {'/'.join(_TRUE)} or {'/'.join(_FALSE)}, got {text!r}")
-    return word in _TRUE
-
-
 #: Every fit setting, by flag and config-file name: the config class or
 #: function that takes it, the field or parameter it sets there, its coercion
 #: from text, and its help. ``data`` has no target; it names the file to fit.
@@ -57,7 +44,6 @@ _FIT_SETTINGS = {
     "mcse_tol": (SamplerConfig, "mcse_tol", float, None),
     "stimulus_on": (design_for_length, "on_len", int, None),
     "stimulus_off": (design_for_length, "off_len", int, None),
-    "stimulus_on_first": (design_for_length, "on_first", boolean, "start with an on block"),
     "stimulus_warmup": (design_for_length, "warmup", int, None),
 }
 
@@ -104,7 +90,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_simulate(args) -> int:
-    dataset, maps, design = pipeline.simulate_study_dataset(
+    dataset, maps, _ = pipeline.simulate_study_dataset(
         args.study, args.seed, n_time=args.T, multiplier=args.multiplier
     )
     out = Path(args.out)
@@ -178,8 +164,8 @@ def _cmd_fit(args) -> int:
         raise InsufficientDataError(
             f"{data}: series length T={dataset.n_time}; a chain needs at least 3 time points")
     stimulus = kwargs[design_for_length]
-    design = design_for_length(dataset.n_time, **stimulus)
-    result = pipeline.fit_dataset(dataset, design, cfg)
+    x = design_for_length(dataset.n_time, **stimulus)
+    result = pipeline.fit_dataset(dataset, x, cfg)
     defaults = inspect.signature(design_for_length).parameters
     manifest = {"data": data}
     for name, (target, param, *_) in _FIT_SETTINGS.items():

@@ -10,16 +10,12 @@ centers the regressor itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.special import gammaln, xlogy
 
 from .errors import DegenerateDesignError, InvalidSpecError
 
 __all__ = [
-    "StimulusSpec",
-    "DesignVector",
     "boxcar_stimulus",
     "double_gamma_hrf",
     "expected_bold",
@@ -35,57 +31,27 @@ HRF_UNDERSHOOT_RATE = 1.0
 HRF_UNDERSHOOT_RATIO = 1.0 / 6.0
 
 
-@dataclass(frozen=True)
-class StimulusSpec:
-    """A periodic on/off (boxcar) stimulus.
+def boxcar_stimulus(n_time: int, on_len: int = 20, off_len: int = 20,
+                    warmup: int = 0) -> np.ndarray:
+    """The 0/1 stimulus of a run of ``n_time`` points.
 
-    ``on_len`` must be at least one time point; ``off_len`` may be zero
-    (a degenerate always-on epoch). When ``on_first`` is false each epoch
-    starts with its off-block.
+    ``warmup`` off points come first, then epochs of ``on_len`` on points and
+    ``off_len`` off points repeat to the end of the run, the last one cut
+    short. ``on_len`` must be at least one time point; ``off_len`` may be zero
+    (always on after the warmup). A design that starts with its off block is
+    this one with ``off_len`` added to the warmup.
     """
-
-    n_epochs: int
-    on_len: int
-    off_len: int
-    on_first: bool = True
-
-    def __post_init__(self):
-        if self.n_epochs < 1:
-            raise InvalidSpecError("stimulus needs at least one epoch")
-        if self.on_len < 1:
-            raise InvalidSpecError("stimulus on-block must span at least one time point")
-        if self.off_len < 0:
-            raise InvalidSpecError("stimulus off-block length cannot be negative")
-
-
-@dataclass(frozen=True)
-class DesignVector:
-    """Stimulus sequence and expected BOLD response of a run."""
-
-    stimulus: np.ndarray
-    bold: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "stimulus", np.asarray(self.stimulus, dtype=np.int8))
-        object.__setattr__(self, "bold", np.asarray(self.bold, dtype=float))
-        if self.stimulus.shape != self.bold.shape:
-            raise InvalidSpecError("stimulus and BOLD response must share a length")
-
-    @property
-    def n_time(self) -> int:
-        return self.bold.size
-
-
-def boxcar_stimulus(spec: StimulusSpec) -> np.ndarray:
-    """Build the 0/1 stimulus sequence for ``spec``.
-
-    Within each epoch the on-block precedes the off-block when ``on_first``,
-    otherwise the order is reversed.
-    """
-    on = np.ones(spec.on_len, dtype=np.int8)
-    off = np.zeros(spec.off_len, dtype=np.int8)
-    epoch = np.concatenate([on, off] if spec.on_first else [off, on])
-    return np.tile(epoch, spec.n_epochs)
+    if n_time < 1:
+        raise InvalidSpecError("design length must be positive")
+    if warmup < 0 or warmup >= n_time:
+        raise InvalidSpecError("warmup must lie in [0, n_time)")
+    if on_len < 1:
+        raise InvalidSpecError("stimulus on-block must span at least one time point")
+    if off_len < 0:
+        raise InvalidSpecError("stimulus off-block length cannot be negative")
+    on_len, off_len = min(on_len, n_time), min(off_len, n_time)  # longer blocks are cut anyway
+    t = np.arange(n_time) - warmup
+    return ((t >= 0) & (t % (on_len + off_len) < on_len)).astype(np.int8)
 
 
 def _gamma_kernel(t: np.ndarray, shape: float, rate: float) -> np.ndarray:
@@ -129,21 +95,12 @@ def design_for_length(
     n_time: int,
     on_len: int = 20,
     off_len: int = 20,
-    on_first: bool = True,
     warmup: int = 0,
-) -> DesignVector:
-    """Build a design of exactly ``n_time`` points from a repeating epoch pattern.
+) -> np.ndarray:
+    """The regressor of a run of ``n_time`` points: the expected BOLD response
+    of :func:`boxcar_stimulus` with the same arguments.
 
-    ``warmup`` off points are prepended, then epochs are tiled and the sequence
-    is truncated to ``n_time``. Truncation commutes with the causal HRF
-    convolution, so partial final epochs are well defined.
+    Truncation commutes with the causal HRF convolution, so partial final
+    epochs are well defined.
     """
-    if n_time < 1:
-        raise InvalidSpecError("design length must be positive")
-    if warmup < 0 or warmup >= n_time:
-        raise InvalidSpecError("warmup must lie in [0, n_time)")
-    on_len, off_len = min(on_len, n_time), min(off_len, n_time)  # longer blocks are cut anyway
-    n_epochs = -(-(n_time - warmup) // max(on_len + off_len, 1)) or 1
-    stim = boxcar_stimulus(StimulusSpec(n_epochs, on_len, off_len, on_first))
-    stim = np.concatenate([np.zeros(warmup, dtype=np.int8), stim])[:n_time]
-    return DesignVector(stim, expected_bold(stim))
+    return expected_bold(boxcar_stimulus(n_time, on_len, off_len, warmup))

@@ -49,7 +49,6 @@ class Partition:
     runs over that box in row-major order."""
 
     dims: tuple
-    n_parcels: int
     assignment: np.ndarray
     parcel_voxel_lists: list
     parcel_shapes: list
@@ -118,7 +117,7 @@ def partition_grid(dims, n_parcels: int) -> Partition:
         box = index_grid[region]
         voxel_lists.append(box.ravel())
         shapes.append(box.shape)
-    return Partition(dims, n_parcels, assignment.ravel(), voxel_lists, shapes)
+    return Partition(dims, assignment.ravel(), voxel_lists, shapes)
 
 
 def _neighbor_offsets(n_axes: int):

@@ -30,7 +30,7 @@ from scipy.special import ndtri
 
 from . import dataio
 from .data import ComplexDataset
-from .design import DesignVector, design_for_length
+from .design import design_for_length
 from .errors import CvfmriError, DataFormatError, InvalidSpecError, UndefinedMetricError
 from .metrics import (
     REPORT_COLUMNS,
@@ -170,10 +170,10 @@ def _batch_job(fit, lo: int, hi: int):
                             trace_voxels=traced or None)
 
 
-def fit_dataset(dataset: ComplexDataset, design: DesignVector, cfg: FitConfig) -> FitResult:
-    """Partition, run all parcel chains, and stitch the result maps.
+def fit_dataset(dataset: ComplexDataset, x: np.ndarray, cfg: FitConfig) -> FitResult:
+    """Partition, run all parcel chains on the regressor ``x``, stitch the maps.
 
-    The output is a pure function of (dataset, design, sampler config, seed);
+    The output is a pure function of (dataset, x, sampler config, seed);
     worker count only affects wall-clock time. The basis builds and chains
     call BLAS and LAPACK only on q x q matrices and the regressor, so their
     per-voxel work runs on the calling thread whatever the library's thread
@@ -182,9 +182,10 @@ def fit_dataset(dataset: ComplexDataset, design: DesignVector, cfg: FitConfig) -
     rows: the engine gathers one parcel's at a time. ``unconverged_parcels``
     lists each parcel with a voxel whose MCSE is at or over ``mcse_tol``.
     """
-    if design.n_time != dataset.n_time:
+    x = np.asarray(x, dtype=float)
+    if x.size != dataset.n_time:
         raise InvalidSpecError(
-            f"design length {design.n_time} does not match dataset T {dataset.n_time}"
+            f"design length {x.size} does not match dataset T {dataset.n_time}"
         )
     started = time.perf_counter()
     partition = partition_grid(dataset.dims, cfg.n_parcels)
@@ -199,7 +200,7 @@ def fit_dataset(dataset: ComplexDataset, design: DesignVector, cfg: FitConfig) -
         if not 0 <= gv < dataset.n_voxels:
             raise InvalidSpecError(f"trace voxel {gv} lies outside [0, {dataset.n_voxels})")
 
-    fit = (dataset.voxel_view(), partition, design.bold, cfg)
+    fit = (dataset.voxel_view(), partition, x, cfg)
     workers = cfg.resolved_workers()
     bounds = _parcel_ranges(partition.parcel_sizes(), workers)
     ranges = list(zip(bounds[:-1], bounds[1:]))
@@ -402,9 +403,9 @@ def write_report_csv(path, rows, columns=("dataset",) + REPORT_COLUMNS, mean_row
 
 def simulate_study_dataset(study: str, seed: int, n_time: int | None = None,
                            multiplier: float | None = None):
-    """One dataset of the named study with its ground truth and design.
+    """One dataset of the named study with its ground truth and regressor.
 
-    Returns ``(dataset, maps, design)``. Seeds for the map and the noise are
+    Returns ``(dataset, maps, x)``. Seeds for the map and the noise are
     derived from ``seed`` so replicates differ in both. The iid and ar1
     studies take ``n_time`` (default 200) and ``multiplier`` (default
     ``DEFAULT_MULTIPLIER``); the realistic study fixes both and takes neither.
@@ -418,26 +419,26 @@ def simulate_study_dataset(study: str, seed: int, n_time: int | None = None,
     multiplier = DEFAULT_MULTIPLIER if multiplier is None else multiplier
     if n_time < 3:
         raise InvalidSpecError(f"T must be at least 3 (the fewest a chain takes), got {n_time}")
-    design = design_for_length(n_time)
+    x = design_for_length(n_time)
     maps = generate_true_maps((50, 50), regions=None, multiplier=multiplier,
                               seed=derive_seed(seed, 0))
     sig = SignalSpec(beta0=0.4909, theta0=np.pi / 4)
     if study == "iid":
         noise = NoiseSpec("iid", sigma=0.04909)
-        dataset = simulate_iid(maps, design, sig, noise, derive_seed(seed, 1))
+        dataset = simulate_iid(maps, x, sig, noise, derive_seed(seed, 1))
     elif study == "ar1":
         noise = NoiseSpec("ar1", sigma=0.04909, ar_coeff=0.2 + 0.9j)
-        dataset = simulate_ar1(maps, design, sig, noise, derive_seed(seed, 1))
+        dataset = simulate_ar1(maps, x, sig, noise, derive_seed(seed, 1))
     else:
         raise InvalidSpecError(f"unknown study {study!r}")
-    return dataset, maps, design
+    return dataset, maps, x
 
 
 def _run_replicate(study, master_seed, rep, fit_cfg: FitConfig, n_time=200):
     rep_seed = derive_seed(master_seed, rep)
-    dataset, maps, design = simulate_study_dataset(study, rep_seed, n_time=n_time)
+    dataset, maps, x = simulate_study_dataset(study, rep_seed, n_time=n_time)
     cfg = replace(fit_cfg, sampler=replace(fit_cfg.sampler, seed=derive_seed(rep_seed, 3)))
-    result = fit_dataset(dataset, design, cfg)
+    result = fit_dataset(dataset, x, cfg)
     row = evaluate_arrays(
         maps.active,
         maps.magnitude,
@@ -481,14 +482,14 @@ def _reproduce_params(n_replicates, seed, base: FitConfig):
 def _reproduce_realistic(seed, base: FitConfig):
     """Per-slice detection table for the seven-slice dynamic-phase volume."""
     dataset, maps = simulate_realistic(derive_seed(seed, 2))
-    design = realistic_design(dataset.n_time)
+    x = realistic_design(dataset.n_time)
     rows = []
     for s in range(dataset.dims[0]):
         sl = dataset.slice_dataset(s)
         truth = maps.slice_maps(s)
         cfg = replace(base, n_parcels=REALISTIC_G,
                       sampler=SamplerConfig(psi=REALISTIC_PSI, seed=derive_seed(seed, 100 + s)))
-        result = fit_dataset(sl, design, cfg)
+        result = fit_dataset(sl, x, cfg)
         cls = classification_metrics(truth.active, result.maps.activation)
         rows.append([
             f"slice{s + 1}",

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import ComplexDataset, TrueMaps
-from .design import DesignVector, design_for_length
+from .design import design_for_length
 from .errors import InvalidSpecError
 
 __all__ = [
@@ -187,14 +187,14 @@ def _signal_mean(maps: TrueMaps, x: np.ndarray, sig: SignalSpec):
     return sig.beta0 + beta1 * x[None, :]
 
 
-def _simulate_constant_phase(kind: str, maps: TrueMaps, design: DesignVector,
+def _simulate_constant_phase(kind: str, maps: TrueMaps, x: np.ndarray,
                              sig: SignalSpec, noise: NoiseSpec, seed) -> ComplexDataset:
     if noise.kind != kind:
         raise InvalidSpecError(f"simulate_{kind} requires noise kind {kind!r}")
-    if design.n_time < 2:
+    x = np.asarray(x, dtype=float)
+    if x.size < 2:
         raise InvalidSpecError("simulation needs at least two time points")
     rng = np.random.default_rng(seed)
-    x = design.bold
     mean = _signal_mean(maps, x, sig) * np.exp(1j * sig.theta0)
     z = rng.standard_normal((maps.active.size, x.size, 2))
     eps = noise.sigma * (z[..., 0] + 1j * z[..., 1])
@@ -205,7 +205,7 @@ def _simulate_constant_phase(kind: str, maps: TrueMaps, design: DesignVector,
     return ComplexDataset(maps.dims, (mean + eps).reshape(*maps.dims, x.size))
 
 
-def simulate_iid(maps: TrueMaps, design: DesignVector, sig: SignalSpec,
+def simulate_iid(maps: TrueMaps, x: np.ndarray, sig: SignalSpec,
                  noise: NoiseSpec, seed) -> ComplexDataset:
     """Constant-phase signal plus iid complex Gaussian noise.
 
@@ -213,10 +213,10 @@ def simulate_iid(maps: TrueMaps, design: DesignVector, sig: SignalSpec,
     (beta0 + beta1_v x_t) cos(theta0) + eps and the analogous sine term, with
     independent N(0, sigma^2) noise on each channel.
     """
-    return _simulate_constant_phase("iid", maps, design, sig, noise, seed)
+    return _simulate_constant_phase("iid", maps, x, sig, noise, seed)
 
 
-def simulate_ar1(maps: TrueMaps, design: DesignVector, sig: SignalSpec,
+def simulate_ar1(maps: TrueMaps, x: np.ndarray, sig: SignalSpec,
                  noise: NoiseSpec, seed) -> ComplexDataset:
     """Same mean structure as :func:`simulate_iid` with complex AR(1) noise.
 
@@ -224,11 +224,11 @@ def simulate_ar1(maps: TrueMaps, design: DesignVector, sig: SignalSpec,
     arithmetic, started at eps_0 = xi_0; innovations share the draw order of
     the iid generator so ar_coeff = 0 reproduces it bit for bit.
     """
-    return _simulate_constant_phase("ar1", maps, design, sig, noise, seed)
+    return _simulate_constant_phase("ar1", maps, x, sig, noise, seed)
 
 
-def realistic_design(n_time: int = 490) -> DesignVector:
-    """Finger-tapping style design: 10 warm-up points, then 15-on/15-off epochs."""
+def realistic_design(n_time: int = 490) -> np.ndarray:
+    """Regressor of a finger-tapping design: 10 warm-up points, then 15-on/15-off epochs."""
     return design_for_length(n_time, on_len=15, off_len=15, warmup=10)
 
 
@@ -252,8 +252,7 @@ def simulate_realistic(
         raise InvalidSpecError("taper must provide one factor per slice")
     slice_shape = REALISTIC_SLICE_SHAPE
     dims = (n_slices, *slice_shape)
-    design = realistic_design(n_time)
-    x = design.bold
+    x = realistic_design(n_time)
     rng = np.random.default_rng(seed)
 
     slice_active = np.zeros(slice_shape, dtype=np.int8)

@@ -10,7 +10,8 @@ conditional, taking their standard variates from ``rng`` in the order and
 layout of the engine's stream (two normals per complex draw).
 
 ``mcse`` is the oracle of the engine's batch-means MCSE, on a stack of kept
-draws. ``graph_laplacian`` is the dense oracle of a parcel's graph Laplacian,
+draws. ``complex_wald`` and ``magnitude_t`` are per-voxel statistics of the
+data that the posterior's ranking of voxels must match or beat. ``graph_laplacian`` is the dense oracle of a parcel's graph Laplacian,
 ``reference_eigenvectors`` and ``reference_nu2`` those of the spatial basis
 of any graph at any minimum rank q, and ``probit_log_odds`` that of the
 spatial prior's log odds.
@@ -206,3 +207,32 @@ def mcse(draws: np.ndarray) -> np.ndarray:
     batch_means = used.reshape(b, m, *draws.shape[1:]).mean(axis=1)
     out = batch_means.std(axis=0, ddof=1) / math.sqrt(b)
     return out if draws.ndim > 1 else float(out)
+
+
+def complex_wald(y, x):
+    """The complex OLS Wald statistic of each series of a (V, T) stack.
+
+    Complex least squares of the centred series on the centred real regressor
+    gives b = sum x_c y_c / ||x_c||^2 and the residual sum of squares RSS; the
+    statistic is |b|^2 ||x_c||^2 / RSS. This is the complex-valued activation
+    test of Rowe & Logan (2004) without its constant-phase restriction, and it
+    ignores the AR(1) errors.
+    """
+    yc = y - y.mean(axis=-1, keepdims=True)
+    xc = x - x.mean()
+    sxx = xc @ xc
+    b = yc @ xc / sxx
+    rss = np.sum(np.abs(yc - b[:, None] * xc) ** 2, axis=-1)
+    return np.abs(b) ** 2 * sxx / rss
+
+
+def magnitude_t(y, x):
+    """The one-sided OLS t statistic of |y| on the regressor, per series: the
+    magnitude-only analysis, which discards the phase."""
+    m = np.abs(y)
+    mc = m - m.mean(axis=-1, keepdims=True)
+    xc = x - x.mean()
+    sxx = xc @ xc
+    b = mc @ xc / sxx
+    rss = np.sum((mc - b[:, None] * xc) ** 2, axis=-1)
+    return b / np.sqrt(rss / (x.size - 2) / sxx)

@@ -364,7 +364,7 @@ class TestRecoveryCriteria:
 
         # 100-sweep traced run: gamma=0 => beta=(0,0) and sigma2 > 0 after every sweep
         rng2 = np.random.default_rng(1)
-        x = design_for_length(100).bold
+        x = design_for_length(100)
         y = 0.5 + 0.05 * (rng2.standard_normal((100, 100)) + 1j * rng2.standard_normal((100, 100)))
         part = partition_grid((10, 10), 1)
         nu2 = build_spatial_basis(build_adjacency(part.parcel_voxel_lists[0], (10, 10)), (10, 10))

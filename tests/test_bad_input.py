@@ -113,11 +113,13 @@ def dataset_cases():
     short = cvf1(n_time=3)
     yield fit_case("T=3-warmup=2", short, ("--stimulus-warmup", "2"), 2,
                    "expected BOLD response has no positive peak")
-    yield fit_case("T=3-off-first", short, ("--stimulus-on-first", "0", "--stimulus-off", "5"),
-                   2, "expected BOLD response has no positive peak")
-    # a block past the run's end is cut before it is built, never allocated whole
+    # a design that opens with its off block is written as a warmup spanning
+    # that block; at T=3 an off block of 5 leaves no room for the on block
+    yield fit_case("T=3-off-first", short, ("--stimulus-warmup", "3", "--stimulus-off", "5"),
+                   2, "warmup must lie in [0, n_time)")
+    # a block past the run's end is cut to the run before it is used
     yield fit_case("off-first-off=10^12", good,
-                   ("--stimulus-on-first", "0", f"--stimulus-off={10**12}"), 2,
+                   ("--stimulus-warmup", str(T - 1), f"--stimulus-off={10**12}"), 2,
                    "expected BOLD response has no positive peak")
     volume = cvf1((4, 4, 4))
     for workers in ("1", "2"):
@@ -148,9 +150,11 @@ def config_cases():
                           f"unknown config keys: [{key!r}]")
     yield config_case("config-repeated-key", f"G = {rng.integers(2, 9)}\n".encode(), 3,
                       "'G' is given more than once")
+    # the key of the on-first flag is gone, whatever its value
     for word in ("ture", "2", ""):
-        yield config_case(f"config-boolean={word!r}", f"stimulus_on_first = {word}\n".encode(),
-                          2, "config key stimulus_on_first: expected 1/true/yes/on")
+        yield config_case(f"config-stimulus_on_first={word!r}",
+                          f"stimulus_on_first = {word}\n".encode(), 2,
+                          "unknown config keys: ['stimulus_on_first']")
     for key, value in (("seed", "four"), ("burn", "4.5"), ("stimulus_on", "1e3")):
         yield config_case(f"config-{key}={value}", f"{key} = {value}\n".encode(), 2,
                           f"config key {key}: invalid literal for int()")
@@ -200,7 +204,7 @@ def flag_cases():
             # "=" keeps a leading "-" from reading as a flag
             yield fit_case(f"{flag}={value}", cvf1(), (f"{flag}={value}",), 2, message)
     for flag, value, kind in (("--G", "2.5", "int"), ("--iters", "nan", "int"),
-                              ("--psi", "x", "float"), ("--stimulus-on-first", "2", "boolean")):
+                              ("--psi", "x", "float")):
         yield Case(f"argparse{flag}={value}", {}, FIT + (flag, value), 2,
                    f"cvfmri fit: error: argument {flag}: invalid {kind} value: '{value}'")
     for value in ("0", negative, "1", "2"):

@@ -539,7 +539,7 @@ class TestInverseTransforms:
             logits.append(stages[0])  # the engine turns it into logits in place
 
         monkeypatch.setattr(sampler, "_block_draws", ends)
-        x = design_for_length(12, on_len=3, off_len=3).bold
+        x = design_for_length(12, on_len=3, off_len=3)
         y = np.exp(1j * np.arange(36.0)).reshape(3, 12) + x
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -63,7 +63,7 @@ class TestPartition:
 
     def test_prime_falls_back_to_strips(self):
         p = partition_grid((50, 50), 7)
-        assert p.n_parcels == 7
+        assert len(p.parcel_voxel_lists) == 7
         # strips: each parcel spans the full second axis
         assert all(e == 50 for e in block_extents(p, 1))
 

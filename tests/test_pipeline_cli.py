@@ -38,10 +38,11 @@ from cvfmri.simulate import (
     simulate_iid,
 )
 
-#: Fit settings that are fixed parts of the model now, with the values they
-#: had as defaults: no flag or config key sets them.
+#: Fit settings that are gone, with the values they had as defaults: no flag
+#: or config key sets them. The spatial prior's are fixed parts of the model;
+#: an off-first stimulus is a longer ``stimulus_warmup``.
 REMOVED_SETTINGS = {"neighborhood": "edge+corner", "q": "5", "a_kappa": "0.5",
-                    "b_kappa": "2000"}
+                    "b_kappa": "2000", "stimulus_on_first": "1"}
 
 DATA_FILES = (
     "activation.csv",
@@ -373,7 +374,7 @@ class TestCli:
             "data": str(sim / "dataset.cvf"), "G": "4", "workers": "1", "psi": "-0.3",
             "iters": "40", "burn": "10", "threshold": "0.7", "mode": "spatial", "seed": "8",
             "mcse_tol": "0.2", "stimulus_on": "12", "stimulus_off": "8",
-            "stimulus_on_first": "No", "stimulus_warmup": "3",
+            "stimulus_warmup": "3",
         }
         assert set(settings) == set(cli._FIT_SETTINGS)
         cfg = tmp_path / "all.cfg"
@@ -386,22 +387,10 @@ class TestCli:
         for manifest in manifests:
             del manifest["time_seconds"]
         assert manifests[0] == manifests[1]
-        assert manifests[0]["stimulus_on_first"] == "False"
+        assert manifests[0]["stimulus_warmup"] == "3"
         assert not set(REMOVED_SETTINGS) & set(manifests[0])
         for name in DATA_FILES:
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
-
-    def test_booleans_parse_strictly(self, tmp_path, capsys):
-        cfg = tmp_path / "typo.cfg"
-        cfg.write_text(f"data = {tmp_path / 'none.cvf'}\nstimulus_on_first = ture\n")
-        assert self.run("fit", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
-        assert "stimulus_on_first" in capsys.readouterr().err
-        with pytest.raises(SystemExit) as exc:
-            self.run("fit", "--data", "d.cvf", "--out", str(tmp_path / "o"),
-                     "--stimulus-on-first", "ture")
-        assert exc.value.code == 2
-        assert [cli.boolean(w) for w in ("1", "TRUE", "Yes", "on")] == [True] * 4
-        assert [cli.boolean(w) for w in ("0", "False", "NO", "off")] == [False] * 4
 
     @pytest.mark.parametrize("key", list(REMOVED_SETTINGS))
     def test_removed_setting_in_config_rejected_before_read(self, tmp_path, capsys, key):

@@ -142,7 +142,7 @@ def assert_trace_matches(trace, history, rows):
 def tiny_instance():
     rng = np.random.default_rng(555)
     n_vox, n_time = 4, 12
-    x = design_for_length(n_time, on_len=3, off_len=3).bold
+    x = design_for_length(n_time, on_len=3, off_len=3)
     beta_true = np.array([0.0, 0.5, 0.0, 1.0])
     y = (1.0 + beta_true[:, None] * x[None, :]) * np.exp(1j * 0.6)
     y = y + 0.3 * (rng.standard_normal((n_vox, n_time)) + 1j * rng.standard_normal((n_vox, n_time)))
@@ -162,7 +162,7 @@ def batch_instance():
     rng = np.random.default_rng(556)
     sizes = (4, 3, 5)
     n_time = 12
-    x = design_for_length(n_time, on_len=3, off_len=3).bold
+    x = design_for_length(n_time, on_len=3, off_len=3)
     beta_true = rng.choice([0.0, 0.5, 1.0], size=sum(sizes))
     y = (1.0 + beta_true[:, None] * x[None, :]) * np.exp(1j * 0.6)
     y = y + 0.3 * (rng.standard_normal(y.shape) + 1j * rng.standard_normal(y.shape))
@@ -219,7 +219,7 @@ class TestChainBehavior:
     def test_pure_noise_parcel_stays_quiet(self):
         rng = np.random.default_rng(8)
         n_vox, n_time = 100, 200
-        x = design_for_length(n_time).bold
+        x = design_for_length(n_time)
         y = 0.5 + 0.2 * (rng.standard_normal((n_vox, n_time)) + 1j * rng.standard_normal((n_vox, n_time)))
         part = partition_grid((10, 10), 1)
         nu2 = build_spatial_basis(build_adjacency(part.parcel_voxel_lists[0], (10, 10)), (10, 10))
@@ -231,7 +231,7 @@ class TestChainBehavior:
     def test_strong_signal_detected(self):
         rng = np.random.default_rng(9)
         n_time = 200
-        x = design_for_length(n_time).bold
+        x = design_for_length(n_time)
         sigma = 0.05
         beta_true = np.array([0.0, 5 * sigma, 0.0, 0.0])  # CNR 5
         y = (0.5 + beta_true[:, None] * x[None, :]) * np.exp(1j * np.pi / 4)
@@ -243,7 +243,7 @@ class TestChainBehavior:
 
     def test_inclusion_monotone_in_signal_strength(self):
         n_time = 200
-        x = design_for_length(n_time).bold
+        x = design_for_length(n_time)
         sigma = 0.05
         beta_true = np.array([0.5 * sigma, 2.0 * sigma, 0.0, 0.0])
         nu2 = reference_nu2(build_adjacency(np.arange(4), (1, 4)), 2)
@@ -288,7 +288,7 @@ class TestChainBehavior:
         # 1600-voxel batch would add 1.4 MiB)
         part = partition_grid((40, 40), 16)
         rng = np.random.default_rng(31)
-        x = design_for_length(60).bold
+        x = design_for_length(60)
         y = 1.0 + 0.05 * (rng.standard_normal((1600, 60)) + 1j * rng.standard_normal((1600, 60)))
         peaks = []
         for n_iter in (200, 2000):
@@ -331,7 +331,7 @@ class TestBatchInvariance:
         lists = part.parcel_voxel_lists
         rng = np.random.default_rng(17)
         n_vox, n_time = 11 * 13, 60
-        x = design_for_length(n_time).bold
+        x = design_for_length(n_time)
         beta_true = np.where(rng.random(n_vox) < 0.3, 0.15, 0.0)
         y = (1.0 + beta_true[:, None] * x[None, :]) * np.exp(0.4j)
         y = y + 0.05 * (rng.standard_normal(y.shape) + 1j * rng.standard_normal(y.shape))

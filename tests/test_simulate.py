@@ -7,7 +7,7 @@ import pytest
 
 from cvfmri import simulate
 from cvfmri.data import TrueMaps
-from cvfmri.design import DesignVector, design_for_length
+from cvfmri.design import design_for_length
 from cvfmri.errors import InvalidSpecError
 from cvfmri.simulate import (
     NoiseSpec,
@@ -121,7 +121,7 @@ class TestIid:
         sig = SignalSpec(beta0=0.4909)
         ds = simulate_iid(maps, design, sig, NoiseSpec("iid", sigma=0.0), seed=0)
         flat = ds.voxel_view()
-        expected = sig.beta0 + maps.magnitude.reshape(-1, 1) * design.bold[None, :]
+        expected = sig.beta0 + maps.magnitude.reshape(-1, 1) * design[None, :]
         assert np.allclose(np.abs(flat), expected, atol=1e-12)
 
 
@@ -139,7 +139,7 @@ class TestAr1:
 
     def _noise_path(self, n_time, seed, sigma=1.0):
         maps = generate_true_maps((1, 1), [], MULT)
-        design = DesignVector(np.zeros(n_time, dtype=np.int8), np.zeros(n_time))
+        design = np.zeros(n_time)
         sig = SignalSpec(beta0=0.0)
         ds = simulate_ar1(maps, design, sig, NoiseSpec("ar1", sigma=sigma), seed=seed)
         return ds.data[0, 0]
@@ -163,12 +163,12 @@ class TestAr1:
         # re-derive the innovations from the documented draw order, then run
         # the 2x2 rotation-matrix recursion on stacked (re, im) pairs
         maps, design = _small_setup()
-        n_time = design.n_time
+        n_time = design.size
         sig = SignalSpec(beta0=0.0, theta0=0.0)
         seed = 5
         ds = simulate_ar1(maps, design, sig, NoiseSpec("ar1", sigma=1.0), seed=seed)
         z = np.random.default_rng(seed).standard_normal((64, n_time, 2))
-        mean = maps.magnitude.reshape(-1, 1) * design.bold[None, :]
+        mean = maps.magnitude.reshape(-1, 1) * design[None, :]
         eps = ds.voxel_view() - mean
         mat = np.array([[0.2, -0.9], [0.9, 0.2]])
         state = z[:, 0, :].copy()

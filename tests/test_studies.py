@@ -37,7 +37,7 @@ def test_three_dimensional_fit_outputs(tmp_path):
     design = design_for_length(n_time, on_len=5, off_len=5)
     signal = np.zeros(dims)
     signal[1, 2:4, 2:4] = 0.3
-    mean = 1.0 + signal.reshape(-1, 1) * design.bold[None, :]
+    mean = 1.0 + signal.reshape(-1, 1) * design[None, :]
     noise = 0.05 * (rng.standard_normal((72, n_time)) + 1j * rng.standard_normal((72, n_time)))
     ds = ComplexDataset(dims, (mean * np.exp(0.5j) + noise).reshape(*dims, n_time))
     cfg = FitConfig(n_parcels=2, workers=1,
