@@ -1,10 +1,10 @@
 """Image parcellation and per-parcel spatial machinery.
 
 The grid is split into G rectangular boxes of approximately equal size. Each
-box gets its own sparse adjacency matrix and, from its principal adjacency
-eigenvectors M, its spatial basis: the prior variance scale nu2 of every
-voxel's probit latent, which is all the sampler reads of the spatial prior
-once the random effects are integrated out.
+box gets its own edge list and, from its principal adjacency eigenvectors M,
+its spatial basis: the prior variance scale nu2 of every voxel's probit
+latent, which is all the sampler reads of the spatial prior once the random
+effects are integrated out.
 
 A box's adjacency joins voxels that touch by a face, an edge or a corner, so
 its graph is the strong product of the axes' path graphs, and A + I is the
@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
-from scipy import sparse
 
 from .errors import InvalidSpecError, SingularBasisError
 
@@ -120,37 +119,28 @@ def partition_grid(dims, n_parcels: int) -> Partition:
     return Partition(dims, assignment.ravel(), voxel_lists, shapes)
 
 
-def _neighbor_offsets(n_axes: int):
-    """Every nonzero offset in {-1, 0, 1}^n_axes: 8 neighbours in 2-D, 26 in 3-D."""
-    return [np.array(off) - 1 for off in np.ndindex(*(3,) * n_axes) if off != (1,) * n_axes]
+def build_adjacency(shape):
+    """The edges of a box of extents ``shape``, as index arrays ``(i, j)``
+    with i < j, sorted by i and then by j: voxels, numbered in row-major
+    order, are neighbours when they touch by a face, an edge or a corner.
 
-
-def build_adjacency(voxels, dims) -> sparse.csr_array:
-    """Symmetric 0/1 adjacency among ``voxels``, truncated at the parcel border:
-    voxels are neighbours when they touch by a face, an edge or a corner.
-
-    Returned as an int8 CSR matrix: a parcel of V voxels stores about V times
-    its neighbour count of entries, never a V x V array.
+    Each forward offset in {-1, 0, 1}^n (4 in 2-D, 13 in 3-D) pairs one
+    shifted slice of the box's indices with another, so no V x V structure is
+    formed.
     """
-    voxels = np.asarray(voxels, dtype=np.int64)
-    if voxels.size == 0:
-        raise InvalidSpecError("parcel voxel list is empty")
-    dims = tuple(int(d) for d in dims)
-    n = voxels.size
-    coords = np.stack(np.unravel_index(voxels, dims), axis=1)
-    local = -np.ones(dims, dtype=np.int64)
-    local[tuple(coords.T)] = np.arange(n)
-    rows, cols = [], []
-    for delta in _neighbor_offsets(len(dims)):
-        nb = coords + delta
-        ok = np.all((nb >= 0) & (nb < np.asarray(dims)), axis=1)
-        src = np.flatnonzero(ok)
-        dst = local[tuple(nb[src].T)]
-        inside = dst >= 0
-        rows.append(src[inside])
-        cols.append(dst[inside])
-    rows, cols = np.concatenate(rows), np.concatenate(cols)
-    return sparse.csr_array((np.ones(rows.size, dtype=np.int8), (rows, cols)), shape=(n, n))
+    shape = tuple(int(n) for n in shape)
+    index = np.arange(int(np.prod(shape))).reshape(shape)
+    i, j = [], []
+    # an offset's digit d in {0, 1, 2} shifts its axis by d - 1; the offsets
+    # after the middle one, (1, ..., 1), are the forward ones
+    for offset in list(np.ndindex((3,) * len(shape)))[3 ** len(shape) // 2 + 1:]:
+        src = tuple(slice(max(0, 1 - d), n - max(0, d - 1)) for d, n in zip(offset, shape))
+        dst = tuple(slice(max(0, d - 1), n - max(0, 1 - d)) for d, n in zip(offset, shape))
+        i.append(index[src].ravel())
+        j.append(index[dst].ravel())
+    i, j = np.concatenate(i), np.concatenate(j)
+    order = np.lexsort((j, i))
+    return i[order], j[order]
 
 
 def _principal_vectors(shape) -> np.ndarray:
@@ -180,14 +170,14 @@ def _principal_vectors(shape) -> np.ndarray:
     return np.column_stack(columns)
 
 
-def build_spatial_basis(adjacency, shape) -> np.ndarray:
+def build_spatial_basis(edges, shape) -> np.ndarray:
     """The spatial basis of a box parcel of extents ``shape``: nu2, one value
     per voxel, in the row-major order of the box.
 
     nu2 is the diagonal of I + M (M'QM)^-1 M', with M the principal adjacency
     eigenvectors of the box (at least ``SPATIAL_RANK``, and whole tied
     eigenspaces; see :func:`_principal_vectors`) and Q the graph Laplacian of
-    ``adjacency``, the box's :func:`build_adjacency`: the variance scale of
+    ``edges``, the box's :func:`build_adjacency`: the variance scale of
     each voxel's probit latent once the spatial random effects are integrated
     out.
 
@@ -204,19 +194,19 @@ def build_spatial_basis(adjacency, shape) -> np.ndarray:
         raise InvalidSpecError(
             f"a spatial basis of rank {SPATIAL_RANK} needs a box of at least "
             f"{SPATIAL_RANK} voxels, got extents {shape}")
-    if adjacency.shape != (n_vox, n_vox):
+    i, j = edges
+    # a box's edges touch each of its voxels, and no other
+    degree = np.bincount(np.concatenate(edges), minlength=n_vox)
+    if degree.size != n_vox or degree.min() == 0:
         raise InvalidSpecError(
-            f"adjacency of shape {adjacency.shape} does not fit a box of extents {shape}")
+            f"edges over voxels 0 to {degree.size - 1} do not fit a box of extents {shape}")
     m = _principal_vectors(shape)
-    i, j = adjacency.nonzero()
-    upper = i < j
-    diff = m[i[upper]] - m[j[upper]]
+    diff = m[i] - m[j]
     # einsum, not BLAS, for every product that grows with V: LAPACK below
     # sees only q x q matrices, so no BLAS helper thread wakes per parcel
     qs = np.einsum("ei,ej->ij", diff, diff)
     eigs = np.linalg.eigvalsh(qs)
-    max_degree = int(np.bincount(i, minlength=n_vox).max())
-    if eigs[0] <= 1e-12 * max_degree or eigs[-1] / eigs[0] > 1e12:
+    if eigs[0] <= 1e-12 * int(degree.max()) or eigs[-1] / eigs[0] > 1e12:
         raise SingularBasisError(
             "M'QM is numerically singular; use fewer, larger parcels"
         )

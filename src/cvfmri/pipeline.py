@@ -159,10 +159,9 @@ def _batch_job(fit, lo: int, hi: int):
     nu2 = None
     if cfg.sampler.mode != NONSPATIAL:
         nu2 = []
-        for pid, parcel in enumerate(voxel_lists, lo):
+        for pid, shape in enumerate(partition.parcel_shapes[lo:hi], lo):
             try:
-                adjacency = build_adjacency(parcel, partition.dims)
-                nu2.append(build_spatial_basis(adjacency, partition.parcel_shapes[pid]))
+                nu2.append(build_spatial_basis(build_adjacency(shape), shape))
             except CvfmriError as exc:
                 raise type(exc)(f"parcel {pid}: {exc}") from None
     traced = [gv for gv in cfg.trace_voxels if lo <= partition.assignment[gv] < hi]
@@ -318,7 +317,7 @@ def _read_time_seconds(result_dir: Path):
         with open(result_dir / "summary.csv", newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
         return float(rows[1][rows[0].index("time_seconds")])
-    except (FileNotFoundError, IndexError, ValueError):  # no, or no readable, summary
+    except (FileNotFoundError, IndexError, ValueError, csv.Error):  # no, or no readable, summary
         return None
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import ComplexDataset, TrueMaps
+from .data import _MAX_SAMPLE, ComplexDataset, TrueMaps
 from .design import design_for_length
 from .errors import InvalidSpecError
 
@@ -136,6 +136,8 @@ def generate_true_maps(dims, regions=None, multiplier: float = DEFAULT_MULTIPLIE
         raise InvalidSpecError(
             f"magnitude multiplier must be positive and finite, got {multiplier}"
         )
+    if multiplier > _MAX_SAMPLE:  # the largest part of a sample a dataset holds
+        raise InvalidSpecError(f"magnitude multiplier {multiplier:g} exceeds {_MAX_SAMPLE:g}")
     if regions is None:
         regions = random_regions(dims, np.random.default_rng(seed))
     magnitude = np.zeros(dims)

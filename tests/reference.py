@@ -11,7 +11,9 @@ layout of the engine's stream (two normals per complex draw).
 
 ``mcse`` is the oracle of the engine's batch-means MCSE, on a stack of kept
 draws. ``complex_wald`` and ``magnitude_t`` are per-voxel statistics of the
-data that the posterior's ranking of voxels must match or beat. ``graph_laplacian`` is the dense oracle of a parcel's graph Laplacian,
+data that the posterior's ranking of voxels must match or beat. ``dense_adjacency``
+is a box's 0/1 adjacency matrix from its edges, ``graph_laplacian`` the dense
+oracle of a parcel's graph Laplacian,
 ``reference_eigenvectors`` and ``reference_nu2`` those of the spatial basis
 of any graph at any minimum rank q, and ``probit_log_odds`` that of the
 spatial prior's log odds.
@@ -20,12 +22,11 @@ spatial prior's log odds.
 import math
 
 import numpy as np
-from scipy import sparse
 from scipy.linalg import cholesky, eigh, solve_triangular
 from scipy.special import log_ndtr
 
 from cvfmri.errors import InsufficientDataError, InvalidSpecError, SingularBasisError
-from cvfmri.parcellation import TIE_RTOL
+from cvfmri.parcellation import TIE_RTOL, build_adjacency
 from cvfmri.sampler import (
     A_KAPPA,
     draw_beta,
@@ -140,21 +141,30 @@ def kappa_draw(eta, nu2, rng):
     return float(draw_kappa(np.sum(eta * eta / nu2), g))
 
 
+def dense_adjacency(shape):
+    """The 0/1 adjacency matrix of a box of extents ``shape``, from the edges
+    of ``build_adjacency``."""
+    n = math.prod(shape)
+    a = np.zeros((n, n), dtype=np.int8)
+    i, j = build_adjacency(shape)
+    a[i, j] = a[j, i] = 1
+    return a
+
+
 def graph_laplacian(adjacency):
-    """Dense Q = diag(A 1) - A of a dense or sparse adjacency; degrees are
-    summed in integer arithmetic so that Q 1 = 0 exactly."""
-    a = adjacency.toarray() if sparse.issparse(adjacency) else np.asarray(adjacency)
+    """Dense Q = diag(A 1) - A of a dense adjacency; degrees are summed in
+    integer arithmetic so that Q 1 = 0 exactly."""
+    a = np.asarray(adjacency)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or not np.array_equal(a, a.T):
         raise InvalidSpecError("adjacency must be square and symmetric")
     return np.diag(a.astype(np.int64).sum(axis=1).astype(float)) - a
 
 
 def reference_eigenvectors(adjacency, q):
-    """Orthonormal eigenvectors of the q largest eigenvalues of a dense or
-    sparse adjacency and of every eigenvalue within ``TIE_RTOL`` times
-    max(1, largest) of the q-th, in descending order, from LAPACK's dense
-    ``eigh``."""
-    a = adjacency.toarray() if sparse.issparse(adjacency) else np.asarray(adjacency)
+    """Orthonormal eigenvectors of the q largest eigenvalues of a dense
+    adjacency and of every eigenvalue within ``TIE_RTOL`` times max(1,
+    largest) of the q-th, in descending order, from LAPACK's dense ``eigh``."""
+    a = np.asarray(adjacency)
     n = a.shape[0]
     k = min(n, 2 * q)
     while True:
@@ -173,7 +183,7 @@ def reference_nu2(adjacency, q):
     with M from :func:`reference_eigenvectors` and Q the graph Laplacian,
     M'QM summed over edges as ``build_spatial_basis`` does. Raises
     ``SingularBasisError`` on the same test."""
-    a = adjacency.toarray() if sparse.issparse(adjacency) else np.asarray(adjacency)
+    a = np.asarray(adjacency)
     m = reference_eigenvectors(a, q)
     i, j = np.nonzero(np.triu(a, 1))
     diff = m[i] - m[j]

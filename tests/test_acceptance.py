@@ -59,6 +59,7 @@ from cvfmri.simulate import (
 from reference import (
     backward_transform,
     beta_draws,
+    dense_adjacency,
     gamma_probability,
     graph_laplacian,
     kappa_draw,
@@ -209,7 +210,7 @@ class TestSamplerOracles:
         x4 = np.array([0.1, 0.9, 0.4, -0.6])
         y4 = np.array([0.8 + 0.3j, -0.2 + 1.1j, 0.5 - 0.7j, 1.0 + 0.2j])
         rho0 = 0.15 + 0.25j
-        nu2 = reference_nu2(build_adjacency(np.arange(4), (1, 4)), 2)
+        nu2 = reference_nu2(dense_adjacency((1, 4)), 2)
         ystar, xstar = backward_transform(y4, x4, rho0)
         ks = lambda a, b: stats.ks_2samp(a, b).statistic
         dists = {}
@@ -356,18 +357,18 @@ class TestRecoveryCriteria:
         nu2_min = np.inf
         for dims, g in (((50, 50), 9), ((20, 20), 4)):
             part = partition_grid(dims, g)
-            for vox, shape in zip(part.parcel_voxel_lists, part.parcel_shapes):
-                a = build_adjacency(vox, dims)
-                q = graph_laplacian(a)
+            for shape in part.parcel_shapes:
+                q = graph_laplacian(dense_adjacency(shape))
                 lap_ok &= bool(np.all(q.sum(axis=1) == 0.0))
-                nu2_min = min(nu2_min, float(build_spatial_basis(a, shape).min()))
+                nu2 = build_spatial_basis(build_adjacency(shape), shape)
+                nu2_min = min(nu2_min, float(nu2.min()))
 
         # 100-sweep traced run: gamma=0 => beta=(0,0) and sigma2 > 0 after every sweep
         rng2 = np.random.default_rng(1)
         x = design_for_length(100)
         y = 0.5 + 0.05 * (rng2.standard_normal((100, 100)) + 1j * rng2.standard_normal((100, 100)))
         part = partition_grid((10, 10), 1)
-        nu2 = build_spatial_basis(build_adjacency(part.parcel_voxel_lists[0], (10, 10)), (10, 10))
+        nu2 = build_spatial_basis(build_adjacency((10, 10)), (10, 10))
         summary = run_parcel_chain(y, [nu2], x, SamplerConfig(n_iter=100, n_burn=50, seed=4),
                                    {0: part.parcel_voxel_lists[0]}, trace_voxels=range(100))
         draws = np.stack([summary.trace[v] for v in range(100)], axis=1)  # (sweep, voxel, field)

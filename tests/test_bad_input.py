@@ -213,6 +213,9 @@ def flag_cases():
     for value in ("0", fraction, "nan", "inf"):
         yield Case(f"simulate--multiplier={value}", {}, SIMULATE + (f"--multiplier={value}",),
                    2, "magnitude multiplier must be positive and finite")
+    # a multiplier whose samples a dataset cannot hold is a bad setting, not bad data
+    yield Case("simulate--multiplier=1e80", {}, SIMULATE + ("--multiplier=1e80",), 2,
+               "magnitude multiplier 1e+80 exceeds 1e+75")
     for flag, value in (("--replicates", "0"), ("--replicates", negative), ("--workers", "0")):
         yield Case(f"reproduce{flag}={value}", {},
                    ("reproduce", "--study", "iid", "--out", "{d}/out", f"{flag}={value}"), 2,
@@ -260,6 +263,9 @@ def evaluate_cases():
         yield evaluate_case(f"{name}-cell={text.decode()}", 3,
                             f"{name}: cell {cell} holds {value!r}, expected {expected}",
                             **{name: csv_map(values).replace(b"123.0", text)})
+    # a field beyond the csv module's limit leaves time_seconds NA too
+    yield evaluate_case("summary-field-too-large", 0, "",
+                        **{"result/summary.csv": b"time_seconds\n" + b"1" * 200_000 + b"\n"})
 
 
 CASES = [*dataset_cases(), *config_cases(), *flag_cases(), *evaluate_cases()]

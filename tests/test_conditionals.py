@@ -39,6 +39,7 @@ from cvfmri.sampler import (
 from reference import (
     backward_transform,
     beta_draws,
+    dense_adjacency,
     gamma_probability,
     kappa_draw,
     probit_log_odds,
@@ -60,8 +61,7 @@ T4_RHO = 0.15 + 0.25j
 
 @pytest.fixture(scope="module")
 def path4_nu2():
-    a = build_adjacency(np.arange(4), (1, 4))
-    return reference_nu2(a, 2)
+    return reference_nu2(dense_adjacency((1, 4)), 2)
 
 
 def ks(sample_a, sample_b):
@@ -434,7 +434,7 @@ class TestEta:
         # sum h^2 / kappa against sum eta^2 / nu2
         rng = np.random.default_rng(seed)
         shape = tuple(int(n) for n in rng.integers(1, 40, 2))
-        nu2 = build_spatial_basis(build_adjacency(np.arange(math.prod(shape)), shape), shape)
+        nu2 = build_spatial_basis(build_adjacency(shape), shape)
         gamma = rng.random(nu2.size) < 0.5
         for kappa in 10.0 ** rng.uniform(-3.0, 6.0, 20):
             h = half_normal_magnitudes(rng.random(nu2.size))

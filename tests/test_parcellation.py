@@ -1,5 +1,6 @@
 """Partitioning, adjacency, Laplacian, and the spatial basis."""
 
+import itertools
 import os
 import subprocess
 import sys
@@ -17,13 +18,28 @@ from cvfmri.parcellation import (
     build_spatial_basis,
     partition_grid,
 )
-from reference import graph_laplacian, reference_eigenvectors, reference_nu2
+from reference import dense_adjacency, graph_laplacian, reference_eigenvectors, reference_nu2
 
 
 def box_basis(dims):
-    """The adjacency and nu2 of one box parcel spanning the whole of ``dims``."""
-    a = build_adjacency(np.arange(np.prod(dims)), dims)
-    return a, build_spatial_basis(a, dims)
+    """The dense adjacency and nu2 of one box parcel of extents ``dims``."""
+    return dense_adjacency(dims), build_spatial_basis(build_adjacency(dims), dims)
+
+
+def edge_list(shape):
+    return [(int(i), int(j)) for i, j in zip(*build_adjacency(shape))]
+
+
+def degrees(shape):
+    return np.bincount(np.concatenate(build_adjacency(shape)), minlength=int(np.prod(shape)))
+
+
+def brute_force_edges(shape):
+    """Pairs i < j of a box, in row-major order, whose coordinates differ by
+    at most 1 on every axis."""
+    coords = np.argwhere(np.ones(shape, dtype=bool))
+    close = np.abs(coords[:, None, :] - coords[None, :, :]).max(axis=2) <= 1
+    return [(int(i), int(j)) for i, j in zip(*np.nonzero(np.triu(close, 1)))]
 
 
 def axis_runs_oracle(extent, pieces):
@@ -101,26 +117,31 @@ class TestPartition:
 
 class TestAdjacency:
     def test_horizontal_pair(self):
-        a = build_adjacency(np.array([0, 1]), (1, 2))
-        assert a.toarray().tolist() == [[0, 1], [1, 0]]
+        assert edge_list((1, 2)) == [(0, 1)]
 
     def test_diagonal_pair(self):
-        # voxels (0,0) and (1,1) on a 2x2 grid
-        vox = np.array([0, 3])
-        assert build_adjacency(vox, (2, 2)).toarray().tolist() == [[0, 1], [1, 0]]
+        # voxels (0,0) and (1,1) of a 2x2 box touch by a corner
+        assert (0, 3) in edge_list((2, 2))
 
     def test_moore_center_degree(self):
-        a = build_adjacency(np.arange(9), (3, 3))
-        assert a[4].sum() == 8
+        assert degrees((3, 3))[4] == 8
 
     def test_truncated_at_parcel_border(self):
-        # left half of a 2x4 grid: neighbors outside the list are ignored
-        a = build_adjacency(np.array([0, 1, 4, 5]), (2, 4))
-        assert a.sum() == 2 * 6  # a 2x2 block is complete: 6 undirected edges
+        # a 2x2 box is complete, and no edge leaves it: 6 edges
+        assert edge_list((2, 2)) == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 
     def test_3d_rules(self):
-        a = build_adjacency(np.arange(27), (3, 3, 3))
-        assert a[13].sum() == 26
+        assert degrees((3, 3, 3))[13] == 26
+
+    def test_small_boxes_match_brute_force(self):
+        boxes = [*itertools.product(range(1, 6), repeat=2),
+                 *itertools.product(range(1, 6), repeat=3)]
+        for shape in boxes:
+            assert edge_list(shape) == brute_force_edges(shape), shape
+        # the oracle's degrees are those of the Moore neighbourhood
+        for shape, center, degree in (((3, 3), 4, 8), ((3, 3, 3), 13, 26)):
+            pairs = np.array(brute_force_edges(shape))
+            assert np.bincount(pairs.ravel())[center] == degree
 
 
 class TestLaplacian:
@@ -155,15 +176,15 @@ class TestSpatialBasis:
     def test_complete_graph_basis_is_singular(self):
         # a 2x2x2 box is the complete graph K8: its basis at rank 5 takes all
         # 8 eigenvectors (the 7 below the first are tied), constant included
-        a = build_adjacency(np.arange(8), (2, 2, 2))
-        for nu2 in (lambda: build_spatial_basis(a, (2, 2, 2)), lambda: reference_nu2(a, 5)):
+        a, edges = dense_adjacency((2, 2, 2)), build_adjacency((2, 2, 2))
+        for nu2 in (lambda: build_spatial_basis(edges, (2, 2, 2)), lambda: reference_nu2(a, 5)):
             with pytest.raises(SingularBasisError):
                 nu2()
 
     def test_strip_spanning_the_constant_is_singular(self):
         # a 1x5 strip at rank 5 takes every eigenvector, so M spans 1
-        a = build_adjacency(np.arange(5), (1, 5))
-        for nu2 in (lambda: build_spatial_basis(a, (1, 5)), lambda: reference_nu2(a, 5)):
+        a, edges = dense_adjacency((1, 5)), build_adjacency((1, 5))
+        for nu2 in (lambda: build_spatial_basis(edges, (1, 5)), lambda: reference_nu2(a, 5)):
             with pytest.raises(SingularBasisError):
                 nu2()
 
@@ -186,21 +207,20 @@ class TestSpatialBasis:
         assert np.array_equal(box_basis((5, 5))[1], box_basis((5, 5))[1])
 
     def test_q_bounds(self):
-        # the box must hold at least SPATIAL_RANK voxels, and the adjacency
-        # must be the box's
+        # the box must hold at least SPATIAL_RANK voxels, and the edges must
+        # fit the box
         with pytest.raises(InvalidSpecError, match="at least 5 voxels"):
-            build_spatial_basis(build_adjacency(np.arange(4), (1, 4)), (1, 4))
-        a = build_adjacency(np.arange(30), (5, 6))
+            build_spatial_basis(build_adjacency((1, 4)), (1, 4))
+        edges = build_adjacency((5, 6))
         for shape in ((6, 6), (30, 1, 2), (0, 6)):
             with pytest.raises(InvalidSpecError):
-                build_spatial_basis(a, shape)
+                build_spatial_basis(edges, shape)
 
     def test_nu2_at_least_one_everywhere(self):
         for dims, g in (((10, 10), 4), ((6, 6, 3), 2)):
             p = partition_grid(dims, g)
-            for vox, shape in zip(p.parcel_voxel_lists, p.parcel_shapes):
-                a = build_adjacency(vox, dims)
-                assert np.all(build_spatial_basis(a, shape) >= 1.0)
+            for shape in p.parcel_shapes:
+                assert np.all(build_spatial_basis(build_adjacency(shape), shape) >= 1.0)
 
     def test_square_parcel_nu2_is_transpose_symmetric(self):
         # a square grid graph is invariant under transposition, so any basis
@@ -238,7 +258,7 @@ class TestSolverPaths:
         dims = (7, 50, 50)
         tracemalloc.start()
         try:
-            _, nu2 = box_basis(dims)
+            nu2 = build_spatial_basis(build_adjacency(dims), dims)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -251,8 +271,7 @@ class TestSolverPaths:
         code = (
             "import numpy as np\n"
             "from cvfmri.parcellation import build_adjacency, build_spatial_basis\n"
-            "a = build_adjacency(np.arange(2500), (50, 50))\n"
-            "print(build_spatial_basis(a, (50, 50)).tobytes().hex())\n"
+            "print(build_spatial_basis(build_adjacency((50, 50)), (50, 50)).tobytes().hex())\n"
         )
         outputs = []
         for threads in ("1", "2"):

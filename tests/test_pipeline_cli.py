@@ -605,6 +605,11 @@ class TestCli:
         assert f"magnitude multiplier must be positive and finite, got {value}" in err
         assert not (tmp_path / "sim").exists()
 
+    @pytest.mark.parametrize("value", ["1e74", "1e75"])
+    def test_multiplier_up_to_the_sample_bound_accepted(self, tmp_path, value):
+        assert self.run("simulate", "--study", "ar1", "--seed", "1", "--multiplier", value,
+                        "--out", str(tmp_path / "sim")) == 0
+
     @pytest.mark.parametrize("n_time", ["2", "1"])
     def test_simulate_rejects_short_series_before_creating_out(self, tmp_path, capsys, n_time):
         out = tmp_path / "sim"

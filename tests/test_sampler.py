@@ -38,7 +38,7 @@ from cvfmri.sampler import (
     stitch_voxel_field,
     summarize,
 )
-from reference import design_stats, lag_stats, mcse, reference_nu2, residual_ss
+from reference import dense_adjacency, design_stats, lag_stats, mcse, reference_nu2, residual_ss
 
 
 def block_draws(rng, it, cfg, n_vox, n_time, nu2):
@@ -146,8 +146,7 @@ def tiny_instance():
     beta_true = np.array([0.0, 0.5, 0.0, 1.0])
     y = (1.0 + beta_true[:, None] * x[None, :]) * np.exp(1j * 0.6)
     y = y + 0.3 * (rng.standard_normal((n_vox, n_time)) + 1j * rng.standard_normal((n_vox, n_time)))
-    adjacency = build_adjacency(np.arange(4), (1, 4))
-    nu2 = reference_nu2(adjacency, 2)
+    nu2 = reference_nu2(dense_adjacency((1, 4)), 2)
     return y, x, nu2
 
 
@@ -166,7 +165,7 @@ def batch_instance():
     beta_true = rng.choice([0.0, 0.5, 1.0], size=sum(sizes))
     y = (1.0 + beta_true[:, None] * x[None, :]) * np.exp(1j * 0.6)
     y = y + 0.3 * (rng.standard_normal(y.shape) + 1j * rng.standard_normal(y.shape))
-    nu2s = [reference_nu2(build_adjacency(np.arange(n), (1, n)), 2) for n in sizes]
+    nu2s = [reference_nu2(dense_adjacency((1, n)), 2) for n in sizes]
     return y, x, nu2s, sizes
 
 
@@ -222,7 +221,7 @@ class TestChainBehavior:
         x = design_for_length(n_time)
         y = 0.5 + 0.2 * (rng.standard_normal((n_vox, n_time)) + 1j * rng.standard_normal((n_vox, n_time)))
         part = partition_grid((10, 10), 1)
-        nu2 = build_spatial_basis(build_adjacency(part.parcel_voxel_lists[0], (10, 10)), (10, 10))
+        nu2 = build_spatial_basis(build_adjacency((10, 10)), (10, 10))
         cfg = SamplerConfig(n_iter=400, n_burn=200, seed=3)
         summary = run_parcel_chain(y, [nu2], x, cfg, {0: range(n_vox)})
         below = np.mean(summary.incl_prob < cfg.threshold)
@@ -236,7 +235,7 @@ class TestChainBehavior:
         beta_true = np.array([0.0, 5 * sigma, 0.0, 0.0])  # CNR 5
         y = (0.5 + beta_true[:, None] * x[None, :]) * np.exp(1j * np.pi / 4)
         y = y + sigma * (rng.standard_normal((4, n_time)) + 1j * rng.standard_normal((4, n_time)))
-        nu2 = reference_nu2(build_adjacency(np.arange(4), (1, 4)), 2)
+        nu2 = reference_nu2(dense_adjacency((1, 4)), 2)
         cfg = SamplerConfig(n_iter=400, n_burn=200, seed=5)
         summary = run_parcel_chain(y, [nu2], x, cfg, {0: range(4)})
         assert summary.incl_prob[1] > 0.99
@@ -246,7 +245,7 @@ class TestChainBehavior:
         x = design_for_length(n_time)
         sigma = 0.05
         beta_true = np.array([0.5 * sigma, 2.0 * sigma, 0.0, 0.0])
-        nu2 = reference_nu2(build_adjacency(np.arange(4), (1, 4)), 2)
+        nu2 = reference_nu2(dense_adjacency((1, 4)), 2)
         weak, strong = [], []
         for seed in range(20):
             rng = np.random.default_rng(1000 + seed)
@@ -335,7 +334,7 @@ class TestBatchInvariance:
         beta_true = np.where(rng.random(n_vox) < 0.3, 0.15, 0.0)
         y = (1.0 + beta_true[:, None] * x[None, :]) * np.exp(0.4j)
         y = y + 0.05 * (rng.standard_normal(y.shape) + 1j * rng.standard_normal(y.shape))
-        nu2s = [reference_nu2(build_adjacency(v, dims), 3) for v in lists]
+        nu2s = [reference_nu2(dense_adjacency(s), 3) for s in part.parcel_shapes]
         cfg = SamplerConfig(n_iter=2 * BLOCK_SWEEPS + 10, n_burn=30, mode=mode, seed=9)
 
         def per_parcel(bounds):
