@@ -120,11 +120,12 @@ def _read_lines(path) -> list:
 
 
 def read_map(path) -> np.ndarray:
-    """Read a map CSV written by :func:`write_map`."""
+    """Read a map CSV written by :func:`write_map`: after its ``# dims:``
+    header, one line of dims[-1] cells per grid row, prod(dims[:-1]) lines."""
     path = Path(path)
     dims = None
     data_lines = []
-    for line in _read_lines(path):
+    for lineno, line in enumerate(_read_lines(path), 1):
         stripped = line.strip()
         if not stripped:
             continue
@@ -136,21 +137,26 @@ def read_map(path) -> np.ndarray:
                 except ValueError as exc:
                     raise DataFormatError(f"{path}: malformed '# dims:' header ({exc})") from None
             continue
-        data_lines.append(stripped)
+        data_lines.append((lineno, stripped))
     if dims is None:
         raise DataFormatError(f"{path}: missing '# dims:' header")
     if len(dims) not in (2, 3):
         raise DataFormatError(f"{path}: a map has 2 or 3 dims, got {len(dims)}")
     if min(dims) < 1:
         raise DataFormatError(f"{path}: grid extents must be positive, got {dims}")
+    n_rows, n_cols = math.prod(dims[:-1]), dims[-1]
+    layout = f"expected {math.prod(dims)} cells for dims {dims}, {n_rows} line(s) of {n_cols}"
+    for row, (lineno, line) in enumerate(data_lines):
+        cells = line.count(",") + 1
+        if row == n_rows or cells != n_cols:
+            what = "is past the last row" if row == n_rows else f"holds {cells} cell(s)"
+            raise DataFormatError(f"{path}: {layout}; line {lineno} {what}")
+    if len(data_lines) < n_rows:
+        raise DataFormatError(f"{path}: {layout}; got {len(data_lines)} line(s)")
     try:
-        values = np.array([[float(tok) for tok in line.split(",")] for line in data_lines])
+        values = np.array([[float(tok) for tok in line.split(",")] for _, line in data_lines])
     except ValueError as exc:
         raise DataFormatError(f"{path}: unparseable cell ({exc})") from exc
-    if values.size != math.prod(dims):
-        raise DataFormatError(
-            f"{path}: expected {math.prod(dims)} cells for dims {dims}, got {values.size}"
-        )
     return values.reshape(dims)
 
 

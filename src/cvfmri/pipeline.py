@@ -414,92 +414,65 @@ def simulate_study_dataset(study: str, seed: int, n_time: int | None = None,
             raise InvalidSpecError("the realistic study sets its own T and multiplier")
         dataset, maps = simulate_realistic(derive_seed(seed, 2))
         return dataset, maps, realistic_design(dataset.n_time)
+    simulate = {"iid": simulate_iid, "ar1": simulate_ar1}.get(study)
+    if simulate is None:
+        raise InvalidSpecError(f"unknown study {study!r}")
     n_time = 200 if n_time is None else n_time
     multiplier = DEFAULT_MULTIPLIER if multiplier is None else multiplier
     if n_time < 3:
         raise InvalidSpecError(f"T must be at least 3 (the fewest a chain takes), got {n_time}")
-    x = design_for_length(n_time)
-    maps = generate_true_maps((50, 50), regions=None, multiplier=multiplier,
-                              seed=derive_seed(seed, 0))
-    sig = SignalSpec(beta0=0.4909, theta0=np.pi / 4)
-    if study == "iid":
-        noise = NoiseSpec("iid", sigma=0.04909)
-        dataset = simulate_iid(maps, x, sig, noise, derive_seed(seed, 1))
-    elif study == "ar1":
-        noise = NoiseSpec("ar1", sigma=0.04909, ar_coeff=0.2 + 0.9j)
-        dataset = simulate_ar1(maps, x, sig, noise, derive_seed(seed, 1))
-    else:
-        raise InvalidSpecError(f"unknown study {study!r}")
+    maps = generate_true_maps((50, 50), multiplier=multiplier, seed=derive_seed(seed, 0))
+    try:  # the arrays that T sizes
+        x = design_for_length(n_time)
+        dataset = simulate(maps, x, SignalSpec(), NoiseSpec(study), derive_seed(seed, 1))
+    except (MemoryError, ValueError):  # past free memory, or past numpy's largest array
+        raise InvalidSpecError(f"T = {n_time} needs arrays too large to allocate") from None
     return dataset, maps, x
 
 
-def _run_replicate(study, master_seed, rep, fit_cfg: FitConfig, n_time=200):
-    rep_seed = derive_seed(master_seed, rep)
-    dataset, maps, x = simulate_study_dataset(study, rep_seed, n_time=n_time)
-    cfg = replace(fit_cfg, sampler=replace(fit_cfg.sampler, seed=derive_seed(rep_seed, 3)))
-    result = fit_dataset(dataset, x, cfg)
-    row = evaluate_arrays(
-        maps.active,
-        maps.magnitude,
-        result.maps.activation,
-        result.maps.magnitude,
-        result.incl_prob,
-        time_seconds=result.time_seconds,
-        label=f"rep{rep:03d}",
-    )
-    return row, result
-
-
-def _reproduce_simple(study, n_replicates, seed, base: FitConfig):
+def _replicate_rows(study, n_replicates, seed, cfg: FitConfig, n_time=None):
+    """Simulate, fit and score replicates 0 to ``n_replicates - 1`` of the
+    study, replicate r's data and chains seeded from ``derive_seed(seed, r)``:
+    their report rows."""
     rows = []
     for rep in range(n_replicates):
-        row, _ = _run_replicate(study, seed, rep, base)
-        rows.append(row)
+        rep_seed = derive_seed(seed, rep)
+        dataset, maps, x = simulate_study_dataset(study, rep_seed, n_time=n_time)
+        result = fit_dataset(dataset, x, replace(
+            cfg, sampler=replace(cfg.sampler, seed=derive_seed(rep_seed, 3))))
+        rows.append(evaluate_arrays(maps.active, maps.magnitude, result.maps.activation,
+                                    result.maps.magnitude, result.incl_prob,
+                                    time_seconds=result.time_seconds, label=f"rep{rep:03d}"))
     return rows
 
 
 def _reproduce_params(n_replicates, seed, base: FitConfig):
-    """One-at-a-time sweeps over psi, parcel count, and series length."""
+    """One-at-a-time sweeps over psi, parcel count, and series length: one
+    mean row per setting."""
     sections = [(f"psi=ndtri({p})", replace(base, sampler=SamplerConfig(psi=ndtri(p))), 200)
                 for p in (0.02, 0.20, 0.35, 0.47)]
     sections += [(f"G={g}", replace(base, n_parcels=g), 200) for g in (1, 4, 9, 16)]
     sections += [(f"T={n_time}", base, n_time) for n_time in (80, 200, 500)]
     sections.append(("T=1000", replace(base, sampler=SamplerConfig(psi=ndtri(0.02))), 1000))
     rows = []
-    for section_idx, (label, cfg, n_time) in enumerate(sections):
-        section_rows = []
-        for rep in range(n_replicates):
-            row, _ = _run_replicate("ar1", derive_seed(seed, 1000 + section_idx), rep,
-                                    cfg, n_time=n_time)
-            section_rows.append(row)
-        mean = _mean_row(section_rows)
-        mean[0] = label
-        rows.append(mean)
+    for i, (label, cfg, n_time) in enumerate(sections):
+        reps = _replicate_rows("ar1", n_replicates, derive_seed(seed, 1000 + i), cfg, n_time)
+        rows.append([label, *_mean_row(reps)[1:]])
     return rows
 
 
 def _reproduce_realistic(seed, base: FitConfig):
     """Per-slice detection table for the seven-slice dynamic-phase volume."""
-    dataset, maps = simulate_realistic(derive_seed(seed, 2))
-    x = realistic_design(dataset.n_time)
+    dataset, maps, x = simulate_study_dataset("realistic", seed)
     rows = []
     for s in range(dataset.dims[0]):
-        sl = dataset.slice_dataset(s)
-        truth = maps.slice_maps(s)
         cfg = replace(base, n_parcels=REALISTIC_G,
                       sampler=SamplerConfig(psi=REALISTIC_PSI, seed=derive_seed(seed, 100 + s)))
-        result = fit_dataset(sl, x, cfg)
-        cls = classification_metrics(truth.active, result.maps.activation)
-        rows.append([
-            f"slice{s + 1}",
-            cls.tp,
-            cls.fp,
-            cls.fn,
-            cls.tn,
-            "NA" if cls.precision is None else repr(cls.precision),
-            "NA" if cls.recall is None else repr(cls.recall),
-            repr(result.time_seconds),
-        ])
+        result = fit_dataset(dataset.slice_dataset(s), x, cfg)
+        cls = classification_metrics(maps.slice_maps(s).active, result.maps.activation)
+        rows.append([f"slice{s + 1}", cls.tp, cls.fp, cls.fn, cls.tn,
+                     *("NA" if v is None else repr(v) for v in (cls.precision, cls.recall)),
+                     repr(result.time_seconds)])
     return rows
 
 
@@ -521,7 +494,7 @@ def reproduce(study: str, n_replicates: int | None, seed: int, out_dir, workers=
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if study in ("iid", "ar1"):
-        rows = _reproduce_simple(study, n_replicates, seed, base)
+        rows = _replicate_rows(study, n_replicates, seed, base)
         write_report_csv(out / "report.csv", rows)
     elif study == "params":
         rows = _reproduce_params(n_replicates, seed, base)

@@ -477,6 +477,16 @@ def _center(values):
     return values - values.mean(axis=-1, keepdims=True)
 
 
+def _zeros(shape, what: str, n_iter: int) -> np.ndarray:
+    """``np.zeros(shape)`` for an array that ``n_iter`` sizes; one too large to
+    allocate is a bad setting."""
+    try:
+        return np.zeros(shape)
+    except (MemoryError, ValueError):  # past free memory, or past numpy's largest array
+        raise InvalidSpecError(
+            f"n_iter = {n_iter} needs a {shape} {what} array, too large to allocate") from None
+
+
 def run_parcel_chain(
     y: np.ndarray,
     nu2,
@@ -543,7 +553,7 @@ def run_parcel_chain(
         if missing:
             raise InvalidSpecError(f"trace voxel {missing[0]} lies outside the batch's parcels")
         at = np.array([position[v] for v in traced], dtype=np.intp)
-        trace = np.zeros((cfg.n_iter, len(traced), 6))
+        trace = _zeros((cfg.n_iter, len(traced), 6), "trace", cfg.n_iter)
 
     starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
     xc = _center(x)
@@ -615,7 +625,7 @@ def run_parcel_chain(
     n_batches = math.isqrt(cfg.n_kept)
     batch_len = cfg.n_kept // n_batches
     count = np.zeros(n_vox, dtype=np.intp)
-    batch_counts = np.zeros((n_batches, n_vox))
+    batch_counts = _zeros((n_batches, n_vox), "batch-count", cfg.n_iter)
     beta_sum = np.zeros(n_vox, dtype=complex)
     # the producer's thread starts at its first submit and is joined on exit
     with ThreadPoolExecutor(max_workers=1) as producer:

@@ -220,6 +220,19 @@ def flag_cases():
         yield Case(f"reproduce{flag}={value}", {},
                    ("reproduce", "--study", "iid", "--out", "{d}/out", f"{flag}={value}"), 2,
                    f"{flag[2:]} must be at least 1, got {value}")
+    # settings whose arrays fail to allocate at once: each is past the 128 TiB
+    # address space of a process, so no overcommit policy grants it, and the
+    # last is past the largest array numpy can index (a ValueError, not a
+    # MemoryError); the data are fixed, so no seeded case above moves
+    wave = cvf1(values=np.cos(np.arange(2 * V * T)))
+    yield fit_case("--iters=10^24", wave, (f"--iters={10**24}",), 2,
+                   f"n_iter = {10**24} needs a ({math.isqrt(10**24 // 2)}, {V}) batch-count "
+                   "array, too large to allocate")
+    yield fit_case("--iters=10^13-traced", wave, (f"--iters={10**13}", "--trace-voxels=0"), 2,
+                   f"n_iter = {10**13} needs a ({10**13}, 1, 6) trace array, too large to allocate")
+    for power in (15, 24):
+        yield Case(f"simulate--T=10^{power}", {}, SIMULATE + (f"--T={10**power}",), 2,
+                   f"T = {10**power} needs arrays too large to allocate")
 
 
 def csv_map(values) -> bytes:
@@ -266,6 +279,12 @@ def evaluate_cases():
     # a field beyond the csv module's limit leaves time_seconds NA too
     yield evaluate_case("summary-field-too-large", 0, "",
                         **{"result/summary.csv": b"time_seconds\n" + b"1" * 200_000 + b"\n"})
+    # a map holds one grid row per line; its first map read is the truth's
+    for id, body, line in (("three-lines-of-2", b"0,1\n1,0\n0,0\n", "line 2 holds 2 cell(s)"),
+                           ("one-line-of-6", b"0,1,1,0,0,0\n", "line 2 holds 6 cell(s)")):
+        yield Case(f"map-dims=2,3-{id}", {"truth/true_activation.csv": b"# dims: 2,3\n" + body},
+                   EVALUATE, 3, "true_activation.csv: expected 6 cells for dims (2, 3), "
+                   f"2 line(s) of 3; {line}")
 
 
 CASES = [*dataset_cases(), *config_cases(), *flag_cases(), *evaluate_cases()]

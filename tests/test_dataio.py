@@ -1,5 +1,6 @@
 """File formats: CVF1 datasets, CSV maps, PGM, key = value files."""
 
+import re
 import struct
 
 import numpy as np
@@ -16,6 +17,8 @@ from cvfmri.dataio import (
     write_pgm,
 )
 from cvfmri.errors import DataFormatError
+
+LAYOUT_2x3 = "expected 6 cells for dims (2, 3), 2 line(s) of 3"
 
 
 def random_dataset(rng, dims=(3, 4), n_time=5):
@@ -168,11 +171,21 @@ class TestMapFormat:
         ("4", "1.0,2.0,3.0,4.0\n", "a map has 2 or 3 dims, got 1"),
         ("1,1,2,2", "1.0,2.0\n3.0,4.0\n", "a map has 2 or 3 dims, got 4"),
         ("4294967296,4294967296", "1.0\n", f"expected {2**64} cells"),
-    ], ids=["negative", "rows=0", "cols=0", "1-d", "4-d", "cells=2^64"])
+        # one grid row per line: a layout that only the cell count matched
+        # once read as a scrambled map
+        ("2,3", "1,2\n3,4\n5,6\n", f"{LAYOUT_2x3}; line 2 holds 2 cell(s)"),
+        ("2,3", "1,2,3,4,5,6\n", f"{LAYOUT_2x3}; line 2 holds 6 cell(s)"),
+        ("2,3", "1,2,3\n\n4,5\n6\n", f"{LAYOUT_2x3}; line 4 holds 2 cell(s)"),
+        ("2,3", "1,2,3\n", f"{LAYOUT_2x3}; got 1 line(s)"),
+        ("2,3", "1,2,3\n4,5,6\n7,8,9\n", f"{LAYOUT_2x3}; line 4 is past the last row"),
+        ("2,2,3", "1,2,3\n4,5,6\n7,8,9\n",
+         "expected 12 cells for dims (2, 2, 3), 4 line(s) of 3; got 3 line(s)"),
+    ], ids=["negative", "rows=0", "cols=0", "1-d", "4-d", "cells=2^64", "3-lines-of-2",
+            "1-line-of-6", "ragged", "short", "long", "3-d-short"])
     def test_bad_dims_rejected(self, tmp_path, header, body, message):
         path = tmp_path / "m.csv"
         path.write_text(f"# dims: {header}\n{body}")
-        with pytest.raises(DataFormatError, match=f"m.csv: {message}"):
+        with pytest.raises(DataFormatError, match=re.escape(f"m.csv: {message}")):
             read_map(path)
 
 

@@ -803,8 +803,8 @@ class TestReproduceCli:
 
     def test_manifest_records_the_replicates_used(self, tmp_path, monkeypatch):
         runs = []
-        monkeypatch.setattr(pipeline, "_reproduce_simple",
-                            lambda study, n, seed, base: runs.append(n) or [])
+        monkeypatch.setattr(pipeline, "_replicate_rows",
+                            lambda study, n, seed, cfg: runs.append(n) or [])
         monkeypatch.setattr(pipeline, "_reproduce_realistic", lambda seed, base: [])
         assert cli.main(["reproduce", "--study", "ar1", "--seed", "1",
                          "--out", str(tmp_path / "ar1")]) == 0
