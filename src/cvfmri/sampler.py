@@ -40,10 +40,10 @@ is pregenerated in blocks of ``BLOCK_SWEEPS`` sweeps (the layout is given
 there). So a parcel's draws, and its maps, do not depend on which batch
 or worker runs it. Blocks fill buffers allocated once per chain and hold every
 transform of the draws that reads no chain state, so a sweep does only the
-work that does. When the batch's parcels average at least
-``PREFETCH_MIN_VOXELS`` voxels and a CPU is spare (the process may run on more
-than one and is not a worker of a process pool), a helper thread draws and
-transforms each block while the engine sweeps the one before it; the stream
+work that does. When a CPU is spare and the chain has a second block, the
+engine draws the first block itself and then forks a producer process, which
+draws and transforms each later block into the other of two buffer sets in
+shared memory while the engine sweeps the one before it; the stream
 is the same either way. Each conditional is written once, as a public function
 of its sufficient statistics and standard variates (``inclusion_log_odds``
 and the ``draw_*`` functions); the engine calls them, and the test suite feeds
@@ -57,15 +57,18 @@ inclusion probability and that estimate's batch-means MCSE.
 from __future__ import annotations
 
 import math
+import mmap
 import multiprocessing
 import os
-from concurrent.futures import ThreadPoolExecutor
+import sys
+import traceback
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import betaincinv, erfc, expit, gammaincinv, ndtri
 
 from .errors import (
+    CvfmriError,
     DegeneratePosteriorError,
     InsufficientDataError,
     InvalidSpecError,
@@ -375,17 +378,10 @@ def draw_eta_shared(n_active, n_vox, u):
 #: gamma uniforms' logits log u - log1p(-u), stage 5 eta's uniforms as
 #: half-normal magnitudes h = -ndtri(u/2) times sqrt(nu2), and the block adds
 #: each parcel's sum of h^2 for every sweep. The stream is the same. Which
-#: thread draws a block (see PREFETCH_MIN_VOXELS) is not part of it either:
-#: each generator is read in this order by one thread at a time.
+#: process draws a block is not part of it either: the engine draws the
+#: first, and a producer process, when there is one (see ``run_parcel_chain``),
+#: is from its fork on the only reader of the generators.
 BLOCK_SWEEPS = 32
-
-#: Mean parcel size, in voxels, from which the engine draws each block one
-#: block ahead on a helper thread, overlapping the generator fills (which
-#: release the GIL) with the sweeps. Each generator call then costs two
-#: thread switches, so batches of smaller parcels draw inline, on the thread
-#: that sweeps. The overlap also needs a CPU the sweeps leave idle; see
-#: ``_cpu_to_spare``.
-PREFETCH_MIN_VOXELS = 256
 
 
 def usable_cpus() -> int:
@@ -396,10 +392,73 @@ def usable_cpus() -> int:
 
 
 def _cpu_to_spare() -> bool:
-    """Whether a helper thread would find an idle CPU: the process may run on
-    more than one, and it is not a pool worker (a fit's pool starts one
-    worker per CPU, so each CPU already sweeps)."""
-    return usable_cpus() > 1 and multiprocessing.parent_process() is None
+    """Whether a producer process would find an idle CPU: the platform can
+    fork, the process may run on more than one CPU, and it is not a pool
+    worker (a fit's pool starts one worker per CPU, so each CPU already
+    sweeps)."""
+    return (hasattr(os, "fork") and usable_cpus() > 1
+            and multiprocessing.parent_process() is None)
+
+
+def _buffer_sets(shapes, count: int, shared: bool):
+    """``count`` sets of float arrays of ``shapes`` carved from one
+    allocation: anonymous shared memory when ``shared``, so that what a forked
+    child writes there its parent reads."""
+    ends = np.cumsum([math.prod(shape) for shape in shapes] * count)
+    flat = np.frombuffer(mmap.mmap(-1, 8 * ends[-1])) if shared else np.empty(ends[-1])
+    parts = iter(np.split(flat, ends[:-1]))
+    return [[next(parts).reshape(shape) for shape in shapes] for _ in range(count)]
+
+
+def _fork_producer(make_block, n_iter: int):
+    """Fork the producer of the blocks that sweeps BLOCK_SWEEPS,
+    2 * BLOCK_SWEEPS, ... open: the engine's ends ``(pid, free, ready)`` of
+    two pipes, or None where the fork fails.
+
+    The producer draws each block with ``make_block`` once the engine has
+    freed its buffer set, one byte on ``free`` (the first needs none), and
+    announces it with one byte on ``ready``. It leaves by ``os._exit`` and
+    never returns here: 0 when done or once the engine has closed its ends,
+    1 after printing any other error.
+    """
+    free_r, free_w = os.pipe()
+    ready_r, ready_w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        for fd in (free_r, free_w, ready_r, ready_w):
+            os.close(fd)
+        return None
+    if pid:
+        os.close(free_r)
+        os.close(ready_w)
+        return pid, free_w, ready_r
+    # the child: every path leaves by os._exit, never into its parent's frames
+    status = 1
+    try:
+        os.close(free_w)
+        os.close(ready_r)
+        for it in range(BLOCK_SWEEPS, n_iter, BLOCK_SWEEPS):
+            if it > BLOCK_SWEEPS and not os.read(free_r, 1):
+                break  # the engine has stopped
+            make_block(it)
+            os.write(ready_w, b"\1")
+        status = 0
+    except BrokenPipeError:
+        status = 0  # the engine stopped while this block was drawn
+    except BaseException:
+        traceback.print_exc()
+        sys.stderr.flush()
+    finally:
+        os._exit(status)
+
+
+def _stop_producer(pid: int, free: int, ready: int) -> int:
+    """Close the engine's pipe ends, which ends the producer at its next read
+    or write, and reap it: its exit code, or minus the signal that killed it."""
+    os.close(free)
+    os.close(ready)
+    return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
 
 
 def _block_draws(rng, stages, shape_sigma, shape_kappa):
@@ -513,6 +572,10 @@ def run_parcel_chain(
     covers the parcels' rows in order. ``trace_voxels`` are rows of ``y`` in
     the batch's parcels; the trace maps each to its (n_iter, 6) draws of
     gamma, beta, rho and sigma^2.
+
+    When a CPU is spare (``_cpu_to_spare``) and the chain has a second block,
+    a forked producer process draws every block after the first (see
+    ``_fork_producer``); it is reaped before the call returns or raises.
     """
     y = np.asarray(y, dtype=complex)
     x = np.asarray(x, dtype=float)
@@ -577,25 +640,34 @@ def run_parcel_chain(
     rngs = [np.random.default_rng(derive_seed(cfg.seed, g)) for g in ids]
     kappa_shapes = [s / 2.0 + A_KAPPA if spatial else None for s in sizes]
 
-    ahead = n_vox >= PREFETCH_MIN_VOXELS * n_parcels and _cpu_to_spare()
-    # a block's stages (one draw per voxel or per parcel, values per draw) in
-    # buffers allocated once: one set inline, two alternating sets ahead
+    ahead = cfg.n_iter > BLOCK_SWEEPS and _cpu_to_spare()
+    # a block's buffers (one value set per voxel or per parcel, values each):
+    # the stages in stream order, then in spatial mode the parcels' sums of
+    # eta's h^2, one per sweep. One set inline; ahead, two alternating sets
+    # in memory shared with the producer process
     stages = [(True, 1), (True, 2), (True, 2), (True, 1), (False, 1)]
     stages += [(True, 1), (False, 1)] if spatial else [(False, 1)]
-    buffers = [[np.empty((BLOCK_SWEEPS, n_vox if per_voxel else n_parcels, width))
-                for per_voxel, width in stages] for _ in range(1 + ahead)]
-    # with each spatial set, the parcels' sums of eta's h^2, one per sweep
-    sums = [np.empty((BLOCK_SWEEPS, n_parcels)) for _ in buffers if spatial]
+    shapes = [(BLOCK_SWEEPS, n_vox if per_voxel else n_parcels, width)
+              for per_voxel, width in stages + [(False, 1)] * spatial]
+    buffers = _buffer_sets(shapes, 1 + ahead, shared=ahead)
     # a parcel of a batch draws into scratch sized to the largest parcel, copied to its columns
+    # (and a block's transforms work in one more array, not in a fresh one per block)
+    work = np.empty((BLOCK_SWEEPS, n_vox))
     scratch = [np.empty(BLOCK_SWEEPS * (sizes.max() if per_voxel else 1) * width)
                for per_voxel, width in stages if not lone]
 
-    def make_block(it):
-        """The batch's draws of the block that sweep ``it`` opens, one array
-        per stage; the only reader of the parcels' generators."""
+    def block_draws(it):
+        """The batch's draws of the block that sweep ``it`` opens: one array
+        per stage, the normal pairs as complex, then the sums of h^2."""
         k = min(BLOCK_SWEEPS, cfg.n_iter - it)
-        slot = it // BLOCK_SWEEPS % len(buffers)
-        block = [b[:k] for b in buffers[slot]]
+        return [b[:k].view(complex)[..., 0] if b.shape[2] == 2 else b[:k, :, 0]
+                for b in buffers[it // BLOCK_SWEEPS % len(buffers)]]
+
+    def make_block(it):
+        """Draw and transform the block that sweep ``it`` opens into its
+        buffers; the only reader of the parcels' generators."""
+        k = min(BLOCK_SWEEPS, cfg.n_iter - it)
+        block = [b[:k] for b in buffers[it // BLOCK_SWEEPS % len(buffers)][:len(stages)]]
         if lone:
             _block_draws(rngs[0], block, n_time - 1, kappa_shapes[0])
         else:
@@ -606,19 +678,18 @@ def run_parcel_chain(
                 _block_draws(rng, parts, n_time - 1, shape)
                 for c, part in zip(cols, parts):
                     c[...] = part
-        draws = [b.view(complex)[..., 0] if b.shape[2] == 2 else b[..., 0] for b in block]
+        draws = block_draws(it)
         # the transforms that read no chain state (see BLOCK_SWEEPS), in place
         u = draws[0]
-        log1m = np.negative(u)
+        log1m = np.negative(u, out=work[:k])
         np.log1p(log1m, out=log1m)
         with np.errstate(divide="ignore"):  # u == 0: logit -inf, gamma = 1 unless odds are 0
             np.log(u, out=u)
         u -= log1m
         if spatial:
             h = half_normal_magnitudes(draws[5], out=draws[5])
-            draws.append(np.add.reduceat(h * h, starts, axis=1, out=sums[slot][:k]))
+            np.add.reduceat(np.square(h, out=work[:k]), starts, axis=1, out=draws[7])
             h *= nu_v
-        return draws
 
     # running counts of kept gamma = 1: in all, and per batch of batch_len
     # kept sweeps (the last n_kept - n_batches * batch_len count in all only)
@@ -627,72 +698,86 @@ def run_parcel_chain(
     count = np.zeros(n_vox, dtype=np.intp)
     batch_counts = _zeros((n_batches, n_vox), "batch-count", cfg.n_iter)
     beta_sum = np.zeros(n_vox, dtype=complex)
-    # the producer's thread starts at its first submit and is joined on exit
-    with ThreadPoolExecutor(max_workers=1) as producer:
-        pending = producer.submit(make_block, 0) if ahead else None
-        try:
-            for it in range(cfg.n_iter):
-                j = it % BLOCK_SWEEPS
-                if j == 0:
-                    logit_u, z_beta, z_rho, g_sigma, u_tau2, *prior_draws = (
-                        pending.result() if ahead else make_block(it))
-                    if ahead and it + BLOCK_SWEEPS < cfg.n_iter:
-                        pending = producer.submit(make_block, it + BLOCK_SWEEPS)
-
-                # voxel stage: gamma, beta, rho, sigma2 (one call across the batch;
-                # a lone parcel's tau2 and kappa broadcast)
-                tau2_v = tau2 if lone else np.repeat(tau2, sizes)
-                xnorm2, c = stats.design_norms(rho, r2)
-                if spatial:
-                    prior_logit = prior_logit_spatial(cfg.psi, eta)
+    # ahead, the engine draws the first block and then forks the producer of
+    # the rest: (pid, free, ready), its pipes' engine ends (see _fork_producer)
+    producer = None
+    try:
+        for it in range(cfg.n_iter):
+            j = it % BLOCK_SWEEPS
+            if j == 0:
+                if producer is None:
+                    make_block(it)
+                    if ahead and it == 0:
+                        producer = _fork_producer(make_block, cfg.n_iter)
                 else:
-                    prior_logit = prior_logit_shared(eta_shared)
-                    prior_logit = prior_logit if lone else np.repeat(prior_logit, sizes)
-                gamma = logit_u[j] < inclusion_log_odds(xnorm2, c, sigma2, tau2_v, prior_logit)
-                beta = draw_beta(xnorm2, c, sigma2, tau2_v, gamma, z_beta[j])
-                cw, wl2, wn2 = stats.residual_norms(beta, gamma)
-                rho, _ = draw_rho(cw, wl2, sigma2, z_rho[j])
-                r2 = rho.real**2 + rho.imag**2
-                ss = np.maximum(wn2 - 2.0 * (np.conj(rho) * cw).real + r2 * wl2, 0.0)
-                try:
-                    sigma2 = draw_sigma2(ss, g_sigma[j])
-                except DegeneratePosteriorError:
-                    # named by its row of y, which in a fit is its image voxel
-                    k = int(np.argmax(ss <= 0.0))
-                    g = ids[np.searchsorted(starts, k, side="right") - 1]
-                    raise DegeneratePosteriorError(
-                        f"parcel {g}: zero residual sum of squares at voxel {rows[k]}") from None
+                    pid, free, ready = producer
+                    try:
+                        done = os.read(ready, 1)  # empty once the producer has gone
+                        if done and it + BLOCK_SWEEPS < cfg.n_iter:
+                            os.write(free, b"\1")  # the set of the block just swept
+                    except BrokenPipeError:
+                        done = b""
+                    if not done:
+                        producer = None
+                        code = _stop_producer(pid, free, ready)
+                        raise CvfmriError(f"the block producer process {pid} exited with "
+                                          f"code {code} before the block of sweep {it}") from None
+                logit_u, z_beta, z_rho, g_sigma, u_tau2, *prior_draws = block_draws(it)
 
-                # parcel stage: tau2, then the inclusion-prior latents
-                n_active = np.add.reduceat(gamma, starts, dtype=np.intp)
-                ssb = np.add.reduceat(beta.real**2 + beta.imag**2, starts)
-                try:
-                    tau2 = draw_tau2(n_active, ssb, tau2, u_tau2[j])
-                except DegeneratePosteriorError as exc:
-                    g = ids[int(np.argmax((n_active > 0) & (ssb <= 0.0)))]
-                    raise type(exc)(f"parcel {g}: {exc}") from None
-                if spatial:
-                    m_eta, g_kappa, sum_h2 = prior_draws
-                    kappa_rsqrt = kappa ** -0.5
-                    eta = draw_eta(gamma, m_eta[j],
-                                   kappa_rsqrt if lone else np.repeat(kappa_rsqrt, sizes))
-                    # each parcel's sum of eta^2/nu2 is its sum of h^2 over the kappa that drew eta
-                    kappa = draw_kappa(sum_h2[j] / kappa, g_kappa[j])
-                else:
-                    eta_shared = draw_eta_shared(n_active, sizes, prior_draws[0][j])
+            # voxel stage: gamma, beta, rho, sigma2 (one call across the batch;
+            # a lone parcel's tau2 and kappa broadcast)
+            tau2_v = tau2 if lone else np.repeat(tau2, sizes)
+            xnorm2, c = stats.design_norms(rho, r2)
+            if spatial:
+                prior_logit = prior_logit_spatial(cfg.psi, eta)
+            else:
+                prior_logit = prior_logit_shared(eta_shared)
+                prior_logit = prior_logit if lone else np.repeat(prior_logit, sizes)
+            gamma = logit_u[j] < inclusion_log_odds(xnorm2, c, sigma2, tau2_v, prior_logit)
+            beta = draw_beta(xnorm2, c, sigma2, tau2_v, gamma, z_beta[j])
+            cw, wl2, wn2 = stats.residual_norms(beta, gamma)
+            rho, _ = draw_rho(cw, wl2, sigma2, z_rho[j])
+            r2 = rho.real**2 + rho.imag**2
+            ss = np.maximum(wn2 - 2.0 * (np.conj(rho) * cw).real + r2 * wl2, 0.0)
+            try:
+                sigma2 = draw_sigma2(ss, g_sigma[j])
+            except DegeneratePosteriorError:
+                # named by its row of y, which in a fit is its image voxel
+                k = int(np.argmax(ss <= 0.0))
+                g = ids[np.searchsorted(starts, k, side="right") - 1]
+                raise DegeneratePosteriorError(
+                    f"parcel {g}: zero residual sum of squares at voxel {rows[k]}") from None
 
-                if trace is not None:
-                    trace[it] = np.column_stack((gamma[at], beta[at].real, beta[at].imag,
-                                                 rho[at].real, rho[at].imag, sigma2[at]))
-                kept = it - cfg.n_burn
-                if kept >= 0:
-                    count += gamma
-                    if kept < n_batches * batch_len:
-                        batch_counts[kept // batch_len] += gamma
-                    beta_sum += beta
-        finally:
-            if pending is not None:
-                pending.cancel()
+            # parcel stage: tau2, then the inclusion-prior latents
+            n_active = np.add.reduceat(gamma, starts, dtype=np.intp)
+            ssb = np.add.reduceat(beta.real**2 + beta.imag**2, starts)
+            try:
+                tau2 = draw_tau2(n_active, ssb, tau2, u_tau2[j])
+            except DegeneratePosteriorError as exc:
+                g = ids[int(np.argmax((n_active > 0) & (ssb <= 0.0)))]
+                raise type(exc)(f"parcel {g}: {exc}") from None
+            if spatial:
+                m_eta, g_kappa, sum_h2 = prior_draws
+                kappa_rsqrt = kappa ** -0.5
+                eta = draw_eta(gamma, m_eta[j],
+                               kappa_rsqrt if lone else np.repeat(kappa_rsqrt, sizes))
+                # each parcel's sum of eta^2/nu2 is its sum of h^2 over the kappa that drew eta
+                kappa = draw_kappa(sum_h2[j] / kappa, g_kappa[j])
+            else:
+                eta_shared = draw_eta_shared(n_active, sizes, prior_draws[0][j])
+
+            if trace is not None:
+                trace[it] = np.column_stack((gamma[at], beta[at].real, beta[at].imag,
+                                             rho[at].real, rho[at].imag, sigma2[at]))
+            kept = it - cfg.n_burn
+            if kept >= 0:
+                count += gamma
+                if kept < n_batches * batch_len:
+                    batch_counts[kept // batch_len] += gamma
+                beta_sum += beta
+    finally:
+        if producer is not None:
+            _stop_producer(*producer)
 
     # batch-means MCSE: np.std(batch means, axis=0, ddof=1) in place, column by column
     batch_counts /= batch_len

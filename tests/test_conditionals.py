@@ -530,7 +530,9 @@ class TestInverseTransforms:
 
     def test_engine_logits_at_the_ends(self, monkeypatch):
         # the smallest and largest uniform as voxels 0 and 1's gamma uniforms:
-        # logits -inf (so gamma = 1 at every sweep) and finite, with no warning
+        # logits -inf (so gamma = 1 at every sweep) and finite, with no warning;
+        # on one CPU, so that every block is drawn in this process
+        monkeypatch.setattr(sampler, "usable_cpus", lambda: 1)
         draw, logits = sampler._block_draws, []
 
         def ends(rng, stages, *shapes):

@@ -3,9 +3,8 @@ detection power, MCSE, and result stitching."""
 
 import math
 import multiprocessing
-import sys
-import threading
-import time
+import os
+import signal
 import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 
@@ -15,7 +14,12 @@ from scipy.special import ndtri
 
 from cvfmri import sampler
 from cvfmri.design import design_for_length
-from cvfmri.errors import DegeneratePosteriorError, InsufficientDataError, InvalidSpecError
+from cvfmri.errors import (
+    CvfmriError,
+    DegeneratePosteriorError,
+    InsufficientDataError,
+    InvalidSpecError,
+)
 from cvfmri.parcellation import build_adjacency, build_spatial_basis, partition_grid
 from cvfmri.sampler import (
     A_KAPPA,
@@ -383,123 +387,186 @@ class TestBatchInvariance:
             run_parcel_chain(y, nu2s[::-1], x, cfg, consecutive(sizes, 7))
 
 
-def drawing_threads(y, x, nu2s, sizes, cfg):
-    """Run the engine and say, for each parcel block drawn, whether the
-    thread that drew it is the main one."""
+@pytest.fixture
+def drawers(monkeypatch, tmp_path):
+    """Record, for each parcel block drawn, the id of the process that drew
+    it, in a file that a forked producer appends to as well; returns a
+    function giving the ids recorded so far, in order."""
+    path = tmp_path / "drawers"
+    path.touch()
     draw = sampler._block_draws
-    on_main = []
 
     def recorded(*args):
-        on_main.append(threading.current_thread() is threading.main_thread())
+        fd = os.open(path, os.O_WRONLY | os.O_APPEND)
+        try:
+            os.write(fd, b"%d\n" % os.getpid())
+        finally:
+            os.close(fd)
         return draw(*args)
 
-    sampler._block_draws = recorded
-    try:
-        run_parcel_chain(y, nu2s, x, cfg, consecutive(sizes))
-    finally:
-        sampler._block_draws = draw
-    return on_main
+    monkeypatch.setattr(sampler, "_block_draws", recorded)
+    return lambda: [int(v) for v in path.read_text().split()]
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The ids of the children that ``os.fork`` starts from this process."""
+    fork, pids = os.fork, []
+
+    def recorded():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recorded)
+    return pids
+
+
+def assert_reaped(pid):
+    with pytest.raises(ChildProcessError):
+        os.waitpid(pid, os.WNOHANG)
 
 
 class TestBlockProducer:
-    """Batches whose parcels average PREFETCH_MIN_VOXELS voxels or more draw
-    each block on a helper thread when a CPU is spare: the same bits, and no
-    thread left behind."""
+    """Where a CPU is spare and the chain has a second block, the engine draws
+    the first block and forks a producer process that draws the rest: the
+    same bits, and no process left behind."""
 
     @pytest.fixture(autouse=True)
     def two_cpus(self, monkeypatch):
         # the producer path whatever the machine: two CPUs, this process a pool's parent
         monkeypatch.setattr(sampler, "usable_cpus", lambda: 2)
 
+    @pytest.fixture(autouse=True)
+    def no_hang(self):
+        # an engine that waits on its producer for good fails the test instead of hanging it
+        def timeout(*_):
+            raise TimeoutError("no block producer answered in 60 s")
+
+        previous = signal.signal(signal.SIGALRM, timeout)
+        signal.alarm(60)
+        yield
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
     @pytest.mark.parametrize("mode", ["spatial", NONSPATIAL])
-    def test_producer_matches_inline(self, batch_instance, monkeypatch, mode):
+    def test_producer_matches_inline(self, batch_instance, monkeypatch, drawers, mode):
         y, x, nu2s, sizes = batch_instance
+        # three blocks, the last one short
         cfg = SamplerConfig(n_iter=2 * BLOCK_SWEEPS + 8, n_burn=8, mode=mode, seed=21)
-        draw = sampler._block_draws
-        on_main = []
+        main = os.getpid()
+        # a batch of three parcels, and the third parcel alone
+        for parcels, nu2 in ((consecutive(sizes, 3), nu2s), ({5: range(7, 12)}, nu2s[2:])):
+            rows = [r for v in parcels.values() for r in v]
+            runs = {}
+            for cpus in (1, 2):
+                monkeypatch.setattr(sampler, "usable_cpus", lambda: cpus)
+                start = len(drawers())
+                s = run_parcel_chain(y, nu2 if mode == "spatial" else None, x, cfg, parcels,
+                                     trace_voxels=rows)
+                drawn = drawers()[start:]
+                runs[cpus] = [a.tobytes() for a in (s.incl_prob, s.beta_mean, s.mcse)]
+                runs[cpus] += [s.trace[v].tobytes() for v in rows]
+                # every parcel's three blocks: inline on one CPU; on two, the
+                # first block inline and the other two in one producer process
+                n = len(parcels)
+                if cpus == 1:
+                    assert drawn == [main] * 3 * n
+                else:
+                    assert drawn[:n] == [main] * n
+                    assert len(set(drawn[n:])) == 1 and drawn[n] != main
+                    assert len(drawn) == 3 * n
+            assert runs[2] == runs[1]
 
-        def recorded(*args):
-            on_main.append(threading.current_thread() is threading.main_thread())
-            return draw(*args)
-
-        monkeypatch.setattr(sampler, "_block_draws", recorded)
-        runs = {}
-        interval = sys.getswitchinterval()
-        for ahead, limit in ((False, 10**9), (True, 1)):
-            monkeypatch.setattr(sampler, "PREFETCH_MIN_VOXELS", limit)
-            on_main.clear()
-            # frequent thread switches, so that the two threads interleave finely
-            sys.setswitchinterval(1e-6)
-            try:
-                s = run_parcel_chain(y, nu2s if mode == "spatial" else None, x, cfg,
-                                     consecutive(sizes, 3), trace_voxels=range(y.shape[0]))
-            finally:
-                sys.setswitchinterval(interval)
-            # three blocks of three parcels, drawn on the helper thread or not
-            assert on_main == [not ahead] * 9
-            runs[ahead] = [a.tobytes() for a in (s.incl_prob, s.beta_mean, s.mcse)]
-            runs[ahead] += [s.trace[v].tobytes() for v in range(y.shape[0])]
-        assert runs[True] == runs[False]
-
-    def test_no_producer_without_a_spare_cpu(self, batch_instance, monkeypatch):
+    def test_no_producer_without_a_spare_cpu(self, batch_instance, monkeypatch, drawers, forks):
         y, x, nu2s, sizes = batch_instance
-        cfg = SamplerConfig(n_iter=BLOCK_SWEEPS + 8, n_burn=8)
-        monkeypatch.setattr(sampler, "PREFETCH_MIN_VOXELS", 1)
-        assert drawing_threads(y, x, nu2s, sizes, cfg) == [False] * 6
         monkeypatch.setattr(sampler, "usable_cpus", lambda: 1)
-        assert drawing_threads(y, x, nu2s, sizes, cfg) == [True] * 6
+        run_parcel_chain(y, nu2s, x, SamplerConfig(n_iter=BLOCK_SWEEPS + 8, n_burn=8),
+                         consecutive(sizes))
+        assert forks == [] and drawers() == [os.getpid()] * 6
 
-    def test_no_producer_in_a_pool_worker(self, batch_instance, monkeypatch):
+    def test_no_producer_for_one_block(self, batch_instance, drawers, forks):
+        y, x, nu2s, sizes = batch_instance
+        run_parcel_chain(y, nu2s, x, SamplerConfig(n_iter=BLOCK_SWEEPS, n_burn=16),
+                         consecutive(sizes))
+        assert forks == [] and drawers() == [os.getpid()] * 3
+
+    def test_no_producer_in_a_pool_worker(self, batch_instance, drawers):
         # a fit's pool runs one worker per CPU, so its workers draw inline
         y, x, nu2s, sizes = batch_instance
         cfg = SamplerConfig(n_iter=BLOCK_SWEEPS + 8, n_burn=8)
-        monkeypatch.setattr(sampler, "PREFETCH_MIN_VOXELS", 1)
         with ProcessPoolExecutor(max_workers=1,
                                  mp_context=multiprocessing.get_context("fork")) as pool:
-            in_worker = pool.submit(drawing_threads, y, x, nu2s, sizes, cfg).result()
-        assert in_worker == [True] * 6
+            pool.submit(run_parcel_chain, y, nu2s, x, cfg, consecutive(sizes)).result()
+        drawn = drawers()
+        assert len(drawn) == 6 and len(set(drawn)) == 1 and drawn[0] != os.getpid()
 
-    def test_no_thread_outlives_the_call(self, batch_instance, monkeypatch):
+    def test_no_producer_without_os_fork(self, batch_instance, monkeypatch, drawers):
         y, x, nu2s, sizes = batch_instance
-        monkeypatch.setattr(sampler, "PREFETCH_MIN_VOXELS", 1)
-        before = threading.enumerate()
+        monkeypatch.delattr(os, "fork")
+        assert not sampler._cpu_to_spare()
         run_parcel_chain(y, nu2s, x, SamplerConfig(n_iter=BLOCK_SWEEPS + 8, n_burn=8),
                          consecutive(sizes))
-        assert threading.enumerate() == before
+        assert drawers() == [os.getpid()] * 6
 
-    def test_no_thread_outlives_a_failed_sweep(self, batch_instance, monkeypatch):
-        # a constant series fails the first sweep while the second block is
-        # being drawn: the engine waits for it and raises the usual error
+    def test_a_failed_fork_draws_inline(self, batch_instance, monkeypatch, drawers):
+        y, x, nu2s, sizes = batch_instance
+        cfg = SamplerConfig(n_iter=2 * BLOCK_SWEEPS + 8, n_burn=8, seed=4)
+        ahead = run_parcel_chain(y, nu2s, x, cfg, consecutive(sizes))
+
+        def no_fork():
+            raise BlockingIOError("fork: resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        s = run_parcel_chain(y, nu2s, x, cfg, consecutive(sizes))
+        assert drawers()[9:] == [os.getpid()] * 9
+        assert s.incl_prob.tobytes() == ahead.incl_prob.tobytes()
+        assert s.beta_mean.tobytes() == ahead.beta_mean.tobytes()
+
+    def test_no_producer_outlives_the_call(self, batch_instance, forks):
+        y, x, nu2s, sizes = batch_instance
+        run_parcel_chain(y, nu2s, x, SamplerConfig(n_iter=3 * BLOCK_SWEEPS, n_burn=8),
+                         consecutive(sizes))
+        assert len(forks) == 1
+        assert_reaped(forks[0])
+
+    def test_no_producer_outlives_a_failed_sweep(self, batch_instance, forks):
+        # a constant series fails the first sweep while the producer draws
+        # the second block: the engine stops it, reaps it and raises the usual error
         y, x, nu2s, sizes = batch_instance
         y = y.copy()
         y[5] = 1.0 + 0.5j
-        monkeypatch.setattr(sampler, "PREFETCH_MIN_VOXELS", 1)
-        draw, draw_sigma2 = sampler._block_draws, sampler.draw_sigma2
-        started, finished = [], []
-        second_block = threading.Event()
-
-        def slow_second_block(*args):
-            started.append(1)
-            if len(started) > len(sizes):
-                second_block.set()
-                time.sleep(0.05)
-            out = draw(*args)
-            finished.append(1)
-            return out
-
-        def sigma2_once_second_block_runs(*args):
-            assert second_block.wait(10)
-            return draw_sigma2(*args)
-
-        monkeypatch.setattr(sampler, "_block_draws", slow_second_block)
-        monkeypatch.setattr(sampler, "draw_sigma2", sigma2_once_second_block_runs)
-        before = threading.enumerate()
         with pytest.raises(DegeneratePosteriorError,
                            match="^parcel 8: zero residual sum of squares at voxel 5$"):
-            run_parcel_chain(y, nu2s, x, SamplerConfig(n_iter=2 * BLOCK_SWEEPS, n_burn=8),
+            run_parcel_chain(y, nu2s, x, SamplerConfig(n_iter=3 * BLOCK_SWEEPS, n_burn=8),
                              consecutive(sizes, 7))
-        assert threading.enumerate() == before
-        assert len(finished) == len(started) == 2 * len(sizes)
+        assert len(forks) == 1
+        assert_reaped(forks[0])
+
+    @pytest.mark.parametrize("death", ["raises", "killed"])
+    def test_a_dead_producer_is_an_error(self, batch_instance, monkeypatch, forks, capfd,
+                                         death):
+        y, x, nu2s, sizes = batch_instance
+        draw, main = sampler._block_draws, os.getpid()
+
+        def dies_in_the_producer(*args):
+            if os.getpid() != main:
+                if death == "killed":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                raise RuntimeError("no more draws")
+            return draw(*args)
+
+        monkeypatch.setattr(sampler, "_block_draws", dies_in_the_producer)
+        code = 1 if death == "raises" else -signal.SIGKILL
+        with pytest.raises(CvfmriError, match=rf"^the block producer process \d+ exited with "
+                           rf"code {code} before the block of sweep {BLOCK_SWEEPS}$"):
+            run_parcel_chain(y, nu2s, x, SamplerConfig(n_iter=3 * BLOCK_SWEEPS, n_burn=8),
+                             consecutive(sizes))
+        assert len(forks) == 1
+        assert_reaped(forks[0])
+        if death == "raises":
+            assert "RuntimeError: no more draws" in capfd.readouterr().err
 
 
 def full_residual_norms(stats, beta):
