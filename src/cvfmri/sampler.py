@@ -28,10 +28,10 @@ conditionally independent given the parcel-level state, so they are performed
 as vectorized stage updates; this realizes the same transition kernel as a
 fixed voxel-order scan. One engine runs a batch of parcels, each given as its
 rows of the series (in a fit, the whole image's); it gathers one parcel's rows
-at a time and stacks the parcels' statistics along the voxel axis. Each stage
-is one numpy call across every parcel of the batch, and parcel-level sums are
-``np.add.reduceat`` over the parcels' offsets (the sum of each parcel's own
-segment). A lone parcel is a batch of one.
+at a time and fills its rows of the batch's statistics. Each stage is one
+numpy call across the batch's parcels, however many: parcel-level values
+reach the voxels by ``np.repeat`` over the parcels' sizes, and parcel-level
+sums are ``np.add.reduceat`` over the parcels' offsets.
 
 Parcel g has its own random stream, ``default_rng(derive_seed(cfg.seed, g))``,
 which the engine derives from the parcel's index in the image. Every draw a
@@ -40,14 +40,14 @@ is pregenerated in blocks of ``BLOCK_SWEEPS`` sweeps (the layout is given
 there). So a parcel's draws, and its maps, do not depend on which batch
 or worker runs it. Blocks fill buffers allocated once per chain and hold every
 transform of the draws that reads no chain state, so a sweep does only the
-work that does. When a CPU is spare and the chain has a second block, the
-engine draws the first block itself and then forks a producer process, which
-draws and transforms each later block into the other of two buffer sets in
-shared memory while the engine sweeps the one before it; the stream
-is the same either way. Each conditional is written once, as a public function
-of its sufficient statistics and standard variates (``inclusion_log_odds``
-and the ``draw_*`` functions); the engine calls them, and the test suite feeds
-them from an independent per-series reference.
+work that does. When a CPU is spare and the chain has a second block, a
+producer process forked before the first sweep draws and transforms every
+block into two alternating buffer sets in shared memory while the engine
+sweeps the one before it; otherwise the engine draws each block. The stream
+is the same either way. Each conditional is written once, as a public
+function of its sufficient statistics and standard variates
+(``inclusion_log_odds`` and the ``draw_*`` functions); the engine calls them,
+and the test suite feeds them from an independent per-series reference.
 
 The chain keeps running counts, not draws: a voxel's count of kept gamma = 1,
 in all and per batch of n_kept // b sweeps for b = isqrt(n_kept), gives its
@@ -60,6 +60,7 @@ import math
 import mmap
 import multiprocessing
 import os
+import signal
 import sys
 import traceback
 from dataclasses import dataclass
@@ -378,9 +379,9 @@ def draw_eta_shared(n_active, n_vox, u):
 #: gamma uniforms' logits log u - log1p(-u), stage 5 eta's uniforms as
 #: half-normal magnitudes h = -ndtri(u/2) times sqrt(nu2), and the block adds
 #: each parcel's sum of h^2 for every sweep. The stream is the same. Which
-#: process draws a block is not part of it either: the engine draws the
-#: first, and a producer process, when there is one (see ``run_parcel_chain``),
-#: is from its fork on the only reader of the generators.
+#: process draws a block is not part of it either: a producer process, when
+#: there is one (see ``run_parcel_chain``), draws every block and is the only
+#: reader of the generators; otherwise the engine draws each block.
 BLOCK_SWEEPS = 32
 
 
@@ -400,35 +401,42 @@ def _cpu_to_spare() -> bool:
             and multiprocessing.parent_process() is None)
 
 
-def _buffer_sets(shapes, count: int, shared: bool):
+def _buffer_sets(shapes, count: int):
     """``count`` sets of float arrays of ``shapes`` carved from one
-    allocation: anonymous shared memory when ``shared``, so that what a forked
-    child writes there its parent reads."""
+    allocation: for more than one, anonymous shared memory, so that what a
+    forked child writes there its parent reads, or one private set where that
+    memory cannot be mapped."""
     ends = np.cumsum([math.prod(shape) for shape in shapes] * count)
-    flat = np.frombuffer(mmap.mmap(-1, 8 * ends[-1])) if shared else np.empty(ends[-1])
+    try:
+        flat = np.frombuffer(mmap.mmap(-1, 8 * ends[-1])) if count > 1 else np.empty(ends[-1])
+    except OSError:
+        return _buffer_sets(shapes, 1)
     parts = iter(np.split(flat, ends[:-1]))
     return [[next(parts).reshape(shape) for shape in shapes] for _ in range(count)]
 
 
 def _fork_producer(make_block, n_iter: int):
-    """Fork the producer of the blocks that sweeps BLOCK_SWEEPS,
-    2 * BLOCK_SWEEPS, ... open: the engine's ends ``(pid, free, ready)`` of
-    two pipes, or None where the fork fails.
+    """Fork the producer of every block of the chain: the engine's ends
+    ``(pid, free, ready)`` of two pipes, or None (and no pipe left open) where
+    a pipe or the fork cannot be made.
 
-    The producer draws each block with ``make_block`` once the engine has
-    freed its buffer set, one byte on ``free`` (the first needs none), and
-    announces it with one byte on ``ready``. It leaves by ``os._exit`` and
-    never returns here: 0 when done or once the engine has closed its ends,
-    1 after printing any other error.
+    The producer draws the blocks of sweeps 0 and BLOCK_SWEEPS with
+    ``make_block`` at once, each later one once the engine has freed its
+    buffer set (one byte on ``free``), and announces each with one byte on
+    ``ready``. It ignores SIGINT: a Ctrl-C stops the engine, which stops it.
+    It leaves by ``os._exit`` and never returns here: 0 when done or once the
+    engine has closed its ends, 1 after printing any other error.
     """
-    free_r, free_w = os.pipe()
-    ready_r, ready_w = os.pipe()
+    fds = []
     try:
+        fds += os.pipe()
+        fds += os.pipe()
         pid = os.fork()
     except OSError:
-        for fd in (free_r, free_w, ready_r, ready_w):
+        for fd in fds:
             os.close(fd)
         return None
+    free_r, free_w, ready_r, ready_w = fds
     if pid:
         os.close(free_r)
         os.close(ready_w)
@@ -436,9 +444,10 @@ def _fork_producer(make_block, n_iter: int):
     # the child: every path leaves by os._exit, never into its parent's frames
     status = 1
     try:
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
         os.close(free_w)
         os.close(ready_r)
-        for it in range(BLOCK_SWEEPS, n_iter, BLOCK_SWEEPS):
+        for it in range(0, n_iter, BLOCK_SWEEPS):
             if it > BLOCK_SWEEPS and not os.read(free_r, 1):
                 break  # the engine has stopped
             make_block(it)
@@ -461,11 +470,12 @@ def _stop_producer(pid: int, free: int, ready: int) -> int:
     return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
 
 
-def _block_draws(rng, stages, shape_sigma, shape_kappa):
-    """Fill one parcel's C-contiguous block arrays ``stages`` in stream order (BLOCK_SWEEPS)."""
+def _block_draws(rng, stages, n_time, n_vox):
+    """Fill the C-contiguous block arrays ``stages`` of a parcel of ``n_vox``
+    voxels with series of length ``n_time`` in stream order (BLOCK_SWEEPS)."""
     fills = (rng.random, rng.standard_normal, rng.standard_normal,
-             lambda out: rng.standard_gamma(shape_sigma, out=out), rng.random, rng.random,
-             lambda out: rng.standard_gamma(shape_kappa, out=out))
+             lambda out: rng.standard_gamma(n_time - 1, out=out), rng.random, rng.random,
+             lambda out: rng.standard_gamma(n_vox / 2.0 + A_KAPPA, out=out))
     for fill, out in zip(fills, stages):
         fill(out=out)
 
@@ -476,37 +486,35 @@ class _ParcelStats:
     With x real and y complex, every quantity the conditionals need
     (||x*||^2, X*'y*, residual energies) is a fixed combination of these
     statistics and the current rho/beta, so no O(V*T) work recurs per sweep.
-    Each parcel's statistics are computed from its own rows, so their bits do
-    not depend on the batch; ``stack`` concatenates those of a batch.
+    A batch's statistics are allocated once, for ``n_vox`` voxels, and each
+    parcel fills its own rows from its own series (``fill``), so their bits
+    do not depend on the batch. ``y2_mean``, each series' mean squared
+    modulus, sets the chain's initial sigma^2.
     """
 
-    def __init__(self, y: np.ndarray, x: np.ndarray):
-        xn, xl = x[1:], x[:-1]
-        yn, yl = y[:, 1:], y[:, :-1]
+    def __init__(self, x: np.ndarray, n_vox: int):
+        self.xn, self.xl = xn, xl = x[1:], x[:-1]
         self.sxx_nn = float(xn @ xn)
         self.sxx_ll = float(xl @ xl)
         self.sxx_nl = float(xn @ xl)
         self.sxx_nl2 = 2.0 * self.sxx_nl
+        self.a1, self.a2, self.a3, self.a4, self.syy = np.empty((5, n_vox), dtype=complex)
+        self.syl2, self.syn2, self.y2_mean = np.empty((3, n_vox))
+
+    def fill(self, lo: int, y: np.ndarray):
+        """Fill the statistics of voxels lo, lo + 1, ... from their series ``y``."""
+        xn, xl, yn, yl = self.xn, self.xl, y[:, 1:], y[:, :-1]
+        at = slice(lo, lo + len(y))
         # einsum, not @: it runs on the calling thread, while a BLAS product
         # would wake the library's helper threads in every pool worker
-        self.a1 = np.einsum("vt,t->v", yn, xn)
-        self.a2 = np.einsum("vt,t->v", yn, xl)
-        self.a3 = np.einsum("vt,t->v", yl, xn)
-        self.a4 = np.einsum("vt,t->v", yl, xl)
-        self.syy = np.sum(np.conj(yl) * yn, axis=1)
-        self.syl2 = np.sum(yl.real**2 + yl.imag**2, axis=1)
-        self.syn2 = np.sum(yn.real**2 + yn.imag**2, axis=1)
-
-    @classmethod
-    def stack(cls, parts):
-        """The statistics of a batch: per-voxel arrays concatenated, the
-        regressor's sums (the same for every parcel) kept once."""
-        out = cls.__new__(cls)
-        for name, value in vars(parts[0]).items():
-            if np.ndim(value):
-                value = np.concatenate([getattr(p, name) for p in parts])
-            setattr(out, name, value)
-        return out
+        np.einsum("vt,t->v", yn, xn, out=self.a1[at])
+        np.einsum("vt,t->v", yn, xl, out=self.a2[at])
+        np.einsum("vt,t->v", yl, xn, out=self.a3[at])
+        np.einsum("vt,t->v", yl, xl, out=self.a4[at])
+        np.sum(np.conj(yl) * yn, axis=1, out=self.syy[at])
+        np.sum(yl.real**2 + yl.imag**2, axis=1, out=self.syl2[at])
+        np.sum(yn.real**2 + yn.imag**2, axis=1, out=self.syn2[at])
+        np.mean(y.real**2 + y.imag**2, axis=1, out=self.y2_mean[at])
 
     def design_norms(self, rho, r2):
         """(||x*||^2, x*^H y*) after quasi-differencing with ``rho``, whose
@@ -574,8 +582,10 @@ def run_parcel_chain(
     gamma, beta, rho and sigma^2.
 
     When a CPU is spare (``_cpu_to_spare``) and the chain has a second block,
-    a forked producer process draws every block after the first (see
-    ``_fork_producer``); it is reaped before the call returns or raises.
+    a producer process forked before the first sweep draws every block (see
+    ``_fork_producer``), and the engine draws none; it is reaped before the
+    call returns or raises. Otherwise, and where no producer can be set up,
+    the engine draws each block itself.
     """
     y = np.asarray(y, dtype=complex)
     x = np.asarray(x, dtype=float)
@@ -583,7 +593,6 @@ def run_parcel_chain(
         raise InvalidSpecError("parcel data must be (N, T) with T matching the regressor")
     if x.size < 3:
         raise InsufficientDataError("chains need at least 3 time points")
-    n_time = x.size
     ids = list(parcels)
     row_lists = [np.asarray(r, dtype=np.intp) for r in parcels.values()]
     sizes = np.array([r.size for r in row_lists], dtype=np.intp)
@@ -619,16 +628,12 @@ def run_parcel_chain(
         trace = _zeros((cfg.n_iter, len(traced), 6), "trace", cfg.n_iter)
 
     starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
-    xc = _center(x)
-    parts, sigma2 = [], []
-    for r in row_lists:
-        yc = _center(y[r])
-        parts.append(_ParcelStats(yc, xc))
-        # pooled per-component variance of the centered series, halved
-        sigma2.append(np.maximum(0.25 * np.mean(yc.real**2 + yc.imag**2, axis=1), 1e-30))
-    stats = _ParcelStats.stack(parts)
-    # the state the mode reads (gamma and beta are drawn before their first read)
-    sigma2 = np.concatenate(sigma2)
+    stats = _ParcelStats(_center(x), n_vox)
+    for lo, r in zip(starts, row_lists):
+        stats.fill(lo, _center(y[r]))
+    # the state the mode reads (gamma and beta are drawn before their first
+    # read), sigma2 the pooled per-component variance of the series, halved
+    sigma2 = np.maximum(0.25 * stats.y2_mean, 1e-30)
     rho = np.zeros(n_vox, dtype=complex)
     r2 = np.zeros(n_vox)
     tau2 = np.ones(n_parcels)
@@ -638,18 +643,17 @@ def run_parcel_chain(
     else:
         eta_shared = np.full(n_parcels, 0.5)
     rngs = [np.random.default_rng(derive_seed(cfg.seed, g)) for g in ids]
-    kappa_shapes = [s / 2.0 + A_KAPPA if spatial else None for s in sizes]
 
-    ahead = cfg.n_iter > BLOCK_SWEEPS and _cpu_to_spare()
     # a block's buffers (one value set per voxel or per parcel, values each):
     # the stages in stream order, then in spatial mode the parcels' sums of
-    # eta's h^2, one per sweep. One set inline; ahead, two alternating sets
-    # in memory shared with the producer process
+    # eta's h^2, one per sweep. One set, drawn inline; where a CPU is spare
+    # and the chain has a second block, two alternating sets in memory shared
+    # with a producer process (one, drawn inline, where it cannot be mapped)
     stages = [(True, 1), (True, 2), (True, 2), (True, 1), (False, 1)]
     stages += [(True, 1), (False, 1)] if spatial else [(False, 1)]
     shapes = [(BLOCK_SWEEPS, n_vox if per_voxel else n_parcels, width)
               for per_voxel, width in stages + [(False, 1)] * spatial]
-    buffers = _buffer_sets(shapes, 1 + ahead, shared=ahead)
+    buffers = _buffer_sets(shapes, 1 + (cfg.n_iter > BLOCK_SWEEPS and _cpu_to_spare()))
     # a parcel of a batch draws into scratch sized to the largest parcel, copied to its columns
     # (and a block's transforms work in one more array, not in a fresh one per block)
     work = np.empty((BLOCK_SWEEPS, n_vox))
@@ -669,13 +673,13 @@ def run_parcel_chain(
         k = min(BLOCK_SWEEPS, cfg.n_iter - it)
         block = [b[:k] for b in buffers[it // BLOCK_SWEEPS % len(buffers)][:len(stages)]]
         if lone:
-            _block_draws(rngs[0], block, n_time - 1, kappa_shapes[0])
+            _block_draws(rngs[0], block, x.size, n_vox)
         else:
-            for p, (rng, lo, size, shape) in enumerate(zip(rngs, starts, sizes, kappa_shapes)):
+            for p, (rng, lo, size) in enumerate(zip(rngs, starts, sizes)):
                 cols = [b[:, lo:lo + size] if per_voxel else b[:, p:p + 1]
                         for b, (per_voxel, _) in zip(block, stages)]
                 parts = [flat[:c.size].reshape(c.shape) for flat, c in zip(scratch, cols)]
-                _block_draws(rng, parts, n_time - 1, shape)
+                _block_draws(rng, parts, x.size, size)
                 for c, part in zip(cols, parts):
                     c[...] = part
         draws = block_draws(it)
@@ -698,22 +702,20 @@ def run_parcel_chain(
     count = np.zeros(n_vox, dtype=np.intp)
     batch_counts = _zeros((n_batches, n_vox), "batch-count", cfg.n_iter)
     beta_sum = np.zeros(n_vox, dtype=complex)
-    # ahead, the engine draws the first block and then forks the producer of
-    # the rest: (pid, free, ready), its pipes' engine ends (see _fork_producer)
-    producer = None
+    # with two buffer sets, a producer draws every block: (pid, free, ready),
+    # its pipes' engine ends (see _fork_producer); None where the engine draws
+    producer = _fork_producer(make_block, cfg.n_iter) if len(buffers) > 1 else None
     try:
         for it in range(cfg.n_iter):
             j = it % BLOCK_SWEEPS
             if j == 0:
                 if producer is None:
                     make_block(it)
-                    if ahead and it == 0:
-                        producer = _fork_producer(make_block, cfg.n_iter)
                 else:
                     pid, free, ready = producer
                     try:
                         done = os.read(ready, 1)  # empty once the producer has gone
-                        if done and it + BLOCK_SWEEPS < cfg.n_iter:
+                        if done and it and it + BLOCK_SWEEPS < cfg.n_iter:
                             os.write(free, b"\1")  # the set of the block just swept
                     except BrokenPipeError:
                         done = b""
@@ -724,15 +726,13 @@ def run_parcel_chain(
                                           f"code {code} before the block of sweep {it}") from None
                 logit_u, z_beta, z_rho, g_sigma, u_tau2, *prior_draws = block_draws(it)
 
-            # voxel stage: gamma, beta, rho, sigma2 (one call across the batch;
-            # a lone parcel's tau2 and kappa broadcast)
-            tau2_v = tau2 if lone else np.repeat(tau2, sizes)
+            # voxel stage: gamma, beta, rho, sigma2 (one call across the batch)
+            tau2_v = np.repeat(tau2, sizes)
             xnorm2, c = stats.design_norms(rho, r2)
             if spatial:
                 prior_logit = prior_logit_spatial(cfg.psi, eta)
             else:
-                prior_logit = prior_logit_shared(eta_shared)
-                prior_logit = prior_logit if lone else np.repeat(prior_logit, sizes)
+                prior_logit = np.repeat(prior_logit_shared(eta_shared), sizes)
             gamma = logit_u[j] < inclusion_log_odds(xnorm2, c, sigma2, tau2_v, prior_logit)
             beta = draw_beta(xnorm2, c, sigma2, tau2_v, gamma, z_beta[j])
             cw, wl2, wn2 = stats.residual_norms(beta, gamma)
@@ -758,9 +758,7 @@ def run_parcel_chain(
                 raise type(exc)(f"parcel {g}: {exc}") from None
             if spatial:
                 m_eta, g_kappa, sum_h2 = prior_draws
-                kappa_rsqrt = kappa ** -0.5
-                eta = draw_eta(gamma, m_eta[j],
-                               kappa_rsqrt if lone else np.repeat(kappa_rsqrt, sizes))
+                eta = draw_eta(gamma, m_eta[j], np.repeat(kappa ** -0.5, sizes))
                 # each parcel's sum of eta^2/nu2 is its sum of h^2 over the kappa that drew eta
                 kappa = draw_kappa(sum_h2[j] / kappa, g_kappa[j])
             else:

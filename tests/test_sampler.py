@@ -1,6 +1,7 @@
 """Chain behavior: equivalence with the op-level reference, determinism,
 detection power, MCSE, and result stitching."""
 
+import errno
 import math
 import multiprocessing
 import os
@@ -428,10 +429,27 @@ def assert_reaped(pid):
         os.waitpid(pid, os.WNOHANG)
 
 
+def open_fds():
+    """The file descriptors open in this process."""
+    return sorted(int(fd) for fd in os.listdir("/dev/fd"))
+
+
+def one_cpu_bits(monkeypatch, *args):
+    """The bytes of the summary of ``run_parcel_chain(*args)``, with every block drawn inline."""
+    with monkeypatch.context() as m:
+        m.setattr(sampler, "usable_cpus", lambda: 1)
+        return summary_bits(run_parcel_chain(*args))
+
+
+def summary_bits(summary):
+    return [a.tobytes() for a in (summary.incl_prob, summary.beta_mean, summary.mcse)]
+
+
 class TestBlockProducer:
-    """Where a CPU is spare and the chain has a second block, the engine draws
-    the first block and forks a producer process that draws the rest: the
-    same bits, and no process left behind."""
+    """Where a CPU is spare and the chain has a second block, the engine forks
+    a producer process that draws every block, and draws none itself: the
+    same bits, and no process left behind. Where no producer can be set up,
+    the engine draws every block inline."""
 
     @pytest.fixture(autouse=True)
     def two_cpus(self, monkeypatch):
@@ -466,17 +484,15 @@ class TestBlockProducer:
                 s = run_parcel_chain(y, nu2 if mode == "spatial" else None, x, cfg, parcels,
                                      trace_voxels=rows)
                 drawn = drawers()[start:]
-                runs[cpus] = [a.tobytes() for a in (s.incl_prob, s.beta_mean, s.mcse)]
+                runs[cpus] = summary_bits(s)
                 runs[cpus] += [s.trace[v].tobytes() for v in rows]
-                # every parcel's three blocks: inline on one CPU; on two, the
-                # first block inline and the other two in one producer process
-                n = len(parcels)
+                # every parcel's three blocks: inline on one CPU; on two, all
+                # of them, the first included, in one producer process
+                assert len(drawn) == 3 * len(parcels)
                 if cpus == 1:
-                    assert drawn == [main] * 3 * n
+                    assert set(drawn) == {main}
                 else:
-                    assert drawn[:n] == [main] * n
-                    assert len(set(drawn[n:])) == 1 and drawn[n] != main
-                    assert len(drawn) == 3 * n
+                    assert len(set(drawn)) == 1 and drawn[0] != main
             assert runs[2] == runs[1]
 
     def test_no_producer_without_a_spare_cpu(self, batch_instance, monkeypatch, drawers, forks):
@@ -519,10 +535,59 @@ class TestBlockProducer:
             raise BlockingIOError("fork: resource temporarily unavailable")
 
         monkeypatch.setattr(os, "fork", no_fork)
+        fds = open_fds()
         s = run_parcel_chain(y, nu2s, x, cfg, consecutive(sizes))
+        assert open_fds() == fds
         assert drawers()[9:] == [os.getpid()] * 9
         assert s.incl_prob.tobytes() == ahead.incl_prob.tobytes()
         assert s.beta_mean.tobytes() == ahead.beta_mean.tobytes()
+
+    @pytest.mark.parametrize("failure", ["first pipe", "second pipe", "mmap"])
+    def test_a_failed_setup_draws_inline(self, batch_instance, monkeypatch, forks, failure):
+        # out of file descriptors for a pipe, or of memory for the shared
+        # buffers: the same bits as on one CPU, no child, no fd left open
+        y, x, nu2s, sizes = batch_instance
+        args = (y, nu2s, x, SamplerConfig(n_iter=2 * BLOCK_SWEEPS + 8, n_burn=8, seed=4),
+                consecutive(sizes))
+        inline = one_cpu_bits(monkeypatch, *args)
+        pipe, pipes = os.pipe, []
+
+        def fails(*_):
+            if failure == "mmap":
+                raise OSError(errno.ENOMEM, "Cannot allocate memory")
+            pipes.append(None)
+            if len(pipes) == (1 if failure == "first pipe" else 2):
+                raise OSError(errno.EMFILE, "Too many open files")
+            return pipe()
+
+        if failure == "mmap":
+            monkeypatch.setattr(sampler.mmap, "mmap", fails)
+        else:
+            monkeypatch.setattr(os, "pipe", fails)
+        fds = open_fds()
+        assert summary_bits(run_parcel_chain(*args)) == inline
+        assert open_fds() == fds and forks == []
+
+    def test_a_sigint_to_the_producer_is_ignored(self, batch_instance, monkeypatch, forks,
+                                                 capfd):
+        # a Ctrl-C reaches the producer too; it is the engine's to act on
+        y, x, nu2s, sizes = batch_instance
+        args = (y, nu2s, x, SamplerConfig(n_iter=3 * BLOCK_SWEEPS, n_burn=8, seed=5),
+                consecutive(sizes))
+        inline = one_cpu_bits(monkeypatch, *args)
+        draw, main = sampler._block_draws, os.getpid()
+
+        def interrupted(*args):
+            if os.getpid() != main:
+                os.kill(os.getpid(), signal.SIGINT)
+            return draw(*args)
+
+        monkeypatch.setattr(sampler, "_block_draws", interrupted)
+        capfd.readouterr()
+        assert summary_bits(run_parcel_chain(*args)) == inline
+        assert len(forks) == 1
+        assert_reaped(forks[0])
+        assert capfd.readouterr().err == ""
 
     def test_no_producer_outlives_the_call(self, batch_instance, forks):
         y, x, nu2s, sizes = batch_instance
@@ -560,7 +625,7 @@ class TestBlockProducer:
         monkeypatch.setattr(sampler, "_block_draws", dies_in_the_producer)
         code = 1 if death == "raises" else -signal.SIGKILL
         with pytest.raises(CvfmriError, match=rf"^the block producer process \d+ exited with "
-                           rf"code {code} before the block of sweep {BLOCK_SWEEPS}$"):
+                           rf"code {code} before the block of sweep 0$"):
             run_parcel_chain(y, nu2s, x, SamplerConfig(n_iter=3 * BLOCK_SWEEPS, n_burn=8),
                              consecutive(sizes))
         assert len(forks) == 1
@@ -585,7 +650,8 @@ class TestResidualNorms:
         n_vox, n_time = 257, 40
         y = rng.standard_normal((n_vox, n_time)) + 1j * rng.standard_normal((n_vox, n_time))
         x = rng.standard_normal(n_time)
-        stats = sampler._ParcelStats(y - y.mean(axis=1, keepdims=True), x - x.mean())
+        stats = sampler._ParcelStats(x - x.mean(), n_vox)
+        stats.fill(0, y - y.mean(axis=1, keepdims=True))
         active = rng.random(n_vox) < share
         beta = np.where(active, rng.standard_normal(n_vox) + 1j * rng.standard_normal(n_vox), 0)
         for got, full in zip(stats.residual_norms(beta, active), full_residual_norms(stats, beta)):

@@ -72,10 +72,11 @@ def settled() -> float:
 class MatmulStats(sampler._ParcelStats):
     """``_ParcelStats`` with its per-voxel products formed by ``@``."""
 
-    def __init__(self, y, x):
-        super().__init__(y, x)
-        xn, xl, yn, yl = x[1:], x[:-1], y[:, 1:], y[:, :-1]
-        self.a1, self.a2, self.a3, self.a4 = yn @ xn, yn @ xl, yl @ xn, yl @ xl
+    def fill(self, lo, y):
+        super().fill(lo, y)
+        xn, xl, yn, yl = self.xn, self.xl, y[:, 1:], y[:, :-1]
+        at = slice(lo, lo + len(y))
+        self.a1[at], self.a2[at], self.a3[at], self.a4[at] = yn @ xn, yn @ xl, yl @ xn, yl @ xl
 
 
 def fit_cpu(data: Path, out: Path) -> float:
