@@ -36,18 +36,19 @@ sums are ``np.add.reduceat`` over the parcels' offsets.
 Parcel g has its own random stream, ``default_rng(derive_seed(cfg.seed, g))``,
 which the engine derives from the parcel's index in the image. Every draw a
 parcel uses has a fixed count, for every voxel whether it uses it or not, and
-is pregenerated in blocks of ``BLOCK_SWEEPS`` sweeps (the layout is given
-there). So a parcel's draws, and its maps, do not depend on which batch
-or worker runs it. Blocks fill buffers allocated once per chain and hold every
-transform of the draws that reads no chain state, so a sweep does only the
-work that does. When a CPU is spare and the chain has a second block, a
-producer process forked before the first sweep draws and transforms every
-block into two alternating buffer sets in shared memory while the engine
-sweeps the one before it; otherwise the engine draws each block. The stream
-is the same either way. Each conditional is written once, as a public
-function of its sufficient statistics and standard variates
-(``inclusion_log_odds`` and the ``draw_*`` functions); the engine calls them,
-and the test suite feeds them from an independent per-series reference.
+is pregenerated in blocks of ``BLOCK_SWEEPS`` sweeps, stage by stage as the
+table ``_BLOCK_STAGES`` defines them. So a parcel's draws, and its maps, do not
+depend on which batch or worker runs it. Blocks fill buffers allocated once per
+chain, one array per stage name, and hold every transform of the draws that
+reads no chain state, so a sweep does only the work that does. When a CPU is
+spare and the chain has a second block, a producer process forked before the
+first sweep draws and transforms every block into two alternating buffer sets
+in shared memory while the engine sweeps the one before it; otherwise the
+engine draws each block. The stream is the same either way. Each conditional is
+written once, as a public function of its sufficient statistics and standard
+variates (``inclusion_log_odds`` and the ``draw_*`` functions); the engine
+calls them, and the test suite feeds them from an independent per-series
+reference.
 
 The chain keeps running counts, not draws: a voxel's count of kept gamma = 1,
 in all and per batch of n_kept // b sweeps for b = isqrt(n_kept), gives its
@@ -279,8 +280,7 @@ def inclusion_probability(xnorm2, c, sigma2, tau2, prior_logit):
 
 def _complex_normal(num, prec, sigma2, mask, z, tau2=None):
     """num/p + sqrt(sigma2/p) z where ``mask`` holds, 0 elsewhere, with
-    p = prec, or p = prec + sigma2/tau2 given ``tau2`` (per element, or
-    broadcast).
+    p = prec, or p = prec + sigma2/tau2 given ``tau2`` (per element).
 
     ``z`` holds one standard complex normal per element; masked-out ones go
     unused, and p is formed at the masked-in elements only.
@@ -288,10 +288,8 @@ def _complex_normal(num, prec, sigma2, mask, z, tau2=None):
     idx = None if mask.all() else np.flatnonzero(mask)
     if idx is not None:
         num, prec, sigma2, z = num[idx], prec[idx], sigma2[idx], z[idx]
-        if np.shape(tau2) == mask.shape:
-            tau2 = tau2[idx]
     if tau2 is not None:
-        prec = prec + sigma2 / tau2
+        prec = prec + sigma2 / (tau2 if idx is None else tau2[idx])
     draw = num / prec + np.sqrt(sigma2 / prec) * z
     if idx is None:
         return draw
@@ -367,22 +365,31 @@ def draw_eta_shared(n_active, n_vox, u):
 # the chain engine
 # --------------------------------------------------------------------------
 
-#: Sweeps per block of pregenerated draws. For each block of
-#: k = min(BLOCK_SWEEPS, sweeps left) sweeps, a parcel's generator yields every
-#: draw of those sweeps, stage by stage in sweep order: k x V uniforms (gamma),
-#: k x V x 2 normals (beta), k x V x 2 normals (rho), k x V standard gammas of
-#: shape T - 1 (sigma^2), k uniforms (tau^2), then in spatial mode k x V
-#: uniforms (eta) and k standard gammas of shape V/2 + A_KAPPA (kappa), or in
-#: nonspatial mode k uniforms (the shared rate). The value is part of the
-#: stream's definition: changing it changes every chain. Each transform that
-#: does not read the chain's state runs on the block, once: stage 0 holds the
-#: gamma uniforms' logits log u - log1p(-u), stage 5 eta's uniforms as
-#: half-normal magnitudes h = -ndtri(u/2) times sqrt(nu2), and the block adds
-#: each parcel's sum of h^2 for every sweep. The stream is the same. Which
-#: process draws a block is not part of it either: a producer process, when
-#: there is one (see ``run_parcel_chain``), draws every block and is the only
-#: reader of the generators; otherwise the engine draws each block.
+#: Sweeps per block of pregenerated draws (see ``_BLOCK_STAGES``). The value
+#: is part of the stream's definition: changing it changes every chain. Which
+#: process draws a block is not: a producer process, when there is one (see
+#: ``run_parcel_chain``), draws every block and is the only reader of the
+#: generators; otherwise the engine draws each block.
 BLOCK_SWEEPS = 32
+
+
+#: The stages of a block, in stream order: for a block of
+#: k = min(BLOCK_SWEEPS, sweeps left) sweeps, a parcel's generator fills each
+#: stage's k sweeps in turn. Per stage: its name; whether it holds one value
+#: per voxel, or one per parcel; float, or complex, each value drawn as a pair
+#: of normals, real part first; and its draw into ``out``, a C-contiguous float
+#: array, for series of length t and a parcel of v voxels. A spatial chain
+#: draws all but ``rate``, a nonspatial one all but ``eta`` and ``kappa``.
+_BLOCK_STAGES = (
+    ("gamma", True, float, lambda rng, out, t, v: rng.random(out=out)),
+    ("beta", True, complex, lambda rng, out, t, v: rng.standard_normal(out=out)),
+    ("rho", True, complex, lambda rng, out, t, v: rng.standard_normal(out=out)),
+    ("sigma2", True, float, lambda rng, out, t, v: rng.standard_gamma(t - 1, out=out)),
+    ("tau2", False, float, lambda rng, out, t, v: rng.random(out=out)),
+    ("eta", True, float, lambda rng, out, t, v: rng.random(out=out)),
+    ("kappa", False, float, lambda rng, out, t, v: rng.standard_gamma(v / 2.0 + A_KAPPA, out=out)),
+    ("rate", False, float, lambda rng, out, t, v: rng.random(out=out)),
+)
 
 
 def usable_cpus() -> int:
@@ -401,18 +408,20 @@ def _cpu_to_spare() -> bool:
             and multiprocessing.parent_process() is None)
 
 
-def _buffer_sets(shapes, count: int):
-    """``count`` sets of float arrays of ``shapes`` carved from one
-    allocation: for more than one, anonymous shared memory, so that what a
-    forked child writes there its parent reads, or one private set where that
-    memory cannot be mapped."""
-    ends = np.cumsum([math.prod(shape) for shape in shapes] * count)
+def _buffer_sets(layout, count: int):
+    """``count`` dicts of the arrays of ``layout``, (name, shape, dtype), carved
+    from one allocation: for more than one, anonymous shared memory, so that
+    what a forked child writes there its parent reads, or one private set where
+    that memory cannot be mapped."""
+    floats = [math.prod(shape) * np.dtype(dtype).itemsize // 8 for _, shape, dtype in layout]
+    ends = np.cumsum(floats * count)
     try:
         flat = np.frombuffer(mmap.mmap(-1, 8 * ends[-1])) if count > 1 else np.empty(ends[-1])
     except OSError:
-        return _buffer_sets(shapes, 1)
+        return _buffer_sets(layout, 1)
     parts = iter(np.split(flat, ends[:-1]))
-    return [[next(parts).reshape(shape) for shape in shapes] for _ in range(count)]
+    return [{name: next(parts).view(dtype).reshape(shape) for name, shape, dtype in layout}
+            for _ in range(count)]
 
 
 def _fork_producer(make_block, n_iter: int):
@@ -470,14 +479,12 @@ def _stop_producer(pid: int, free: int, ready: int) -> int:
     return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
 
 
-def _block_draws(rng, stages, n_time, n_vox):
-    """Fill the C-contiguous block arrays ``stages`` of a parcel of ``n_vox``
-    voxels with series of length ``n_time`` in stream order (BLOCK_SWEEPS)."""
-    fills = (rng.random, rng.standard_normal, rng.standard_normal,
-             lambda out: rng.standard_gamma(n_time - 1, out=out), rng.random, rng.random,
-             lambda out: rng.standard_gamma(n_vox / 2.0 + A_KAPPA, out=out))
-    for fill, out in zip(fills, stages):
-        fill(out=out)
+def _block_draws(rng, outs, n_time, n_vox):
+    """Fill a parcel's C-contiguous block arrays ``outs``, by stage name, in the
+    order of ``_BLOCK_STAGES``, for series of length ``n_time`` and ``n_vox`` voxels."""
+    for name, _, _, draw in _BLOCK_STAGES:
+        if name in outs:
+            draw(rng, outs[name].view(float), n_time, n_vox)
 
 
 class _ParcelStats:
@@ -606,7 +613,6 @@ def run_parcel_chain(
         raise InvalidSpecError(f"parcel row {outside[0]} lies outside [0, {len(y)})")
 
     spatial = cfg.mode == SPATIAL
-    lone = n_parcels == 1
     if spatial:
         if nu2 is None:
             raise InvalidSpecError("spatial mode requires the parcels' nu2")
@@ -644,55 +650,49 @@ def run_parcel_chain(
         eta_shared = np.full(n_parcels, 0.5)
     rngs = [np.random.default_rng(derive_seed(cfg.seed, g)) for g in ids]
 
-    # a block's buffers (one value set per voxel or per parcel, values each):
-    # the stages in stream order, then in spatial mode the parcels' sums of
-    # eta's h^2, one per sweep. One set, drawn inline; where a CPU is spare
-    # and the chain has a second block, two alternating sets in memory shared
-    # with a producer process (one, drawn inline, where it cannot be mapped)
-    stages = [(True, 1), (True, 2), (True, 2), (True, 1), (False, 1)]
-    stages += [(True, 1), (False, 1)] if spatial else [(False, 1)]
-    shapes = [(BLOCK_SWEEPS, n_vox if per_voxel else n_parcels, width)
-              for per_voxel, width in stages + [(False, 1)] * spatial]
-    buffers = _buffer_sets(shapes, 1 + (cfg.n_iter > BLOCK_SWEEPS and _cpu_to_spare()))
-    # a parcel of a batch draws into scratch sized to the largest parcel, copied to its columns
-    # (and a block's transforms work in one more array, not in a fresh one per block)
+    # a block's buffers, by name: the mode's stages, then in spatial mode
+    # "h2", the parcels' sums of eta's h^2, one per sweep. One set, drawn
+    # inline; where a CPU is spare and the chain has a second block, two
+    # alternating sets in memory shared with a producer process (one, drawn
+    # inline, where it cannot be mapped)
+    unused = ("rate",) if spatial else ("eta", "kappa")
+    stages = [stage[:3] for stage in _BLOCK_STAGES if stage[0] not in unused]
+    layout = [(name, (BLOCK_SWEEPS, n_vox if per_voxel else n_parcels), dtype)
+              for name, per_voxel, dtype in stages + [("h2", False, float)] * spatial]
+    buffers = _buffer_sets(layout, 1 + (cfg.n_iter > BLOCK_SWEEPS and _cpu_to_spare()))
+    # a column that is not C-contiguous (a batch parcel's, in a block of more than
+    # one sweep) is drawn into scratch sized to the largest parcel, then copied; a
+    # lone parcel's never is. A block's transforms work in one more array, made once
     work = np.empty((BLOCK_SWEEPS, n_vox))
-    scratch = [np.empty(BLOCK_SWEEPS * (sizes.max() if per_voxel else 1) * width)
-               for per_voxel, width in stages if not lone]
-
-    def block_draws(it):
-        """The batch's draws of the block that sweep ``it`` opens: one array
-        per stage, the normal pairs as complex, then the sums of h^2."""
-        k = min(BLOCK_SWEEPS, cfg.n_iter - it)
-        return [b[:k].view(complex)[..., 0] if b.shape[2] == 2 else b[:k, :, 0]
-                for b in buffers[it // BLOCK_SWEEPS % len(buffers)]]
+    scratch = {name: np.empty(BLOCK_SWEEPS * (sizes.max() if per_voxel else 1), dtype)
+               for name, per_voxel, dtype in stages} if n_parcels > 1 else {}
 
     def make_block(it):
-        """Draw and transform the block that sweep ``it`` opens into its
-        buffers; the only reader of the parcels' generators."""
+        """Draw the block that sweep ``it`` opens into its buffers, parcel by
+        parcel, and run each transform that reads no chain state on it, in
+        place: the gamma uniforms u become their logits log u - log1p(-u), the
+        eta uniforms their half-normal magnitudes h = -ndtri(u/2) times sqrt(nu2),
+        and "h2" each parcel's sum of h^2. The only reader of the generators."""
         k = min(BLOCK_SWEEPS, cfg.n_iter - it)
-        block = [b[:k] for b in buffers[it // BLOCK_SWEEPS % len(buffers)][:len(stages)]]
-        if lone:
-            _block_draws(rngs[0], block, x.size, n_vox)
-        else:
-            for p, (rng, lo, size) in enumerate(zip(rngs, starts, sizes)):
-                cols = [b[:, lo:lo + size] if per_voxel else b[:, p:p + 1]
-                        for b, (per_voxel, _) in zip(block, stages)]
-                parts = [flat[:c.size].reshape(c.shape) for flat, c in zip(scratch, cols)]
-                _block_draws(rng, parts, x.size, size)
-                for c, part in zip(cols, parts):
-                    c[...] = part
-        draws = block_draws(it)
-        # the transforms that read no chain state (see BLOCK_SWEEPS), in place
-        u = draws[0]
+        draws = {name: b[:k] for name, b in buffers[it // BLOCK_SWEEPS % len(buffers)].items()}
+        for p, (rng, lo, size) in enumerate(zip(rngs, starts, sizes)):
+            cols = {name: draws[name][:, lo:lo + size] if per_voxel else draws[name][:, p:p + 1]
+                    for name, per_voxel, _ in stages}
+            outs = {name: c if c.flags.c_contiguous else scratch[name][:c.size].reshape(c.shape)
+                    for name, c in cols.items()}
+            _block_draws(rng, outs, x.size, size)
+            for name, c in cols.items():
+                if outs[name] is not c:
+                    c[...] = outs[name]
+        u = draws["gamma"]
         log1m = np.negative(u, out=work[:k])
         np.log1p(log1m, out=log1m)
         with np.errstate(divide="ignore"):  # u == 0: logit -inf, gamma = 1 unless odds are 0
             np.log(u, out=u)
         u -= log1m
         if spatial:
-            h = half_normal_magnitudes(draws[5], out=draws[5])
-            np.add.reduceat(np.square(h, out=work[:k]), starts, axis=1, out=draws[7])
+            h = half_normal_magnitudes(draws["eta"], out=draws["eta"])
+            np.add.reduceat(np.square(h, out=work[:k]), starts, axis=1, out=draws["h2"])
             h *= nu_v
 
     # running counts of kept gamma = 1: in all, and per batch of batch_len
@@ -724,7 +724,7 @@ def run_parcel_chain(
                         code = _stop_producer(pid, free, ready)
                         raise CvfmriError(f"the block producer process {pid} exited with "
                                           f"code {code} before the block of sweep {it}") from None
-                logit_u, z_beta, z_rho, g_sigma, u_tau2, *prior_draws = block_draws(it)
+                draws = buffers[it // BLOCK_SWEEPS % len(buffers)]
 
             # voxel stage: gamma, beta, rho, sigma2 (one call across the batch)
             tau2_v = np.repeat(tau2, sizes)
@@ -733,14 +733,14 @@ def run_parcel_chain(
                 prior_logit = prior_logit_spatial(cfg.psi, eta)
             else:
                 prior_logit = np.repeat(prior_logit_shared(eta_shared), sizes)
-            gamma = logit_u[j] < inclusion_log_odds(xnorm2, c, sigma2, tau2_v, prior_logit)
-            beta = draw_beta(xnorm2, c, sigma2, tau2_v, gamma, z_beta[j])
+            gamma = draws["gamma"][j] < inclusion_log_odds(xnorm2, c, sigma2, tau2_v, prior_logit)
+            beta = draw_beta(xnorm2, c, sigma2, tau2_v, gamma, draws["beta"][j])
             cw, wl2, wn2 = stats.residual_norms(beta, gamma)
-            rho, _ = draw_rho(cw, wl2, sigma2, z_rho[j])
+            rho, _ = draw_rho(cw, wl2, sigma2, draws["rho"][j])
             r2 = rho.real**2 + rho.imag**2
             ss = np.maximum(wn2 - 2.0 * (np.conj(rho) * cw).real + r2 * wl2, 0.0)
             try:
-                sigma2 = draw_sigma2(ss, g_sigma[j])
+                sigma2 = draw_sigma2(ss, draws["sigma2"][j])
             except DegeneratePosteriorError:
                 # named by its row of y, which in a fit is its image voxel
                 k = int(np.argmax(ss <= 0.0))
@@ -752,17 +752,16 @@ def run_parcel_chain(
             n_active = np.add.reduceat(gamma, starts, dtype=np.intp)
             ssb = np.add.reduceat(beta.real**2 + beta.imag**2, starts)
             try:
-                tau2 = draw_tau2(n_active, ssb, tau2, u_tau2[j])
+                tau2 = draw_tau2(n_active, ssb, tau2, draws["tau2"][j])
             except DegeneratePosteriorError as exc:
                 g = ids[int(np.argmax((n_active > 0) & (ssb <= 0.0)))]
                 raise type(exc)(f"parcel {g}: {exc}") from None
             if spatial:
-                m_eta, g_kappa, sum_h2 = prior_draws
-                eta = draw_eta(gamma, m_eta[j], np.repeat(kappa ** -0.5, sizes))
+                eta = draw_eta(gamma, draws["eta"][j], np.repeat(kappa ** -0.5, sizes))
                 # each parcel's sum of eta^2/nu2 is its sum of h^2 over the kappa that drew eta
-                kappa = draw_kappa(sum_h2[j] / kappa, g_kappa[j])
+                kappa = draw_kappa(draws["h2"][j] / kappa, draws["kappa"][j])
             else:
-                eta_shared = draw_eta_shared(n_active, sizes, prior_draws[0][j])
+                eta_shared = draw_eta_shared(n_active, sizes, draws["rate"][j])
 
             if trace is not None:
                 trace[it] = np.column_stack((gamma[at], beta[at].real, beta[at].imag,

@@ -113,7 +113,7 @@ def standard_complex_normals(rng, n):
 
 def beta_draws(ystar, xstar, sigma2, tau2, gamma, n, rng):
     xnorm2, c = cross_stats(np.asarray(ystar), np.asarray(xstar))
-    return draw_beta(np.full(n, xnorm2), np.full(n, c), np.full(n, sigma2), tau2,
+    return draw_beta(np.full(n, xnorm2), np.full(n, c), np.full(n, sigma2), np.full(n, tau2),
                      np.full(n, gamma), standard_complex_normals(rng, n))
 
 

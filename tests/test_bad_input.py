@@ -4,9 +4,11 @@ Each case writes its files, runs ``cvfmri.cli.main`` in this process and
 checks the documented exit code: 2 for a bad setting, 3 for bad data or a bad
 file, and 4 only for a numerically degenerate fit (a constant voxel). A
 rejected command prints one ``error:`` line and no traceback (argparse's own
-type errors print its usage first) and leaves no ``--out`` behind. The
-mutations are drawn from one fixed seed, so every run checks the same cases.
-Every case fits at most 40 sweeps on at most 2 workers.
+type errors print its usage first) and leaves no ``--out`` behind. Each group
+of cases draws its mutations from its own generator, seeded from one fixed
+seed and the group, so every run checks the same cases, and a case added to
+or dropped from one group renames no case of another. Every case fits at most
+40 sweeps on at most 2 workers.
 """
 
 import math
@@ -18,7 +20,7 @@ import pytest
 
 from cvfmri import cli
 
-rng = np.random.default_rng(20261019)
+SEED = 20261019
 
 DIMS, T = (6, 6), 40
 V = math.prod(DIMS)
@@ -38,14 +40,20 @@ class Case(NamedTuple):
     message: str  # part of the error line; for argparse, of its last line
 
 
-def samples(dims=DIMS, n_time=T):
+def group_rng(group):
+    """The generator of case group ``group``."""
+    return np.random.default_rng([SEED, group])
+
+
+def samples(rng, dims=DIMS, n_time=T):
     return rng.standard_normal(2 * math.prod(dims) * n_time)
 
 
-def cvf1(dims=DIMS, n_time=T, values=None, magic=b"CVF1", version=1, ndim=None):
-    """A CVF1 file with the given header fields, then ``values`` (random by default)."""
+def cvf1(rng=None, dims=DIMS, n_time=T, values=None, magic=b"CVF1", version=1, ndim=None):
+    """A CVF1 file with the given header fields, then ``values`` (drawn from
+    ``rng`` by default)."""
     ndim = len(dims) if ndim is None else ndim
-    values = samples(dims, n_time) if values is None else values
+    values = samples(rng, dims, n_time) if values is None else values
     head = magic + struct.pack(f"<II{len(dims)}II", version, ndim, *dims, n_time)
     return head + np.asarray(values, dtype="<f8").tobytes()
 
@@ -55,21 +63,22 @@ def fit_case(id, data, flags, code, message):
 
 
 def dataset_cases():
-    good = cvf1()
+    rng = group_rng(0)
+    good = cvf1(rng)
     magic = b"CVF1"
     while magic == b"CVF1":
         magic = bytes(rng.integers(ord("A"), ord("Z") + 1, 4, dtype=np.uint8))
-    yield fit_case("cvf1-magic", cvf1(magic=magic), (), 3, f"bad magic {magic!r}")
+    yield fit_case("cvf1-magic", cvf1(rng, magic=magic), (), 3, f"bad magic {magic!r}")
     for version in (0, int(rng.integers(2, 2**32))):
-        yield fit_case(f"cvf1-version={version}", cvf1(version=version), (), 3,
+        yield fit_case(f"cvf1-version={version}", cvf1(rng, version=version), (), 3,
                        f"unsupported version {version}")
     for ndim in (0, 1, 4, int(rng.integers(5, 2**32))):
-        yield fit_case(f"cvf1-ndim={ndim}", cvf1(ndim=ndim), (), 3,
+        yield fit_case(f"cvf1-ndim={ndim}", cvf1(rng, ndim=ndim), (), 3,
                        f"ndim must be 2 or 3, got {ndim}")
     for dims in ((0, 6), (6, 0), (4, 0, 4)):
-        yield fit_case(f"cvf1-dims={dims}", cvf1(dims, values=()), (), 3,
+        yield fit_case(f"cvf1-dims={dims}", cvf1(dims=dims, values=()), (), 3,
                        "grid extents must be positive")
-    yield fit_case("cvf1-dims=huge", cvf1((2**32 - 1, 2**32 - 1), values=()), (), 3,
+    yield fit_case("cvf1-dims=huge", cvf1(dims=(2**32 - 1, 2**32 - 1), values=()), (), 3,
                    "payload length mismatch")
     cut = int(rng.integers(0, 24))
     yield fit_case("cvf1-truncated-header", good[:cut], (), 3,
@@ -81,7 +90,7 @@ def dataset_cases():
     yield fit_case("cvf1-extra-bytes", good + extra, (), 3,
                    f"expected {len(good)} bytes, got {len(good) + len(extra)}")
     for value in (np.nan, np.inf, -np.inf):
-        values = samples()
+        values = samples(rng)
         at = int(rng.integers(values.size))
         values[at] = value
         voxel, t = divmod(at // 2, T)
@@ -95,12 +104,12 @@ def dataset_cases():
         yield fit_case(f"cvf1-scale={scale:g}", cvf1(values=scale * wave), (), 3,
                        "sample at voxel 0, time index 0 exceeds 1e+75 in magnitude")
     yield fit_case("cvf1-scale=1e+75", cvf1(values=1e75 * wave), (), 0, "")
-    yield fit_case("cvf1-T=0", cvf1(n_time=0), (), 3, "series length T must be positive")
+    yield fit_case("cvf1-T=0", cvf1(rng, n_time=0), (), 3, "series length T must be positive")
     for n_time in (1, 2):
-        yield fit_case(f"cvf1-T={n_time}", cvf1(n_time=n_time), (), 3,
+        yield fit_case(f"cvf1-T={n_time}", cvf1(rng, n_time=n_time), (), 3,
                        f"{DATA}: series length T={n_time}; a chain needs at least 3 time points")
     for kind, constant in (("zero", 0.0), ("complex", complex(*rng.standard_normal(2)))):
-        values = samples().view(complex).reshape(V, T)
+        values = samples(rng).view(complex).reshape(V, T)
         voxel = int(rng.integers(V))
         values[voxel] = constant
         yield fit_case(f"constant-voxel-{kind}", cvf1(values=values.view(float)), (), 4,
@@ -110,7 +119,7 @@ def dataset_cases():
     # design settings that leave no regressor, and a parcel count whose basis is singular
     yield fit_case("warmup=T-1", good, ("--stimulus-warmup", str(T - 1)), 2,
                    "expected BOLD response has no positive peak")
-    short = cvf1(n_time=3)
+    short = cvf1(rng, n_time=3)
     yield fit_case("T=3-warmup=2", short, ("--stimulus-warmup", "2"), 2,
                    "expected BOLD response has no positive peak")
     # a design that opens with its off block is written as a warmup spanning
@@ -121,14 +130,15 @@ def dataset_cases():
     yield fit_case("off-first-off=10^12", good,
                    ("--stimulus-warmup", str(T - 1), f"--stimulus-off={10**12}"), 2,
                    "expected BOLD response has no positive peak")
-    volume = cvf1((4, 4, 4))
+    volume = cvf1(rng, (4, 4, 4))
     for workers in ("1", "2"):
         yield fit_case(f"4x4x4-G=8-workers={workers}", volume,
                        ("--G", "8", "--workers", workers), 2,
                        "error: parcel 0: M'QM is numerically singular; use fewer, larger parcels")
     # 1x5 strips at rank 5 take every eigenvector, the constant among them
     # (fixed samples, so the seeded stream of the cases below does not move)
-    yield fit_case("1x10-G=2", cvf1((1, 10), values=np.cos(np.arange(2 * 10 * T))), ("--G", "2"), 2,
+    yield fit_case("1x10-G=2", cvf1(dims=(1, 10), values=np.cos(np.arange(2 * 10 * T))),
+                   ("--G", "2"), 2,
                    "error: parcel 0: M'QM is numerically singular; use fewer, larger parcels")
     # --out is checked before the (corrupt) dataset is read
     for id, out in (("out-is-a-file", "{d}/busy"), ("out-parent-is-a-file", "{d}/busy/out")):
@@ -137,13 +147,14 @@ def dataset_cases():
                    f"error: --out {out}: {{d}}/busy exists and is not a directory")
 
 
-def config_case(id, text, code, message):
-    # ``text`` comes first, so byte offsets in the messages do not depend on {d}
-    body = text + b"data = {d}/data.cvf\nG = 1\niters = 40\nworkers = 1\n"
-    return Case(id, {"data.cvf": cvf1(), "run.cfg": body}, CONFIG, code, message)
-
-
 def config_cases():
+    rng = group_rng(1)
+
+    def config_case(id, text, code, message):
+        # ``text`` comes first, so byte offsets in the messages do not depend on {d}
+        body = text + b"data = {d}/data.cvf\nG = 1\niters = 40\nworkers = 1\n"
+        return Case(id, {"data.cvf": cvf1(rng), "run.cfg": body}, CONFIG, code, message)
+
     for key in ("frobnicate", "out", "config", "trace_voxels", "iter", "mcse-tol", "Workers",
                 "stimulus_onfirst"):
         yield config_case(f"config-unknown-{key}", f"{key} = 1\n".encode(), 2,
@@ -171,6 +182,7 @@ def config_cases():
 
 
 def flag_cases():
+    rng = group_rng(2)
     negative = str(-int(rng.integers(1, 1000)))
     fraction = f"{-rng.random():.3f}"
     bad = {
@@ -202,7 +214,7 @@ def flag_cases():
     for flag, values in bad.items():
         for value, message in values:
             # "=" keeps a leading "-" from reading as a flag
-            yield fit_case(f"{flag}={value}", cvf1(), (f"{flag}={value}",), 2, message)
+            yield fit_case(f"{flag}={value}", cvf1(rng), (f"{flag}={value}",), 2, message)
     for flag, value, kind in (("--G", "2.5", "int"), ("--iters", "nan", "int"),
                               ("--psi", "x", "float")):
         yield Case(f"argparse{flag}={value}", {}, FIT + (flag, value), 2,
@@ -240,17 +252,18 @@ def csv_map(values) -> bytes:
     return f"# dims: {','.join(map(str, values.shape))}\n{rows}\n".encode()
 
 
-def evaluate_case(id, code, message, **maps):
-    active = (rng.random((5, 5)) < 0.3).astype(float)
-    files = {"truth/true_activation.csv": active, "truth/true_magnitude.csv": 2.0 * active,
-             "result/activation.csv": active, "result/magnitude.csv": 2.0 * active,
-             "result/incl_prob.csv": rng.random((5, 5))}
-    files = {name: csv_map(values) for name, values in files.items()}
-    files.update(maps)
-    return Case(id, files, EVALUATE, code, message)
-
-
 def evaluate_cases():
+    rng = group_rng(3)
+
+    def evaluate_case(id, code, message, **maps):
+        active = (rng.random((5, 5)) < 0.3).astype(float)
+        files = {"truth/true_activation.csv": active, "truth/true_magnitude.csv": 2.0 * active,
+                 "result/activation.csv": active, "result/magnitude.csv": 2.0 * active,
+                 "result/incl_prob.csv": rng.random((5, 5))}
+        files = {name: csv_map(values) for name, values in files.items()}
+        files.update(maps)
+        return Case(id, files, EVALUATE, code, message)
+
     yield evaluate_case("truth-not-utf8", 3, "true_activation.csv: not UTF-8 text (byte 12: ",
                         **{"truth/true_activation.csv": b"# dims: 1,2\n\xff,1\n"})
     for fill in (0.0, 1.0):

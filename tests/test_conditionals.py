@@ -535,10 +535,10 @@ class TestInverseTransforms:
         monkeypatch.setattr(sampler, "usable_cpus", lambda: 1)
         draw, logits = sampler._block_draws, []
 
-        def ends(rng, stages, *shapes):
-            draw(rng, stages, *shapes)
-            stages[0][:, :2, 0] = self.U_ENDS
-            logits.append(stages[0])  # the engine turns it into logits in place
+        def ends(rng, outs, *shapes):
+            draw(rng, outs, *shapes)
+            outs["gamma"][:, :2] = self.U_ENDS
+            logits.append(outs["gamma"])  # the engine turns it into logits in place
 
         monkeypatch.setattr(sampler, "_block_draws", ends)
         x = design_for_length(12, on_len=3, off_len=3)
@@ -548,8 +548,8 @@ class TestInverseTransforms:
             summary = run_parcel_chain(y, [np.ones(3)], x, SamplerConfig(n_iter=20, n_burn=0),
                                        {0: range(3)}, trace_voxels=[0])
         assert len(logits) == 1
-        assert np.all(logits[0][:, 0, 0] == -np.inf)
-        assert np.all(np.isfinite(logits[0][:, 1, 0]))
+        assert np.all(logits[0][:, 0] == -np.inf)
+        assert np.all(np.isfinite(logits[0][:, 1]))
         assert np.all(summary.trace[0][:, 0] == 1)
 
     def test_bits_do_not_depend_on_the_array(self):

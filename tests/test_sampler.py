@@ -110,7 +110,8 @@ def reference_chain(y, nu2, x, cfg, seed):
             log_odds = (np.log(eta_shared / (1 - eta_shared)) - np.log((tau2 / sigma2) * denom)
                         + np.abs(c) ** 2 / (2 * sigma2 * denom))
         gamma = block["gamma"][j] < log_odds
-        beta = draw_beta(xnorm2, c, sigma2, tau2, gamma, block["beta"][j].view(complex)[:, 0])
+        beta = draw_beta(xnorm2, c, sigma2, np.full(n_vox, tau2), gamma,
+                         block["beta"][j].view(complex)[:, 0])
         wl2, cw = lag_stats(yc, xc, beta)
         rho, _ = draw_rho(cw, wl2, sigma2, block["rho"][j].view(complex)[:, 0])
         w = yc - beta[:, None] * xc
@@ -494,6 +495,26 @@ class TestBlockProducer:
                 else:
                     assert len(set(drawn)) == 1 and drawn[0] != main
             assert runs[2] == runs[1]
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("mode", ["spatial", NONSPATIAL])
+    def test_one_sweep_last_block_matches_alone(self, batch_instance, monkeypatch, cpus, mode):
+        # the last block has one sweep, so a batch parcel's columns there are
+        # C-contiguous and drawn in place, not through scratch: each parcel of
+        # the batch still gets the bits it gets alone, inline and with a producer
+        y, x, nu2s, sizes = batch_instance
+        monkeypatch.setattr(sampler, "usable_cpus", lambda: cpus)
+        cfg = SamplerConfig(n_iter=2 * BLOCK_SWEEPS + 1, n_burn=8, mode=mode, seed=22)
+        parcels = consecutive(sizes, 3)
+        batch = run_parcel_chain(y, nu2s if mode == "spatial" else None, x, cfg, parcels,
+                                 trace_voxels=range(len(y)))
+        cuts = np.cumsum(sizes)[:-1]
+        for p, (g, rows) in enumerate(parcels.items()):
+            alone = run_parcel_chain(y, [nu2s[p]] if mode == "spatial" else None, x, cfg,
+                                     {g: rows}, trace_voxels=rows)
+            parts = [np.split(f, cuts)[p] for f in (batch.incl_prob, batch.beta_mean, batch.mcse)]
+            assert [a.tobytes() for a in parts] == summary_bits(alone)
+            assert all(batch.trace[v].tobytes() == alone.trace[v].tobytes() for v in rows)
 
     def test_no_producer_without_a_spare_cpu(self, batch_instance, monkeypatch, drawers, forks):
         y, x, nu2s, sizes = batch_instance
