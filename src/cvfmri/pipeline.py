@@ -42,6 +42,7 @@ from .metrics import (
 from .parcellation import SPATIAL_RANK, build_adjacency, build_spatial_basis, partition_grid
 from .sampler import (
     NONSPATIAL,
+    _TRACE_FIELDS,
     ResultMaps,
     SamplerConfig,
     derive_seed,
@@ -196,6 +197,8 @@ def fit_dataset(dataset: ComplexDataset, x: np.ndarray, cfg: FitConfig) -> FitRe
                 f"({smallest} voxels); reduce the parcel count"
             )
     for gv in cfg.trace_voxels:
+        if np.asarray(gv).dtype.kind not in "iu":
+            raise InvalidSpecError(f"trace voxel {gv} is not an integer")
         if not 0 <= gv < dataset.n_voxels:
             raise InvalidSpecError(f"trace voxel {gv} lies outside [0, {dataset.n_voxels})")
 
@@ -276,9 +279,7 @@ def write_fit_outputs(result: FitResult, out_dir, extra_manifest: dict | None = 
         for gv, buf in result.traces.items():
             with open(out / f"trace_voxel{gv}.csv", "w", newline="") as fh:
                 writer = csv.writer(fh)
-                writer.writerow(
-                    ["iteration", "gamma", "beta_re", "beta_im", "rho_re", "rho_im", "sigma2"]
-                )
+                writer.writerow(["iteration", *_TRACE_FIELDS])
                 for it, row in enumerate(buf):
                     writer.writerow([it, int(row[0])] + [repr(float(v)) for v in row[1:]])
 

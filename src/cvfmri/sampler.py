@@ -34,21 +34,12 @@ reach the voxels by ``np.repeat`` over the parcels' sizes, and parcel-level
 sums are ``np.add.reduceat`` over the parcels' offsets.
 
 Parcel g has its own random stream, ``default_rng(derive_seed(cfg.seed, g))``,
-which the engine derives from the parcel's index in the image. Every draw a
-parcel uses has a fixed count, for every voxel whether it uses it or not, and
-is pregenerated in blocks of ``BLOCK_SWEEPS`` sweeps, stage by stage as the
-table ``_BLOCK_STAGES`` defines them. So a parcel's draws, and its maps, do not
-depend on which batch or worker runs it. Blocks fill buffers allocated once per
-chain, one array per stage name, and hold every transform of the draws that
-reads no chain state, so a sweep does only the work that does. When a CPU is
-spare and the chain has a second block, a producer process forked before the
-first sweep draws and transforms every block into two alternating buffer sets
-in shared memory while the engine sweeps the one before it; otherwise the
-engine draws each block. The stream is the same either way. Each conditional is
-written once, as a public function of its sufficient statistics and standard
-variates (``inclusion_log_odds`` and the ``draw_*`` functions); the engine
-calls them, and the test suite feeds them from an independent per-series
-reference.
+which the engine derives from the parcel's index in the image and reads
+through ``_block_stream`` alone, so a parcel's draws, and its maps, do not
+depend on which batch or worker runs it. Each conditional is written once,
+as a public function of its sufficient statistics and standard variates
+(``inclusion_log_odds`` and the ``draw_*`` functions); the engine calls them,
+and the test suite feeds them from an independent per-series reference.
 
 The chain keeps running counts, not draws: a voxel's count of kept gamma = 1,
 in all and per batch of n_kept // b sweeps for b = isqrt(n_kept), gives its
@@ -57,6 +48,7 @@ inclusion probability and that estimate's batch-means MCSE.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import mmap
 import multiprocessing
@@ -71,6 +63,8 @@ from scipy.special import betaincinv, erfc, expit, gammaincinv, ndtri
 
 from .errors import (
     CvfmriError,
+    DataFormatError,
+    DegenerateDesignError,
     DegeneratePosteriorError,
     InsufficientDataError,
     InvalidSpecError,
@@ -118,6 +112,8 @@ B_KAPPA = 2000.0
 _MASK64 = (1 << 64) - 1
 #: Threshold on |w_lag|^2 below which the AR update is declared degenerate.
 _DEGENERATE_NORM = 1e-300
+#: The fields of a traced voxel's draws, one column each per sweep.
+_TRACE_FIELDS = ("gamma", "beta_re", "beta_im", "rho_re", "rho_im", "sigma2")
 
 
 # --------------------------------------------------------------------------
@@ -278,37 +274,28 @@ def inclusion_probability(xnorm2, c, sigma2, tau2, prior_logit):
     return expit(inclusion_log_odds(xnorm2, c, sigma2, tau2, prior_logit))
 
 
-def _complex_normal(num, prec, sigma2, mask, z, tau2=None):
-    """num/p + sqrt(sigma2/p) z where ``mask`` holds, 0 elsewhere, with
-    p = prec, or p = prec + sigma2/tau2 given ``tau2`` (per element).
-
-    ``z`` holds one standard complex normal per element; masked-out ones go
-    unused, and p is formed at the masked-in elements only.
-    """
-    idx = None if mask.all() else np.flatnonzero(mask)
-    if idx is not None:
-        num, prec, sigma2, z = num[idx], prec[idx], sigma2[idx], z[idx]
-    if tau2 is not None:
-        prec = prec + sigma2 / (tau2 if idx is None else tau2[idx])
-    draw = num / prec + np.sqrt(sigma2 / prec) * z
-    if idx is None:
-        return draw
-    out = np.zeros(mask.shape, dtype=complex)
-    out[idx] = draw
-    return out
-
-
 def draw_beta(xnorm2, c, sigma2, tau2, gamma, z):
     """Activation coefficients: zero where ``gamma`` is False, else the
-    conjugate ridge normal with scalar precision ||x*||^2 + sigma2/tau2."""
-    return _complex_normal(c, xnorm2, sigma2, gamma, z, tau2)
+    conjugate ridge normal c/p + sqrt(sigma2/p) z with scalar precision
+    p = ||x*||^2 + sigma2/tau2, formed at those voxels only."""
+    idx = np.flatnonzero(gamma)
+    s = sigma2[idx]
+    prec = xnorm2[idx] + s / tau2[idx]
+    beta = np.zeros(gamma.shape, dtype=complex)
+    beta[idx] = c[idx] / prec + np.sqrt(s / prec) * z[idx]
+    return beta
 
 
 def draw_rho(cw, wl2, sigma2, z):
-    """AR(1) coefficients from the conjugate normal on the lagged residuals,
-    and the flags of voxels with wl2 below 1e-300, whose rho is set to 0."""
+    """AR(1) coefficients cw/wl2 + sqrt(sigma2/wl2) z from the conjugate normal
+    on the lagged residuals, and the flags of voxels with wl2 below 1e-300,
+    whose rho is set to 0."""
     degenerate = wl2 < _DEGENERATE_NORM
-    return _complex_normal(cw, wl2, sigma2, ~degenerate, z), degenerate
+    # a degenerate voxel divides by 1 instead, so only the draws that are kept can warn
+    wl2 = np.where(degenerate, 1.0, wl2)
+    rho = cw / wl2 + np.sqrt(sigma2 / wl2) * z
+    rho[degenerate] = 0
+    return rho, degenerate
 
 
 def draw_sigma2(ss, g):
@@ -365,11 +352,8 @@ def draw_eta_shared(n_active, n_vox, u):
 # the chain engine
 # --------------------------------------------------------------------------
 
-#: Sweeps per block of pregenerated draws (see ``_BLOCK_STAGES``). The value
-#: is part of the stream's definition: changing it changes every chain. Which
-#: process draws a block is not: a producer process, when there is one (see
-#: ``run_parcel_chain``), draws every block and is the only reader of the
-#: generators; otherwise the engine draws each block.
+#: Sweeps per block of pregenerated draws (see ``_block_stream``). The value
+#: is part of the stream's definition: changing it changes every chain.
 BLOCK_SWEEPS = 32
 
 
@@ -400,10 +384,9 @@ def usable_cpus() -> int:
 
 
 def _cpu_to_spare() -> bool:
-    """Whether a producer process would find an idle CPU: the platform can
-    fork, the process may run on more than one CPU, and it is not a pool
-    worker (a fit's pool starts one worker per CPU, so each CPU already
-    sweeps)."""
+    """Whether a chain may fork a block producer: the platform can fork, the
+    process may run on more than one CPU, and it is not a worker of a process
+    pool. A pool's workers draw their blocks inline, whatever the pool's size."""
     return (hasattr(os, "fork") and usable_cpus() > 1
             and multiprocessing.parent_process() is None)
 
@@ -424,67 +407,133 @@ def _buffer_sets(layout, count: int):
             for _ in range(count)]
 
 
-def _fork_producer(make_block, n_iter: int):
-    """Fork the producer of every block of the chain: the engine's ends
-    ``(pid, free, ready)`` of two pipes, or None (and no pipe left open) where
-    a pipe or the fork cannot be made.
-
-    The producer draws the blocks of sweeps 0 and BLOCK_SWEEPS with
-    ``make_block`` at once, each later one once the engine has freed its
-    buffer set (one byte on ``free``), and announces each with one byte on
-    ``ready``. It ignores SIGINT: a Ctrl-C stops the engine, which stops it.
-    It leaves by ``os._exit`` and never returns here: 0 when done or once the
-    engine has closed its ends, 1 after printing any other error.
-    """
-    fds = []
-    try:
-        fds += os.pipe()
-        fds += os.pipe()
-        pid = os.fork()
-    except OSError:
-        for fd in fds:
-            os.close(fd)
-        return None
-    free_r, free_w, ready_r, ready_w = fds
-    if pid:
-        os.close(free_r)
-        os.close(ready_w)
-        return pid, free_w, ready_r
-    # the child: every path leaves by os._exit, never into its parent's frames
-    status = 1
-    try:
-        signal.signal(signal.SIGINT, signal.SIG_IGN)
-        os.close(free_w)
-        os.close(ready_r)
-        for it in range(0, n_iter, BLOCK_SWEEPS):
-            if it > BLOCK_SWEEPS and not os.read(free_r, 1):
-                break  # the engine has stopped
-            make_block(it)
-            os.write(ready_w, b"\1")
-        status = 0
-    except BrokenPipeError:
-        status = 0  # the engine stopped while this block was drawn
-    except BaseException:
-        traceback.print_exc()
-        sys.stderr.flush()
-    finally:
-        os._exit(status)
-
-
-def _stop_producer(pid: int, free: int, ready: int) -> int:
-    """Close the engine's pipe ends, which ends the producer at its next read
-    or write, and reap it: its exit code, or minus the signal that killed it."""
-    os.close(free)
-    os.close(ready)
-    return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-
-
 def _block_draws(rng, outs, n_time, n_vox):
     """Fill a parcel's C-contiguous block arrays ``outs``, by stage name, in the
     order of ``_BLOCK_STAGES``, for series of length ``n_time`` and ``n_vox`` voxels."""
     for name, _, _, draw in _BLOCK_STAGES:
         if name in outs:
             draw(rng, outs[name].view(float), n_time, n_vox)
+
+
+def _block_stream(rngs, starts, sizes, n_time: int, n_iter: int, nu_v=None):
+    """The draws of a batch's chains: per ``next``, the block of the next
+    k = min(BLOCK_SWEEPS, sweeps left) sweeps, a dict by stage name of (k, n)
+    arrays, n the batch's voxels or parcels, valid until the next ``next``.
+    Close it on every exit.
+
+    Parcel p of the batch has ``sizes[p]`` voxels from ``starts[p]`` on and
+    draws from ``rngs[p]``, for series of length ``n_time``; ``nu_v`` holds
+    the voxels' sqrt(nu2), or is None in nonspatial mode. Each parcel fills
+    its columns with ``_block_draws``, every draw a fixed count, so its draws
+    do not depend on its batch. Then each transform that reads no chain state
+    runs once on the block, in place: the gamma uniforms u become their logits
+    log u - log1p(-u), the eta uniforms h sqrt(nu2) with h = -ndtri(u/2), and
+    "h2" (spatial) each parcel's sum of h^2 per sweep.
+
+    Where a CPU is spare (``_cpu_to_spare``) and the chain has a second block,
+    the first ``next`` forks a producer process that draws every block into
+    two alternating buffer sets in shared memory while the caller sweeps the
+    block before, and this process draws none. The producer draws blocks 0
+    and 1 at once, each later one once the caller has freed its set (a byte on
+    the pipe ``free``), and announces each block (a byte on ``ready``). It
+    ignores SIGINT, the caller's to act on, and leaves by ``os._exit``: 0 when
+    done or once the caller has closed its ends, 1 after printing any other
+    error. Closing the stream reaps it; a producer gone before a block raises
+    ``CvfmriError``. Where no producer can be set up (a pipe, the shared memory
+    or the fork fails), this process draws each block. The stream is the same
+    either way.
+    """
+    n_vox = int(sizes.sum())
+    unused = ("eta", "kappa") if nu_v is None else ("rate",)
+    stages = [stage[:3] for stage in _BLOCK_STAGES if stage[0] not in unused]
+    layout = [(name, (BLOCK_SWEEPS, n_vox if per_voxel else sizes.size), dtype)
+              for name, per_voxel, dtype in stages + [("h2", False, float)] * (nu_v is not None)]
+    buffers = _buffer_sets(layout, 1 + (n_iter > BLOCK_SWEEPS and _cpu_to_spare()))
+    # a column that is not C-contiguous (a batch parcel's, in a block of more than
+    # one sweep) is drawn into scratch sized to the largest parcel, then copied; a
+    # lone parcel's never is. The transforms work in one more array
+    work = np.empty((BLOCK_SWEEPS, n_vox))
+    scratch = {name: np.empty(BLOCK_SWEEPS * (sizes.max() if per_voxel else 1), dtype)
+               for name, per_voxel, dtype in stages} if sizes.size > 1 else {}
+
+    pid = None  # the producer's id; 0 in the producer, None where this process draws
+    if len(buffers) > 1:
+        fds = []
+        try:
+            fds += os.pipe()
+            fds += os.pipe()
+            pid = os.fork()
+        except OSError:
+            for fd in fds:
+                os.close(fd)
+    status, lost = 1, None  # the producer's exit code; the sweep of an undelivered block
+    try:
+        if pid is not None:
+            free_r, free_w, ready_r, ready_w = fds
+            # the producer reads free and writes ready; the caller holds the other ends
+            for fd in (free_w, ready_r) if pid == 0 else (free_r, ready_w):
+                os.close(fd)
+        if pid == 0:
+            signal.signal(signal.SIGINT, signal.SIG_IGN)
+        for it in range(0, n_iter, BLOCK_SWEEPS):
+            k = min(BLOCK_SWEEPS, n_iter - it)
+            draws = {name: b[:k] for name, b in buffers[it // BLOCK_SWEEPS % len(buffers)].items()}
+            if pid:
+                try:
+                    done = os.read(ready_r, 1)  # empty once the producer has gone
+                    if done and it and it + BLOCK_SWEEPS < n_iter:
+                        os.write(free_w, b"\1")  # the set of the block just swept
+                except BrokenPipeError:
+                    done = b""
+                if not done:
+                    lost = it
+                    break
+                yield draws
+                continue
+            if pid == 0 and it > BLOCK_SWEEPS and not os.read(free_r, 1):
+                break  # the caller has stopped
+            for p, (rng, lo, size) in enumerate(zip(rngs, starts, sizes)):
+                cols = {name: draws[name][:, lo:lo + size] if per_voxel else draws[name][:, p:p + 1]
+                        for name, per_voxel, _ in stages}
+                outs = {name: c if c.flags.c_contiguous else scratch[name][:c.size].reshape(c.shape)
+                        for name, c in cols.items()}
+                _block_draws(rng, outs, n_time, size)
+                for name, c in cols.items():
+                    if outs[name] is not c:
+                        c[...] = outs[name]
+            u = draws["gamma"]
+            log1m = np.negative(u, out=work[:k])
+            np.log1p(log1m, out=log1m)
+            with np.errstate(divide="ignore"):  # u == 0: logit -inf, gamma = 1 unless odds are 0
+                np.log(u, out=u)
+            u -= log1m
+            if nu_v is not None:
+                h = half_normal_magnitudes(draws["eta"], out=draws["eta"])
+                np.add.reduceat(np.square(h, out=work[:k]), starts, axis=1, out=draws["h2"])
+                h *= nu_v
+            if pid == 0:
+                os.write(ready_w, b"\1")
+            else:
+                yield draws
+        status = 0
+    except BaseException as exc:
+        if pid != 0:
+            raise
+        if isinstance(exc, BrokenPipeError):
+            status = 0  # the caller stopped while this block was drawn
+        else:
+            traceback.print_exc()
+            sys.stderr.flush()
+    finally:
+        if pid == 0:
+            os._exit(status)  # the producer never returns into its parent's frames
+        if pid:
+            os.close(free_w)
+            os.close(ready_r)
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if lost is not None:
+        raise CvfmriError(f"the block producer process {pid} exited with code {code} "
+                          f"before the block of sweep {lost}")
 
 
 class _ParcelStats:
@@ -573,26 +622,22 @@ def run_parcel_chain(
 
     ``y`` is an (N, T) complex series (in a fit, the image's, row v holding
     voxel v) and ``x`` the shared regressor. ``parcels`` maps each parcel of
-    the batch, in order, from its index in the image to its rows of ``y``:
-    parcel g draws from ``default_rng(derive_seed(cfg.seed, g))`` and is named
-    g in error messages. The engine gathers and centers one parcel's rows at a
-    time. ``nu2`` gives each parcel's spatial basis (the nu2 vector of
+    the batch, in order, from its index in the image to its integer rows of
+    ``y``, no row twice in the batch: parcel g draws from
+    ``default_rng(derive_seed(cfg.seed, g))`` and is named g in error
+    messages. The engine gathers and centers one parcel's rows at a time.
+    ``nu2`` gives each parcel's spatial basis (the nu2 vector of
     :func:`~cvfmri.parcellation.build_spatial_basis`), in the same order, or is
     None in nonspatial mode.
 
-    Each stage of a sweep is one numpy call across the batch. Every parcel
-    draws from its own generator (see ``BLOCK_SWEEPS``) and its statistics come
-    from its own rows, so its part of the summary is a deterministic function
-    of its rows, nu2, index and ``cfg``, whatever batch it runs in. The summary
-    covers the parcels' rows in order. ``trace_voxels`` are rows of ``y`` in
-    the batch's parcels; the trace maps each to its (n_iter, 6) draws of
-    gamma, beta, rho and sigma^2.
-
-    When a CPU is spare (``_cpu_to_spare``) and the chain has a second block,
-    a producer process forked before the first sweep draws every block (see
-    ``_fork_producer``), and the engine draws none; it is reaped before the
-    call returns or raises. Otherwise, and where no producer can be set up,
-    the engine draws each block itself.
+    Each stage of a sweep is one numpy call across the batch, reading the
+    block that ``_block_stream`` draws. Every parcel draws from its own
+    generator and its statistics come from its own rows, so its part of the
+    summary is a deterministic function of its rows, nu2, index and ``cfg``,
+    whatever batch it runs in. The summary covers the parcels' rows in order.
+    ``trace_voxels`` are integer rows of ``y`` in the batch's parcels; the
+    trace maps each to its (n_iter, 6) draws, in the columns of
+    ``_TRACE_FIELDS``.
     """
     y = np.asarray(y, dtype=complex)
     x = np.asarray(x, dtype=float)
@@ -600,19 +645,38 @@ def run_parcel_chain(
         raise InvalidSpecError("parcel data must be (N, T) with T matching the regressor")
     if x.size < 3:
         raise InsufficientDataError("chains need at least 3 time points")
+    nonfinite = np.flatnonzero(~np.isfinite(x))
+    if nonfinite.size:
+        raise InvalidSpecError(f"the regressor is {x[nonfinite[0]]} at time point {nonfinite[0]}")
+    if x.max() == x.min():
+        raise DegenerateDesignError("the regressor is constant, so no voxel can respond to it")
     ids = list(parcels)
-    row_lists = [np.asarray(r, dtype=np.intp) for r in parcels.values()]
+    row_lists = [np.asarray(r) for r in parcels.values()]
     sizes = np.array([r.size for r in row_lists], dtype=np.intp)
     n_parcels = len(ids)
     if not n_parcels or sizes.min() < 1:
         raise InvalidSpecError("a batch needs at least one parcel, and each parcel a row")
-    rows = np.concatenate(row_lists)
+    for g, r in zip(ids, row_lists):
+        if r.dtype.kind not in "iu":
+            raise InvalidSpecError(f"parcel {g}: row {r.flat[0].item()!r} is not an integer")
+    rows = np.concatenate(row_lists).astype(np.intp, copy=False)
     n_vox = rows.size
     outside = rows[(rows < 0) | (rows >= len(y))]
     if outside.size:
         raise InvalidSpecError(f"parcel row {outside[0]} lies outside [0, {len(y)})")
+    starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+
+    def parcel_of(k):
+        """The image index of the parcel of the batch's voxel ``k``."""
+        return ids[np.searchsorted(starts, k, side="right") - 1]
+
+    repeated = np.bincount(rows)[rows] > 1
+    if repeated.any():
+        k = np.flatnonzero(rows == rows[np.argmax(repeated)])[1]
+        raise InvalidSpecError(f"parcel {parcel_of(k)}: row {rows[k]} is listed twice in the batch")
 
     spatial = cfg.mode == SPATIAL
+    nu_v = None
     if spatial:
         if nu2 is None:
             raise InvalidSpecError("spatial mode requires the parcels' nu2")
@@ -625,18 +689,25 @@ def run_parcel_chain(
 
     trace = None
     if trace_voxels is not None:
+        trace_voxels = list(trace_voxels)
+        bad = [v for v in trace_voxels if np.asarray(v).dtype.kind not in "iu"]
+        if bad:
+            raise InvalidSpecError(f"trace voxel {bad[0]} is not an integer")
         traced = list(dict.fromkeys(int(v) for v in trace_voxels))
         position = dict(zip(rows.tolist(), range(n_vox)))
         missing = [v for v in traced if v not in position]
         if missing:
             raise InvalidSpecError(f"trace voxel {missing[0]} lies outside the batch's parcels")
         at = np.array([position[v] for v in traced], dtype=np.intp)
-        trace = _zeros((cfg.n_iter, len(traced), 6), "trace", cfg.n_iter)
+        trace = _zeros((cfg.n_iter, len(traced), len(_TRACE_FIELDS)), "trace", cfg.n_iter)
 
-    starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
     stats = _ParcelStats(_center(x), n_vox)
     for lo, r in zip(starts, row_lists):
         stats.fill(lo, _center(y[r]))
+    nonfinite = np.flatnonzero(~np.isfinite(stats.syl2 + stats.syn2))
+    if nonfinite.size:
+        k = nonfinite[0]
+        raise DataFormatError(f"parcel {parcel_of(k)}: non-finite series at voxel {rows[k]}")
     # the state the mode reads (gamma and beta are drawn before their first
     # read), sigma2 the pooled per-component variance of the series, halved
     sigma2 = np.maximum(0.25 * stats.y2_mean, 1e-30)
@@ -650,51 +721,6 @@ def run_parcel_chain(
         eta_shared = np.full(n_parcels, 0.5)
     rngs = [np.random.default_rng(derive_seed(cfg.seed, g)) for g in ids]
 
-    # a block's buffers, by name: the mode's stages, then in spatial mode
-    # "h2", the parcels' sums of eta's h^2, one per sweep. One set, drawn
-    # inline; where a CPU is spare and the chain has a second block, two
-    # alternating sets in memory shared with a producer process (one, drawn
-    # inline, where it cannot be mapped)
-    unused = ("rate",) if spatial else ("eta", "kappa")
-    stages = [stage[:3] for stage in _BLOCK_STAGES if stage[0] not in unused]
-    layout = [(name, (BLOCK_SWEEPS, n_vox if per_voxel else n_parcels), dtype)
-              for name, per_voxel, dtype in stages + [("h2", False, float)] * spatial]
-    buffers = _buffer_sets(layout, 1 + (cfg.n_iter > BLOCK_SWEEPS and _cpu_to_spare()))
-    # a column that is not C-contiguous (a batch parcel's, in a block of more than
-    # one sweep) is drawn into scratch sized to the largest parcel, then copied; a
-    # lone parcel's never is. A block's transforms work in one more array, made once
-    work = np.empty((BLOCK_SWEEPS, n_vox))
-    scratch = {name: np.empty(BLOCK_SWEEPS * (sizes.max() if per_voxel else 1), dtype)
-               for name, per_voxel, dtype in stages} if n_parcels > 1 else {}
-
-    def make_block(it):
-        """Draw the block that sweep ``it`` opens into its buffers, parcel by
-        parcel, and run each transform that reads no chain state on it, in
-        place: the gamma uniforms u become their logits log u - log1p(-u), the
-        eta uniforms their half-normal magnitudes h = -ndtri(u/2) times sqrt(nu2),
-        and "h2" each parcel's sum of h^2. The only reader of the generators."""
-        k = min(BLOCK_SWEEPS, cfg.n_iter - it)
-        draws = {name: b[:k] for name, b in buffers[it // BLOCK_SWEEPS % len(buffers)].items()}
-        for p, (rng, lo, size) in enumerate(zip(rngs, starts, sizes)):
-            cols = {name: draws[name][:, lo:lo + size] if per_voxel else draws[name][:, p:p + 1]
-                    for name, per_voxel, _ in stages}
-            outs = {name: c if c.flags.c_contiguous else scratch[name][:c.size].reshape(c.shape)
-                    for name, c in cols.items()}
-            _block_draws(rng, outs, x.size, size)
-            for name, c in cols.items():
-                if outs[name] is not c:
-                    c[...] = outs[name]
-        u = draws["gamma"]
-        log1m = np.negative(u, out=work[:k])
-        np.log1p(log1m, out=log1m)
-        with np.errstate(divide="ignore"):  # u == 0: logit -inf, gamma = 1 unless odds are 0
-            np.log(u, out=u)
-        u -= log1m
-        if spatial:
-            h = half_normal_magnitudes(draws["eta"], out=draws["eta"])
-            np.add.reduceat(np.square(h, out=work[:k]), starts, axis=1, out=draws["h2"])
-            h *= nu_v
-
     # running counts of kept gamma = 1: in all, and per batch of batch_len
     # kept sweeps (the last n_kept - n_batches * batch_len count in all only)
     n_batches = math.isqrt(cfg.n_kept)
@@ -702,29 +728,11 @@ def run_parcel_chain(
     count = np.zeros(n_vox, dtype=np.intp)
     batch_counts = _zeros((n_batches, n_vox), "batch-count", cfg.n_iter)
     beta_sum = np.zeros(n_vox, dtype=complex)
-    # with two buffer sets, a producer draws every block: (pid, free, ready),
-    # its pipes' engine ends (see _fork_producer); None where the engine draws
-    producer = _fork_producer(make_block, cfg.n_iter) if len(buffers) > 1 else None
-    try:
+    with contextlib.closing(_block_stream(rngs, starts, sizes, x.size, cfg.n_iter, nu_v)) as blocks:
         for it in range(cfg.n_iter):
             j = it % BLOCK_SWEEPS
             if j == 0:
-                if producer is None:
-                    make_block(it)
-                else:
-                    pid, free, ready = producer
-                    try:
-                        done = os.read(ready, 1)  # empty once the producer has gone
-                        if done and it and it + BLOCK_SWEEPS < cfg.n_iter:
-                            os.write(free, b"\1")  # the set of the block just swept
-                    except BrokenPipeError:
-                        done = b""
-                    if not done:
-                        producer = None
-                        code = _stop_producer(pid, free, ready)
-                        raise CvfmriError(f"the block producer process {pid} exited with "
-                                          f"code {code} before the block of sweep {it}") from None
-                draws = buffers[it // BLOCK_SWEEPS % len(buffers)]
+                draws = next(blocks)
 
             # voxel stage: gamma, beta, rho, sigma2 (one call across the batch)
             tau2_v = np.repeat(tau2, sizes)
@@ -744,9 +752,9 @@ def run_parcel_chain(
             except DegeneratePosteriorError:
                 # named by its row of y, which in a fit is its image voxel
                 k = int(np.argmax(ss <= 0.0))
-                g = ids[np.searchsorted(starts, k, side="right") - 1]
                 raise DegeneratePosteriorError(
-                    f"parcel {g}: zero residual sum of squares at voxel {rows[k]}") from None
+                    f"parcel {parcel_of(k)}: zero residual sum of squares at voxel {rows[k]}"
+                ) from None
 
             # parcel stage: tau2, then the inclusion-prior latents
             n_active = np.add.reduceat(gamma, starts, dtype=np.intp)
@@ -763,7 +771,7 @@ def run_parcel_chain(
             else:
                 eta_shared = draw_eta_shared(n_active, sizes, draws["rate"][j])
 
-            if trace is not None:
+            if trace is not None:  # the columns of _TRACE_FIELDS
                 trace[it] = np.column_stack((gamma[at], beta[at].real, beta[at].imag,
                                              rho[at].real, rho[at].imag, sigma2[at]))
             kept = it - cfg.n_burn
@@ -772,9 +780,6 @@ def run_parcel_chain(
                 if kept < n_batches * batch_len:
                     batch_counts[kept // batch_len] += gamma
                 beta_sum += beta
-    finally:
-        if producer is not None:
-            _stop_producer(*producer)
 
     # batch-means MCSE: np.std(batch means, axis=0, ddof=1) in place, column by column
     batch_counts /= batch_len

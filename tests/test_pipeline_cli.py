@@ -16,10 +16,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cvfmri import cli, dataio, pipeline
+from cvfmri import cli, dataio, pipeline, sampler
 from cvfmri.data import ComplexDataset
 from cvfmri.design import design_for_length
-from cvfmri.errors import InvalidSpecError
+from cvfmri.errors import DegenerateDesignError, InvalidSpecError
 from cvfmri.metrics import REPORT_COLUMNS, classification_metrics, magnitude_fidelity, report_row
 from cvfmri.pipeline import (
     REALISTIC_COLUMNS,
@@ -185,6 +185,38 @@ class TestFitPipeline:
         ds, _, _ = small_dataset()
         with pytest.raises(Exception, match="design length"):
             fit_dataset(ds, design_for_length(60), FitConfig(n_parcels=4))
+
+    @pytest.mark.parametrize("voxel", [5.0, True])
+    def test_non_integer_trace_voxels_rejected(self, voxel):
+        # each once reached a parcel job, to die there with numpy's IndexError or ValueError
+        ds, _, design = small_dataset()
+        with pytest.raises(InvalidSpecError, match=f"^trace voxel {voxel} is not an integer$"):
+            fit_dataset(ds, design, FitConfig(n_parcels=4, workers=1, trace_voxels=(0, voxel)))
+
+    @pytest.mark.parametrize("defect", ["nan", "constant"])
+    def test_unusable_regressor_rejected(self, defect):
+        # each once fitted to no active voxel, the NaN one reporting convergence
+        ds, _, design = small_dataset()
+        design = design.copy()
+        if defect == "nan":
+            design[10] = np.nan
+        else:
+            design[:] = 1.0
+        error = InvalidSpecError if defect == "nan" else DegenerateDesignError
+        with pytest.raises(error, match="^the regressor is"):
+            fit_dataset(ds, design, FitConfig(n_parcels=4, workers=1))
+
+    def test_trace_header_names_every_column(self, tmp_path):
+        ds, _, design = small_dataset()
+        cfg = FitConfig(n_parcels=4, workers=1, trace_voxels=(7,),
+                        sampler=SamplerConfig(n_iter=40, n_burn=20, seed=1))
+        result = fit_dataset(ds, design, cfg)
+        write_fit_outputs(result, tmp_path)
+        rows = read_csv_rows(tmp_path / "trace_voxel7.csv")
+        fields = sampler._TRACE_FIELDS
+        assert rows[0] == ["iteration", *fields]
+        assert result.traces[7].shape == (40, len(fields))
+        assert {len(row) for row in rows} == {1 + len(fields)}
 
     def test_parcels_smaller_than_the_basis_rank_rejected(self):
         # 36 parcels of a 12x12 grid hold 4 voxels each, one fewer than q = 5
@@ -838,4 +870,9 @@ class TestFitbenchTracer:
                     "parcellation.adjacency", "parcellation.basis", "sampler.chain",
                     "sampler.stitch", "pipeline.fit_dataset"):
             assert report["spans"].get(key, 0) > 0, key
-        assert report["counts"]["parcels"] == 1
+        # what the tracer reads of each chain call: its arguments y and cfg,
+        # and its summary's mcse and converged
+        counts = report["counts"]
+        assert counts["parcels"] == 1
+        assert counts["parcel_sweeps"] == 40 and counts["voxel_sweeps"] == ds.n_voxels * 40
+        assert counts["max_mcse"] > 0 and "unconverged" in counts

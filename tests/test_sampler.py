@@ -5,6 +5,7 @@ import errno
 import math
 import multiprocessing
 import os
+import re
 import signal
 import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
@@ -17,6 +18,8 @@ from cvfmri import sampler
 from cvfmri.design import design_for_length
 from cvfmri.errors import (
     CvfmriError,
+    DataFormatError,
+    DegenerateDesignError,
     DegeneratePosteriorError,
     InsufficientDataError,
     InvalidSpecError,
@@ -387,6 +390,35 @@ class TestBatchInvariance:
             run_parcel_chain(y, nu2s[:2], x, cfg, consecutive(sizes))
         with pytest.raises(InvalidSpecError, match="parcel 7: basis size"):
             run_parcel_chain(y, nu2s[::-1], x, cfg, consecutive(sizes, 7))
+        # rows the engine once cast or ran twice: a boolean mask, float rows, a
+        # row twice in one parcel or in two, and trace rows that are not integers
+        ns = SamplerConfig(n_iter=40, n_burn=20, seed=0, mode=NONSPATIAL)
+        for parcels, trace, message in (
+            ({0: np.arange(6) < 4}, None, "parcel 0: row True is not an integer"),
+            ({0: [0.5, 1.7]}, None, "parcel 0: row 0.5 is not an integer"),
+            ({3: [1, 1, 2]}, None, "parcel 3: row 1 is listed twice in the batch"),
+            ({0: [0, 1, 2], 1: [3, 2]}, None, "parcel 1: row 2 is listed twice in the batch"),
+            ({0: range(4)}, [2.9, True], "trace voxel 2.9 is not an integer"),
+            ({0: range(4)}, [2, True], "trace voxel True is not an integer"),
+        ):
+            with pytest.raises(InvalidSpecError, match=f"^{re.escape(message)}$"):
+                run_parcel_chain(y, None, x, ns, parcels, trace_voxels=trace)
+
+    def test_unusable_regressor_or_series_rejected(self, batch_instance):
+        # each once ran: a NaN regressor or sample to all-zero inclusion, a
+        # constant regressor to no active voxel
+        y, x, nu2s, sizes = batch_instance
+        cfg = SamplerConfig(n_iter=40, n_burn=20, seed=0)
+        gap = x.copy()
+        gap[3] = np.nan
+        with pytest.raises(InvalidSpecError, match="^the regressor is nan at time point 3$"):
+            run_parcel_chain(y, nu2s, gap, cfg, consecutive(sizes))
+        with pytest.raises(DegenerateDesignError, match="^the regressor is constant"):
+            run_parcel_chain(y, nu2s, np.full_like(x, 0.5), cfg, consecutive(sizes))
+        y = y.copy()
+        y[5, 4] = np.nan
+        with pytest.raises(DataFormatError, match="^parcel 8: non-finite series at voxel 5$"):
+            run_parcel_chain(y, nu2s, x, cfg, consecutive(sizes, 7))
 
 
 @pytest.fixture
