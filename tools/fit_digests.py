@@ -28,6 +28,8 @@ it; a change that alters the outputs on purpose updates that file. The cases:
 - ``ar1-g9-nonspatial``: the same dataset at G=9 in nonspatial mode;
 - ``realistic-g49``: a one-slice realistic volume (96x96, T=490, seed 100)
   at G=49 with psi = ndtri(0.11) and the realistic stimulus;
+- ``realistic-g49-nonspatial``: the same fit in nonspatial mode, whose
+  shared rates climb (null median 0.45) and declare 3784 null voxels active;
 - ``volume-g8``: a 5x20x20 volume with T=60 and one active sphere across
   slices 0 to 4, at G=8; voxel 1300 lies in slice 3.
 
@@ -94,6 +96,7 @@ CASES = {
     "ar1-g49": (ar1_dataset, ["--G", "49"]),
     "ar1-g9-nonspatial": (ar1_dataset, ["--G", "9", "--mode", "nonspatial"]),
     "realistic-g49": (realistic_slice, ["--G", "49", *REALISTIC]),
+    "realistic-g49-nonspatial": (realistic_slice, ["--G", "49", "--mode", "nonspatial", *REALISTIC]),
     "volume-g8": (small_volume, ["--G", "8"]),
 }
 
