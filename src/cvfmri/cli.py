@@ -35,7 +35,8 @@ _FIT_SETTINGS = {
     "data": (None, "data", str, "CVF1 dataset file"),
     "G": (pipeline.FitConfig, "n_parcels", int, "number of parcels"),
     "workers": (pipeline.FitConfig, "workers", int, None),
-    "psi": (SamplerConfig, "psi", float, "probit prior offset"),
+    "psi": (SamplerConfig, "psi", float,
+            "spatial mode's fixed probit intercept (nonspatial mode draws one per parcel)"),
     "iters": (SamplerConfig, "n_iter", int, None),
     "burn": (SamplerConfig, "n_burn", int, None),
     "threshold": (SamplerConfig, "threshold", float, None),

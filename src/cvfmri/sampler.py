@@ -7,11 +7,12 @@ Model, per voxel v with complex series y and real regressor x (both centered):
 where b is the complex activation coefficient under a spike-and-slab prior
 (point mass at 0 vs. complex normal slab with per-parcel variance tau^2), p a
 complex AR(1) coefficient with flat prior, and s^2 the per-voxel noise variance
-with Jeffreys prior. Inclusion indicators follow a probit prior whose latent
+with Jeffreys prior. Inclusion indicators follow a probit prior,
+P(gamma_v = 1) = Phi(psi + eta_v). In spatial mode psi is fixed and the latent
 field eta carries a low-rank spatial structure built from the parcel's
 adjacency eigenvectors (variance nu_v^2 / kappa after collapsing the random
-effects); a nonspatial mode replaces it with a single shared Bernoulli rate
-under a flat Beta prior.
+effects). In nonspatial mode eta is 0 and each parcel draws its own intercept
+psi_g ~ N(0, 1): Phi(psi_g) is then a shared rate under a flat Beta prior.
 
 Quasi-differencing with the current AR coefficient (lag-1 backward operator)
 reduces every conditional to conjugate form. The stacked real design matrix of
@@ -80,8 +81,7 @@ __all__ = [
     "splitmix64",
     "derive_seed",
     "log_null_slab_ratio",
-    "prior_logit_spatial",
-    "prior_logit_shared",
+    "prior_logit",
     "inclusion_log_odds",
     "inclusion_probability",
     "draw_beta",
@@ -227,11 +227,12 @@ def log_null_slab_ratio(xstar_norm2, xty_norm2, sigma2, tau2):
     return np.log1p(xstar_norm2 * tau2 / sigma2) - xty_norm2 / (2.0 * sigma2 * denom)
 
 
-
-def prior_logit_spatial(psi, eta):
-    """Prior log odds of inclusion under the probit latent: logit Phi(psi + eta),
+def prior_logit(psi, eta):
+    """Prior log odds of inclusion under the probit prior: logit Phi(psi + eta),
     as sign(z) (log1p(-y) - log y) with y = Phi(-|z|) = erfc(|z|/sqrt 2)/2,
-    the smaller tail, from one special-function call.
+    the smaller tail, from one special-function call. In nonspatial mode eta
+    is 0 and psi is the parcel's intercept Phi^-1(theta) of its shared rate
+    theta, so these are log theta - log1p(-theta).
 
     Beyond |z| of about 38 one tail underflows to 0, and the log odds are
     +-inf, which make the inclusion probability exactly 1 or 0."""
@@ -239,12 +240,6 @@ def prior_logit_spatial(psi, eta):
     y = 0.5 * erfc(np.abs(z) * math.sqrt(0.5))
     with np.errstate(divide="ignore"):
         return np.copysign(np.log1p(-y) - np.log(y), z)
-
-
-def prior_logit_shared(eta_shared):
-    """Prior log odds of inclusion under the nonspatial shared rate."""
-    p = np.clip(eta_shared, 1e-15, 1.0 - 1e-15)
-    return np.log(p) - np.log1p(-p)
 
 
 # --------------------------------------------------------------------------
@@ -343,8 +338,9 @@ def draw_kappa(sum_eta2_nu2, g):
 
 
 def draw_eta_shared(n_active, n_vox, u):
-    """Shared inclusion rates of parcels, Beta(1 + k, 1 + V - k) by inverse
-    transform of uniforms ``u``."""
+    """Shared inclusion rates theta of parcels, Beta(1 + k, 1 + V - k) by
+    inverse transform of uniforms ``u``. Phi^-1(theta) is the parcel's probit
+    intercept psi_g, whose N(0, 1) prior is theta's flat Beta(1, 1)."""
     return betaincinv(1 + n_active, 1 + n_vox - n_active, u)
 
 
@@ -657,6 +653,8 @@ def run_parcel_chain(
     if not n_parcels or sizes.min() < 1:
         raise InvalidSpecError("a batch needs at least one parcel, and each parcel a row")
     for g, r in zip(ids, row_lists):
+        if r.ndim != 1:
+            raise InvalidSpecError(f"parcel {g}: rows must be 1-D, not of shape {r.shape}")
         if r.dtype.kind not in "iu":
             raise InvalidSpecError(f"parcel {g}: row {r.flat[0].item()!r} is not an integer")
     rows = np.concatenate(row_lists).astype(np.intp, copy=False)
@@ -702,23 +700,24 @@ def run_parcel_chain(
         trace = _zeros((cfg.n_iter, len(traced), len(_TRACE_FIELDS)), "trace", cfg.n_iter)
 
     stats = _ParcelStats(_center(x), n_vox)
-    for lo, r in zip(starts, row_lists):
-        stats.fill(lo, _center(y[r]))
+    with np.errstate(invalid="ignore"):  # a non-finite sample is rejected below
+        for lo, r in zip(starts, row_lists):
+            stats.fill(lo, _center(y[r]))
     nonfinite = np.flatnonzero(~np.isfinite(stats.syl2 + stats.syn2))
     if nonfinite.size:
         k = nonfinite[0]
         raise DataFormatError(f"parcel {parcel_of(k)}: non-finite series at voxel {rows[k]}")
     # the state the mode reads (gamma and beta are drawn before their first
-    # read), sigma2 the pooled per-component variance of the series, halved
+    # read): sigma2 the pooled per-component variance of the series, halved, and
+    # per voxel tau2 and the prior log odds, at eta = 0 or a shared rate of 1/2
     sigma2 = np.maximum(0.25 * stats.y2_mean, 1e-30)
     rho = np.zeros(n_vox, dtype=complex)
     r2 = np.zeros(n_vox)
     tau2 = np.ones(n_parcels)
+    tau2_v = np.ones(n_vox)
+    prior_v = np.full(n_vox, prior_logit(cfg.psi if spatial else 0.0, 0.0))
     if spatial:
-        eta = np.zeros(n_vox)
         kappa = np.full(n_parcels, A_KAPPA * B_KAPPA)
-    else:
-        eta_shared = np.full(n_parcels, 0.5)
     rngs = [np.random.default_rng(derive_seed(cfg.seed, g)) for g in ids]
 
     # running counts of kept gamma = 1: in all, and per batch of batch_len
@@ -735,13 +734,8 @@ def run_parcel_chain(
                 draws = next(blocks)
 
             # voxel stage: gamma, beta, rho, sigma2 (one call across the batch)
-            tau2_v = np.repeat(tau2, sizes)
             xnorm2, c = stats.design_norms(rho, r2)
-            if spatial:
-                prior_logit = prior_logit_spatial(cfg.psi, eta)
-            else:
-                prior_logit = np.repeat(prior_logit_shared(eta_shared), sizes)
-            gamma = draws["gamma"][j] < inclusion_log_odds(xnorm2, c, sigma2, tau2_v, prior_logit)
+            gamma = draws["gamma"][j] < inclusion_log_odds(xnorm2, c, sigma2, tau2_v, prior_v)
             beta = draw_beta(xnorm2, c, sigma2, tau2_v, gamma, draws["beta"][j])
             cw, wl2, wn2 = stats.residual_norms(beta, gamma)
             rho, _ = draw_rho(cw, wl2, sigma2, draws["rho"][j])
@@ -756,7 +750,7 @@ def run_parcel_chain(
                     f"parcel {parcel_of(k)}: zero residual sum of squares at voxel {rows[k]}"
                 ) from None
 
-            # parcel stage: tau2, then the inclusion-prior latents
+            # parcel stage: tau2, then the prior, each also per voxel for the voxel stage
             n_active = np.add.reduceat(gamma, starts, dtype=np.intp)
             ssb = np.add.reduceat(beta.real**2 + beta.imag**2, starts)
             try:
@@ -764,12 +758,15 @@ def run_parcel_chain(
             except DegeneratePosteriorError as exc:
                 g = ids[int(np.argmax((n_active > 0) & (ssb <= 0.0)))]
                 raise type(exc)(f"parcel {g}: {exc}") from None
+            tau2_v = np.repeat(tau2, sizes)
             if spatial:
                 eta = draw_eta(gamma, draws["eta"][j], np.repeat(kappa ** -0.5, sizes))
+                prior_v = prior_logit(cfg.psi, eta)
                 # each parcel's sum of eta^2/nu2 is its sum of h^2 over the kappa that drew eta
                 kappa = draw_kappa(draws["h2"][j] / kappa, draws["kappa"][j])
-            else:
-                eta_shared = draw_eta_shared(n_active, sizes, draws["rate"][j])
+            else:  # each parcel's free intercept psi_g, Phi^-1 of its shared rate
+                psi = ndtri(draw_eta_shared(n_active, sizes, draws["rate"][j]))
+                prior_v = np.repeat(prior_logit(psi, 0.0), sizes)
 
             if trace is not None:  # the columns of _TRACE_FIELDS
                 trace[it] = np.column_stack((gamma[at], beta[at].real, beta[at].imag,

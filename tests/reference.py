@@ -35,7 +35,7 @@ from cvfmri.sampler import (
     draw_sigma2,
     draw_tau2,
     inclusion_probability,
-    prior_logit_spatial,
+    prior_logit,
 )
 
 
@@ -103,7 +103,7 @@ def residual_ss(w_now, w_lag, rho):
 def gamma_probability(ystar, xstar, sigma2, tau2, eta, psi):
     """Inclusion probability of one quasi-differenced series under the probit prior."""
     xnorm2, c = cross_stats(np.asarray(ystar), np.asarray(xstar))
-    return inclusion_probability(xnorm2, c, sigma2, tau2, prior_logit_spatial(psi, eta))
+    return inclusion_probability(xnorm2, c, sigma2, tau2, prior_logit(psi, eta))
 
 
 def standard_complex_normals(rng, n):

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from scipy import stats
 from scipy.integrate import dblquad
-from scipy.special import expit, gammaincinv, ndtr
+from scipy.special import expit, gammaincinv, ndtr, ndtri
 
 from cvfmri import sampler
 from cvfmri.design import design_for_length
@@ -32,7 +32,7 @@ from cvfmri.sampler import (
     inclusion_log_odds,
     inclusion_probability,
     log_null_slab_ratio,
-    prior_logit_spatial,
+    prior_logit,
     run_parcel_chain,
     splitmix64,
 )
@@ -158,13 +158,25 @@ class TestGamma:
 
     def test_prior_log_odds_match_oracle(self):
         z = np.linspace(-37.0, 37.0, 20001)
-        np.testing.assert_allclose(prior_logit_spatial(0.0, z), probit_log_odds(z), rtol=1e-12)
+        np.testing.assert_allclose(prior_logit(0.0, z), probit_log_odds(z), rtol=1e-12)
+
+    def test_an_intercept_gives_its_rates_log_odds(self):
+        # nonspatial mode's prior: the intercept Phi^-1(theta) of a shared rate
+        # theta gives log theta - log1p(-theta), and theta = 0 or 1 gives -+inf
+        theta = np.concatenate([np.logspace(-300, math.log10(0.5), 20001),
+                                1.0 - np.logspace(-15, math.log10(0.5), 20001)])
+        np.testing.assert_allclose(prior_logit(ndtri(theta), 0.0),
+                                   np.log(theta) - np.log1p(-theta), rtol=1e-13)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ends = prior_logit(ndtri(np.array([0.0, 1.0])), 0.0)
+        assert ends.tolist() == [-np.inf, np.inf]
 
     def test_far_tails_give_certain_inclusion(self):
         # a tail of Phi underflows there: the log odds are +-inf, not a warning
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            logit = prior_logit_spatial(0.0, np.array([40.0, -40.0]))
+            logit = prior_logit(0.0, np.array([40.0, -40.0]))
             p = inclusion_probability(np.ones(2), np.ones(2, dtype=complex), np.ones(2),
                                       np.ones(2), logit)
         assert p.tolist() == [1.0, 0.0]
@@ -202,7 +214,7 @@ class TestGamma:
         with np.errstate(over="ignore"):  # both forms' quadratic term overflows alike
             terms = [np.log(tau2), -np.log(sigma2), np.log(denom), -c2 / (2.0 * sigma2 * denom)]
             old = probit_log_odds(z) - sum(terms)
-            new = inclusion_log_odds(xnorm2, c, sigma2, tau2, prior_logit_spatial(0.0, z))
+            new = inclusion_log_odds(xnorm2, c, sigma2, tau2, prior_logit(0.0, z))
         finite = np.isfinite(old)
         assert finite.any() and not finite.all()
         assert np.all(np.isfinite(new[finite]))

@@ -41,7 +41,7 @@ from cvfmri.sampler import (
     draw_sigma2,
     draw_tau2,
     inclusion_log_odds,
-    prior_logit_spatial,
+    prior_logit,
     run_parcel_chain,
     stitch_voxel_field,
     summarize,
@@ -106,7 +106,7 @@ def reference_chain(y, nu2, x, cfg, seed):
         xnorm2, c = design_stats(yc, xc, rho)
         if spatial:
             log_odds = inclusion_log_odds(xnorm2, c, sigma2, tau2,
-                                          prior_logit_spatial(cfg.psi, eta))
+                                          prior_logit(cfg.psi, eta))
         else:
             # the naive three-log formula, an oracle for the shared-rate log odds
             denom = xnorm2 + sigma2 / tau2
@@ -391,7 +391,8 @@ class TestBatchInvariance:
         with pytest.raises(InvalidSpecError, match="parcel 7: basis size"):
             run_parcel_chain(y, nu2s[::-1], x, cfg, consecutive(sizes, 7))
         # rows the engine once cast or ran twice: a boolean mask, float rows, a
-        # row twice in one parcel or in two, and trace rows that are not integers
+        # row twice in one parcel or in two, trace rows that are not integers,
+        # and rows in two dimensions
         ns = SamplerConfig(n_iter=40, n_burn=20, seed=0, mode=NONSPATIAL)
         for parcels, trace, message in (
             ({0: np.arange(6) < 4}, None, "parcel 0: row True is not an integer"),
@@ -400,13 +401,15 @@ class TestBatchInvariance:
             ({0: [0, 1, 2], 1: [3, 2]}, None, "parcel 1: row 2 is listed twice in the batch"),
             ({0: range(4)}, [2.9, True], "trace voxel 2.9 is not an integer"),
             ({0: range(4)}, [2, True], "trace voxel True is not an integer"),
+            ({0: [[0, 1], [2, 3]]}, None, "parcel 0: rows must be 1-D, not of shape (2, 2)"),
         ):
             with pytest.raises(InvalidSpecError, match=f"^{re.escape(message)}$"):
                 run_parcel_chain(y, None, x, ns, parcels, trace_voxels=trace)
 
     def test_unusable_regressor_or_series_rejected(self, batch_instance):
         # each once ran: a NaN regressor or sample to all-zero inclusion, a
-        # constant regressor to no active voxel
+        # constant regressor to no active voxel; an infinite sample warned twice
+        # before it was rejected
         y, x, nu2s, sizes = batch_instance
         cfg = SamplerConfig(n_iter=40, n_burn=20, seed=0)
         gap = x.copy()
@@ -416,9 +419,10 @@ class TestBatchInvariance:
         with pytest.raises(DegenerateDesignError, match="^the regressor is constant"):
             run_parcel_chain(y, nu2s, np.full_like(x, 0.5), cfg, consecutive(sizes))
         y = y.copy()
-        y[5, 4] = np.nan
-        with pytest.raises(DataFormatError, match="^parcel 8: non-finite series at voxel 5$"):
-            run_parcel_chain(y, nu2s, x, cfg, consecutive(sizes, 7))
+        for sample in (np.nan, np.inf):
+            y[5, 4] = sample
+            with pytest.raises(DataFormatError, match="^parcel 8: non-finite series at voxel 5$"):
+                run_parcel_chain(y, nu2s, x, cfg, consecutive(sizes, 7))
 
 
 @pytest.fixture
@@ -562,7 +566,7 @@ class TestBlockProducer:
         assert forks == [] and drawers() == [os.getpid()] * 3
 
     def test_no_producer_in_a_pool_worker(self, batch_instance, drawers):
-        # a fit's pool runs one worker per CPU, so its workers draw inline
+        # a pool's workers draw inline, whatever the pool's size (--workers)
         y, x, nu2s, sizes = batch_instance
         cfg = SamplerConfig(n_iter=BLOCK_SWEEPS + 8, n_burn=8)
         with ProcessPoolExecutor(max_workers=1,

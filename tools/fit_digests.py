@@ -96,7 +96,8 @@ CASES = {
     "ar1-g49": (ar1_dataset, ["--G", "49"]),
     "ar1-g9-nonspatial": (ar1_dataset, ["--G", "9", "--mode", "nonspatial"]),
     "realistic-g49": (realistic_slice, ["--G", "49", *REALISTIC]),
-    "realistic-g49-nonspatial": (realistic_slice, ["--G", "49", "--mode", "nonspatial", *REALISTIC]),
+    "realistic-g49-nonspatial": (realistic_slice,
+                                 ["--G", "49", "--mode", "nonspatial", *REALISTIC]),
     "volume-g8": (small_volume, ["--G", "8"]),
 }
 
