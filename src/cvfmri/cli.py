@@ -25,7 +25,7 @@ from pathlib import Path
 from . import dataio, pipeline
 from .design import design_for_length
 from .errors import CvfmriError, InsufficientDataError, InvalidSpecError
-from .sampler import SamplerConfig
+from .sampler import NONSPATIAL, SamplerConfig
 from .simulate import DEFAULT_MULTIPLIER
 
 #: Every fit setting, by flag and config-file name: the config class or
@@ -36,7 +36,7 @@ _FIT_SETTINGS = {
     "G": (pipeline.FitConfig, "n_parcels", int, "number of parcels"),
     "workers": (pipeline.FitConfig, "workers", int, None),
     "psi": (SamplerConfig, "psi", float,
-            "spatial mode's fixed probit intercept (nonspatial mode draws one per parcel)"),
+            "spatial mode's fixed probit intercept; nonspatial mode draws its own and rejects psi"),
     "iters": (SamplerConfig, "n_iter", int, None),
     "burn": (SamplerConfig, "n_burn", int, None),
     "threshold": (SamplerConfig, "threshold", float, None),
@@ -131,6 +131,9 @@ def _fit_settings(args) -> dict:
             settings[key] = value
     if not settings.get("data"):
         raise InvalidSpecError("no dataset given (use --data or the config file)")
+    if "psi" in settings and settings.get("mode") == NONSPATIAL:
+        raise InvalidSpecError("psi is the spatial mode's fixed intercept; mode = nonspatial "
+                               "draws one per parcel, so it takes no psi")
     return settings
 
 

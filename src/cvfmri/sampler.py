@@ -403,12 +403,29 @@ def _buffer_sets(layout, count: int):
             for _ in range(count)]
 
 
-def _block_draws(rng, outs, n_time, n_vox):
-    """Fill a parcel's C-contiguous block arrays ``outs``, by stage name, in the
-    order of ``_BLOCK_STAGES``, for series of length ``n_time`` and ``n_vox`` voxels."""
-    for name, _, _, draw in _BLOCK_STAGES:
-        if name in outs:
-            draw(rng, outs[name].view(float), n_time, n_vox)
+def _block_draws(rng, names, k: int, n_time: int, n_vox: int, nu=None):
+    """A parcel's block of ``k`` sweeps, drawn from its generator ``rng`` alone:
+    a dict by stage name of new (k, n_vox) or (k, 1) arrays, one per stage of
+    ``_BLOCK_STAGES`` in ``names``, drawn in the table's order for series of
+    length ``n_time``. Then come the transforms that read no chain state: the
+    gamma uniforms u become their logits log u - log1p(-u), and where ``nu``,
+    the voxels' sqrt(nu2), is given (spatial mode), the eta uniforms become
+    h sqrt(nu2) with h = -ndtri(u/2), and "h2" holds each sweep's sum of h^2."""
+    block = {}
+    for name, per_voxel, dtype, draw in _BLOCK_STAGES:
+        if name in names:
+            block[name] = np.empty((k, n_vox if per_voxel else 1), dtype)
+            draw(rng, block[name].view(float), n_time, n_vox)
+    u = block["gamma"]
+    log1m = np.log1p(-u)
+    with np.errstate(divide="ignore"):  # u == 0: logit -inf, gamma = 1 unless odds are 0
+        np.log(u, out=u)
+    u -= log1m
+    if nu is not None:
+        h = half_normal_magnitudes(block["eta"], out=block["eta"])
+        block["h2"] = np.add.reduceat(np.square(h), [0], axis=1)
+        h *= nu
+    return block
 
 
 def _block_stream(rngs, starts, sizes, n_time: int, n_iter: int, nu_v=None):
@@ -419,12 +436,9 @@ def _block_stream(rngs, starts, sizes, n_time: int, n_iter: int, nu_v=None):
 
     Parcel p of the batch has ``sizes[p]`` voxels from ``starts[p]`` on and
     draws from ``rngs[p]``, for series of length ``n_time``; ``nu_v`` holds
-    the voxels' sqrt(nu2), or is None in nonspatial mode. Each parcel fills
-    its columns with ``_block_draws``, every draw a fixed count, so its draws
-    do not depend on its batch. Then each transform that reads no chain state
-    runs once on the block, in place: the gamma uniforms u become their logits
-    log u - log1p(-u), the eta uniforms h sqrt(nu2) with h = -ndtri(u/2), and
-    "h2" (spatial) each parcel's sum of h^2 per sweep.
+    the voxels' sqrt(nu2), or is None in nonspatial mode. Each parcel's block
+    comes from ``_block_draws``, every draw a fixed count, and is copied into
+    the parcel's columns, so its draws do not depend on its batch.
 
     Where a CPU is spare (``_cpu_to_spare``) and the chain has a second block,
     the first ``next`` forks a producer process that draws every block into
@@ -442,15 +456,11 @@ def _block_stream(rngs, starts, sizes, n_time: int, n_iter: int, nu_v=None):
     n_vox = int(sizes.sum())
     unused = ("eta", "kappa") if nu_v is None else ("rate",)
     stages = [stage[:3] for stage in _BLOCK_STAGES if stage[0] not in unused]
-    layout = [(name, (BLOCK_SWEEPS, n_vox if per_voxel else sizes.size), dtype)
-              for name, per_voxel, dtype in stages + [("h2", False, float)] * (nu_v is not None)]
+    stages += [("h2", False, float)] * (nu_v is not None)
+    per_voxel = {name: flag for name, flag, _ in stages}
+    layout = [(name, (BLOCK_SWEEPS, n_vox if flag else sizes.size), dtype)
+              for name, flag, dtype in stages]
     buffers = _buffer_sets(layout, 1 + (n_iter > BLOCK_SWEEPS and _cpu_to_spare()))
-    # a column that is not C-contiguous (a batch parcel's, in a block of more than
-    # one sweep) is drawn into scratch sized to the largest parcel, then copied; a
-    # lone parcel's never is. The transforms work in one more array
-    work = np.empty((BLOCK_SWEEPS, n_vox))
-    scratch = {name: np.empty(BLOCK_SWEEPS * (sizes.max() if per_voxel else 1), dtype)
-               for name, per_voxel, dtype in stages} if sizes.size > 1 else {}
 
     pid = None  # the producer's id; 0 in the producer, None where this process draws
     if len(buffers) > 1:
@@ -489,24 +499,10 @@ def _block_stream(rngs, starts, sizes, n_time: int, n_iter: int, nu_v=None):
             if pid == 0 and it > BLOCK_SWEEPS and not os.read(free_r, 1):
                 break  # the caller has stopped
             for p, (rng, lo, size) in enumerate(zip(rngs, starts, sizes)):
-                cols = {name: draws[name][:, lo:lo + size] if per_voxel else draws[name][:, p:p + 1]
-                        for name, per_voxel, _ in stages}
-                outs = {name: c if c.flags.c_contiguous else scratch[name][:c.size].reshape(c.shape)
-                        for name, c in cols.items()}
-                _block_draws(rng, outs, n_time, size)
-                for name, c in cols.items():
-                    if outs[name] is not c:
-                        c[...] = outs[name]
-            u = draws["gamma"]
-            log1m = np.negative(u, out=work[:k])
-            np.log1p(log1m, out=log1m)
-            with np.errstate(divide="ignore"):  # u == 0: logit -inf, gamma = 1 unless odds are 0
-                np.log(u, out=u)
-            u -= log1m
-            if nu_v is not None:
-                h = half_normal_magnitudes(draws["eta"], out=draws["eta"])
-                np.add.reduceat(np.square(h, out=work[:k]), starts, axis=1, out=draws["h2"])
-                h *= nu_v
+                nu = None if nu_v is None else nu_v[lo:lo + size]
+                voxels, parcel = slice(lo, lo + size), slice(p, p + 1)
+                for name, b in _block_draws(rng, per_voxel, k, n_time, size, nu).items():
+                    draws[name][:, voxels if per_voxel[name] else parcel] = b
             if pid == 0:
                 os.write(ready_w, b"\1")
             else:
@@ -700,13 +696,15 @@ def run_parcel_chain(
         trace = _zeros((cfg.n_iter, len(traced), len(_TRACE_FIELDS)), "trace", cfg.n_iter)
 
     stats = _ParcelStats(_center(x), n_vox)
-    with np.errstate(invalid="ignore"):  # a non-finite sample is rejected below
+    with np.errstate(over="ignore", invalid="ignore"):  # an unusable series is rejected below
         for lo, r in zip(starts, row_lists):
             stats.fill(lo, _center(y[r]))
-    nonfinite = np.flatnonzero(~np.isfinite(stats.syl2 + stats.syn2))
-    if nonfinite.size:
-        k = nonfinite[0]
-        raise DataFormatError(f"parcel {parcel_of(k)}: non-finite series at voxel {rows[k]}")
+    unusable = np.flatnonzero(~np.isfinite(stats.syl2 + stats.syn2))
+    if unusable.size:
+        k = unusable[0]
+        problem = (f"the sum of squares of the series at voxel {rows[k]} overflows"
+                   if np.isfinite(y[rows[k]]).all() else f"non-finite series at voxel {rows[k]}")
+        raise DataFormatError(f"parcel {parcel_of(k)}: {problem}")
     # the state the mode reads (gamma and beta are drawn before their first
     # read): sigma2 the pooled per-component variance of the series, halved, and
     # per voxel tau2 and the prior log odds, at eta = 0 or a shared rate of 1/2

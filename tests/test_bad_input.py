@@ -178,6 +178,8 @@ def config_cases():
                       "run.cfg: not UTF-8 text (byte 10: ")
     yield config_case("config-nul", b"mode = spa\0tial\n", 3, "run.cfg: not text (NUL")
     yield Case("config-missing", {}, CONFIG, 3, "No such file or directory")
+    yield config_case("config-psi-nonspatial", b"psi = -0.5\nmode = nonspatial\n", 2,
+                      "psi is the spatial mode's fixed intercept; mode = nonspatial")
     yield Case("config-without-data", {"run.cfg": b"G = 1\n"}, CONFIG, 2, "no dataset given")
 
 
@@ -245,6 +247,9 @@ def flag_cases():
     for power in (15, 24):
         yield Case(f"simulate--T=10^{power}", {}, SIMULATE + (f"--T={10**power}",), 2,
                    f"T = {10**power} needs arrays too large to allocate")
+    # nonspatial mode draws each parcel's intercept, so it takes no fixed psi
+    yield fit_case("--psi-with--mode=nonspatial", cvf1(rng), ("--psi=-0.5", "--mode=nonspatial"),
+                   2, "psi is the spatial mode's fixed intercept; mode = nonspatial")
 
 
 def csv_map(values) -> bytes:

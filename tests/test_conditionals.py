@@ -541,18 +541,25 @@ class TestInverseTransforms:
                 assert np.all(np.isfinite(kappa)) and np.all(kappa > 0)
 
     def test_engine_logits_at_the_ends(self, monkeypatch):
-        # the smallest and largest uniform as voxels 0 and 1's gamma uniforms:
-        # logits -inf (so gamma = 1 at every sweep) and finite, with no warning;
-        # on one CPU, so that every block is drawn in this process
+        # the smallest and largest uniform as voxels 0 and 1's gamma uniforms,
+        # written by the gamma row's draw: logits -inf (so gamma = 1 at every
+        # sweep) and finite, with no warning; on one CPU, so that every block
+        # is drawn in this process
         monkeypatch.setattr(sampler, "usable_cpus", lambda: 1)
-        draw, logits = sampler._block_draws, []
+        (name, per_voxel, dtype, draw), *rest = sampler._BLOCK_STAGES
+        block, logits = sampler._block_draws, []
 
-        def ends(rng, outs, *shapes):
-            draw(rng, outs, *shapes)
-            outs["gamma"][:, :2] = self.U_ENDS
-            logits.append(outs["gamma"])  # the engine turns it into logits in place
+        def ends(rng, out, *shapes):
+            draw(rng, out, *shapes)
+            out[:, :2] = self.U_ENDS
 
-        monkeypatch.setattr(sampler, "_block_draws", ends)
+        def recorded(*args):
+            drawn = block(*args)
+            logits.append(drawn["gamma"])
+            return drawn
+
+        monkeypatch.setattr(sampler, "_BLOCK_STAGES", ((name, per_voxel, dtype, ends), *rest))
+        monkeypatch.setattr(sampler, "_block_draws", recorded)
         x = design_for_length(12, on_len=3, off_len=3)
         y = np.exp(1j * np.arange(36.0)).reshape(3, 12) + x
         with warnings.catch_warnings():

@@ -15,8 +15,10 @@ on the sufficient statistics of a parcel of V = 3 voxels with T = 12 time
 points. Per voxel, ``XNORM2`` is ||x*||^2 of the regressor quasi-differenced
 at a fixed AR coefficient, and the data are c = x*^H y* = ||x*||^2 beta +
 x*^H e*, with e* complex normal of per-component variance sigma^2. sigma^2,
-rho and the slab variance tau^2 are held fixed: the priors of sigma^2
-(Jeffreys) and rho (flat) are improper, and so is tau^2's.
+rho and the slab variance tau^2 are held fixed there: the priors of sigma^2
+(Jeffreys) and rho (flat) are improper, and so is tau^2's. The (rho, sigma^2)
+block is checked instead on fixed data, against the closed form of rho's
+marginal posterior (``TestNoiseBlock``).
 """
 
 import itertools
@@ -31,6 +33,8 @@ from cvfmri.sampler import (
     draw_beta,
     draw_eta,
     draw_eta_shared,
+    draw_rho,
+    draw_sigma2,
     half_normal_magnitudes,
     inclusion_probability,
     prior_logit,
@@ -146,6 +150,71 @@ class TestNonspatialBlock:
         freq /= kept
         mcse = freq.std(axis=0, ddof=1) / np.sqrt(n_chains)
         assert np.all(np.abs(freq.mean(axis=0) - exact) < 4 * mcse)
+
+
+def rho_sigma2_sweeps(rng, w, n_chains, sweeps):
+    """Each of ``n_chains`` chains' rho after ``sweeps`` Gibbs sweeps of the
+    (rho, sigma^2) block on one voxel's residual series ``w``: rho from
+    :func:`draw_rho`, then sigma^2 from :func:`draw_sigma2` with standard
+    gammas of shape T - 1, as the engine draws them. Every chain starts at
+    rho = 0 and sigma^2 = 1."""
+    wl, wn = w[:-1], w[1:]
+    cw = np.full(n_chains, np.vdot(wl, wn))
+    wl2 = np.full(n_chains, np.vdot(wl, wl).real)
+    wn2 = np.vdot(wn, wn).real
+    sigma2 = np.ones(n_chains)
+    for _ in range(sweeps):
+        rho, _ = draw_rho(cw, wl2, sigma2, complex_normals(rng, n_chains))
+        ss = wn2 - 2.0 * (np.conj(rho) * cw).real + (rho.real**2 + rho.imag**2) * wl2
+        sigma2 = draw_sigma2(ss, rng.standard_gamma(w.size - 1, n_chains))
+    return rho
+
+
+def rho_marginal(w):
+    """The marginal posterior of Re rho (and of Im rho) under the flat prior on
+    rho and the Jeffreys prior on sigma^2: p(rho | w) is proportional to
+    ss(rho)^-(T-1) = (R + wl2 |rho - cw/wl2|^2)^-(T-1), with R = wn2 - |cw|^2/wl2,
+    a bivariate Student t of nu = 2T - 4 degrees of freedom centred at cw/wl2,
+    whose components are t of scale sqrt(R / (wl2 nu))."""
+    wl, wn = w[:-1], w[1:]
+    cw, wl2, wn2 = np.vdot(wl, wn), np.vdot(wl, wl).real, np.vdot(wn, wn).real
+    nu = 2 * w.size - 4
+    scale = np.sqrt((wn2 - abs(cw) ** 2 / wl2) / (wl2 * nu))
+    centre = cw / wl2
+    return [stats.t(nu, loc=loc, scale=scale) for loc in (centre.real, centre.imag)]
+
+
+class TestNoiseBlock:
+    """The (rho, sigma^2) block against its closed-form posterior: the priors
+    of rho (flat) and sigma^2 (Jeffreys) are improper, so this block is checked
+    on fixed data, not by a successive-conditional simulator."""
+
+    N_CHAINS = 20_000
+    SWEEPS = 60
+
+    @pytest.fixture(scope="class")
+    def series(self):
+        """A centred complex AR(1) series of length 12 with coefficient 0.5 + 0.3i."""
+        rng = np.random.default_rng(20261024)
+        e = complex_normals(rng, _X.size)
+        y = np.empty_like(e)
+        y[0] = e[0]
+        for t in range(1, y.size):
+            y[t] = (0.5 + 0.3j) * y[t - 1] + e[t]
+        return y - y.mean()
+
+    def check(self, w, seed):
+        rho = rho_sigma2_sweeps(np.random.default_rng(seed), w, self.N_CHAINS, self.SWEEPS)
+        for part, marginal in zip((rho.real, rho.imag), rho_marginal(w)):
+            assert stats.kstest(part, marginal.cdf).pvalue > ALPHA
+
+    def test_null_voxel_rho_has_its_marginal(self, series):
+        # gamma = 0: the residual is the centred series itself
+        self.check(series, 7)
+
+    def test_active_voxel_rho_has_its_marginal(self, series):
+        # gamma = 1 with beta (and so tau^2) held fixed: the same block on y - beta x
+        self.check(series - (0.8 - 0.4j) * _XC, 8)
 
 
 @pytest.mark.xfail(strict=True, reason=(

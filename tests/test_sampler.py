@@ -409,7 +409,8 @@ class TestBatchInvariance:
     def test_unusable_regressor_or_series_rejected(self, batch_instance):
         # each once ran: a NaN regressor or sample to all-zero inclusion, a
         # constant regressor to no active voxel; an infinite sample warned twice
-        # before it was rejected
+        # before it was rejected, and a finite one whose square overflows warned
+        # and was called non-finite
         y, x, nu2s, sizes = batch_instance
         cfg = SamplerConfig(n_iter=40, n_burn=20, seed=0)
         gap = x.copy()
@@ -423,6 +424,10 @@ class TestBatchInvariance:
             y[5, 4] = sample
             with pytest.raises(DataFormatError, match="^parcel 8: non-finite series at voxel 5$"):
                 run_parcel_chain(y, nu2s, x, cfg, consecutive(sizes, 7))
+        y[5, 4] = 1e200
+        with pytest.raises(DataFormatError, match="^parcel 8: the sum of squares of the series "
+                           "at voxel 5 overflows$"):
+            run_parcel_chain(y, nu2s, x, cfg, consecutive(sizes, 7))
 
 
 @pytest.fixture
